@@ -4,11 +4,15 @@ Everything here is immutable after construction and safe to share.  The
 instruction set is WebAssembly MVP extended with secrecy-annotated integer
 types (s32/s64), trust-annotated function types, secrecy-annotated
 memories, an annotated select, and the classify/declassify coercions.
+``mnemonic`` names every instruction and ``CATALOGUE`` lists each one its
+mnemonic determines; the text and binary formats derive their tables
+from these two.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -144,10 +148,6 @@ FLOAT_RELOPS = ("eq", "ne", "lt", "gt", "le", "ge")
 
 # Binops whose hardware timing depends on operand values.
 UNSAFE_BINOPS = frozenset(("div_s", "div_u", "rem_s", "rem_u"))
-
-
-def is_safe_binop(t: ValType, op: str) -> bool:
-    return not (t.is_int and op in UNSAFE_BINOPS)
 
 
 @dataclass(frozen=True)
@@ -460,6 +460,122 @@ INSTRUCTION_VARIANTS: tuple[type, ...] = (
     Const, Unop, Binop, Testop, Relop,
     Convert, Reinterpret, Classify, Declassify,
 )
+
+
+# Instructions named by their class alone.
+FIXED_MNEMONICS: dict[type, str] = {
+    Unreachable: "unreachable", Nop: "nop", Drop: "drop", Block: "block",
+    Loop: "loop", If: "if", Br: "br", BrIf: "br_if", BrTable: "br_table",
+    Return: "return", Call: "call", CallIndirect: "call_indirect",
+    GetLocal: "local.get", SetLocal: "local.set", TeeLocal: "local.tee",
+    GetGlobal: "global.get", SetGlobal: "global.set",
+    MemorySize: "memory.size", MemoryGrow: "memory.grow",
+}
+FIXED_CLASSES: dict[str, type] = {n: c for c, n in FIXED_MNEMONICS.items()}
+
+
+def _convert_verb(to: ValType, frm: ValType) -> str:
+    if to.is_int:
+        if not frm.is_int:
+            return "trunc"
+        return "wrap" if to.bits < frm.bits else "extend"
+    if frm.is_int:
+        return "convert"
+    return "demote" if to.bits < frm.bits else "promote"
+
+
+def mnemonic(ins: Instr) -> str:
+    """Canonical text mnemonic of any instruction, without its immediates."""
+    name = FIXED_MNEMONICS.get(type(ins))
+    if name is not None:
+        return name
+    match ins:
+        case Unop(type=t, op=op) | Binop(type=t, op=op) | Relop(type=t, op=op) \
+                | Testop(type=t, op=op):
+            return f"{t.name}.{op}"
+        case Const(type=t):
+            return f"{t.name}.const"
+        case Select(sec=sec):
+            return "select secret" if sec is Secrecy.SECRET else "select"
+        case Load(type=t, pack=None):
+            return f"{t.name}.load"
+        case Load(type=t, pack=p, signed=s):
+            return f"{t.name}.load{p}_{'s' if s else 'u'}"
+        case Store(type=t, pack=p):
+            return f"{t.name}.store{p or ''}"
+        case Convert(to=to, frm=frm, sign=sign):
+            suffix = f"_{sign}" if sign else ""
+            return f"{to.name}.{_convert_verb(to, frm)}_{frm.name}{suffix}"
+        case Reinterpret(to=to, frm=frm):
+            return f"{to.name}.reinterpret_{frm.name}"
+        case Classify(to=to, frm=frm):
+            return f"{to.name}.classify/{frm.name}"
+        case Declassify(to=to, frm=frm):
+            return f"{to.name}.declassify/{frm.name}"
+    raise TypeError(f"unknown instruction {ins!r}")
+
+
+def _if_valid(cls: type, *args) -> tuple[Instr, ...]:
+    try:
+        return (cls(*args),)
+    except ValueError:
+        return ()
+
+
+def _prototypes():
+    yield from (Unreachable(), Nop(), Drop(), Return(), MemorySize(),
+                MemoryGrow(), Select(), Select(Secrecy.SECRET))
+    types = tuple(VALTYPES_BY_NAME.values())
+    for t in types:
+        int_t = t.is_int
+        yield from (Unop(t, op) for op in (INT_UNOPS if int_t else FLOAT_UNOPS))
+        yield from (Binop(t, op) for op in (INT_BINOPS if int_t else FLOAT_BINOPS))
+        yield from (Testop(t, op) for op in (TESTOPS if int_t else ()))
+        yield from (Relop(t, op) for op in (INT_RELOPS if int_t else FLOAT_RELOPS))
+    for t, pack in itertools.product(types, (None, 8, 16, 32)):
+        align = ((pack or t.bits) // 8).bit_length() - 1  # natural
+        for signed in (None, True, False):
+            yield from _if_valid(Load, t, pack, signed, align, 0)
+        yield from _if_valid(Store, t, pack, align, 0)
+    for to, frm in itertools.product(types, types):
+        # a reinterpret with a secret side is expressible; the checker rejects it
+        for cls in (Reinterpret, Classify, Declassify):
+            yield from _if_valid(cls, to, frm)
+        if to.sec is frm.sec:  # secret conversions stay secret
+            for sign in (None, "s", "u"):
+                yield from _if_valid(Convert, to, frm, sign)
+
+
+# Every instruction its mnemonic determines, keyed by that mnemonic: public
+# and secret operators, both selects, the coercions, conversions and
+# reinterprets, and loads and stores (natural alignment and offset 0, which
+# the memory argument may override).  The parser, printer, encoder and
+# decoder derive their tables from this one; the opcode numbers live in
+# ``binary.OPCODES``.
+CATALOGUE: dict[str, Instr] = {mnemonic(p): p for p in _prototypes()}
+
+
+def fresh(proto: Instr, span: SourceSpan | None = None) -> Instr:
+    """A new instruction equal to ``proto``, at ``span``.
+
+    Passes that map instructions to program counters key them by identity,
+    so a body never holds a catalogue prototype itself, only a copy."""
+    clone = object.__new__(type(proto))
+    clone.__dict__.update(proto.__dict__)
+    object.__setattr__(clone, "span", span)
+    return clone
+
+
+def iter_instrs(body: tuple[Instr, ...]):
+    """Every instruction of a body, nested ones included, in pre-order."""
+    for ins in body:
+        yield ins
+        match ins:
+            case Block(body=b) | Loop(body=b):
+                yield from iter_instrs(b)
+            case If(then=t, else_=e):
+                yield from iter_instrs(t)
+                yield from iter_instrs(e)
 
 
 @dataclass(frozen=True)

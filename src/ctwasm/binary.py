@@ -21,12 +21,12 @@ from any engine's internal numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ast
 from .ast import (
-    F32, F64, I32, I64, S32, S64, FuncType, Instr, Module, Secrecy, Trust,
-    ValType,
+    F32, F64, I32, I64, S32, S64, VALTYPES_BY_NAME, FuncType, Instr, Module,
+    Secrecy, Trust, ValType,
 )
 
 MAGIC = b"\0asm"
@@ -106,18 +106,36 @@ OPCODES: dict[str, int] = {
     "i32.reinterpret_f32": 0xBC, "i64.reinterpret_f64": 0xBD,
     "f32.reinterpret_i32": 0xBE, "f64.reinterpret_i64": 0xBF,
 }
-OPCODE_NAMES = {v: k for k, v in OPCODES.items()}
+_COERCIONS = {
+    "s32.classify/i32": OP_CLASSIFY_S32, "s64.classify/i64": OP_CLASSIFY_S64,
+    "i32.declassify/s32": OP_DECLASSIFY_I32,
+    "i64.declassify/s64": OP_DECLASSIFY_I64,
+}
+
+
+def _opcode_bytes(proto: Instr) -> bytes:
+    name = ast.mnemonic(proto)
+    if name in _COERCIONS:
+        return bytes([SECRET_PREFIX, _COERCIONS[name]])
+    public = ast.mnemonic(ast.publicize_instr(proto))
+    prefix = [] if public == name else [SECRET_PREFIX]
+    return bytes(prefix + [OPCODES[public]])
+
+
+# Opcode bytes of every mnemonic: the public opcode, after SECRET_PREFIX for
+# a secret form, or one of the coercion bytes.  The decoder inverts it.
+_ENCODING: dict[str, bytes] = {name: bytes([op]) for name, op in OPCODES.items()}
+_ENCODING.update(
+    (ast.mnemonic(p), _opcode_bytes(p))
+    for p in (*ast.CATALOGUE.values(), ast.Const(S32, 0), ast.Const(S64, 0)))
+_DECODING: dict[bytes, str] = {code: name for name, code in _ENCODING.items()}
 
 # Aggregate view for the injectivity audit.
 ENCODING_TABLE = {
     "valtypes": VALTYPE_CODES,
     "opcodes": OPCODES,
     "secret_prefix": SECRET_PREFIX,
-    "secret_specials": {
-        "classify/s32": OP_CLASSIFY_S32, "classify/s64": OP_CLASSIFY_S64,
-        "declassify/i32": OP_DECLASSIFY_I32, "declassify/i64": OP_DECLASSIFY_I64,
-        "select-secret": OPCODES["select"],
-    },
+    "secret_specials": {**_COERCIONS, "select secret": OPCODES["select"]},
     "functype": {Trust.UNTRUSTED: FUNCTYPE_UNTRUSTED,
                  Trust.TRUSTED: FUNCTYPE_TRUSTED},
     "memory_secret_flag": MEMORY_SECRET_FLAG,
@@ -173,23 +191,6 @@ def sleb(n: int, bits: int) -> bytes:
         out.append(b | 0x80)
 
 
-def _public_name(ins: Instr) -> str:
-    """Mnemonic of the public counterpart (s-types lowered to i-types)."""
-    from .text import instr_name
-
-    return instr_name(ast.publicize_instr(ins))
-
-
-def _is_secret_instr(ins: Instr) -> bool:
-    t = getattr(ins, "type", None)
-    if isinstance(t, ValType) and t.sec is Secrecy.SECRET:
-        return True
-    match ins:
-        case ast.Convert(to=to, frm=frm) | ast.Reinterpret(to=to, frm=frm):
-            return Secrecy.SECRET in (to.sec, frm.sec)
-    return False
-
-
 # --------------------------------------------------------------------------
 # Encoder
 
@@ -209,25 +210,16 @@ def _collect_types(m: Module) -> _TypeTable:
     # first-appearance order, interleaving each signature with the type
     # uses in its body (matching reference assemblers byte-for-byte)
     table = _TypeTable()
-
-    def scan(body):
-        for ins in body:
-            match ins:
-                case ast.CallIndirect(type=ft):
-                    table.add(FuncType(Trust.UNTRUSTED, ft.params, ft.results))
-                case ast.Block(body=b) | ast.Loop(body=b):
-                    scan(b)
-                case ast.If(then=t, else_=e):
-                    scan(t)
-                    scan(e)
-
     for f in m.funcs:
         if f.imported is not None:
             table.add(f.type)
     for f in m.funcs:
         if f.imported is None:
             table.add(f.type)
-            scan(f.body)
+            for ins in ast.iter_instrs(f.body):
+                if isinstance(ins, ast.CallIndirect):
+                    ft = ins.type
+                    table.add(FuncType(Trust.UNTRUSTED, ft.params, ft.results))
     return table
 
 
@@ -253,23 +245,19 @@ class _BodyEncoder:
         self.types = types
         self.out = bytearray()
 
-    def op(self, ins: Instr) -> None:
-        name = _public_name(ins)
-        if _is_secret_instr(ins):
-            self.out.append(SECRET_PREFIX)
-        self.out.append(OPCODES[name])
-
     def instr(self, ins: Instr) -> None:
         out = self.out
+        code = _ENCODING.get(ast.mnemonic(ins))
+        if code is None:
+            raise EncodeError(f"{ast.mnemonic(ins)} has no encoding")
+        out += code
         match ins:
             case ast.Block(result=r, body=b) | ast.Loop(result=r, body=b):
-                self.op(ins)
                 out += _blocktype(r)
                 for i in b:
                     self.instr(i)
                 out.append(OPCODES["end"])
             case ast.If(result=r, then=t, else_=e):
-                self.op(ins)
                 out += _blocktype(r)
                 for i in t:
                     self.instr(i)
@@ -278,58 +266,29 @@ class _BodyEncoder:
                     for i in e:
                         self.instr(i)
                 out.append(OPCODES["end"])
-            case ast.Br(label=k) | ast.BrIf(label=k):
-                self.op(ins)
+            case (ast.Br(label=k) | ast.BrIf(label=k) | ast.Call(func=k)
+                  | ast.GetLocal(local=k) | ast.SetLocal(local=k)
+                  | ast.TeeLocal(local=k) | ast.GetGlobal(glob=k)
+                  | ast.SetGlobal(glob=k)):
                 out += uleb(k)
             case ast.BrTable(labels=ls, default=d):
-                self.op(ins)
                 out += uleb(len(ls))
                 for k in ls:
                     out += uleb(k)
                 out += uleb(d)
-            case ast.Call(func=k):
-                self.op(ins)
-                out += uleb(k)
             case ast.CallIndirect(type=ft):
-                self.op(ins)
                 key = FuncType(Trust.UNTRUSTED, ft.params, ft.results)
                 out += uleb(self.types.index[key])
                 out.append(0x01 if ft.trust is Trust.TRUSTED else 0x00)
-            case (ast.GetLocal(local=k) | ast.SetLocal(local=k)
-                  | ast.TeeLocal(local=k)):
-                self.op(ins)
-                out += uleb(k)
-            case ast.GetGlobal(glob=k) | ast.SetGlobal(glob=k):
-                self.op(ins)
-                out += uleb(k)
             case ast.Load(align=a, offset=o) | ast.Store(align=a, offset=o):
-                self.op(ins)
                 out += uleb(a) + uleb(o)
             case ast.MemorySize() | ast.MemoryGrow():
-                self.op(ins)
                 out.append(0x00)  # MVP reserved memory index
             case ast.Const(type=t, bits=bits):
-                self.op(ins)
-                if t.rep is ast.Rep.I32:
-                    out += sleb(bits, 32)
-                elif t.rep is ast.Rep.I64:
-                    out += sleb(bits, 64)
+                if t.is_int:
+                    out += sleb(bits, t.bits)
                 else:
                     out += bits.to_bytes(t.bits // 8, "little")
-            case ast.Classify(to=to):
-                out.append(SECRET_PREFIX)
-                out.append(OP_CLASSIFY_S32 if to.rep is ast.Rep.I32
-                           else OP_CLASSIFY_S64)
-            case ast.Declassify(to=to):
-                out.append(SECRET_PREFIX)
-                out.append(OP_DECLASSIFY_I32 if to.rep is ast.Rep.I32
-                           else OP_DECLASSIFY_I64)
-            case ast.Select(sec=sec):
-                if sec is Secrecy.SECRET:
-                    out.append(SECRET_PREFIX)
-                out.append(OPCODES["select"])
-            case _:
-                self.op(ins)
 
 
 def _expr(types: _TypeTable, body: tuple[Instr, ...]) -> bytes:
@@ -531,110 +490,40 @@ class _Reader:
         return mn, mx, bool(flags & MEMORY_SECRET_FLAG)
 
 
-_SIMPLE_DECODE: dict[int, Instr] | None = None
-
-
-def _simple_decode_table() -> dict[int, Instr]:
-    # every no-immediate public instruction, keyed by opcode
-    global _SIMPLE_DECODE
-    if _SIMPLE_DECODE is None:
-        from .text import _SIMPLE_OPS
-        table = {}
-        for name, proto in _SIMPLE_OPS.items():
-            if name in OPCODES and not _is_secret_instr(proto):
-                table[OPCODES[name]] = proto
-        table[OPCODES["unreachable"]] = ast.Unreachable()
-        table[OPCODES["nop"]] = ast.Nop()
-        table[OPCODES["drop"]] = ast.Drop()
-        table[OPCODES["return"]] = ast.Return()
-        _SIMPLE_DECODE = table
-    return _SIMPLE_DECODE
-
-
-_MEM_DECODE: dict[str, tuple] = {}
-for _t in (I32, I64, F32, F64):
-    _MEM_DECODE[f"{_t.name}.load"] = ("load", _t, None, None)
-    _MEM_DECODE[f"{_t.name}.store"] = ("store", _t, None, None)
-for _t in (I32, I64):
-    for _p in (8, 16, 32):
-        if _p >= _t.bits:
-            continue
-        for _s in "su":
-            _MEM_DECODE[f"{_t.name}.load{_p}_{_s}"] = ("load", _t, _p, _s == "s")
-        _MEM_DECODE[f"{_t.name}.store{_p}"] = ("store", _t, _p, None)
-
-
-def _secretize(ins: Instr, r: _Reader) -> Instr:
-    """Lift a decoded public instruction to its secret counterpart."""
-    def sec(t: ValType) -> ValType:
-        if not t.is_int:
-            r.fail("UnknownSecretOpcode", "float operation under secret prefix")
-        return ValType(t.rep, Secrecy.SECRET)
-
-    match ins:
-        case ast.Select():
-            return ast.Select(Secrecy.SECRET)
-        case ast.Load(type=t, pack=p, signed=s, align=a, offset=o):
-            return ast.Load(sec(t), p, s, a, o)
-        case ast.Store(type=t, pack=p, align=a, offset=o):
-            return ast.Store(sec(t), p, a, o)
-        case ast.Const(type=t, bits=b):
-            return ast.Const(sec(t), b)
-        case ast.Unop(type=t, op=op):
-            return ast.Unop(sec(t), op)
-        case ast.Binop(type=t, op=op):
-            return ast.Binop(sec(t), op)
-        case ast.Testop(type=t):
-            return ast.Testop(sec(t))
-        case ast.Relop(type=t, op=op):
-            return ast.Relop(sec(t), op)
-        case ast.Convert(to=to, frm=frm, sign=sg):
-            if not (to.is_int and frm.is_int):
-                r.fail("UnknownSecretOpcode",
-                       "float conversion under secret prefix")
-            return ast.Convert(sec(to), sec(frm), sg)
-        case ast.Reinterpret(to=to, frm=frm):
-            # representable (and rejected later by the type checker)
-            if to.is_int:
-                return ast.Reinterpret(sec(to), frm)
-            return ast.Reinterpret(to, sec(frm))
-    r.fail("UnknownSecretOpcode", "operation has no secret form")
-
-
 class _BodyDecoder:
     def __init__(self, r: _Reader, types: list[FuncType]):
         self.r = r
         self.types = types
 
-    def _memarg(self):
-        align = self.r.u32()
-        offset = self.r.u32()
-        return align, offset
-
-    def instr(self, opcode: int, secret: bool) -> Instr:
+    def instr(self, name: str) -> Instr:
         r = self.r
-        if opcode in (OPCODES["block"], OPCODES["loop"]):
+        proto = ast.CATALOGUE.get(name)
+        match proto:
+            case ast.Load() | ast.Store():
+                align = r.u32()
+                return replace(proto, align=align, offset=r.u32())
+            case ast.MemorySize() | ast.MemoryGrow():
+                if r.byte() != 0:
+                    r.fail("MalformedSection", "nonzero reserved memory index")
+                return ast.fresh(proto)
+            case ast.Instr():
+                return ast.fresh(proto)
+        if name in ("block", "loop"):
             result = self._blocktype()
             body = self.block(("end",))[0]
-            cls = ast.Block if opcode == OPCODES["block"] else ast.Loop
+            cls = ast.Block if name == "block" else ast.Loop
             return cls(result, body)
-        if opcode == OPCODES["if"]:
+        if name == "if":
             result = self._blocktype()
             then, stop = self.block(("end", "else"))
             els: tuple[Instr, ...] = ()
             if stop == "else":
                 els = self.block(("end",))[0]
             return ast.If(result, then, els)
-        if opcode == OPCODES["br"]:
-            return ast.Br(r.u32())
-        if opcode == OPCODES["br_if"]:
-            return ast.BrIf(r.u32())
-        if opcode == OPCODES["br_table"]:
+        if name == "br_table":
             labels = tuple(r.u32() for _ in range(r.u32()))
             return ast.BrTable(labels, r.u32())
-        if opcode == OPCODES["call"]:
-            return ast.Call(r.u32())
-        if opcode == OPCODES["call_indirect"]:
+        if name == "call_indirect":
             ti = r.u32()
             if ti >= len(self.types):
                 r.fail("IndexOverflow", f"type index {ti}")
@@ -645,44 +534,14 @@ class _BodyDecoder:
             ft = self.types[ti]
             trust = Trust.TRUSTED if flag else Trust.UNTRUSTED
             return ast.CallIndirect(FuncType(trust, ft.params, ft.results))
-        if opcode == OPCODES["local.get"]:
-            return ast.GetLocal(r.u32())
-        if opcode == OPCODES["local.set"]:
-            return ast.SetLocal(r.u32())
-        if opcode == OPCODES["local.tee"]:
-            return ast.TeeLocal(r.u32())
-        if opcode == OPCODES["global.get"]:
-            return ast.GetGlobal(r.u32())
-        if opcode == OPCODES["global.set"]:
-            return ast.SetGlobal(r.u32())
-        if opcode in (OPCODES["memory.size"], OPCODES["memory.grow"]):
-            if r.byte() != 0:
-                r.fail("MalformedSection", "nonzero reserved memory index")
-            return ast.MemorySize() if opcode == OPCODES["memory.size"] \
-                else ast.MemoryGrow()
-        name = OPCODE_NAMES.get(opcode)
-        if name is None:
-            r.fail("UnknownOpcode", f"opcode 0x{opcode:02x}")
-        if name in _MEM_DECODE:
-            kind, t, pack, signed = _MEM_DECODE[name]
-            align, offset = self._memarg()
-            ins = ast.Load(t, pack, signed, align, offset) if kind == "load" \
-                else ast.Store(t, pack, align, offset)
-            return ins
-        if name == "i32.const":
-            return ast.Const(I32, r.s_n(32))
-        if name == "i64.const":
-            return ast.Const(I64, r.s_n(64))
-        if name == "f32.const":
-            return ast.Const(F32, int.from_bytes(r.take(4), "little"))
-        if name == "f64.const":
-            return ast.Const(F64, int.from_bytes(r.take(8), "little"))
-        if name == "select":
-            return ast.Select(Secrecy.PUBLIC)
-        simple = _simple_decode_table().get(opcode)
-        if simple is not None:
-            return simple
-        r.fail("UnknownOpcode", f"opcode 0x{opcode:02x} ({name})")
+        if name in ast.FIXED_CLASSES:  # the rest take one index
+            return ast.FIXED_CLASSES[name](r.u32())
+        if name.endswith(".const"):
+            t = VALTYPES_BY_NAME[name[:-6]]
+            if t.is_int:
+                return ast.Const(t, r.s_n(t.bits))
+            return ast.Const(t, int.from_bytes(r.take(t.bits // 8), "little"))
+        r.fail("UnknownOpcode", f"{name} out of place")
 
     def _blocktype(self) -> ValType | None:
         b = self.r.byte()
@@ -703,21 +562,14 @@ class _BodyDecoder:
                 return tuple(out), "else"
             if opcode == SECRET_PREFIX:
                 payload = r.byte()
-                if payload == OP_CLASSIFY_S32:
-                    out.append(ast.Classify(S32, I32))
-                elif payload == OP_CLASSIFY_S64:
-                    out.append(ast.Classify(S64, I64))
-                elif payload == OP_DECLASSIFY_I32:
-                    out.append(ast.Declassify(I32, S32))
-                elif payload == OP_DECLASSIFY_I64:
-                    out.append(ast.Declassify(I64, S64))
-                else:
-                    if payload not in OPCODE_NAMES:
-                        r.fail("UnknownSecretOpcode",
-                               f"payload 0x{payload:02x}")
-                    out.append(_secretize(self.instr(payload, True), r))
+                name = _DECODING.get(bytes([opcode, payload]))
+                if name is None:
+                    r.fail("UnknownSecretOpcode", f"payload 0x{payload:02x}")
             else:
-                out.append(self.instr(opcode, False))
+                name = _DECODING.get(bytes([opcode]))
+                if name is None:
+                    r.fail("UnknownOpcode", f"opcode 0x{opcode:02x}")
+            out.append(self.instr(name))
 
 
 def decode_module(data: bytes) -> Module:

@@ -305,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_LITERAL = "abcdefghijklmnopqrstuvwxyz0123456789"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)

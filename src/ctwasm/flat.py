@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from . import ast
 from .numerics import BINOP_FNS, CONVERT_FNS, RELOP_FNS, TESTOP_FNS, UNOP_FNS
-from .text import instr_name
 
 (
     T_UNREACHABLE, T_NOP, T_DROP, T_SELECT,
@@ -30,22 +29,6 @@ from .text import instr_name
     T_CONST, T_UNOP, T_BINOP, T_TESTOP, T_RELOP,
     T_CONVERT, T_REINTERPRET, T_CLASSIFY, T_DECLASSIFY,
 ) = range(33)
-
-TAG_NAMES = {
-    T_UNREACHABLE: "unreachable", T_NOP: "nop", T_DROP: "drop",
-    T_SELECT: "select", T_BLOCK: "block", T_LOOP: "loop", T_IF: "if",
-    T_ELSE: "else", T_END: "end", T_BR: "br", T_BR_IF: "br_if",
-    T_BR_TABLE: "br_table", T_RETURN: "return", T_CALL: "call",
-    T_CALL_INDIRECT: "call_indirect", T_GET_LOCAL: "local.get",
-    T_SET_LOCAL: "local.set", T_TEE_LOCAL: "local.tee",
-    T_GET_GLOBAL: "global.get", T_SET_GLOBAL: "global.set",
-    T_LOAD: "load", T_STORE: "store", T_MEMORY_SIZE: "memory.size",
-    T_MEMORY_GROW: "memory.grow", T_CONST: "const", T_UNOP: "unop",
-    T_BINOP: "binop", T_TESTOP: "testop", T_RELOP: "relop",
-    T_CONVERT: "convert", T_REINTERPRET: "reinterpret",
-    T_CLASSIFY: "classify", T_DECLASSIFY: "declassify",
-}
-
 
 @dataclass
 class FlatFunc:
@@ -78,7 +61,7 @@ class _Flattener:
             self.instr(ins)
 
     def instr(self, ins: ast.Instr) -> None:
-        safe = ("op", instr_name(ins))
+        safe = ("op", ast.mnemonic(ins))
         match ins:
             case ast.Unreachable():
                 self.emit(ins, T_UNREACHABLE, safe)

@@ -118,7 +118,7 @@ def _scan_is_plain(m: ast.Module) -> str | None:
 
 
 def _scan_body(body) -> str | None:
-    for ins in body:
+    for ins in ast.iter_instrs(body):
         match ins:
             case ast.Classify() | ast.Declassify():
                 return "classify/declassify present"
@@ -128,14 +128,6 @@ def _scan_body(body) -> str | None:
                 if ft.trust is not Trust.UNTRUSTED or not all(
                         t.sec is PUBLIC for t in ft.params + ft.results):
                     return "annotated call_indirect present"
-            case ast.Block(body=b) | ast.Loop(body=b):
-                bad = _scan_body(b)
-                if bad:
-                    return bad
-            case ast.If(then=t, else_=e):
-                bad = _scan_body(t) or _scan_body(e)
-                if bad:
-                    return bad
             case _:
                 t = getattr(ins, "type", None)
                 if isinstance(t, ValType) and t.sec is not PUBLIC:
@@ -929,7 +921,8 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         for fi, f in enumerate(m.funcs):
             if fi in trusted:
                 continue
-            if _called_funcs(f.body) & trusted:
+            if any(isinstance(ins, ast.Call) and ins.func in trusted
+                   for ins in ast.iter_instrs(f.body)):
                 trusted.add(fi)
                 changed = True
 
@@ -963,16 +956,3 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
                 ("result", fi) in public:
             notes.append(f"export {f.exports[0]!r}: result inferred public")
     return InferResult(tm, [], notes, rounds, demotions)
-
-
-def _called_funcs(body) -> set[int]:
-    out: set[int] = set()
-    for ins in body:
-        match ins:
-            case ast.Call(func=k):
-                out.add(k)
-            case ast.Block(body=b) | ast.Loop(body=b):
-                out |= _called_funcs(b)
-            case ast.If(then=t, else_=e):
-                out |= _called_funcs(t) | _called_funcs(e)
-    return out

@@ -242,8 +242,7 @@ def _locate(tm: TypedModule, export: str, args: list[Value],
         fr = cfg.frames[-1] if cfg.frames else None
         if isinstance(fr, Frame):
             origin = fr.ff.origins[fr.pc]
-            from .text import instr_name
-            loc = f"func {fr.ff.index} instr {fr.pc} ({instr_name(origin)})"
+            loc = f"func {fr.ff.index} instr {fr.pc} ({ast.mnemonic(origin)})"
             if origin.span is not None:
                 loc += f" at line {origin.span.line}:{origin.span.col}"
             return loc

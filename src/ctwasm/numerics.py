@@ -322,7 +322,3 @@ def _convert_table() -> dict:
 
 
 CONVERT_FNS = _convert_table()
-
-
-def convert_fn(to_rep: str, frm_rep: str, sign: str | None):
-    return CONVERT_FNS[(to_rep, frm_rep, sign)]

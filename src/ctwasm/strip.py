@@ -111,19 +111,9 @@ class _Stripper:
         pc_of: dict[int, int] = {}
         for pc, origin in enumerate(ff.origins):
             pc_of.setdefault(id(origin), pc)  # end/else markers share origins
-        widths: set[int] = set()
-
-        def scan(body):
-            for ins in body:
-                match ins:
-                    case Select(sec=Secrecy.SECRET):
-                        widths.add(self._select_width(ff, ins, pc_of))
-                    case ast.Block(body=b) | Loop(body=b):
-                        scan(b)
-                    case If(then=t, else_=e):
-                        scan(t)
-                        scan(e)
-        scan(f.body)
+        widths = {self._select_width(ff, ins, pc_of)
+                  for ins in ast.iter_instrs(f.body)
+                  if isinstance(ins, Select) and ins.sec is Secrecy.SECRET}
 
         base = len(f.type.params) + len(f.locals)
         extra: list[ValType] = []

@@ -13,19 +13,17 @@ conversions) are accepted as aliases.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .ast import (
-    F32, F64, FLOAT_BINOPS, FLOAT_RELOPS, FLOAT_UNOPS, I32, I64,
-    INT_BINOPS, INT_RELOPS, INT_UNOPS, S32, S64, VALTYPES_BY_NAME,
-    Binop, Block, Br, BrIf, BrTable, Call, CallIndirect, Classify, Const,
-    Convert, DataSeg, Declassify, Drop, ElemSeg, Func, FuncType, GetGlobal,
-    GetLocal, GlobalVar, If, Instr, Load, Loop, Memory, MemoryGrow,
-    MemorySize, Module, Nop, Reinterpret, Relop, Return, Secrecy, Select,
-    SetGlobal, SetLocal, SourceSpan, Store, Table, TeeLocal, Testop, Trust,
-    Unop, Unreachable, ValType,
+    CATALOGUE, FIXED_CLASSES, VALTYPES_BY_NAME, Block, Br, BrIf, BrTable,
+    Call, CallIndirect, Classify, Const, Convert, DataSeg, Declassify, ElemSeg,
+    Func, FuncType, GetGlobal, GetLocal, GlobalVar, If, Instr, Load, Loop,
+    Memory, Module, Reinterpret, Secrecy, SetGlobal, SetLocal, SourceSpan,
+    Store, Table, TeeLocal, Trust, ValType, fresh, mnemonic,
 )
 
 
@@ -170,11 +168,12 @@ def _unescape_string(tok: Token, filename: str) -> bytes:
             out.append(ord(e))
         elif e == "u":
             m = re.match(r"\{([0-9a-fA-F]+)\}", s[i:])
-            if not m:
+            cp = int(m.group(1), 16) if m else -1
+            if not (0 <= cp < 0xD800 or 0xE000 <= cp <= 0x10FFFF):
                 raise ParseError("bad \\u escape", tok.span, filename=filename)
-            out.extend(chr(int(m.group(1), 16)).encode("utf-8"))
+            out.extend(chr(cp).encode("utf-8"))
             i += m.end()
-        elif re.match(r"[0-9a-fA-F]", e) and i < len(s) + 1:
+        elif re.fullmatch(r"[0-9a-fA-F]{2}", s[i - 1:i + 1]):
             out.append(int(s[i - 1:i + 1], 16))
             i += 1
         else:
@@ -212,6 +211,8 @@ def _parse_float(text: str) -> float | None:
                 v = float.fromhex(t)
         else:
             v = float(t)
+            if math.isinf(v):  # a decimal beyond the largest f64
+                return None
     except (ValueError, OverflowError):
         return None
     return -v if neg else v
@@ -230,7 +231,7 @@ def _bits_float(bits: int, width: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Mnemonic tables
+# Mnemonic tables: views of ast.CATALOGUE
 
 _LEGACY_ALIASES = {
     "get_local": "local.get",
@@ -241,90 +242,27 @@ _LEGACY_ALIASES = {
     "current_memory": "memory.size",
     "grow_memory": "memory.grow",
 }
+for _name, _proto in CATALOGUE.items():
+    match _proto:
+        case Convert() | Reinterpret():
+            # slash style: i64.extend_i32_s was i64.extend_s/i32
+            _t, _verb, _frm, *_sign = re.split(r"[._]", _name)
+            _LEGACY_ALIASES["_".join([f"{_t}.{_verb}", *_sign]) + "/" + _frm] = _name
+        case Classify() | Declassify():
+            # s32.classify/i32 may drop its operand type or use an underscore
+            _LEGACY_ALIASES[_name.split("/")[0]] = _name
+            _LEGACY_ALIASES[_name.replace("/", "_")] = _name
 
-_CONVERT_FORMS: dict[str, Instr] = {}
+# Other names for the catalogue views, which callers of this module import.
+_SIMPLE_OPS = CATALOGUE
+instr_name = mnemonic
 
-
-def _conv(canon: str, instr: Instr, *aliases: str) -> None:
-    _CONVERT_FORMS[canon] = instr
-    for a in aliases:
-        _LEGACY_ALIASES[a] = canon
-
-
-def _init_convert_forms() -> None:
-    _conv("i32.wrap_i64", Convert(I32, I64, None), "i32.wrap/i64")
-    _conv("s32.wrap_s64", Convert(S32, S64, None), "s32.wrap/s64")
-    for sign in "su":
-        _conv(f"i64.extend_i32_{sign}", Convert(I64, I32, sign),
-              f"i64.extend_{sign}/i32")
-        _conv(f"s64.extend_s32_{sign}", Convert(S64, S32, sign),
-              f"s64.extend_{sign}/s32")
-        for it, ft in ((I32, F32), (I32, F64), (I64, F32), (I64, F64)):
-            _conv(f"{it.name}.trunc_{ft.name}_{sign}", Convert(it, ft, sign),
-                  f"{it.name}.trunc_{sign}/{ft.name}")
-            _conv(f"{ft.name}.convert_{it.name}_{sign}", Convert(ft, it, sign),
-                  f"{ft.name}.convert_{sign}/{it.name}")
-    _conv("f32.demote_f64", Convert(F32, F64, None), "f32.demote/f64")
-    _conv("f64.promote_f32", Convert(F64, F32, None), "f64.promote/f32")
-    for a, b in ((I32, F32), (I64, F64)):
-        _conv(f"{a.name}.reinterpret_{b.name}", Reinterpret(a, b),
-              f"{a.name}.reinterpret/{b.name}")
-        _conv(f"{b.name}.reinterpret_{a.name}", Reinterpret(b, a),
-              f"{b.name}.reinterpret/{a.name}")
-    # reinterpret with a secret integer side is expressible (and rejected
-    # by the type checker, never by the grammar)
-    for a, b in ((S32, F32), (S64, F64)):
-        _conv(f"{a.name}.reinterpret_{b.name}", Reinterpret(a, b),
-              f"{a.name}.reinterpret/{b.name}")
-        _conv(f"{b.name}.reinterpret_{a.name}", Reinterpret(b, a),
-              f"{b.name}.reinterpret/{a.name}")
-    _conv("s32.classify/i32", Classify(S32, I32), "s32.classify", "s32.classify_i32")
-    _conv("s64.classify/i64", Classify(S64, I64), "s64.classify", "s64.classify_i64")
-    _conv("i32.declassify/s32", Declassify(I32, S32), "i32.declassify",
-          "i32.declassify_s32")
-    _conv("i64.declassify/s64", Declassify(I64, S64), "i64.declassify",
-          "i64.declassify_s64")
-
-
-_init_convert_forms()
-
-_SIMPLE_OPS: dict[str, Instr] = {
-    "unreachable": Unreachable(),
-    "nop": Nop(),
-    "drop": Drop(),
-    "return": Return(),
-    "memory.size": MemorySize(),
-    "memory.grow": MemoryGrow(),
+# Instructions whose one immediate is an index, and its index space.
+_INDEX_SPACE = {
+    "br": "label", "br_if": "label", "call": "func", "local.get": "local",
+    "local.set": "local", "local.tee": "local", "global.get": "global",
+    "global.set": "global",
 }
-
-for _t in (I32, I64, S32, S64):
-    for _op in INT_UNOPS:
-        _SIMPLE_OPS[f"{_t.name}.{_op}"] = Unop(_t, _op)
-    for _op in INT_BINOPS:
-        _SIMPLE_OPS[f"{_t.name}.{_op}"] = Binop(_t, _op)
-    _SIMPLE_OPS[f"{_t.name}.eqz"] = Testop(_t)
-    for _op in INT_RELOPS:
-        _SIMPLE_OPS[f"{_t.name}.{_op}"] = Relop(_t, _op)
-for _t in (F32, F64):
-    for _op in FLOAT_UNOPS:
-        _SIMPLE_OPS[f"{_t.name}.{_op}"] = Unop(_t, _op)
-    for _op in FLOAT_BINOPS:
-        _SIMPLE_OPS[f"{_t.name}.{_op}"] = Binop(_t, _op)
-    for _op in FLOAT_RELOPS:
-        _SIMPLE_OPS[f"{_t.name}.{_op}"] = Relop(_t, _op)
-_SIMPLE_OPS.update(_CONVERT_FORMS)
-
-_MEM_OPS: dict[str, tuple[str, ValType, int | None, bool | None]] = {}
-for _t in (I32, I64, S32, S64, F32, F64):
-    _MEM_OPS[f"{_t.name}.load"] = ("load", _t, None, None)
-    _MEM_OPS[f"{_t.name}.store"] = ("store", _t, None, None)
-for _t in (I32, I64, S32, S64):
-    for _pack in (8, 16, 32):
-        if _pack >= _t.bits:
-            continue
-        for _sx in "su":
-            _MEM_OPS[f"{_t.name}.load{_pack}_{_sx}"] = ("load", _t, _pack, _sx == "s")
-        _MEM_OPS[f"{_t.name}.store{_pack}"] = ("store", _t, _pack, None)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +297,15 @@ class _Names:
                              filename=self.filename)
         m[name] = index
 
-    def resolve(self, space: str, tok: Token) -> int:
-        if tok.kind == "atom" and tok.text.startswith("$"):
+    def resolve(self, space: str, tok) -> int:
+        atom = isinstance(tok, Token) and tok.kind == "atom"
+        if atom and tok.text.startswith("$"):
             m = self.spaces.get(space, {})
             if tok.text not in m:
                 raise ParseError(f"unknown {space} {tok.text}", tok.span,
                                  filename=self.filename)
             return m[tok.text]
-        value = _parse_int(tok.text) if tok.kind == "atom" else None
+        value = _parse_int(tok.text) if atom else None
         if value is None or value < 0:
             raise ParseError(f"expected {space} index", tok.span,
                              filename=self.filename,
@@ -385,6 +324,7 @@ class _Parser:
         self.table_elems: list[tuple] = []  # (offset items, func refs)
         self.memory: Memory | None = None
         self.data: list[tuple] = []  # (offset items, bytes)
+        self.segment_indices: list[tuple] = []  # (space, token): must be 0
         self.late_exports: list[tuple] = []  # (name, kind, ref token)
 
     def err(self, message: str, span: SourceSpan | None = None,
@@ -410,11 +350,37 @@ class _Parser:
         raise self.err(f"unknown type keyword {getattr(tok, 'text', tok)!r}", span,
                        expected=frozenset(VALTYPES_BY_NAME))
 
-    def _string(self, item) -> str:
+    def _nth(self, s: SExpr, n: int, what: str):
+        """Item n of a form, or a ParseError saying what is missing."""
+        if n >= len(s.items):
+            raise self.err(f"({self._head(s)} ...) needs {what}", s.span)
+        return s.items[n]
+
+    def _at_most(self, s: SExpr, n: int) -> None:
+        if len(s.items) > n:
+            raise self.err(f"trailing tokens in ({self._head(s)} ...)",
+                           s.items[n].span)
+
+    def _bytes(self, item) -> bytes:
         if not (isinstance(item, Token) and item.kind == "string"):
             span = item.span if isinstance(item, (Token, SExpr)) else None
             raise self.err("expected string", span, expected=frozenset(('"..."',)))
-        return _unescape_string(item, self.filename).decode("utf-8")
+        return _unescape_string(item, self.filename)
+
+    def _string(self, item) -> str:
+        try:
+            return self._bytes(item).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.err("name is not valid UTF-8", item.span) from None
+
+    def _globaltype(self, items: list, span: SourceSpan) -> tuple[ValType, bool]:
+        """(mut t) | t -> (type, mutable)."""
+        if not items:
+            raise self.err("global needs a type", span)
+        if self._head(items[0]) == "mut":
+            self._at_most(items[0], 2)
+            return self._valtype(self._nth(items[0], 1, "a type")), True
+        return self._valtype(items[0]), False
 
     # -- module
 
@@ -491,12 +457,12 @@ class _Parser:
         while i < len(items):
             head = self._head(items[i])
             if head == "export":
-                exports.append(self._string(items[i].items[1]))
+                exports.append(self._string(self._nth(items[i], 1, "a name")))
             elif head == "import":
                 if imported is not None:
                     raise self.err("duplicate import clause", items[i].span)
-                imported = (self._string(items[i].items[1]),
-                            self._string(items[i].items[2]))
+                imported = (self._string(self._nth(items[i], 1, "a module name")),
+                            self._string(self._nth(items[i], 2, "a field name")))
             else:
                 break
             i += 1
@@ -506,7 +472,7 @@ class _Parser:
         """(type $t)? (param..)* (result..)? -> (FuncType sans trust, names, rest)."""
         declared: FuncType | None = None
         if items and self._head(items[0]) == "type":
-            idx = self.names.resolve("type", items[0].items[1])
+            idx = self.names.resolve("type", self._nth(items[0], 1, "an index"))
             if idx >= len(self.types):
                 raise self.err("type index out of range", items[0].span)
             declared = self.types[idx]
@@ -571,6 +537,8 @@ class _Parser:
             if v is not None:
                 mx = v
                 items = items[1:]
+        if not all(0 <= v < 1 << 32 for v in (mn, mx) if v is not None):
+            raise self.err("limits must be integers in [0, 2^32)", span)
         return mn, mx, items
 
     def _field_memory(self, s: SExpr) -> None:
@@ -615,6 +583,7 @@ class _Parser:
     def _field_elem(self, s: SExpr) -> None:
         items = s.items[1:]
         if items and isinstance(items[0], Token):  # optional table index
+            self.segment_indices.append(("table", items[0]))
             items = items[1:]
         if not items:
             raise self.err("elem needs an offset", s.span)
@@ -622,15 +591,13 @@ class _Parser:
 
     def _field_data(self, s: SExpr) -> None:
         items = s.items[1:]
-        if items and isinstance(items[0], Token) and items[0].kind == "atom" \
-                and not items[0].text.startswith('"'):
+        if items and isinstance(items[0], Token) and items[0].kind == "atom":
+            self.segment_indices.append(("memory", items[0]))
             items = items[1:]  # optional memory index
         if not items:
             raise self.err("data needs an offset", s.span)
         offset = self._offset_expr(items[0])
-        chunks = b"".join(
-            _unescape_string(it, self.filename) for it in items[1:]
-        )
+        chunks = b"".join(self._bytes(it) for it in items[1:])
         self.data.append((offset, chunks, s.span))
 
     def _field_global(self, s: SExpr) -> None:
@@ -640,14 +607,7 @@ class _Parser:
             name = items[0].text
             items = items[1:]
         exports, imported, items = self._inline_clauses(items)
-        if not items:
-            raise self.err("global needs a type", s.span)
-        mutable = False
-        if self._head(items[0]) == "mut":
-            mutable = True
-            gt = self._valtype(items[0].items[1])
-        else:
-            gt = self._valtype(items[0])
+        gt, mutable = self._globaltype(items, s.span)
         init_items = items[1:]
         if imported is not None and init_items:
             raise self.err("imported global cannot have an initializer", s.span)
@@ -660,10 +620,13 @@ class _Parser:
             self._global_inits[len(self.globals) - 1] = init_items
 
     def _field_import(self, s: SExpr) -> None:
-        mod = self._string(s.items[1])
-        fld = self._string(s.items[2])
-        desc = s.items[3]
+        mod = self._string(self._nth(s, 1, "a module name"))
+        fld = self._string(self._nth(s, 2, "a field name"))
+        desc = self._nth(s, 3, "a description")
+        self._at_most(s, 4)
         head = self._head(desc)
+        if head not in ("func", "global", "memory", "table"):
+            raise self.err("unknown import description", desc.span)
         items = desc.items[1:]
         name = None
         if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
@@ -682,12 +645,7 @@ class _Parser:
             self.funcs.append(_FuncDecl(name, ft, pnames, [], [], [],
                                         (mod, fld), [], s.span))
         elif head == "global":
-            mutable = False
-            if items and self._head(items[0]) == "mut":
-                mutable = True
-                gt = self._valtype(items[0].items[1])
-            else:
-                gt = self._valtype(items[0])
+            gt, mutable = self._globaltype(items, desc.span)
             self.names.bind("global", name, len(self.globals), s.span)
             self.globals.append(GlobalVar(gt, mutable, None, (mod, fld), (),
                                           name, s.span))
@@ -701,22 +659,23 @@ class _Parser:
                 items = items[1:]
             self.names.bind("memory", name, 0, s.span)
             self.memory = Memory(mn, mx, sec, (mod, fld), ())
-        elif head == "table":
+        else:
             if self.table is not None:
                 raise self.err("at most one table", s.span)
             mn, mx, items = self._limits(items, desc.span)
             self.names.bind("table", name, 0, s.span)
             self.table = Table(mn, mx, (), (mod, fld), ())
-        else:
-            raise self.err("unknown import description", desc.span)
 
     def _field_export(self, s: SExpr) -> None:
-        name = self._string(s.items[1])
-        desc = s.items[2]
+        name = self._string(self._nth(s, 1, "a name"))
+        desc = self._nth(s, 2, "a description")
         head = self._head(desc)
         if head not in ("func", "global", "memory", "table"):
             raise self.err("unknown export description", desc.span)
-        self.late_exports.append((name, head, desc.items[1], s.span))
+        self._at_most(s, 3)
+        self._at_most(desc, 2)
+        self.late_exports.append((name, head, self._nth(desc, 1, "an index"),
+                                  s.span))
 
     # -- instruction parsing (second pass, names all bound)
 
@@ -728,27 +687,17 @@ class _Parser:
             i = self._instr(items, i, out, labels, fd)
         return tuple(out)
 
-    def _local_index(self, tok: Token, fd: _FuncDecl) -> int:
-        if tok.text.startswith("$"):
-            names = fd.param_names + fd.local_names
-            if tok.text in names:
-                return names.index(tok.text)
-            raise self.err(f"unknown local {tok.text}", tok.span)
-        v = _parse_int(tok.text)
-        if v is None or v < 0:
-            raise self.err("expected local index", tok.span)
-        return v
-
-    def _label_index(self, tok: Token, labels: list[str | None]) -> int:
-        if tok.text.startswith("$"):
-            for depth, ln in enumerate(reversed(labels)):
-                if ln == tok.text:
-                    return depth
-            raise self.err(f"unknown label {tok.text}", tok.span)
-        v = _parse_int(tok.text)
-        if v is None or v < 0:
-            raise self.err("expected label index", tok.span)
-        return v
+    def _index(self, space: str, tok, labels: list[str | None],
+               fd: _FuncDecl) -> int:
+        """Resolve an index operand; labels and locals have per-function names."""
+        if space in ("label", "local") and isinstance(tok, Token) and \
+                tok.text.startswith("$"):
+            names = list(reversed(labels)) if space == "label" \
+                else fd.param_names + fd.local_names
+            if tok.text not in names:
+                raise self.err(f"unknown {space} {tok.text}", tok.span)
+            return names.index(tok.text)
+        return self.names.resolve(space, tok)
 
     def _block_intro(self, items: list, i: int, labels: list[str | None]):
         """label? (result t)? -> (label name, result, next index)."""
@@ -767,15 +716,16 @@ class _Parser:
             i += 1
         return name, result, i
 
-    def _memarg(self, items: list, i: int, natural: int, span: SourceSpan):
-        offset, align = 0, None
+    def _memarg(self, items: list, i: int, natural_align: int):
+        offset, align = 0, natural_align
         while i < len(items) and isinstance(items[i], Token) and \
                 items[i].kind == "atom":
             t = items[i].text
             if t.startswith("offset="):
                 offset = _parse_int(t[7:])
-                if offset is None:
-                    raise self.err("bad offset", items[i].span)
+                if offset is None or not 0 <= offset < 1 << 32:
+                    raise self.err("offset must be an integer in [0, 2^32)",
+                                   items[i].span)
                 i += 1
             elif t.startswith("align="):
                 a = _parse_int(t[6:])
@@ -786,8 +736,6 @@ class _Parser:
                 i += 1
             else:
                 break
-        if align is None:
-            align = natural.bit_length() - 1
         return offset, align, i
 
     def _const_payload(self, t: ValType, tok, span: SourceSpan) -> int:
@@ -808,10 +756,15 @@ class _Parser:
         m = re.match(r"^[+-]?nan:0x([0-9a-fA-F]+)$", tok.text)
         if m:
             payload = int(m.group(1), 16)
+            if not 0 < payload < 1 << (23 if t.bits == 32 else 52):
+                raise self.err("NaN payload out of range", tok.span)
             exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
             sign = (1 << (t.bits - 1)) if tok.text.startswith("-") else 0
             return sign | exp | payload
-        return _float_bits(v, t.bits)
+        try:
+            return _float_bits(v, t.bits)
+        except OverflowError:  # finite, but beyond the largest f32
+            raise self.err(f"literal out of range for {t.name}", tok.span) from None
 
     def _instr(self, items: list, i: int, out: list[Instr],
                labels: list[str | None], fd: _FuncDecl) -> int:
@@ -824,85 +777,66 @@ class _Parser:
         span = item.span
         i += 1
 
-        if name in _SIMPLE_OPS:
-            proto = _SIMPLE_OPS[name]
-            out.append(_respan(proto, span))
+        if name == "select" and i < len(items) and \
+                self._is_kw(items[i], "secret", "public"):
+            name = "select secret" if items[i].text == "secret" else name
+            i += 1
+        proto = CATALOGUE.get(name)
+        if isinstance(proto, (Load, Store)):
+            offset, align, i = self._memarg(items, i, proto.align)
+            out.append(replace(proto, align=align, offset=offset, span=span))
             return i
-        if name == "select":
-            sec = Secrecy.PUBLIC
-            if i < len(items) and self._is_kw(items[i], "secret", "public"):
-                sec = Secrecy(items[i].text)
-                i += 1
-            out.append(Select(sec, span=span))
+        if proto is not None:
+            out.append(fresh(proto, span))
             return i
-        if name in ("block", "loop"):
+        if name in _INDEX_SPACE:
+            if i >= len(items):
+                raise self.err(f"{name} needs an index", span)
+            k = self._index(_INDEX_SPACE[name], items[i], labels, fd)
+            out.append(FIXED_CLASSES[name](k, span=span))
+            return i + 1
+        if name in ("block", "loop", "if"):
             lbl, result, i = self._block_intro(items, i, labels)
             labels.append(lbl)
-            body: list[Instr] = []
+            arms: list[list[Instr]] = [[]]
             while True:
                 if i >= len(items):
+                    stops = ("end", "else") if name == "if" else ("end",)
                     raise self.err(f"unterminated {name}", span,
-                                   expected=frozenset(("end",)))
-                if self._is_kw(items[i], "end"):
+                                   expected=frozenset(stops))
+                if name == "if" and self._is_kw(items[i], "else"):
+                    if len(arms) == 2:
+                        raise self.err("duplicate else", items[i].span)
+                    arms.append([])
+                    i += 1
+                elif self._is_kw(items[i], "end"):
                     i += 1
                     if i < len(items) and isinstance(items[i], Token) and \
                             items[i].text.startswith("$"):
                         i += 1  # trailing label name on end
                     break
-                i = self._instr(items, i, body, labels, fd)
+                else:
+                    i = self._instr(items, i, arms[-1], labels, fd)
             labels.pop()
-            cls = Block if name == "block" else Loop
-            out.append(cls(result, tuple(body), span=span))
+            if name == "if":
+                then, els = (arms + [[]])[:2]
+                out.append(If(result, tuple(then), tuple(els), span=span))
+            else:
+                cls = Block if name == "block" else Loop
+                out.append(cls(result, tuple(arms[0]), span=span))
             return i
-        if name == "if":
-            lbl, result, i = self._block_intro(items, i, labels)
-            labels.append(lbl)
-            then: list[Instr] = []
-            els: list[Instr] = []
-            cur = then
-            while True:
-                if i >= len(items):
-                    raise self.err("unterminated if", span,
-                                   expected=frozenset(("end", "else")))
-                if self._is_kw(items[i], "else"):
-                    if cur is els:
-                        raise self.err("duplicate else", items[i].span)
-                    cur = els
-                    i += 1
-                    continue
-                if self._is_kw(items[i], "end"):
-                    i += 1
-                    if i < len(items) and isinstance(items[i], Token) and \
-                            items[i].text.startswith("$"):
-                        i += 1
-                    break
-                i = self._instr(items, i, cur, labels, fd)
-            labels.pop()
-            out.append(If(result, tuple(then), tuple(els), span=span))
-            return i
-        if name in ("br", "br_if"):
-            if i >= len(items) or not isinstance(items[i], Token):
-                raise self.err(f"{name} needs a label", span)
-            depth = self._label_index(items[i], labels)
-            cls = Br if name == "br" else BrIf
-            out.append(cls(depth, span=span))
-            return i + 1
         if name == "br_table":
             targets: list[int] = []
             while i < len(items) and isinstance(items[i], Token) and \
                     items[i].kind == "atom" and \
                     (items[i].text.startswith("$") or
                      _parse_int(items[i].text) is not None):
-                targets.append(self._label_index(items[i], labels))
+                targets.append(self._index("label", items[i], labels, fd))
                 i += 1
             if not targets:
                 raise self.err("br_table needs at least one label", span)
             out.append(BrTable(tuple(targets[:-1]), targets[-1], span=span))
             return i
-        if name == "call":
-            idx = self.names.resolve("func", items[i])
-            out.append(Call(idx, span=span))
-            return i + 1
         if name == "call_indirect":
             trust = Trust.UNTRUSTED
             if i < len(items) and self._is_kw(items[i], "trusted", "untrusted"):
@@ -916,26 +850,6 @@ class _Parser:
             if rest:
                 raise self.err("bad call_indirect signature", span)
             out.append(CallIndirect(FuncType(trust, ft.params, ft.results), span=span))
-            return i
-        if name in ("local.get", "local.set", "local.tee"):
-            idx = self._local_index(items[i], fd)
-            cls = {"local.get": GetLocal, "local.set": SetLocal,
-                   "local.tee": TeeLocal}[name]
-            out.append(cls(idx, span=span))
-            return i + 1
-        if name in ("global.get", "global.set"):
-            idx = self.names.resolve("global", items[i])
-            cls = GetGlobal if name == "global.get" else SetGlobal
-            out.append(cls(idx, span=span))
-            return i + 1
-        if name in _MEM_OPS:
-            kind, t, pack, signed = _MEM_OPS[name]
-            natural = (pack or t.bits) // 8
-            offset, align, i = self._memarg(items, i, natural, span)
-            if kind == "load":
-                out.append(Load(t, pack, signed, align, offset, span=span))
-            else:
-                out.append(Store(t, pack, align, offset, span=span))
             return i
         if name.endswith(".const"):
             tn = name[:-6]
@@ -952,7 +866,7 @@ class _Parser:
 
     def _folded(self, s: SExpr, out: list[Instr], labels: list[str | None],
                 fd: _FuncDecl, outer_i: int) -> int:
-        head = s.items[0]
+        head = s.items[0] if s.items else None
         if not (isinstance(head, Token) and head.kind == "atom"):
             raise self.err("expected instruction", s.span)
         name = _LEGACY_ALIASES.get(head.text, head.text)
@@ -1034,6 +948,9 @@ class _Parser:
                                           g.exports, g.name, g.span))
             else:
                 globals_.append(g)
+        for space, tok in self.segment_indices:
+            if self.names.resolve(space, tok) != 0:
+                raise self.err(f"{space} index out of range", tok.span)
         table = self.table
         if self.table_elems:
             if table is None:
@@ -1098,14 +1015,11 @@ class _Parser:
         dup = {n for n in names if names.count(n) > 1}
         if dup:
             raise self.err(f"duplicate export name {sorted(dup)[0]!r}")
-        return Module(tuple(funcs), tuple(globals_), table, memory, tuple(data))
-
-
-def _respan(proto: Instr, span: SourceSpan) -> Instr:
-    clone = object.__new__(type(proto))
-    clone.__dict__.update(proto.__dict__)
-    object.__setattr__(clone, "span", span)
-    return clone
+        try:
+            return Module(tuple(funcs), tuple(globals_), table, memory,
+                          tuple(data))
+        except ValueError as e:  # imports after definitions
+            raise self.err(str(e)) from None
 
 
 def parse_module(text: str, filename: str = "<input>") -> Module:
@@ -1120,84 +1034,6 @@ def parse_module(text: str, filename: str = "<input>") -> Module:
 # ---------------------------------------------------------------------------
 # Printer
 
-_CONVERT_NAMES = {
-    (ins.to, ins.frm, getattr(ins, "sign", None)): name
-    for name, ins in _CONVERT_FORMS.items()
-    if isinstance(ins, Convert)
-}
-_REINTERPRET_NAMES = {
-    (ins.to, ins.frm): name
-    for name, ins in _CONVERT_FORMS.items()
-    if isinstance(ins, Reinterpret)
-}
-
-
-def instr_name(ins: Instr) -> str:
-    """Canonical mnemonic (sans immediates) for any instruction."""
-    match ins:
-        case Unreachable():
-            return "unreachable"
-        case Nop():
-            return "nop"
-        case Drop():
-            return "drop"
-        case Select(sec):
-            return "select secret" if sec is Secrecy.SECRET else "select"
-        case Block():
-            return "block"
-        case Loop():
-            return "loop"
-        case If():
-            return "if"
-        case Br():
-            return "br"
-        case BrIf():
-            return "br_if"
-        case BrTable():
-            return "br_table"
-        case Return():
-            return "return"
-        case Call():
-            return "call"
-        case CallIndirect():
-            return "call_indirect"
-        case GetLocal():
-            return "local.get"
-        case SetLocal():
-            return "local.set"
-        case TeeLocal():
-            return "local.tee"
-        case GetGlobal():
-            return "global.get"
-        case SetGlobal():
-            return "global.set"
-        case Load(type=t, pack=pack, signed=signed):
-            if pack is None:
-                return f"{t.name}.load"
-            return f"{t.name}.load{pack}_{'s' if signed else 'u'}"
-        case Store(type=t, pack=pack):
-            return f"{t.name}.store" if pack is None else f"{t.name}.store{pack}"
-        case MemorySize():
-            return "memory.size"
-        case MemoryGrow():
-            return "memory.grow"
-        case Const(type=t):
-            return f"{t.name}.const"
-        case Unop(type=t, op=op) | Binop(type=t, op=op) | Relop(type=t, op=op):
-            return f"{t.name}.{op}"
-        case Testop(type=t):
-            return f"{t.name}.eqz"
-        case Convert(to=to, frm=frm, sign=sign):
-            return _CONVERT_NAMES[(to, frm, sign)]
-        case Reinterpret(to=to, frm=frm):
-            return _REINTERPRET_NAMES[(to, frm)]
-        case Classify(to=to, frm=frm):
-            return f"{to.name}.classify/{frm.name}"
-        case Declassify(to=to, frm=frm):
-            return f"{to.name}.declassify/{frm.name}"
-    raise TypeError(f"unknown instruction {ins!r}")
-
-
 def _const_literal(t: ValType, bits: int) -> str:
     if t.is_int:
         hi = 1 << t.bits
@@ -1206,7 +1042,6 @@ def _const_literal(t: ValType, bits: int) -> str:
     if v != v:  # NaN: preserve payload
         exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
         sign = "-" if bits >> (t.bits - 1) else ""
-        payload = bits & ((exp >> 1) ^ exp ^ ((1 << (t.bits - 1)) - 1))
         payload = bits & ~(exp | (1 << (t.bits - 1))) & ((1 << t.bits) - 1)
         return f"{sign}nan:0x{payload:x}"
     if v in (float("inf"), float("-inf")):
@@ -1241,7 +1076,7 @@ class _Printer:
     def instr(self, ins: Instr, depth: int) -> None:
         match ins:
             case Block(result=r, body=b) | Loop(result=r, body=b):
-                self.emit(depth, self._blockhead(instr_name(ins), r))
+                self.emit(depth, self._blockhead(mnemonic(ins), r))
                 self.instrs(b, depth + 1)
                 self.emit(depth, "end")
             case If(result=r, then=t, else_=e):
@@ -1252,7 +1087,7 @@ class _Printer:
                     self.instrs(e, depth + 1)
                 self.emit(depth, "end")
             case Br(label=k) | BrIf(label=k):
-                self.emit(depth, f"{instr_name(ins)} {k}")
+                self.emit(depth, f"{mnemonic(ins)} {k}")
             case BrTable(labels=ls, default=d):
                 self.emit(depth, "br_table " + " ".join(str(k) for k in (*ls, d)))
             case Call(func=k):
@@ -1263,15 +1098,15 @@ class _Printer:
                 trust = " trusted" if ft.trust is Trust.TRUSTED else ""
                 self.emit(depth, f"call_indirect{trust}{sig}")
             case GetLocal(local=k) | SetLocal(local=k) | TeeLocal(local=k):
-                self.emit(depth, f"{instr_name(ins)} {k}")
+                self.emit(depth, f"{mnemonic(ins)} {k}")
             case GetGlobal(glob=k) | SetGlobal(glob=k):
-                self.emit(depth, f"{instr_name(ins)} {k}")
+                self.emit(depth, f"{mnemonic(ins)} {k}")
             case Load() | Store():
-                self.emit(depth, instr_name(ins) + _memarg_text(ins))
+                self.emit(depth, mnemonic(ins) + _memarg_text(ins))
             case Const(type=t, bits=bits):
                 self.emit(depth, f"{t.name}.const {_const_literal(t, bits)}")
             case _:
-                self.emit(depth, instr_name(ins))
+                self.emit(depth, mnemonic(ins))
 
     def _inline(self, exports: tuple[str, ...],
                 imported: tuple[str, str] | None) -> str:
