@@ -11,6 +11,7 @@ from these two.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass, field
@@ -415,39 +416,42 @@ def public_type(t: ValType) -> ValType:
     return ValType(t.rep, Secrecy.PUBLIC) if t.sec is Secrecy.SECRET else t
 
 
-def publicize_instr(ins: Instr) -> Instr:
-    """Erase secrecy annotations from one non-structured instruction.
+def at_secrecy(t: ValType, sec: Secrecy) -> ValType:
+    """The same representation at secrecy ``sec``; a float stays public."""
+    return ValType(t.rep, sec) if t.is_int and t.sec is not sec else t
 
-    classify/declassify have no public counterpart (they disappear under
-    erasure) and block-structured instructions need a recursive walk; both
-    are the caller's concern.
+
+def retype_instr(ins: Instr, sec: Secrecy) -> Instr:
+    """``ins`` with every integer type it names at secrecy ``sec``.
+
+    A ``call_indirect`` type also becomes untrusted.  classify/declassify
+    (which have no public counterpart: they disappear under erasure) and
+    instructions that name no value type come back as they are, and so
+    does any instruction that would not change.  A block, loop or if
+    keeps its body; ``rebuild`` rebuilds nested bodies.
     """
-    match ins:
-        case Select():
-            return Select(Secrecy.PUBLIC)
-        case Load(type=t, pack=p, signed=s, align=a, offset=o):
-            return Load(public_type(t), p, s, a, o)
-        case Store(type=t, pack=p, align=a, offset=o):
-            return Store(public_type(t), p, a, o)
-        case Const(type=t, bits=b):
-            return Const(public_type(t), b)
-        case Unop(type=t, op=op):
-            return Unop(public_type(t), op)
-        case Binop(type=t, op=op):
-            return Binop(public_type(t), op)
-        case Testop(type=t):
-            return Testop(public_type(t))
-        case Relop(type=t, op=op):
-            return Relop(public_type(t), op)
-        case Convert(to=to, frm=frm, sign=sg):
-            return Convert(public_type(to), public_type(frm), sg)
-        case Reinterpret(to=to, frm=frm):
-            return Reinterpret(public_type(to), public_type(frm))
-        case CallIndirect(type=ft):
-            return CallIndirect(FuncType(Trust.UNTRUSTED,
-                                         tuple(public_type(t) for t in ft.params),
-                                         tuple(public_type(t) for t in ft.results)))
-    return ins
+    cls = type(ins)
+    fields = _VALTYPE_FIELDS.get(cls)
+    if fields:
+        changes = {f: ValType(t.rep, sec) for f in fields
+                   if (t := getattr(ins, f)) is not None and t.sec is not sec
+                   and t.is_int}
+    elif cls is Select:
+        changes = {"sec": sec} if ins.sec is not sec else None
+    elif cls is CallIndirect:
+        ft = ins.type
+        new = FuncType(Trust.UNTRUSTED,
+                       tuple(at_secrecy(t, sec) for t in ft.params),
+                       tuple(at_secrecy(t, sec) for t in ft.results))
+        changes = {"type": new} if new != ft else None
+    else:
+        return ins
+    return fresh(ins, ins.span, **changes) if changes else ins
+
+
+def publicize_instr(ins: Instr) -> Instr:
+    """Erase the secrecy annotations of one instruction."""
+    return retype_instr(ins, Secrecy.PUBLIC)
 
 
 # One entry per production of the instruction grammar; the coverage test
@@ -460,6 +464,13 @@ INSTRUCTION_VARIANTS: tuple[type, ...] = (
     Const, Unop, Binop, Testop, Relop,
     Convert, Reinterpret, Classify, Declassify,
 )
+
+
+# The value-type fields ``retype_instr`` moves, by instruction class.
+_VALTYPE_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls)
+               if f.type.startswith("ValType"))
+    for cls in INSTRUCTION_VARIANTS if cls not in (Classify, Declassify)}
 
 
 # Instructions named by their class alone.
@@ -555,14 +566,14 @@ def _prototypes():
 CATALOGUE: dict[str, Instr] = {mnemonic(p): p for p in _prototypes()}
 
 
-def fresh(proto: Instr, span: SourceSpan | None = None) -> Instr:
-    """A new instruction equal to ``proto``, at ``span``.
+def fresh(proto: Instr, span: SourceSpan | None = None, **fields) -> Instr:
+    """A new instruction equal to ``proto`` but for ``fields``, at ``span``.
 
-    Passes that map instructions to program counters key them by identity,
-    so a body never holds a catalogue prototype itself, only a copy."""
+    A body never holds a catalogue prototype itself, only a copy, so each
+    occurrence of an instruction is an object of its own.  The fields are
+    not checked again: callers change only what keeps them valid."""
     clone = object.__new__(type(proto))
-    clone.__dict__.update(proto.__dict__)
-    object.__setattr__(clone, "span", span)
+    clone.__dict__.update(proto.__dict__, span=span, **fields)
     return clone
 
 
@@ -576,6 +587,30 @@ def iter_instrs(body: tuple[Instr, ...]):
             case If(then=t, else_=e):
                 yield from iter_instrs(t)
                 yield from iter_instrs(e)
+
+
+def rebuild(body: tuple[Instr, ...], fn) -> tuple[Instr, ...]:
+    """A new body in which ``fn(ins)`` replaces each instruction.
+
+    ``fn`` returns a sequence of instructions and is called in pre-order,
+    as ``iter_instrs`` yields them.  For a block, loop or if, the first
+    instruction it returns stands for the construct and receives the
+    construct's rebuilt bodies.
+    """
+    out: list[Instr] = []
+    for ins in body:
+        new = fn(ins)
+        match ins:
+            case Block(body=b) | Loop(body=b):
+                head = new[0]
+                new = (type(head)(head.result, rebuild(b, fn), span=head.span),
+                       *new[1:])
+            case If(then=t, else_=e):
+                head = new[0]
+                new = (If(head.result, rebuild(t, fn), rebuild(e, fn),
+                          span=head.span), *new[1:])
+        out.extend(new)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

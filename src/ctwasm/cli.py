@@ -40,6 +40,15 @@ def load_module(path: str) -> ast.Module:
         raise CliError(str(e)) from e
 
 
+def _read_json(path) -> object:
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror or e}") from e
+    except ValueError as e:  # malformed JSON, or not UTF-8 text
+        raise CliError(f"{path}: not valid JSON: {e}") from e
+
+
 def _emit(doc, as_json: bool, human: str | None = None) -> None:
     if as_json:
         print(json.dumps(doc, indent=2))
@@ -153,7 +162,10 @@ def cmd_infer(args) -> int:
     m = load_module(args.file)
     hints = infer.Hints()
     if args.hints:
-        hints = infer.Hints.from_json(json.loads(Path(args.hints).read_text()))
+        try:
+            hints = infer.Hints.from_json(_read_json(args.hints))
+        except infer.InputInvalid as e:
+            raise CliError(f"{args.hints}: {e}") from e
     try:
         result = infer.infer_labels(m, hints)
     except infer.InputInvalid as e:
@@ -177,11 +189,19 @@ def cmd_infer(args) -> int:
     return OK
 
 
-def _sidecar_spec(path: Path) -> dict | None:
+def _sidecar_spec(path: Path, invoke: str) -> TrialSpec | None:
+    """The trial spec of the secrets sidecar next to ``path``, if the
+    first one found is about ``invoke``."""
     for cand in (path.with_suffix(".secrets.json"),
                  path.parent / "secrets.json"):
         if cand.exists():
-            return json.loads(cand.read_text())
+            doc = _read_json(cand)
+            if isinstance(doc, dict) and doc.get("invoke") != invoke:
+                return None
+            try:
+                return load_trial_spec(doc)
+            except ValueError as e:
+                raise CliError(f"{cand}: {e}") from e
     return None
 
 
@@ -193,17 +213,18 @@ def cmd_ct_check(args) -> int:
     except validate.ValidationFailure as e:
         print(f"{args.file}: {e}", file=sys.stderr)
         return ERROR
-    doc = _sidecar_spec(p)
-    if doc is not None and doc.get("invoke") == args.invoke:
-        spec = load_trial_spec(doc)
-    else:
+    spec = _sidecar_spec(p, args.invoke)
+    if spec is None:
         ex = m.exported(args.invoke)
         if ex is None or ex[0] != "func":
             print(f"no function export {args.invoke!r}", file=sys.stderr)
             return ERROR
         ft = m.funcs[ex[1]].type
-        base = [parse_value(a) for a in args.args] if args.args else \
-            [interp.Value(t, 0) for t in ft.params]
+        try:
+            base = [parse_value(a) for a in args.args] if args.args else \
+                [interp.Value(t, 0) for t in ft.params]
+        except ValueError as e:
+            raise CliError(f"error: {e}") from e
         secrets = [SecretInput(str(i), param=i)
                    for i, t in enumerate(ft.params)
                    if t.sec is ast.Secrecy.SECRET]
@@ -235,6 +256,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are plain errors, not warnings
         self.print_usage(sys.stderr)
         self.exit(ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _trial_count(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of trials, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invoke", required=True)
     p.add_argument("--secret-params", default=None,
                    help="comma list of secret inputs to vary (defaults to all)")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("args", nargs="*",

@@ -52,22 +52,54 @@ class CorpusEntry:
         return bool(self.expect.get("validates"))
 
 
-def _hex_map(doc: dict) -> dict[int, bytes]:
-    return {int(k): bytes.fromhex(v) for k, v in doc.items()}
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
 
 
-def load_trial_spec(doc: dict) -> TrialSpec:
-    secrets = [
-        SecretInput(name, offset=int(spec["offset"]), length=int(spec["length"]))
-        if "offset" in spec else SecretInput(name, param=int(spec["param"]))
-        for name, spec in doc.get("secrets", {}).items()
-    ]
+def _count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)) or \
+            not str(value).strip().isdecimal():
+        raise ValueError(f"{what} must be a non-negative integer, "
+                         f"got {value!r}")
+    return int(value)
+
+
+def _hex_map(doc) -> dict[int, bytes]:
+    out = {}
+    for k, v in _object(doc, "a memory image").items():
+        if not isinstance(v, str):
+            raise ValueError(f"bytes at {k} must be a hex string")
+        out[_count(k, "an address")] = bytes.fromhex(v)
+    return out
+
+
+def load_trial_spec(doc) -> TrialSpec:
+    """A trial spec from its JSON form; raises ValueError if malformed."""
+    invoke = _object(doc, "a trial spec").get("invoke")
+    if not isinstance(invoke, str):
+        raise ValueError("a trial spec names the export to invoke")
+    secrets = []
+    for name, spec in _object(doc.get("secrets", {}), "secrets").items():
+        spec = _object(spec, f"secret {name!r}")
+        if "offset" in spec:
+            secrets.append(SecretInput(
+                name, offset=_count(spec["offset"], f"offset of {name!r}"),
+                length=_count(spec.get("length"), f"length of {name!r}")))
+        else:
+            secrets.append(SecretInput(
+                name, param=_count(spec.get("param"), f"param of {name!r}")))
+    args = doc.get("args", [])
+    if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+        raise ValueError("args must be a list of type:value literals")
+    fuel = doc.get("fuel")
     return TrialSpec(
-        export=doc["invoke"],
-        args=[parse_value(a) for a in doc.get("args", [])],
+        export=invoke,
+        args=[parse_value(a) for a in args],
         secrets=secrets,
         image=_hex_map(doc.get("image", {})),
-        fuel=doc.get("fuel"),
+        fuel=None if fuel is None else _count(fuel, "fuel"),
     )
 
 

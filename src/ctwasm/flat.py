@@ -152,6 +152,15 @@ class _Flattener:
                 raise TypeError(f"unknown instruction {ins!r}")
 
 
+def instr_pcs(code: list[tuple]) -> list[int]:
+    """Offsets of the ops that stand for instructions of the body.
+
+    Every op but an ``else`` or ``end`` marker does, so the k-th offset is
+    that of the k-th instruction in pre-order (``ast.iter_instrs``)."""
+    return [pc for pc, op in enumerate(code)
+            if op[0] != T_ELSE and op[0] != T_END]
+
+
 def flatten_func(index: int, f: ast.Func) -> FlatFunc:
     fl = _Flattener()
     fl.block_body(f.body)

@@ -14,17 +14,25 @@ publishing the data.
 Hints can only weaken: force a parameter/result or the memory public, or
 mark functions trusted.
 
-Both walks below traverse instruction occurrences in the same order, so
-the value produced by the k-th occurrence is the node ("val", k) in the
-constraint graph and needs no separate bookkeeping.
+Inference reads the validator's flat code and its stack annotations.
+One def-use pass per function (``_def_use``) is the only model of the
+operand stack here: it records which ops produced each op's operands and
+which values reach each block, loop or if result and the function result,
+by fall-through or by branch.  The demotion rules (``_Rules``) and the
+coercion flags (``_flags``) are per-op functions of those edges, in which
+a value is the node ("val", func, pc) of the op that pushed it (of the
+opening op, for a construct's result).  ``ast.rebuild`` then meets the
+instructions in the order of their flat ops as it rebuilds each body.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import ast
+from . import ast, flat
 from .ast import Instr, Secrecy, Trust, ValType
+from .flat import FlatFunc
 from .validate import TypedModule, validate_module
 
 SECRET = Secrecy.SECRET
@@ -32,7 +40,8 @@ PUBLIC = Secrecy.PUBLIC
 
 
 class InputInvalid(Exception):
-    """The input is not plain Wasm (or fails base validation)."""
+    """The input is not plain Wasm (or fails base validation), or its hints
+    are malformed or name what the module does not have."""
 
 
 @dataclass
@@ -45,18 +54,33 @@ class Hints:
     trusted: set[str] = field(default_factory=set)
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Hints":
+    def from_json(cls, doc) -> "Hints":
+        """Hints from their JSON form; raises InputInvalid if malformed."""
+        def obj(x, what: str) -> dict:
+            if not isinstance(x, dict):
+                raise InputInvalid(f"hints: {what} must be a JSON object")
+            return x
+
         h = cls()
-        for name, spec in doc.get("exports", {}).items():
-            params = {int(k) for k, v in spec.get("params", {}).items()
-                      if v == "public"}
-            if params:
-                h.public_params[name] = params
+        exports = obj(obj(doc, "the document").get("exports", {}), "exports")
+        for name, spec in exports.items():
+            spec = obj(spec, f"export {name!r}")
+            for k, v in obj(spec.get("params", {}),
+                            f"params of {name!r}").items():
+                if v != "public":
+                    continue
+                if not k.strip().isdecimal():
+                    raise InputInvalid(f"hints: parameter {k!r} of export "
+                                       f"{name!r} is not an index")
+                h.public_params.setdefault(name, set()).add(int(k))
             if spec.get("result") == "public":
                 h.public_results.add(name)
-        if doc.get("memory") == "public":
-            h.public_memory = True
-        h.trusted = set(doc.get("trusted", ()))
+        h.public_memory = doc.get("memory") == "public"
+        trusted = doc.get("trusted", [])
+        if not isinstance(trusted, list) or \
+                not all(isinstance(n, str) for n in trusted):
+            raise InputInvalid("hints: trusted must be a list of export names")
+        h.trusted = set(trusted)
         return h
 
 
@@ -89,57 +113,34 @@ def fixpoint_stats(result: InferResult) -> tuple[int, int]:
     return (result.iterations, result.demotions)
 
 
-@dataclass(frozen=True)
-class _Rule:
-    needs: tuple  # antecedent nodes: all public => consequent public
+class _Rule(NamedTuple):
+    need: tuple | None  # antecedent public => consequent public; None: forced
     node: tuple  # consequent
     why: str
     loc: str
 
 
 def _scan_is_plain(m: ast.Module) -> str | None:
-    def t_ok(t: ValType) -> bool:
-        return t.sec is PUBLIC
-
     for i, f in enumerate(m.funcs):
         if f.type.trust is not Trust.UNTRUSTED:
             return f"func {i} carries a trust annotation"
-        if not all(t_ok(t) for t in f.type.params + f.type.results + f.locals):
+        if any(t.sec is not PUBLIC
+               for t in f.type.params + f.type.results + f.locals):
             return f"func {i} uses secret value types"
-        bad = _scan_body(f.body)
-        if bad:
-            return f"func {i}: {bad}"
+        for ins in ast.iter_instrs(f.body):
+            if isinstance(ins, (ast.Classify, ast.Declassify)):
+                return f"func {i}: classify/declassify present"
+            if ast.publicize_instr(ins) is not ins:
+                return f"func {i}: " + {
+                    ast.Select: "select secret present",
+                    ast.CallIndirect: "annotated call_indirect present",
+                }.get(type(ins), "secret-typed instruction present")
     for i, g in enumerate(m.globals):
-        if not t_ok(g.type):
+        if g.type.sec is not PUBLIC:
             return f"global {i} uses a secret type"
     if m.memory is not None and m.memory.sec is not PUBLIC:
         return "memory carries a secrecy annotation"
     return None
-
-
-def _scan_body(body) -> str | None:
-    for ins in ast.iter_instrs(body):
-        match ins:
-            case ast.Classify() | ast.Declassify():
-                return "classify/declassify present"
-            case ast.Select(sec=Secrecy.SECRET):
-                return "select secret present"
-            case ast.CallIndirect(type=ft):
-                if ft.trust is not Trust.UNTRUSTED or not all(
-                        t.sec is PUBLIC for t in ft.params + ft.results):
-                    return "annotated call_indirect present"
-            case _:
-                t = getattr(ins, "type", None)
-                if isinstance(t, ValType) and t.sec is not PUBLIC:
-                    return "secret-typed instruction present"
-    return None
-
-
-def _loc(f: int, ins: Instr) -> str:
-    where = f"func {f}"
-    if ins.span is not None:
-        where += f" line {ins.span.line}:{ins.span.col}"
-    return where
 
 
 def _table_candidates(m: ast.Module, ft: ast.FuncType) -> list[int]:
@@ -157,71 +158,127 @@ def _table_candidates(m: ast.Module, ft: ast.FuncType) -> list[int]:
     return out
 
 
-class _Walk:
-    """Shared traversal: occurrence counting and block frames.
+# Operands each op pops where that is fixed; calls pop their parameters
+# (and call_indirect its table index too), and the ops not listed pop
+# none.  How many values an op pushes is read off the validator's depths.
+_POPS = {
+    flat.T_DROP: 1, flat.T_SELECT: 3, flat.T_IF: 1, flat.T_BR_IF: 1,
+    flat.T_BR_TABLE: 1, flat.T_SET_LOCAL: 1, flat.T_TEE_LOCAL: 1,
+    flat.T_SET_GLOBAL: 1, flat.T_LOAD: 1, flat.T_STORE: 2,
+    flat.T_MEMORY_GROW: 1, flat.T_UNOP: 1, flat.T_BINOP: 2,
+    flat.T_TESTOP: 1, flat.T_RELOP: 2, flat.T_CONVERT: 1,
+    flat.T_REINTERPRET: 1,
+}
+_KIND = {flat.T_BLOCK: "block", flat.T_LOOP: "loop", flat.T_IF: "if"}
+_DEAD_AFTER = (flat.T_BR, flat.T_BR_TABLE, flat.T_RETURN, flat.T_UNREACHABLE)
+# ops that pass values to labels, open or close frames, or whose pushes
+# are not simply their own value
+_CONTROL = frozenset((*_KIND, *_DEAD_AFTER, flat.T_BR_IF, flat.T_ELSE,
+                      flat.T_END, flat.T_TEE_LOCAL))
 
-    Frames are [result_slot, height, unreachable]; result_slot is walk
-    specific (a node for the builder, a demand for the flagger) and None
-    for loops and resultless blocks.
+
+@dataclass
+class _DefUse:
+    """Def-use edges of one function's flat code, indexed by pc.
+
+    A producer is the pc of the op that pushed a value, or the opening pc
+    of the block, loop or if whose result it is.  ``args[pc]`` holds the
+    producers of the op's operands, deepest first, with None for an
+    operand that dead code pops from the polymorphic stack.  ``flows[pc]``
+    holds a (target, producer) pair for each value the op hands to the
+    result of the construct opened at pc ``target``, or of the function
+    (target -1): by branch, by ``return`` or by falling through ``else``
+    or ``end``.  ``types[p]`` is the type of the value p pushes, None where
+    dead code leaves it unconstrained.
     """
+
+    args: list[tuple]
+    flows: list[tuple]
+    types: list
+
+
+def _def_use(m: ast.Module, ff: FlatFunc) -> _DefUse:
+    code, depths = ff.code, ff.stack_types
+    du = _DefUse([()] * len(code), [()] * len(code), [None] * len(code))
+    stack: list = []  # one producer per slot of the validator's stack
+    frames = [[-1, 0, False]]  # [opening pc (-1: the body), height, dead]
+
+    def hand(targets) -> tuple:
+        top = stack[-1] if len(stack) > frames[-1][1] else None
+        return tuple((t, top) for t in targets if top is not None and (
+            ff.type.results if t < 0 else code[t][2] is not None))
+
+    def branch(labels) -> tuple:  # a branch to a loop restarts it: no value
+        return hand([t for d in labels if (t := frames[-1 - d][0]) < 0
+                     or code[t][0] != flat.T_LOOP])
+
+    args, types = du.args, du.types
+    for pc, op in enumerate(code):
+        tag = op[0]
+        frame = frames[-1]
+        n = _POPS.get(tag, 0)
+        if tag == flat.T_CALL:
+            n = len(m.funcs[op[2]].type.params)
+        elif tag == flat.T_CALL_INDIRECT:
+            n = len(op[2].params) + 1
+        if n:
+            real = min(n, len(stack) - frame[1])
+            args[pc] = (None,) * (n - real) + tuple(stack[len(stack) - real:])
+            del stack[len(stack) - real:]
+        if tag not in _CONTROL:  # pushes at most its own value
+            after = depths[pc + 1]
+            if len(after) > len(stack):
+                stack.append(pc)
+                types[pc] = after[-1]
+            continue
+
+        pushed = pc
+        if tag in (flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE):
+            du.flows[pc] = branch((*op[2], op[3]) if tag == flat.T_BR_TABLE
+                                  else (op[2],))
+            pushed = None  # the label values br_if re-pushes in dead code
+        elif tag == flat.T_RETURN:
+            du.flows[pc] = hand((-1,))
+        elif tag == flat.T_ELSE or tag == flat.T_END:
+            if not frame[2]:
+                du.flows[pc] = hand((frame[0],))
+            del stack[frame[1]:]
+            frame[2] = False
+            if tag == flat.T_END:
+                frames.pop()
+                pushed = frame[0]
+        elif tag in _KIND:
+            frames.append([pc, len(stack), False])
+        elif tag == flat.T_TEE_LOCAL and args[pc][0] is None:
+            pushed = None  # dead code: a tee of no value yields none
+        if tag in _DEAD_AFTER:
+            del stack[frame[1]:]
+            frame[2] = True
+        if pc + 1 < len(code) and len(depths[pc + 1]) > len(stack):
+            stack.extend([pushed] * (len(depths[pc + 1]) - len(stack)))
+            if pushed is not None:
+                types[pushed] = depths[pc + 1][-1]
+    return du
+
+
+class _Rules:
+    """The demotion rules, and the labels forced public outright."""
 
     def __init__(self, m: ast.Module):
         self.m = m
-        self.counter = 0
-
-    def walk_module(self) -> None:
-        self.counter = 0
-        for fi, f in enumerate(self.m.funcs):
-            if f.imported is None:
-                self.enter_func(fi, f)
-                stack: list = []
-                frames = [[self.func_result_slot(fi, f), 0, False]]
-                self.body(fi, f.body, stack, frames)
-                self.exit_func(fi, f, stack, frames)
-
-    def body(self, fi: int, instrs, stack: list, frames: list) -> None:
-        for ins in instrs:
-            self.counter += 1
-            self.instr(fi, self.counter, ins, stack, frames)
-
-    # hooks
-    def enter_func(self, fi, f):
-        pass
-
-    def exit_func(self, fi, f, stack, frames):
-        pass
-
-    def func_result_slot(self, fi, f):
-        return None
-
-    def instr(self, fi, me, ins, stack, frames):
-        raise NotImplementedError
-
-
-class _Builder(_Walk):
-    """Generate the demotion rules."""
-
-    def __init__(self, m: ast.Module):
-        super().__init__(m)
         self.rules: list[_Rule] = []
         self.forced: list[tuple[tuple, str, str]] = []
-        self._tmp = 0
-
-    def tmp(self) -> tuple:
-        self._tmp += 1
-        return ("tmp", self._tmp)
-
-    def rule(self, needs, node, why, loc) -> None:
-        self.rules.append(_Rule(tuple(needs), node, why, loc))
-
-    def force(self, node, why, loc) -> None:
-        self.forced.append((node, why, loc))
 
     def edge(self, a, b, why, loc) -> None:
-        """a public implies b public."""
-        self.rule((a,), b, why, loc)
+        """a public implies b public; None stands for no producer."""
+        if b is not None:
+            self.rules.append(_Rule(a, b, why, loc))
 
-    def build(self) -> "_Builder":
+    def force(self, node, why, loc) -> None:
+        if node is not None:
+            self.forced.append((node, why, loc))
+
+    def build(self, flats: dict[int, tuple[FlatFunc, _DefUse]]) -> "_Rules":
         m = self.m
         for gi, g in enumerate(m.globals):
             if not g.type.is_int:
@@ -232,217 +289,125 @@ class _Builder(_Walk):
                     self.force(("local", fi, li), "float local", f"func {fi}")
             if f.type.results and not f.type.results[0].is_int:
                 self.force(("result", fi), "float result", f"func {fi}")
-        self.walk_module()
+        for fi, (ff, du) in flats.items():
+            self.func(fi, ff, du)
         self._unify_table_signatures()
         return self
 
-    def func_result_slot(self, fi, f):
-        return ("result", fi) if f.type.results else None
-
-    # the symbolic stack holds (node, is_float) pairs; float-ness matters
-    # for the one untyped instruction (select), whose result must be
-    # forced public when the operands are floats
-
-    def exit_func(self, fi, f, stack, frames):
-        if f.type.results and stack and not frames[0][2]:
-            self.edge(("result", fi), stack[-1][0], "function result",
-                      f"func {fi}")
-
-    def _pop(self, stack, frames):
-        if len(stack) > frames[-1][1]:
-            return stack.pop()
-        return (self.tmp(), False)
-
-    def _flow_to_label(self, depth, stack, frames, why, loc):
-        if depth >= len(frames):
-            return
-        slot = frames[-1 - depth][0]
-        if slot is not None and len(stack) > frames[-1][1]:
-            self.edge(slot, stack[-1][0], why, loc)
-
-    def instr(self, fi, me, ins, stack, frames):
-        m = self.m
-        loc = _loc(fi, ins)
-        pop = lambda: self._pop(stack, frames)
-        val = ("val", me)
-        match ins:
-            case ast.Const(type=t):
-                if not t.is_int:
-                    self.force(val, "float constant", loc)
-                stack.append((val, not t.is_int))
-            case ast.GetLocal(local=k):
-                self.edge(val, ("local", fi, k), "read of local", loc)
-                t = (m.funcs[fi].type.params + m.funcs[fi].locals)[k]
-                stack.append((val, not t.is_int))
-            case ast.SetLocal(local=k):
-                self.edge(("local", fi, k), pop()[0], "write to local", loc)
-            case ast.TeeLocal(local=k):
-                v = stack[-1] if len(stack) > frames[-1][1] else pop()
-                self.edge(("local", fi, k), v[0], "write to local", loc)
-            case ast.GetGlobal(glob=k):
-                self.edge(val, ("global", k), "read of global", loc)
-                stack.append((val, not m.globals[k].type.is_int))
-            case ast.SetGlobal(glob=k):
-                self.edge(("global", k), pop()[0], "write to global", loc)
-            case ast.Binop(type=t, op=op):
-                b, a = pop(), pop()
-                if op in ast.UNSAFE_BINOPS and t.is_int:
+    def func(self, fi: int, ff: FlatFunc, du: _DefUse) -> None:
+        m, edge, force = self.m, self.edge, self.force
+        # producer -> the node of its value; a tee passes its operand's on
+        node: dict = {}
+        where = f"func {fi}"
+        for pc, op in enumerate(ff.code):
+            tag = op[0]
+            if (tag == flat.T_END or tag == flat.T_ELSE) and not du.flows[pc]:
+                continue
+            val = node[pc] = ("val", fi, pc)
+            span = ff.origins[pc].span
+            loc = where if span is None else \
+                f"{where} line {span.line}:{span.col}"
+            args = du.args[pc]
+            a = [node.get(p) for p in args] if args else ()  # None: no producer
+            match tag:
+                case flat.T_GET_LOCAL:
+                    edge(val, ("local", fi, op[2]), "read of local", loc)
+                case flat.T_CONST:
+                    if not op[2].is_int:
+                        force(val, "float constant", loc)
+                case flat.T_SET_LOCAL:
+                    edge(("local", fi, op[2]), a[0], "write to local", loc)
+                case flat.T_TEE_LOCAL:
+                    edge(("local", fi, op[2]), a[0], "write to local", loc)
+                    node[pc] = a[0]
+                case flat.T_GET_GLOBAL:
+                    edge(val, ("global", op[2]), "read of global", loc)
+                case flat.T_SET_GLOBAL:
+                    edge(("global", op[2]), a[0], "write to global", loc)
+                case flat.T_BINOP if op[3] in ast.UNSAFE_BINOPS and op[2].is_int:
                     for x, what in ((a[0], "left operand"),
-                                    (b[0], "right operand"),
-                                    (val, "result")):
-                        self.force(x, f"{what} of {t.name}.{op}", loc)
-                else:
-                    self.edge(val, a[0], f"operand of {op}", loc)
-                    self.edge(val, b[0], f"operand of {op}", loc)
-                if not t.is_int:
-                    self.force(val, "float arithmetic", loc)
-                stack.append((val, not t.is_int))
-            case ast.Unop(type=t, op=op):
-                self.edge(val, pop()[0], f"operand of {op}", loc)
-                if not t.is_int:
-                    self.force(val, "float arithmetic", loc)
-                stack.append((val, not t.is_int))
-            case ast.Testop():
-                self.edge(val, pop()[0], "operand of eqz", loc)
-                stack.append((val, False))
-            case ast.Relop(type=t, op=op):
-                b, a = pop(), pop()
-                self.edge(val, a[0], f"operand of {op}", loc)
-                self.edge(val, b[0], f"operand of {op}", loc)
-                stack.append((val, False))
-            case ast.Select():
-                c, b, a = pop(), pop(), pop()
-                if a[1] or b[1]:
-                    # float select: the type can never be secret, so the
-                    # result (and through it the condition) must be public
-                    self.force(val, "float select", loc)
-                self.edge(val, a[0], "select operand", loc)
-                self.edge(val, b[0], "select operand", loc)
-                self.edge(val, c[0], "select condition under a public type",
-                          loc)
-                stack.append((val, a[1] or b[1]))
-            case ast.Drop():
-                pop()
-            case ast.Load(type=t):
-                self.force(pop()[0], "memory address", loc)
-                if t.is_int:
-                    self.edge(val, ("mem",), "value loaded from memory", loc)
-                else:
-                    self.force(val, "float load", loc)
-                    self.force(("mem",), "float load", loc)
-                stack.append((val, not t.is_int))
-            case ast.Store(type=t):
-                v, addr = pop(), pop()
-                self.force(addr[0], "memory address", loc)
-                if t.is_int:
-                    self.edge(("mem",), v[0], "value stored to memory", loc)
-                else:
-                    self.force(("mem",), "float store", loc)
-            case ast.MemorySize():
-                self.force(val, "memory.size result", loc)
-                stack.append((val, False))
-            case ast.MemoryGrow():
-                self.force(pop()[0], "memory.grow operand", loc)
-                self.force(val, "memory.grow result", loc)
-                stack.append((val, False))
-            case ast.Convert(to=to, frm=frm):
-                a = pop()
-                if to.is_int and frm.is_int:
-                    self.edge(val, a[0], "width conversion", loc)
-                else:
-                    self.force(a[0], "float conversion operand", loc)
-                    self.force(val, "float conversion result", loc)
-                stack.append((val, not to.is_int))
-            case ast.Reinterpret(to=to):
-                self.force(pop()[0], "reinterpret operand", loc)
-                self.force(val, "reinterpret result", loc)
-                stack.append((val, not to.is_int))
-            case ast.Call(func=k):
-                ft = m.funcs[k].type
-                args = [pop() for _ in ft.params][::-1]
-                for i, arg in enumerate(args):
-                    self.edge(("local", k, i), arg[0],
-                              f"argument {i} of call to func {k}", loc)
-                if ft.results:
-                    self.edge(val, ("result", k), "call result", loc)
-                    stack.append((val, not ft.results[0].is_int))
-            case ast.CallIndirect(type=ft):
-                self.force(pop()[0], "call_indirect index", loc)
-                args = [pop() for _ in ft.params][::-1]
-                cands = _table_candidates(m, ft)
-                for cand in cands:
-                    for i, arg in enumerate(args):
-                        self.edge(("local", cand, i), arg[0],
-                                  f"argument {i} of indirect call", loc)
-                if ft.results:
+                                    (a[1], "right operand"), (val, "result")):
+                        force(x, f"{what} of {op[2].name}.{op[3]}", loc)
+                case flat.T_UNOP | flat.T_BINOP | flat.T_TESTOP | flat.T_RELOP:
+                    name = "eqz" if tag == flat.T_TESTOP else op[3]
+                    for x in a:
+                        edge(val, x, f"operand of {name}", loc)
+                    if tag != flat.T_RELOP and not op[2].is_int:
+                        force(val, "float arithmetic", loc)
+                case flat.T_SELECT:
+                    t = du.types[pc]
+                    if t is not None and not t.is_int:
+                        # a float select is never secret, so its result
+                        # (and through it the condition) must be public
+                        force(val, "float select", loc)
+                    edge(val, a[0], "select operand", loc)
+                    edge(val, a[1], "select operand", loc)
+                    edge(val, a[2], "select condition under a public type",
+                         loc)
+                case flat.T_LOAD:
+                    force(a[0], "memory address", loc)
+                    if op[2].is_int:
+                        edge(val, ("mem",), "value loaded from memory", loc)
+                    else:
+                        force(val, "float load", loc)
+                        force(("mem",), "float load", loc)
+                case flat.T_STORE:
+                    force(a[0], "memory address", loc)
+                    if op[2].is_int:
+                        edge(("mem",), a[1], "value stored to memory", loc)
+                    else:
+                        force(("mem",), "float store", loc)
+                case flat.T_MEMORY_SIZE:
+                    force(val, "memory.size result", loc)
+                case flat.T_MEMORY_GROW:
+                    force(a[0], "memory.grow operand", loc)
+                    force(val, "memory.grow result", loc)
+                case flat.T_CONVERT:
+                    if op[2].is_int and op[3].is_int:
+                        edge(val, a[0], "width conversion", loc)
+                    else:
+                        force(a[0], "float conversion operand", loc)
+                        force(val, "float conversion result", loc)
+                case flat.T_REINTERPRET:
+                    force(a[0], "reinterpret operand", loc)
+                    force(val, "reinterpret result", loc)
+                case flat.T_CALL:
+                    k = op[2]
+                    for i, x in enumerate(a):
+                        edge(("local", k, i), x,
+                             f"argument {i} of call to func {k}", loc)
+                    if m.funcs[k].type.results:
+                        edge(val, ("result", k), "call result", loc)
+                case flat.T_CALL_INDIRECT:
+                    force(a[-1], "call_indirect index", loc)
+                    cands = _table_candidates(m, op[2])
                     for cand in cands:
-                        self.edge(val, ("result", cand),
-                                  "indirect call result", loc)
-                    stack.append((val, not ft.results[0].is_int))
-            case ast.Br(label=k):
-                self._flow_to_label(k, stack, frames, "branch result", loc)
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.BrIf(label=k):
-                self.force(pop()[0], "br_if condition", loc)
-                self._flow_to_label(k, stack, frames, "branch result", loc)
-            case ast.BrTable(labels=ls, default=d):
-                self.force(pop()[0], "br_table index", loc)
-                for k in (*ls, d):
-                    self._flow_to_label(k, stack, frames, "branch result", loc)
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.Return():
-                if m.funcs[fi].type.results and len(stack) > frames[-1][1]:
-                    self.edge(("result", fi), stack[-1][0], "return value", loc)
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.Unreachable():
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.Block(result=r, body=b):
-                slot = val if r is not None else None
-                if r is not None and not r.is_int:
-                    self.force(val, "float block result", loc)
-                frames.append([slot, len(stack), False])
-                self.body(fi, b, stack, frames)
-                frame = frames.pop()
-                if slot is not None and len(stack) > frame[1] and not frame[2]:
-                    self.edge(slot, stack[-1][0], "block result", loc)
-                del stack[frame[1]:]
-                if r is not None:
-                    stack.append((val, not r.is_int))
-            case ast.Loop(result=r, body=b):
-                frames.append([None, len(stack), False])
-                self.body(fi, b, stack, frames)
-                frame = frames.pop()
-                if r is not None:
-                    if len(stack) > frame[1] and not frame[2]:
-                        self.edge(val, stack[-1][0], "loop result", loc)
-                    if not r.is_int:
-                        self.force(val, "float loop result", loc)
-                del stack[frame[1]:]
-                if r is not None:
-                    stack.append((val, not r.is_int))
-            case ast.If(result=r, then=t, else_=e):
-                self.force(pop()[0], "if condition", loc)
-                slot = val if r is not None else None
-                if r is not None and not r.is_int:
-                    self.force(val, "float if result", loc)
-                for branch in (t, e):
-                    frames.append([slot, len(stack), False])
-                    self.body(fi, branch, stack, frames)
-                    frame = frames.pop()
-                    if slot is not None and len(stack) > frame[1] \
-                            and not frame[2]:
-                        self.edge(slot, stack[-1][0], "if result", loc)
-                    del stack[frame[1]:]
-                if r is not None:
-                    stack.append((val, not r.is_int))
-            case ast.Nop():
-                pass
-            case _:
-                raise InputInvalid(f"unsupported instruction {ins!r}")
+                        for i, x in enumerate(a[:-1]):
+                            edge(("local", cand, i), x,
+                                 f"argument {i} of indirect call", loc)
+                    if op[2].results:
+                        for cand in cands:
+                            edge(val, ("result", cand),
+                                 "indirect call result", loc)
+                case flat.T_BR_IF:
+                    force(a[0], "br_if condition", loc)
+                case flat.T_BR_TABLE:
+                    force(a[0], "br_table index", loc)
+                case flat.T_IF:
+                    force(a[0], "if condition", loc)
+            if tag in _KIND and op[2] is not None and not op[2].is_int:
+                force(val, f"float {_KIND[tag]} result", loc)
+            for target, p in du.flows[pc]:
+                dst = ("result", fi) if target < 0 else ("val", fi, target)
+                if tag == flat.T_RETURN:
+                    why = "return value"
+                elif tag != flat.T_ELSE and tag != flat.T_END:
+                    why = "branch result"
+                elif target < 0:
+                    why, loc = "function result", where
+                else:
+                    why = f"{_KIND[ff.code[target][0]]} result"
+                edge(dst, node[p], why, loc)
 
     def _unify_table_signatures(self) -> None:
         """Functions sharing table slots of one signature must share labels,
@@ -460,19 +425,16 @@ class _Builder(_Walk):
         for (params, results), funcs in by_sig.items():
             first = funcs[0]
             for other in funcs[1:]:
-                for i in range(len(params)):
-                    self.edge(("local", first, i), ("local", other, i),
-                              "shared table signature", f"func {other}")
-                    self.edge(("local", other, i), ("local", first, i),
-                              "shared table signature", f"func {first}")
+                pairs = [(("local", first, i), ("local", other, i))
+                         for i in range(len(params))]
                 if results:
-                    self.edge(("result", first), ("result", other),
-                              "shared table signature", f"func {other}")
-                    self.edge(("result", other), ("result", first),
-                              "shared table signature", f"func {first}")
+                    pairs.append((("result", first), ("result", other)))
+                for x, y in pairs:
+                    self.edge(x, y, "shared table signature", f"func {other}")
+                    self.edge(y, x, "shared table signature", f"func {first}")
 
 
-def _solve(builder: _Builder, pinned: set[tuple]
+def _solve(rs: _Rules, pinned: set[tuple]
            ) -> tuple[set[tuple], list[Conflict], int, int]:
     """Round-based demotion to the least public set."""
     public: set[tuple] = set()
@@ -496,15 +458,15 @@ def _solve(builder: _Builder, pinned: set[tuple]
         demotions += 1
         return True
 
-    for node, why, loc in builder.forced:
-        apply(_Rule((), node, why, loc))
+    for node, why, loc in rs.forced:
+        apply(_Rule(None, node, why, loc))
     rounds = 1
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for rule in builder.rules:
-            if all(n in public for n in rule.needs):
+        for rule in rs.rules:
+            if rule.need in public:
                 if apply(rule):
                     changed = True
     return public, conflicts, rounds, demotions
@@ -514,8 +476,8 @@ def _make_conflict(rule: _Rule, parent: dict) -> Conflict:
     chain = [f"{rule.why} ({rule.loc})"]
     seen: set[tuple] = set()
     cur = rule
-    while cur.needs:
-        nxt = cur.needs[0]
+    while cur.need is not None:
+        nxt = cur.need
         if nxt in seen or nxt not in parent:
             break
         seen.add(nxt)
@@ -530,342 +492,106 @@ def _make_conflict(rule: _Rule, parent: dict) -> Conflict:
     )
 
 
-class _Flagger(_Walk):
-    """Second walk: find where classify coercions must be inserted.
+def _flags(m: ast.Module, fi: int, ff: FlatFunc, du: _DefUse, sec_of,
+           mem_sec: Secrecy) -> tuple[list[Secrecy], dict[int, ast.Rep]]:
+    """The secrecy variant of each op, and where classify must follow.
 
-    Stack entries are (rep, secrecy, producer_counter); when a consumer
-    demands secret from a public entry, the producer occurrence is
-    flagged and the coercion is appended right after it in the third
-    walk.
+    An op's variant is the secrecy of the value it pushes (a store's is
+    the memory's).  Where an operand or a handed-on value must be secret
+    and its producer is public, a classify follows the producer.
     """
+    sec = [PUBLIC] * len(ff.code)
+    classify: dict[int, ast.Rep] = {}
 
-    def __init__(self, m: ast.Module, public: set[tuple], mem_sec: Secrecy):
-        super().__init__(m)
-        self.public = public
-        self.mem_sec = mem_sec
-        self.classify_after: dict[int, ast.Rep] = {}
-        self.variant: dict[int, Secrecy] = {}
-
-    def node_sec(self, node: tuple) -> Secrecy:
-        return PUBLIC if node in self.public else SECRET
-
-    def local_sec(self, fi: int, k: int) -> Secrecy:
-        return self.node_sec(("local", fi, k))
-
-    def demand(self, entry, want: Secrecy) -> None:
-        rep, sec, producer = entry
-        if want is SECRET and sec is PUBLIC and producer >= 0:
-            self.classify_after[producer] = rep
-        elif want is PUBLIC and sec is SECRET:
+    def demand(p, want: Secrecy) -> None:
+        if p is None:
+            return
+        if want is SECRET and sec[p] is PUBLIC:
+            t = du.types[p]  # None in dead code, where any width checks
+            classify[p] = ast.Rep.I32 if t is None else t.rep
+        elif want is PUBLIC and sec[p] is SECRET:
             raise AssertionError("solver let a secret reach a public slot")
 
-    def func_result_slot(self, fi, f):
-        if not f.type.results:
-            return None
-        return (f.type.results[0].rep, self.node_sec(("result", fi)))
-
-    def exit_func(self, fi, f, stack, frames):
-        if f.type.results and stack and not frames[0][2]:
-            self.demand(stack[-1], frames[0][0][1])
-
-    def _pop(self, stack, frames):
-        if len(stack) > frames[-1][1]:
-            return stack.pop()
-        return (ast.Rep.I32, PUBLIC, -1)
-
-    def _demand_label(self, depth, stack, frames):
-        if depth >= len(frames):
-            return
-        slot = frames[-1 - depth][0]
-        if slot is not None and len(stack) > frames[-1][1]:
-            self.demand(stack[-1], slot[1])
-
-    def instr(self, fi, me, ins, stack, frames):
-        m = self.m
-        pop = lambda: self._pop(stack, frames)
-        sec_here = self.node_sec(("val", me))
-        match ins:
-            case ast.Const(type=t):
-                sec = sec_here if t.is_int else PUBLIC
-                self.variant[me] = sec
-                stack.append((t.rep, sec, me))
-            case ast.GetLocal(local=k):
-                t = (m.funcs[fi].type.params + m.funcs[fi].locals)[k]
-                sec = self.local_sec(fi, k) if t.is_int else PUBLIC
-                stack.append((t.rep, sec, me))
-            case ast.SetLocal(local=k):
-                self.demand(pop(), self.local_sec(fi, k))
-            case ast.TeeLocal(local=k):
-                want = self.local_sec(fi, k)
-                if len(stack) > frames[-1][1]:
-                    entry = stack[-1]
-                    self.demand(entry, want)
-                    stack[-1] = (entry[0], want, me)
-                else:
-                    self.demand(pop(), want)
-            case ast.GetGlobal(glob=k):
-                g = m.globals[k]
-                sec = self.node_sec(("global", k)) if g.type.is_int else PUBLIC
-                stack.append((g.type.rep, sec, me))
-            case ast.SetGlobal(glob=k):
-                self.demand(pop(), self.node_sec(("global", k)))
-            case ast.Binop(type=t, op=op):
-                b, a = pop(), pop()
-                if op in ast.UNSAFE_BINOPS and t.is_int:
-                    sec = PUBLIC
-                else:
-                    sec = sec_here if t.is_int else PUBLIC
-                self.demand(a, sec)
-                self.demand(b, sec)
-                self.variant[me] = sec
-                stack.append((t.rep, sec, me))
-            case ast.Unop(type=t):
-                a = pop()
-                sec = sec_here if t.is_int else PUBLIC
-                self.demand(a, sec)
-                self.variant[me] = sec
-                stack.append((t.rep, sec, me))
-            case ast.Testop(type=t):
-                a = pop()
-                self.demand(a, sec_here)
-                self.variant[me] = sec_here
-                stack.append((ast.Rep.I32, sec_here, me))
-            case ast.Relop(type=t):
-                b, a = pop(), pop()
-                sec = sec_here if t.is_int else PUBLIC
-                self.demand(a, sec)
-                self.demand(b, sec)
-                self.variant[me] = sec
-                stack.append((ast.Rep.I32, sec, me))
-            case ast.Select():
-                c, b, a = pop(), pop(), pop()
-                sec = sec_here if a[0] in (ast.Rep.I32, ast.Rep.I64) else PUBLIC
-                self.demand(a, sec)
-                self.demand(b, sec)
-                self.demand(c, sec)  # secret select takes an s32 cond
-                self.variant[me] = sec
-                stack.append((a[0], sec, me))
-            case ast.Drop():
-                pop()
-            case ast.Load(type=t):
-                self.demand(pop(), PUBLIC)
-                sec = self.mem_sec if t.is_int else PUBLIC
-                self.variant[me] = sec
-                stack.append((t.rep, sec, me))
-            case ast.Store(type=t):
-                v, addr = pop(), pop()
-                self.demand(addr, PUBLIC)
-                sec = self.mem_sec if t.is_int else PUBLIC
-                self.demand(v, sec)
-                self.variant[me] = sec
-            case ast.MemorySize():
-                stack.append((ast.Rep.I32, PUBLIC, me))
-            case ast.MemoryGrow():
-                self.demand(pop(), PUBLIC)
-                stack.append((ast.Rep.I32, PUBLIC, me))
-            case ast.Convert(to=to, frm=frm):
-                a = pop()
-                if to.is_int and frm.is_int:
-                    sec = a[1]
-                else:
-                    self.demand(a, PUBLIC)
-                    sec = PUBLIC
-                self.variant[me] = sec
-                stack.append((to.rep, sec, me))
-            case ast.Reinterpret(to=to):
-                self.demand(pop(), PUBLIC)
-                self.variant[me] = PUBLIC
-                stack.append((to.rep, PUBLIC, me))
-            case ast.Call(func=k):
-                ft = m.funcs[k].type
-                args = [pop() for _ in ft.params][::-1]
-                for i, arg in enumerate(args):
-                    want = self.local_sec(k, i) if ft.params[i].is_int \
-                        else PUBLIC
-                    self.demand(arg, want)
-                if ft.results:
-                    rt = ft.results[0]
-                    sec = self.node_sec(("result", k)) if rt.is_int else PUBLIC
-                    stack.append((rt.rep, sec, me))
-            case ast.CallIndirect(type=ft):
-                self.demand(pop(), PUBLIC)
-                args = [pop() for _ in ft.params][::-1]
-                cands = _table_candidates(m, ft)
-                for i, arg in enumerate(args):
-                    if cands and ft.params[i].is_int:
-                        self.demand(arg, self.local_sec(cands[0], i))
-                    else:
-                        self.demand(arg, PUBLIC)
-                if ft.results:
-                    rt = ft.results[0]
-                    sec = (self.node_sec(("result", cands[0]))
-                           if cands and rt.is_int else PUBLIC)
-                    self.variant[me] = sec
-                    stack.append((rt.rep, sec, me))
-            case ast.Br(label=k):
-                self._demand_label(k, stack, frames)
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.BrIf(label=k):
-                self.demand(pop(), PUBLIC)
-                self._demand_label(k, stack, frames)
-            case ast.BrTable(labels=ls, default=d):
-                self.demand(pop(), PUBLIC)
-                for k in (*ls, d):
-                    self._demand_label(k, stack, frames)
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.Return():
-                if m.funcs[fi].type.results and len(stack) > frames[-1][1]:
-                    self.demand(stack[-1], self.node_sec(("result", fi)))
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.Unreachable():
-                del stack[frames[-1][1]:]
-                frames[-1][2] = True
-            case ast.Block(result=r, body=b) | ast.Loop(result=r, body=b):
-                is_loop = isinstance(ins, ast.Loop)
-                sec = sec_here if (r is not None and r.is_int) else PUBLIC
-                slot = None
-                if r is not None and not is_loop:
-                    slot = (r.rep, sec)
-                frames.append([slot, len(stack), False])
-                self.body(fi, b, stack, frames)
-                frame = frames.pop()
-                if r is not None and len(stack) > frame[1] and not frame[2]:
-                    self.demand(stack[-1], sec)
-                del stack[frame[1]:]
-                if r is not None:
-                    self.variant[me] = sec
-                    stack.append((r.rep, sec, me))
-            case ast.If(result=r, then=t, else_=e):
-                self.demand(pop(), PUBLIC)
-                sec = sec_here if (r is not None and r.is_int) else PUBLIC
-                slot = (r.rep, sec) if r is not None else None
-                for branch in (t, e):
-                    frames.append([slot, len(stack), False])
-                    self.body(fi, branch, stack, frames)
-                    frame = frames.pop()
-                    if slot is not None and len(stack) > frame[1] \
-                            and not frame[2]:
-                        self.demand(stack[-1], sec)
-                    del stack[frame[1]:]
-                if r is not None:
-                    self.variant[me] = sec
-                    stack.append((r.rep, sec, me))
-            case ast.Nop():
-                pass
+    for pc, op in enumerate(ff.code):
+        tag = op[0]
+        args = du.args[pc]
+        out = sec_of(("val", fi, pc))  # forced public where the type is float
+        wants: tuple = ()
+        match tag:
+            case flat.T_GET_LOCAL:
+                out = sec_of(("local", fi, op[2]))
+            case flat.T_SET_LOCAL | flat.T_TEE_LOCAL:
+                out = sec_of(("local", fi, op[2]))
+                wants = (out,)
+            case flat.T_GET_GLOBAL:
+                out = sec_of(("global", op[2]))
+            case flat.T_SET_GLOBAL:
+                wants = (sec_of(("global", op[2])),)
+            case flat.T_UNOP | flat.T_BINOP | flat.T_TESTOP | flat.T_SELECT:
+                wants = (out,) * len(args)
+            case flat.T_RELOP:
+                out = out if op[2].is_int else PUBLIC
+                wants = (out, out)
+            case flat.T_LOAD:
+                out, wants = mem_sec, (PUBLIC,)
+            case flat.T_STORE:
+                out, wants = mem_sec, (PUBLIC, mem_sec)
+            case flat.T_CONVERT if op[2].is_int and op[3].is_int:
+                out = PUBLIC if args[0] is None else sec[args[0]]
+            case (flat.T_CONVERT | flat.T_REINTERPRET | flat.T_MEMORY_GROW
+                  | flat.T_IF | flat.T_BR_IF | flat.T_BR_TABLE):
+                wants = (PUBLIC,)
+            case flat.T_CALL:
+                k = op[2]
+                wants = tuple(sec_of(("local", k, i))
+                              for i in range(len(args)))
+                out = sec_of(("result", k))
+            case flat.T_CALL_INDIRECT:
+                cands = _table_candidates(m, op[2])
+                wants = tuple(sec_of(("local", cands[0], i)) if cands
+                              else PUBLIC for i in range(len(args) - 1))
+                wants += (PUBLIC,)
+                out = (sec_of(("result", cands[0]))
+                       if cands and op[2].results else PUBLIC)
+        for p, want in zip(args, wants):
+            demand(p, want)
+        for target, p in du.flows[pc]:
+            demand(p, sec_of(("result", fi) if target < 0
+                             else ("val", fi, target)))
+        sec[pc] = out
+    return sec, classify
 
 
-class _Emitter(_Walk):
-    """Third walk: rebuild the module with chosen variants and coercions."""
+def _emit_body(m: ast.Module, f: ast.Func, ff: FlatFunc, sec: list,
+               classify: dict, signature) -> tuple[Instr, ...]:
+    """The body with each op's variant and the classify coercions."""
+    pcs = iter(flat.instr_pcs(ff.code))
 
-    def __init__(self, m: ast.Module, flags: _Flagger, trusted: set[int]):
-        super().__init__(m)
-        self.flags = flags
-        self.trusted = trusted
-        self.out_funcs: list[ast.Func] = []
+    def emit(ins: Instr) -> tuple[Instr, ...]:
+        pc = next(pcs)
+        if isinstance(ins, ast.CallIndirect) and \
+                (cands := _table_candidates(m, ins.type)):
+            # the annotation must match the (unified) labeling of the
+            # table-resident candidates exactly, or the runtime check
+            # would start trapping
+            new = ast.CallIndirect(signature(cands[0], ins.type),
+                                   span=ins.span)
+        else:
+            new = ast.retype_instr(ins, sec[pc])
+        rep = classify.get(pc)
+        if rep is None:
+            return (new,)
+        return (new, ast.Classify(ValType(rep, SECRET), ValType(rep, PUBLIC),
+                                  span=ins.span))
 
-    def run(self) -> tuple[ast.Func, ...]:
-        self.counter = 0
-        out = []
-        for fi, f in enumerate(self.m.funcs):
-            trust = Trust.TRUSTED if fi in self.trusted else Trust.UNTRUSTED
-            ft = ast.FuncType(
-                trust,
-                tuple(self._slot(fi, i, t)
-                      for i, t in enumerate(f.type.params)),
-                tuple(self._result(fi, t) for t in f.type.results))
-            if f.imported is not None:
-                out.append(ast.Func(ft, (), (), f.imported, f.exports,
-                                    f.name, f.span))
-                continue
-            np = len(f.type.params)
-            locals_ = tuple(self._slot(fi, np + i, t)
-                            for i, t in enumerate(f.locals))
-            body: list[Instr] = []
-            self._body(fi, f.body, body)
-            out.append(ast.Func(ft, locals_, tuple(body), None, f.exports,
-                                f.name, f.span))
-        return tuple(out)
+    return ast.rebuild(f.body, emit)
 
-    def _slot(self, fi: int, k: int, t: ValType) -> ValType:
-        if t.is_int and self.flags.local_sec(fi, k) is SECRET:
-            return ValType(t.rep, SECRET)
-        return t
 
-    def _result(self, fi: int, t: ValType) -> ValType:
-        if t.is_int and self.flags.node_sec(("result", fi)) is SECRET:
-            return ValType(t.rep, SECRET)
-        return t
-
-    def _retype(self, t: ValType, sec: Secrecy) -> ValType:
-        return ValType(t.rep, SECRET) if (t.is_int and sec is SECRET) else t
-
-    def _body(self, fi, instrs, out: list[Instr]) -> None:
-        for ins in instrs:
-            self.counter += 1
-            self._instr(fi, self.counter, ins, out)
-
-    def _instr(self, fi, me, ins, out: list[Instr]) -> None:
-        sec = self.flags.variant.get(me, PUBLIC)
-        match ins:
-            case ast.Const(type=t, bits=bits):
-                out.append(ast.Const(self._retype(t, sec), bits, span=ins.span))
-            case ast.Binop(type=t, op=op):
-                out.append(ast.Binop(self._retype(t, sec), op, span=ins.span))
-            case ast.Unop(type=t, op=op):
-                out.append(ast.Unop(self._retype(t, sec), op, span=ins.span))
-            case ast.Testop(type=t):
-                out.append(ast.Testop(self._retype(t, sec), span=ins.span))
-            case ast.Relop(type=t, op=op):
-                out.append(ast.Relop(self._retype(t, sec), op, span=ins.span))
-            case ast.Select():
-                out.append(ast.Select(sec, span=ins.span))
-            case ast.Load(type=t, pack=p, signed=s, align=a, offset=o):
-                out.append(ast.Load(self._retype(t, sec), p, s, a, o,
-                                    span=ins.span))
-            case ast.Store(type=t, pack=p, align=a, offset=o):
-                out.append(ast.Store(self._retype(t, sec), p, a, o,
-                                     span=ins.span))
-            case ast.Convert(to=to, frm=frm, sign=sg):
-                out.append(ast.Convert(self._retype(to, sec),
-                                       self._retype(frm, sec), sg,
-                                       span=ins.span))
-            case ast.CallIndirect(type=ft):
-                # the annotation must match the (unified) labeling of the
-                # table-resident candidates exactly, or the runtime check
-                # would start trapping
-                cands = _table_candidates(self.m, ft)
-                if cands:
-                    cand = cands[0]
-                    params = tuple(
-                        self._retype(t, self.flags.local_sec(cand, i))
-                        for i, t in enumerate(ft.params))
-                    results = tuple(
-                        self._retype(t, self.flags.node_sec(("result", cand)))
-                        for t in ft.results)
-                    ft = ast.FuncType(Trust.UNTRUSTED, params, results)
-                out.append(ast.CallIndirect(ft, span=ins.span))
-            case ast.Block(result=r, body=b) | ast.Loop(result=r, body=b):
-                inner: list[Instr] = []
-                self._body(fi, b, inner)
-                rr = self._retype(r, sec) if r is not None else None
-                cls = ast.Block if isinstance(ins, ast.Block) else ast.Loop
-                out.append(cls(rr, tuple(inner), span=ins.span))
-            case ast.If(result=r, then=t, else_=e):
-                thin: list[Instr] = []
-                eout: list[Instr] = []
-                self._body(fi, t, thin)
-                self._body(fi, e, eout)
-                rr = self._retype(r, sec) if r is not None else None
-                out.append(ast.If(rr, tuple(thin), tuple(eout), span=ins.span))
-            case _:
-                out.append(ins)
-        rep = self.flags.classify_after.get(me)
-        if rep is not None:
-            out.append(ast.Classify(ValType(rep, SECRET), ValType(rep, PUBLIC),
-                                    span=ins.span))
+def _hinted_func(m: ast.Module, name: str) -> int:
+    ex = m.exported(name)
+    if ex is None or ex[0] != "func":
+        raise InputInvalid(f"hint references unknown export {name!r}")
+    return ex[1]
 
 
 def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
@@ -879,69 +605,83 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
     if bad is not None:
         raise InputInvalid(bad)
     try:
-        validate_module(m)
+        tm = validate_module(m, annotate=True)
     except Exception as e:
         raise InputInvalid(f"input fails base validation: {e}") from e
 
-    builder = _Builder(m).build()
+    flats = {fi: (ff, _def_use(m, ff))
+             for fi, ff in enumerate(tm.funcs) if ff is not None}
+    rs = _Rules(m).build(flats)
 
     for name, params in hints.public_params.items():
-        ex = m.exported(name)
-        if ex is None or ex[0] != "func":
-            raise InputInvalid(f"hint references unknown export {name!r}")
+        fi = _hinted_func(m, name)
+        n = len(m.funcs[fi].type.params)
         for p in params:
-            builder.force(("local", ex[1], p), "hinted public",
-                          f"export {name}")
+            if not 0 <= p < n:
+                raise InputInvalid(f"hint names parameter {p} of export "
+                                   f"{name!r}, which takes {n}")
+            rs.force(("local", fi, p), "hinted public", f"export {name}")
     for name in hints.public_results:
-        ex = m.exported(name)
-        if ex is None or ex[0] != "func":
-            raise InputInvalid(f"hint references unknown export {name!r}")
-        builder.force(("result", ex[1]), "hinted public", f"export {name}")
+        rs.force(("result", _hinted_func(m, name)), "hinted public",
+                 f"export {name}")
 
-    pinned: set[tuple] = set()
-    if m.memory is not None and not hints.public_memory:
-        pinned.add(("mem",))
+    pinned = {("mem",)} if m.memory is not None and not hints.public_memory \
+        else set()
 
-    public, conflicts, rounds, demotions = _solve(builder, pinned)
+    public, conflicts, rounds, demotions = _solve(rs, pinned)
     if conflicts:
         return InferResult(None, conflicts, [], rounds, demotions)
+
+    def sec_of(node: tuple) -> Secrecy:
+        return PUBLIC if node in public else SECRET
+
+    def signature(fi: int, ft: ast.FuncType, trust=Trust.UNTRUSTED):
+        """``ft`` with the labels inferred for function fi."""
+        return ast.FuncType(
+            trust, tuple(ast.at_secrecy(t, sec_of(("local", fi, i)))
+                         for i, t in enumerate(ft.params)),
+            tuple(ast.at_secrecy(t, sec_of(("result", fi)))
+                  for t in ft.results))
 
     mem_sec = PUBLIC if (m.memory is None or hints.public_memory or
                          ("mem",) in public) else SECRET
 
-    trusted: set[int] = set()
-    for name in hints.trusted:
-        ex = m.exported(name)
-        if ex is None or ex[0] != "func":
-            raise InputInvalid(f"hint references unknown export {name!r}")
-        trusted.add(ex[1])
-    changed = True
-    while changed:  # callers of trusted functions must be trusted
-        changed = False
-        for fi, f in enumerate(m.funcs):
-            if fi in trusted:
-                continue
-            if any(isinstance(ins, ast.Call) and ins.func in trusted
-                   for ins in ast.iter_instrs(f.body)):
-                trusted.add(fi)
-                changed = True
+    trusted = {_hinted_func(m, name) for name in hints.trusted}
+    callees = {fi: {ins.func for ins in ast.iter_instrs(f.body)
+                    if isinstance(ins, ast.Call)}
+               for fi, f in enumerate(m.funcs)}
+    # callers of trusted functions must be trusted
+    while new := {fi for fi, ks in callees.items()
+                  if ks & trusted and fi not in trusted}:
+        trusted |= new
 
-    flags = _Flagger(m, public, mem_sec)
-    flags.walk_module()
-    funcs = _Emitter(m, flags, trusted).run()
+    funcs = []
+    for fi, f in enumerate(m.funcs):
+        ft = signature(fi, f.type,
+                       Trust.TRUSTED if fi in trusted else Trust.UNTRUSTED)
+        if f.imported is not None:
+            funcs.append(ast.Func(ft, (), (), f.imported, f.exports,
+                                  f.name, f.span))
+            continue
+        ff, du = flats[fi]
+        sec, classify = _flags(m, fi, ff, du, sec_of, mem_sec)
+        np = len(f.type.params)
+        locals_ = tuple(ast.at_secrecy(t, sec_of(("local", fi, np + i)))
+                        for i, t in enumerate(f.locals))
+        funcs.append(ast.Func(ft, locals_,
+                              _emit_body(m, f, ff, sec, classify, signature),
+                              None, f.exports, f.name, f.span))
 
     globals_ = tuple(
-        ast.GlobalVar(
-            ValType(g.type.rep, SECRET)
-            if g.type.is_int and ("global", gi) not in public else g.type,
-            g.mutable, g.init, g.imported, g.exports, g.name, g.span)
+        ast.GlobalVar(ast.at_secrecy(g.type, sec_of(("global", gi))),
+                      g.mutable, g.init, g.imported, g.exports, g.name, g.span)
         for gi, g in enumerate(m.globals))
     memory = m.memory
     if memory is not None:
         memory = ast.Memory(memory.min, memory.max, mem_sec,
                             memory.imported, memory.exports)
 
-    out = ast.Module(funcs, globals_, m.table, memory, m.data)
+    out = ast.Module(tuple(funcs), globals_, m.table, memory, m.data)
     tm = validate_module(out, annotate=True)
 
     notes = []

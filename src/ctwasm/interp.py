@@ -81,7 +81,10 @@ def parse_value(literal: str) -> Value:
     import struct as _struct
     fmt = "<I" if t.bits == 32 else "<Q"
     ffmt = "<f" if t.bits == 32 else "<d"
-    return Value(t, _struct.unpack(fmt, _struct.pack(ffmt, float(raw)))[0])
+    try:
+        return Value(t, _struct.unpack(fmt, _struct.pack(ffmt, float(raw)))[0])
+    except OverflowError:
+        raise ValueError(f"{raw} out of range for {tname}") from None
 
 
 class InvokeError(Exception):

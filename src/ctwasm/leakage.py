@@ -436,6 +436,11 @@ def randomized_ct_trial(tm: TypedModule, spec: TrialSpec, trials: int = 100,
         missing = set(vary) - {s.name for s in spec.secrets}
         if missing:
             raise ValueError(f"unknown secret inputs: {sorted(missing)}")
+    for s in chosen:
+        if s.param is not None and s.param >= len(spec.args):
+            raise ValueError(f"secret input {s.name!r} is parameter "
+                             f"{s.param}, but the spec passes "
+                             f"{len(spec.args)} arguments")
     rng = random.Random(seed)
     args_zero, image_zero = _assignment(spec, chosen, None)
     report = TrialReport(spec.export, trials, 0, [s.name for s in chosen])

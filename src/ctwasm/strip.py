@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ast, binary
+from . import ast, binary, flat
 from .ast import (
-    Binop, Classify, Const, Convert, Declassify, GetLocal, If, Instr, Loop,
-    Secrecy, Select, SetLocal, Testop, Trust, ValType,
+    Binop, Classify, Const, Convert, Declassify, GetLocal, Instr, Secrecy,
+    Select, SetLocal, Testop, Trust, ValType,
 )
 from .validate import TypedModule, ValidationFailure, validate_module
 
@@ -83,18 +83,17 @@ def rewrite_secret_select(width: int, cond_local: int, save_local: int
     )
 
 
+def _select_width(ff: flat.FlatFunc, pc: int) -> int:
+    slots = ff.stack_types[pc]
+    if len(slots) >= 2 and slots[-2] is not None:
+        return slots[-2].bits
+    return 32  # unreachable select; any width type-checks there
+
+
 class _Stripper:
     def __init__(self, tm: TypedModule):
         self.tm = tm
         self.warnings: list[Warning] = []
-
-    def _select_width(self, ff, ins: Instr, pc_of: dict[int, int]) -> int:
-        pc = pc_of.get(id(ins))
-        if pc is not None and ff.stack_types is not None:
-            slots = ff.stack_types[pc]
-            if len(slots) >= 2 and slots[-2] is not None:
-                return slots[-2].bits
-        return 32  # unreachable select; any width type-checks there
 
     def func(self, index: int, f: ast.Func) -> ast.Func:
         ft = _erase_functype(f.type)
@@ -108,12 +107,8 @@ class _Stripper:
             return ast.Func(ft, (), (), f.imported, f.exports, f.name, f.span)
 
         ff = self.tm.flat(index)
-        pc_of: dict[int, int] = {}
-        for pc, origin in enumerate(ff.origins):
-            pc_of.setdefault(id(origin), pc)  # end/else markers share origins
-        widths = {self._select_width(ff, ins, pc_of)
-                  for ins in ast.iter_instrs(f.body)
-                  if isinstance(ins, Select) and ins.sec is Secrecy.SECRET}
+        widths = {_select_width(ff, pc) for pc, op in enumerate(ff.code)
+                  if op[0] == flat.T_SELECT and op[2] is Secrecy.SECRET}
 
         base = len(f.type.params) + len(f.locals)
         extra: list[ValType] = []
@@ -128,53 +123,33 @@ class _Stripper:
                 save64 = base + len(extra)
                 extra.append(ast.I64)
 
-        def walk(body, out: list[Instr]):
-            for ins in body:
-                match ins:
-                    case Classify() | Declassify():
-                        pass  # the value flows through unchanged
-                    case Select(sec=Secrecy.SECRET):
-                        w = self._select_width(ff, ins, pc_of)
-                        save = save32 if w == 32 else save64
-                        out.extend(rewrite_secret_select(w, cond_local, save))
-                    case ast.Block(result=r, body=b):
-                        inner: list[Instr] = []
-                        walk(b, inner)
-                        out.append(ast.Block(_erase_opt(r), tuple(inner)))
-                    case Loop(result=r, body=b):
-                        inner = []
-                        walk(b, inner)
-                        out.append(Loop(_erase_opt(r), tuple(inner)))
-                    case If(result=r, then=t, else_=e):
-                        thin: list[Instr] = []
-                        eout: list[Instr] = []
-                        walk(t, thin)
-                        walk(e, eout)
-                        out.append(If(_erase_opt(r), tuple(thin), tuple(eout)))
-                    case ast.CallIndirect():
-                        self.warnings.append(Warning(
-                            "W-INDIRECT", f"func {index}",
-                            "call_indirect loses its runtime trust and "
-                            "secrecy check after erasure"))
-                        out.append(ast.publicize_instr(ins))
-                    case _:
-                        out.append(ast.publicize_instr(ins))
+        pcs = iter(flat.instr_pcs(ff.code))
 
-        body: list[Instr] = []
-        walk(f.body, body)
+        def erase(ins: Instr) -> tuple[Instr, ...]:
+            pc = next(pcs)
+            match ins:
+                case Classify() | Declassify():
+                    return ()  # the value flows through unchanged
+                case Select(sec=Secrecy.SECRET):
+                    w = _select_width(ff, pc)
+                    save = save32 if w == 32 else save64
+                    return rewrite_secret_select(w, cond_local, save)
+                case ast.CallIndirect():
+                    self.warnings.append(Warning(
+                        "W-INDIRECT", f"func {index}",
+                        "call_indirect loses its runtime trust and "
+                        "secrecy check after erasure"))
+            return (ast.publicize_instr(ins),)
+
+        body = ast.rebuild(f.body, erase)
         locals_ = tuple(ast.public_type(t) for t in f.locals) + tuple(extra)
-        return ast.Func(ft, locals_, tuple(body), None, f.exports,
-                        f.name, f.span)
+        return ast.Func(ft, locals_, body, None, f.exports, f.name, f.span)
 
 
 def _erase_functype(ft: ast.FuncType) -> ast.FuncType:
     return ast.FuncType(Trust.UNTRUSTED,
                         tuple(ast.public_type(t) for t in ft.params),
                         tuple(ast.public_type(t) for t in ft.results))
-
-
-def _erase_opt(t: ValType | None) -> ValType | None:
-    return None if t is None else ast.public_type(t)
 
 
 def strip_module(m: ast.Module | TypedModule, paranoid: bool = False

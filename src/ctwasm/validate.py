@@ -301,12 +301,12 @@ class _FuncChecker:
             self.pop(t)
         elif tag == flat.T_LOAD:
             t: ast.ValType = op[2]
-            self._mem_access(t, align=op[5], width=op[7], origin="load")
+            self._mem_access(t, op[5], op[6], op[7], "load")
             self.pop_public_i32(ErrorCode.SecretMemoryIndex)
             self.push(t)
         elif tag == flat.T_STORE:
             t = op[2]
-            self._mem_access(t, align=op[4], width=op[6], origin="store")
+            self._mem_access(t, op[4], op[5], op[6], "store")
             self.pop(t)
             self.pop_public_i32(ErrorCode.SecretMemoryIndex)
         elif tag == flat.T_MEMORY_SIZE:
@@ -401,8 +401,8 @@ class _FuncChecker:
             raise _Reject(ErrorCode.SyntaxIndex, "no memory in module")
         return self.ctx.memory
 
-    def _mem_access(self, t: ast.ValType, align: int, width: int,
-                    origin: str) -> None:
+    def _mem_access(self, t: ast.ValType, align: int, offset: int,
+                    width: int, origin: str) -> None:
         _, mem_sec = self._memory()
         if t.sec is not mem_sec:
             raise _Reject(ErrorCode.MemorySecrecyMismatch,
@@ -410,6 +410,9 @@ class _FuncChecker:
         if (1 << align) > width:
             raise _Reject(ErrorCode.AlignmentViolation,
                           f"alignment 2^{align} exceeds access width {width}")
+        if not 0 <= offset < 1 << 32:
+            raise _Reject(ErrorCode.SyntaxIndex,
+                          f"memory offset {offset} outside [0, 2^32)")
 
     # -- whole body
 

@@ -201,3 +201,22 @@ def test_unknown_file_is_an_error(capsys):
     rc, out, err = run_cli(["validate", "nope.cwat"], capsys)
     assert rc == 1
     assert "no such file" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+def test_ct_check_rejects_trial_counts_below_one(capsys, corpus_root, trials):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["ct-check", corp("tea", corpus_root), "--invoke",
+                  "tea_encrypt", f"--trials={trials}"])
+    assert e.value.code == 1
+    assert "positive number of trials" in capsys.readouterr().err
+
+
+def test_ct_check_rejects_a_malformed_argument_literal(capsys, tmp_path):
+    p = tmp_path / "f.cwat"
+    p.write_text('(module (func (export "f") (param s32 i32) (result s32)'
+                 " (s32.add (local.get 0) (s32.classify (local.get 1)))))")
+    rc, out, err = run_cli(["ct-check", str(p), "--invoke", "f",
+                            "--trials", "1", "s32:0", "i32:zz"], capsys)
+    assert rc == 1
+    assert "invalid literal" in err

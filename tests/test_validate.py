@@ -285,3 +285,22 @@ def test_annotations_record_stack_types():
     assert ff.stack_types[0] == ()
     assert ff.stack_types[1] == (S32,)
     assert ff.stack_types[2] == (S32, I32)
+
+
+
+def test_memory_offset_must_fit_u32():
+    """The parser and the decoder reject such offsets first; an AST built
+    in code reaches the validator with them."""
+    def errors(offset: int) -> list:
+        body = (ast.Const(I32, 0), ast.Const(I32, 0),
+                ast.Store(I32, None, 2, offset),
+                ast.Const(I32, 0), ast.Load(I32, None, None, 2, offset),
+                ast.Drop())
+        m = ast.Module(funcs=(ast.Func(ast.FuncType(Trust.UNTRUSTED, (), ()),
+                                       (), body),), memory=ast.Memory(1))
+        return [(e.code, e.offset) for e in check_module(m)[1]]
+
+    for bad in (-1, 1 << 32):
+        assert errors(bad) == [(ErrorCode.SyntaxIndex, 2),
+                               (ErrorCode.SyntaxIndex, 4)]
+    assert errors((1 << 32) - 1) == []
