@@ -97,7 +97,8 @@ def cmd_run(args) -> int:
         _emit(doc, args.json,
               " ".join(repr(v) for v in out.results) or "(no results)")
         return OK
-    _emit({"status": out.status, "trap": out.trap_kind}, args.json)
+    _emit({"status": out.status, "trap": out.trap_kind, "steps": out.steps},
+          args.json)
     print(f"{args.invoke}: {out.status}"
           + (f" ({out.trap_kind})" if out.trap_kind else ""), file=sys.stderr)
     return ERROR

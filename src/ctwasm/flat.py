@@ -14,7 +14,7 @@ carry ``None`` and the interpreter builds the record per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ast
 from .numerics import BINOP_FNS, CONVERT_FNS, RELOP_FNS, TESTOP_FNS, UNOP_FNS
@@ -40,6 +40,8 @@ class FlatFunc:
     # operand-stack types before each op, filled in by the validator when
     # annotation is requested (None otherwise)
     stack_types: list[tuple[ast.ValType, ...]] | None = None
+    # the interpreter's compiled blocks, built on first execution
+    compiled: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_params(self) -> int:

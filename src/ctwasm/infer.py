@@ -296,7 +296,8 @@ class _Rules:
 
     def func(self, fi: int, ff: FlatFunc, du: _DefUse) -> None:
         m, edge, force = self.m, self.edge, self.force
-        # producer -> the node of its value; a tee passes its operand's on
+        # producer -> the node of its value; a tee's value is its local's,
+        # which is how the coercion pass reads it too
         node: dict = {}
         where = f"func {fi}"
         for pc, op in enumerate(ff.code):
@@ -319,7 +320,7 @@ class _Rules:
                     edge(("local", fi, op[2]), a[0], "write to local", loc)
                 case flat.T_TEE_LOCAL:
                     edge(("local", fi, op[2]), a[0], "write to local", loc)
-                    node[pc] = a[0]
+                    node[pc] = ("local", fi, op[2])
                 case flat.T_GET_GLOBAL:
                     edge(val, ("global", op[2]), "read of global", loc)
                 case flat.T_SET_GLOBAL:

@@ -22,11 +22,21 @@ serialize):
 
 Ops whose action is data-independent reuse one precomputed tuple, so
 tracing adds no allocation on the hot path.
+
+Execution compiles each function's flat code, on first run, into blocks:
+a block is a straight-line run of ops up to and including its first
+control op, lowered to one generated Python function with the operand
+stack in locals and the run's static actions in one ``trace.extend``.
+Each op's semantics is written once, as a template (``_t_*``) that emits
+its source; a single step, a debug-mode step and a step that fuel or a
+step budget cuts short run the one-op block of the same template, so
+every stop falls on the same instruction as it would op by op.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -413,7 +423,7 @@ class Frame:
     def __init__(self, inst: Instance, ff: flat.FlatFunc, locals_: list[int]):
         self.inst = inst
         self.ff = ff
-        self.code = ff.code
+        self.code = ff.compiled or _Code(ff)
         self.locals = locals_
         self.stack: list[int] = []
         self.labels: list[tuple[int, int, int]] = []  # (target, arity, height)
@@ -538,6 +548,49 @@ def _run_host(cfg: Config, pend: HostPending) -> tuple:
     return action
 
 
+def run(cfg: Config, max_steps: int | None = None) -> None:
+    """Drive the configuration until it terminates, runs out of fuel, or
+    has executed max_steps further instructions.
+
+    Each turn of the loop runs one compiled block of the top frame and
+    charges its length up front; when the fuel or the budget is shorter
+    than the block, or in debug mode, it runs the block's first op alone,
+    so every stop falls on the same instruction as with single steps."""
+    frames = cfg.frames
+    budget = sys.maxsize if max_steps is None else max_steps
+    debug = cfg.debug
+    while cfg.status == RUNNING:
+        if budget == 0:
+            return
+        fuel = cfg.fuel
+        if fuel <= 0:
+            cfg.status = OUT_OF_FUEL
+            return
+        fr = frames[-1]
+        if fr.__class__ is HostPending:
+            cfg.fuel = fuel - 1
+            budget -= 1
+            try:
+                cfg.trace.append(_run_host(cfg, fr))
+            except Trap as t:
+                cfg.trace.append(("op", "host-trap"))
+                _trap(cfg, t.kind)
+            continue
+        code = fr.code
+        pc = fr.pc
+        n = code.lens[pc]
+        if n > fuel or n > budget or debug:
+            if debug:
+                _debug_check(cfg, fr, pc)
+            n = 1
+            block = code.singles[pc] or code.compile(fr.ff, pc, 1)
+        else:
+            block = code.blocks[pc] or code.compile(fr.ff, pc, n)
+        cfg.fuel = fuel - n
+        budget -= n
+        block(cfg, fr)
+
+
 def _return(cfg: Config, fr: Frame) -> None:
     arity = len(fr.ff.type.results)
     results = fr.stack[-arity:] if arity else []
@@ -555,244 +608,20 @@ def _trap(cfg: Config, kind: str) -> None:
     cfg.frames.clear()
 
 
-def run(cfg: Config, max_steps: int | None = None) -> None:
-    """Drive the configuration until it terminates, runs out of fuel, or
-    has executed max_steps further instructions."""
-    store = cfg.store
-    trace = cfg.trace
-    frames = cfg.frames
-    budget = -1 if max_steps is None else max_steps
-    T = flat
-    while cfg.status == RUNNING:
-        if budget == 0:
-            return
-        budget -= 1
-        if cfg.fuel <= 0:
-            cfg.status = OUT_OF_FUEL
-            return
-        cfg.fuel -= 1
-        fr = frames[-1]
-        if fr.__class__ is HostPending:
-            try:
-                trace.append(_run_host(cfg, fr))
-            except Trap as t:
-                trace.append(("op", "host-trap"))
-                _trap(cfg, t.kind)
-            continue
-        code = fr.code
-        pc = fr.pc
-        op = code[pc]
-        tag = op[0]
-        stack = fr.stack
-        if cfg.debug:
-            _debug_check(cfg, fr, pc)
-
-        if tag == T.T_GET_LOCAL:
-            stack.append(fr.locals[op[2]])
-            trace.append(op[1])
-        elif tag == T.T_CONST:
-            stack.append(op[3])
-            trace.append(op[1])
-        elif tag == T.T_BINOP:
-            b = stack.pop()
-            a = stack.pop()
-            act = op[1]
-            trace.append(act if act is not None
-                         else ("unsafe-binop", op[3], a, b))
-            try:
-                stack.append(op[4](a, b))
-            except Trap as t:
-                _trap(cfg, t.kind)
-                continue
-        elif tag == T.T_SET_LOCAL:
-            fr.locals[op[2]] = stack.pop()
-            trace.append(op[1])
-        elif tag == T.T_TEE_LOCAL:
-            fr.locals[op[2]] = stack[-1]
-            trace.append(op[1])
-        elif tag == T.T_GET_GLOBAL:
-            stack.append(store.globals[fr.inst.global_addrs[op[2]]].bits)
-            trace.append(op[1])
-        elif tag == T.T_SET_GLOBAL:
-            store.globals[fr.inst.global_addrs[op[2]]].bits = stack.pop()
-            trace.append(op[1])
-        elif tag == T.T_LOAD:
-            addr = stack.pop()
-            ea = addr + op[6]
-            width = op[7]
-            mem = store.mems[fr.inst.mem_addr]
-            data = mem.data
-            if ea + width > len(data):
-                trace.append(("mem", "load", ea, width, None))
-                _trap(cfg, "out of bounds memory access")
-                continue
-            bits = int.from_bytes(data[ea:ea + width], "little")
-            trace.append(("mem", "load", ea, width,
-                          bits if mem.sec is ast.Secrecy.PUBLIC else None))
-            if op[3] is not None and op[4]:  # signed packed load
-                bits = signed(bits, op[3]) & ((1 << op[2].bits) - 1)
-            stack.append(bits)
-        elif tag == T.T_STORE:
-            value = stack.pop()
-            addr = stack.pop()
-            ea = addr + op[5]
-            width = op[6]
-            mem = store.mems[fr.inst.mem_addr]
-            data = mem.data
-            if ea + width > len(data):
-                trace.append(("mem", "store", ea, width, None))
-                _trap(cfg, "out of bounds memory access")
-                continue
-            bits = value & ((1 << (width * 8)) - 1)
-            data[ea:ea + width] = bits.to_bytes(width, "little")
-            trace.append(("mem", "store", ea, width,
-                          bits if mem.sec is ast.Secrecy.PUBLIC else None))
-        elif tag == T.T_RELOP:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(op[4](a, b))
-            trace.append(op[1])
-        elif tag == T.T_TESTOP:
-            stack.append(op[3](stack.pop()))
-            trace.append(op[1])
-        elif tag == T.T_UNOP:
-            stack.append(op[4](stack.pop()))
-            trace.append(op[1])
-        elif tag == T.T_BR_IF:
-            cond = stack.pop()
-            trace.append(("branch", "br_if", cond))
-            if cond:
-                pc = _br(cfg, fr, op[2])
-                if pc < 0:
-                    continue
-                fr.pc = pc
-                continue
-        elif tag == T.T_BR:
-            trace.append(op[1])
-            pc = _br(cfg, fr, op[2])
-            if pc < 0:
-                continue
-            fr.pc = pc
-            continue
-        elif tag == T.T_BR_TABLE:
-            idx = stack.pop()
-            trace.append(("branch", "br_table", idx))
-            targets = op[2]
-            depth = targets[idx] if idx < len(targets) else op[3]
-            pc = _br(cfg, fr, depth)
-            if pc < 0:
-                continue
-            fr.pc = pc
-            continue
-        elif tag == T.T_BLOCK:
-            trace.append(op[1])
-            arity = 1 if op[2] is not None else 0
-            fr.labels.append((op[3] + 1, arity, len(stack)))
-        elif tag == T.T_LOOP:
-            trace.append(op[1])
-            fr.labels.append((pc, 0, len(stack)))
-        elif tag == T.T_IF:
-            cond = stack.pop()
-            trace.append(("branch", "if", cond))
-            arity = 1 if op[2] is not None else 0
-            else_pc, end_pc = op[3], op[4]
-            if cond:
-                fr.labels.append((end_pc + 1, arity, len(stack)))
-            elif else_pc >= 0:
-                fr.labels.append((end_pc + 1, arity, len(stack)))
-                fr.pc = else_pc + 1
-                continue
-            else:
-                fr.pc = end_pc + 1
-                continue
-        elif tag == T.T_ELSE:
-            # reached only by falling out of the then-branch
-            trace.append(op[1])
-            fr.pc = op[2]
-            continue
-        elif tag == T.T_END:
-            trace.append(op[1])
-            if fr.labels:
-                fr.labels.pop()
-            else:
-                _return(cfg, fr)
-                continue
-        elif tag == T.T_SELECT:
-            cond = stack.pop()
-            v2 = stack.pop()
-            v1 = stack.pop()
-            act = op[1]
-            trace.append(act if act is not None else ("branch", "select", cond))
-            stack.append(v2 if cond == 0 else v1)
-        elif tag == T.T_DROP:
-            stack.pop()
-            trace.append(op[1])
-        elif tag == T.T_NOP:
-            trace.append(op[1])
-        elif tag == T.T_CONVERT:
-            trace.append(op[1])
-            try:
-                stack.append(op[4](stack.pop()))
-            except Trap as t:
-                _trap(cfg, t.kind)
-                continue
-        elif tag in (T.T_REINTERPRET, T.T_CLASSIFY, T.T_DECLASSIFY):
-            trace.append(op[1])  # bit-preserving retags
-        elif tag == T.T_CALL:
-            trace.append(op[1])
-            _enter(cfg, fr, store.funcs[fr.inst.func_addrs[op[2]]])
-            continue
-        elif tag == T.T_CALL_INDIRECT:
-            idx = stack.pop()
-            trace.append(("call-indirect", idx))
-            table = store.tables[fr.inst.table_addr]
-            if idx >= len(table):
-                _trap(cfg, "undefined element")
-                continue
-            entry = table[idx]
-            if entry is None:
-                _trap(cfg, "uninitialized element")
-                continue
-            cl = store.funcs[entry]
-            if cl.type != op[2]:
-                _trap(cfg, "indirect call type mismatch")
-                continue
-            _enter(cfg, fr, cl)
-            continue
-        elif tag == T.T_MEMORY_SIZE:
-            trace.append(op[1])
-            stack.append(store.mems[fr.inst.mem_addr].pages)
-        elif tag == T.T_MEMORY_GROW:
-            delta = stack.pop()
-            mem = store.mems[fr.inst.mem_addr]
-            old = mem.pages
-            limit = mem.max if mem.max is not None else cfg.grow_limit
-            if old + delta <= limit:
-                mem.data.extend(bytes(delta * PAGE))
-                result = old
-            else:
-                result = 0xFFFFFFFF
-            stack.append(result)
-            trace.append(("grow", old, delta, result))
-        elif tag == T.T_RETURN:
-            trace.append(op[1])
-            _return(cfg, fr)
-            continue
-        elif tag == T.T_UNREACHABLE:
-            trace.append(op[1])
-            _trap(cfg, "unreachable")
-            continue
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled tag {tag}")
-        fr.pc = pc + 1
+def _fault(cfg: Config, kind: str, actions: tuple, refund: int) -> None:
+    """Trap inside a block: record the actions of the ops run since the
+    last flush and give back the fuel of the ops that did not run."""
+    cfg.trace.extend(actions)
+    cfg.fuel += refund
+    _trap(cfg, kind)
 
 
-def _br(cfg: Config, fr: Frame, depth: int) -> int:
-    """Branch to a label; returns new pc, or -1 after a function return."""
+def _br(cfg: Config, fr: Frame, depth: int) -> None:
+    """Branch to a label, or return from the function at its depth."""
     labels = fr.labels
     if depth == len(labels):
         _return(cfg, fr)
-        return -1
+        return
     target, arity, height = labels[-1 - depth]
     stack = fr.stack
     if arity:
@@ -802,26 +631,41 @@ def _br(cfg: Config, fr: Frame, depth: int) -> int:
     else:
         del stack[height:]
     del labels[len(labels) - depth - 1:]
-    return target
+    fr.pc = target
 
 
-def _enter(cfg: Config, fr: Frame, cl) -> bool:
-    """Push a callee frame; False if the config trapped instead."""
+def _enter(cfg: Config, fr: Frame, cl) -> None:
+    """Push a callee frame, or trap when the call stack is full."""
     if len(cfg.frames) >= FRAME_LIMIT:
         _trap(cfg, "call stack exhausted")
-        return False
+        return
     n = len(cl.type.params)
     stack = fr.stack
     args = stack[-n:] if n else []
     if n:
         del stack[-n:]
-    fr.pc += 1  # resume after the call upon return
     if isinstance(cl, HostFunc):
         cfg.frames.append(HostPending(cl, args, fr.inst))
-        return True
+        return
     locals_ = args + [0] * (len(cl.ff.local_types) - n)
     cfg.frames.append(Frame(cfg.store.insts[cl.inst_idx], cl.ff, locals_))
-    return True
+
+
+def _call_indirect(cfg: Config, fr: Frame, idx: int, ft: ast.FuncType) -> None:
+    store = cfg.store
+    table = store.tables[fr.inst.table_addr]
+    if idx >= len(table):
+        _trap(cfg, "undefined element")
+        return
+    entry = table[idx]
+    if entry is None:
+        _trap(cfg, "uninitialized element")
+        return
+    cl = store.funcs[entry]
+    if cl.type != ft:
+        _trap(cfg, "indirect call type mismatch")
+        return
+    _enter(cfg, fr, cl)
 
 
 def _debug_check(cfg: Config, fr: Frame, pc: int) -> None:
@@ -849,6 +693,460 @@ def step(cfg: Config) -> tuple | None:
     before = len(cfg.trace)
     run(cfg, max_steps=1)
     return cfg.trace[before] if len(cfg.trace) > before else None
+
+
+# --------------------------------------------------------------------------
+# Compilation of flat code to blocks
+#
+# A block is a run of ops that ends at its first control op (or after
+# MAX_BLOCK ops), compiled to one Python function ``block(cfg, fr)``.
+# Operand-stack slots become Python locals, and the frame's stack sees
+# only the values the block takes from below it and leaves behind.  The
+# actions of ops whose observation is static are buffered at compile time
+# and go out with one ``trace.extend`` before the next data-dependent
+# action, before a trap, and at the end of the block.  Per-instance state
+# (globals, memory and its secrecy) is read through ``cfg`` and ``fr`` on
+# each call, so twins in two stores share the compiled code.
+
+# Longer straight-line runs are split: compiling a block takes transient
+# memory in proportion to its source (about 0.7 MB at 64 ops), and a block
+# longer than a lockstep batch could only ever run one op at a time.
+MAX_BLOCK = 64
+
+_CONTROL = frozenset((
+    flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE, flat.T_IF, flat.T_ELSE,
+    flat.T_RETURN, flat.T_CALL, flat.T_CALL_INDIRECT, flat.T_UNREACHABLE))
+_PUBLIC = ast.Secrecy.PUBLIC
+
+# what a block loads on entry, by the names its code uses
+_PROLOGUE = (
+    ("S", "S = fr.stack"),
+    ("L", "L = fr.locals"),
+    ("labels", "labels = fr.labels"),
+    ("G", "G = cfg.store.globals; ga = fr.inst.global_addrs"),
+    ("mem", "mem = cfg.store.mems[fr.inst.mem_addr]; data = mem.data; "
+            "pub = mem.sec is _PUBLIC"),
+)
+
+
+class _Code:
+    """Compiled blocks of one FlatFunc, built on first execution.
+
+    ``lens[pc]`` is the length of the block that starts at ``pc``;
+    ``blocks[pc]`` runs it and ``singles[pc]`` runs the op at ``pc``
+    alone.  Both are compiled when first needed and cached here, on the
+    FlatFunc, for every store that runs the function."""
+
+    __slots__ = ("lens", "blocks", "singles")
+
+    def __init__(self, ff: flat.FlatFunc):
+        code = ff.code
+        lens = [1] * len(code)
+        for pc in range(len(code) - 2, -1, -1):
+            if code[pc][0] not in _CONTROL and lens[pc + 1] < MAX_BLOCK:
+                lens[pc] = lens[pc + 1] + 1
+        self.lens = lens
+        self.blocks: list = [None] * len(code)
+        self.singles: list = [None] * len(code)
+        ff.compiled = self
+
+    def compile(self, ff: flat.FlatFunc, pc: int, n: int):
+        fn = _Block(ff, pc, n).build()
+        if n == self.lens[pc]:
+            self.blocks[pc] = fn
+        if n == 1:
+            self.singles[pc] = fn
+        return fn
+
+
+class _Block:
+    """Source generator for the block of ``n`` ops starting at ``pc0``."""
+
+    def __init__(self, ff: flat.FlatFunc, pc0: int, n: int):
+        self.ff, self.pc0, self.n = ff, pc0, n
+        self.pc = pc0
+        self.lines: list[str] = []
+        self.consts: dict[int, tuple[str, object]] = {}
+        self.stack: list[str] = []  # operand expressions above fr.stack
+        self.pending: list[tuple] = []  # static actions not yet recorded
+        self.uses: set[str] = set()
+        self.temps = 0
+        self.ended = False  # a control op has set the next pc
+
+    def build(self):
+        for pc in range(self.pc0, self.pc0 + self.n):
+            self.pc = pc
+            op = self.ff.code[pc]
+            _TEMPLATES[op[0]](self, op)
+        if not self.ended:
+            self.flush()
+            self.spill()
+            self.emit(f"fr.pc = {self.pc0 + self.n}")
+        head = ["trace = cfg.trace"] + [
+            line for name, line in _PROLOGUE if name in self.uses]
+        names = [name for name, _ in self.consts.values()]
+        src = "\n".join(
+            [f"def _make({', '.join(names)}):", "  def block(cfg, fr):"]
+            + ["    " + line for line in head + self.lines]
+            + ["  return block"])
+        ns: dict = {}
+        exec(compile(src, f"<func {self.ff.index} pc {self.pc0}>", "exec"),
+             globals(), ns)
+        return ns["_make"](*(v for _, v in self.consts.values()))
+
+    # -- emission helpers
+
+    def emit(self, line: str) -> None:
+        self.lines.append(line)
+
+    def const(self, value) -> str:
+        """Name of a closure variable holding ``value``."""
+        entry = self.consts.get(id(value))
+        if entry is None:
+            entry = self.consts[id(value)] = (f"c{len(self.consts)}", value)
+        return entry[0]
+
+    def fresh(self) -> str:
+        self.temps += 1
+        return f"v{self.temps}"
+
+    def assign(self, expr: str) -> str:
+        name = self.fresh()
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def pop(self) -> str:
+        if self.stack:
+            return self.stack.pop()
+        self.uses.add("S")
+        return self.assign("S.pop()")
+
+    def push(self, expr: str) -> None:
+        self.stack.append(self.assign(expr))
+
+    def height(self) -> str:
+        self.uses.add("S")
+        return f"len(S) + {len(self.stack)}" if self.stack else "len(S)"
+
+    def refund(self) -> int:
+        """Fuel of the ops after the current one, charged but not run."""
+        return self.pc0 + self.n - 1 - self.pc
+
+    def static(self, action: tuple) -> None:
+        self.pending.append(action)
+
+    def flush(self) -> None:
+        if len(self.pending) == 1:
+            self.emit(f"trace.append({self.const(self.pending[0])})")
+        elif self.pending:
+            self.emit(f"trace.extend({self.const(tuple(self.pending))})")
+        self.pending = []
+
+    def record(self, action: str) -> None:
+        """A data-dependent action, after the static ones before it."""
+        self.flush()
+        self.emit(f"trace.append({action})")
+
+    def spill(self) -> None:
+        """Move the operand expressions onto the frame's stack."""
+        if self.stack:
+            self.uses.add("S")
+            self.emit(f"S.extend(({', '.join(self.stack)},))"
+                      if len(self.stack) > 1 else f"S.append({self.stack[0]})")
+        self.stack = []
+
+    def fault(self, kind: str, actions: str | None = None) -> str:
+        """A statement that traps with ``kind`` (an expression) after
+        ``actions`` (a tuple expression), by default the pending ones."""
+        if actions is None:
+            actions = self.const(tuple(self.pending))
+        return f"return _fault(cfg, {kind}, {actions}, {self.refund()})"
+
+    def push_trapping(self, expr: str) -> None:
+        name = self.fresh()
+        self.emit("try:")
+        self.emit(f"    {name} = {expr}")
+        self.emit("except Trap as e:")
+        self.emit("    " + self.fault("e.kind"))
+        self.stack.append(name)
+
+    def bounds(self, kind: str, ea: str, width: int) -> None:
+        """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
+        self.flush()
+        action = f'("mem", "{kind}", {ea}, {width}, None)'
+        self.emit(f"if {ea} + {width} > len(data):")
+        self.emit("    " + self.fault('"out of bounds memory access"',
+                                      f"({action},)"))
+
+    def control(self) -> None:
+        """The op being lowered is a control op: record the block's
+        actions, hand its operands to the frame and leave."""
+        self.flush()
+        self.spill()
+        self.ended = True
+
+
+# -- one template per tag: the semantics of each op, written once
+
+def _t_unreachable(b: _Block, op) -> None:
+    b.static(op[1])
+    b.emit(b.fault('"unreachable"'))
+    b.ended = True
+
+
+def _t_static(b: _Block, op) -> None:
+    """nop, reinterpret, classify, declassify: the value is unchanged."""
+    b.static(op[1])
+
+
+def _t_drop(b: _Block, op) -> None:
+    b.pop()
+    b.static(op[1])
+
+
+def _t_select(b: _Block, op) -> None:
+    c, v2, v1 = b.pop(), b.pop(), b.pop()
+    if op[1] is None:
+        b.record(f'("branch", "select", {c})')
+    else:
+        b.static(op[1])
+    b.push(f"{v2} if {c} == 0 else {v1}")
+
+
+def _t_block(b: _Block, op) -> None:
+    b.static(op[1])
+    b.uses.add("labels")
+    arity = 0 if op[2] is None else 1
+    b.emit(f"labels.append(({op[3] + 1}, {arity}, {b.height()}))")
+
+
+def _t_loop(b: _Block, op) -> None:
+    b.static(op[1])
+    b.uses.add("labels")
+    b.emit(f"labels.append(({b.pc}, 0, {b.height()}))")
+
+
+def _t_if(b: _Block, op) -> None:
+    c = b.pop()
+    b.record(f'("branch", "if", {c})')
+    b.control()
+    b.uses.add("labels")
+    arity = 0 if op[2] is None else 1
+    else_pc, end_pc = op[3], op[4]
+    label = f"labels.append(({end_pc + 1}, {arity}, {b.height()}))"
+    b.emit(f"if {c}:")
+    b.emit(f"    {label}")
+    b.emit(f"    fr.pc = {b.pc + 1}")
+    b.emit("else:")
+    if else_pc >= 0:
+        b.emit(f"    {label}")
+        b.emit(f"    fr.pc = {else_pc + 1}")
+    else:
+        b.emit(f"    fr.pc = {end_pc + 1}")
+
+
+def _t_else(b: _Block, op) -> None:
+    # reached only by falling out of the then-branch
+    b.static(op[1])
+    b.control()
+    b.emit(f"fr.pc = {op[2]}")
+
+
+def _t_end(b: _Block, op) -> None:
+    b.static(op[1])
+    if b.pc == len(b.ff.code) - 1:  # the function's own end
+        b.control()
+        b.emit("_return(cfg, fr)")
+    else:
+        b.uses.add("labels")
+        b.emit("labels.pop()")
+
+
+def _t_br(b: _Block, op) -> None:
+    b.static(op[1])
+    b.control()
+    b.emit(f"_br(cfg, fr, {op[2]})")
+
+
+def _t_br_if(b: _Block, op) -> None:
+    c = b.pop()
+    b.record(f'("branch", "br_if", {c})')
+    b.control()
+    b.emit(f"if {c}:")
+    b.emit(f"    _br(cfg, fr, {op[2]})")
+    b.emit("else:")
+    b.emit(f"    fr.pc = {b.pc + 1}")
+
+
+def _t_br_table(b: _Block, op) -> None:
+    i = b.pop()
+    b.record(f'("branch", "br_table", {i})')
+    b.control()
+    targets = b.const(op[2])
+    b.emit(f"_br(cfg, fr, {targets}[{i}] if {i} < {len(op[2])} else {op[3]})")
+
+
+def _t_return(b: _Block, op) -> None:
+    b.static(op[1])
+    b.control()
+    b.emit("_return(cfg, fr)")
+
+
+def _t_call(b: _Block, op) -> None:
+    b.static(op[1])
+    b.control()
+    b.emit(f"fr.pc = {b.pc + 1}")
+    b.emit(f"_enter(cfg, fr, cfg.store.funcs[fr.inst.func_addrs[{op[2]}]])")
+
+
+def _t_call_indirect(b: _Block, op) -> None:
+    i = b.pop()
+    b.record(f'("call-indirect", {i})')
+    b.control()
+    b.emit(f"fr.pc = {b.pc + 1}")
+    b.emit(f"_call_indirect(cfg, fr, {i}, {b.const(op[2])})")
+
+
+def _t_get_local(b: _Block, op) -> None:
+    b.uses.add("L")
+    b.push(f"L[{op[2]}]")
+    b.static(op[1])
+
+
+def _t_set_local(b: _Block, op) -> None:
+    b.uses.add("L")
+    b.emit(f"L[{op[2]}] = {b.pop()}")
+    b.static(op[1])
+
+
+def _t_tee_local(b: _Block, op) -> None:
+    b.uses.add("L")
+    v = b.pop()
+    b.emit(f"L[{op[2]}] = {v}")
+    b.stack.append(v)
+    b.static(op[1])
+
+
+def _t_get_global(b: _Block, op) -> None:
+    b.uses.add("G")
+    b.push(f"G[ga[{op[2]}]].bits")
+    b.static(op[1])
+
+
+def _t_set_global(b: _Block, op) -> None:
+    b.uses.add("G")
+    b.emit(f"G[ga[{op[2]}]].bits = {b.pop()}")
+    b.static(op[1])
+
+
+def _address(b: _Block, offset: int) -> str:
+    addr = b.pop()
+    b.uses.add("mem")
+    return b.assign(f"{addr} + {offset}") if offset else addr
+
+
+def _t_load(b: _Block, op) -> None:
+    t, pack, sign, offset, width = op[2], op[3], op[4], op[6], op[7]
+    ea = _address(b, offset)
+    b.bounds("load", ea, width)
+    v = b.assign(f'int.from_bytes(data[{ea}:{ea} + {width}], "little")')
+    b.record(f'("mem", "load", {ea}, {width}, {v} if pub else None)')
+    if pack is not None and sign:
+        v = b.assign(f"signed({v}, {pack}) & {(1 << t.bits) - 1}")
+    b.stack.append(v)
+
+
+def _t_store(b: _Block, op) -> None:
+    offset, width = op[5], op[6]
+    value = b.pop()
+    ea = _address(b, offset)
+    b.bounds("store", ea, width)
+    bits = b.assign(f"{value} & {(1 << (width * 8)) - 1}")
+    b.emit(f'data[{ea}:{ea} + {width}] = {bits}.to_bytes({width}, "little")')
+    b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)')
+
+
+def _t_memory_size(b: _Block, op) -> None:
+    b.uses.add("mem")
+    b.push(f"len(data) // {PAGE}")
+    b.static(op[1])
+
+
+def _t_memory_grow(b: _Block, op) -> None:
+    delta = b.pop()
+    b.uses.add("mem")
+    old, result = b.assign(f"len(data) // {PAGE}"), b.fresh()
+    b.emit(f"if {old} + {delta} <= (cfg.grow_limit if mem.max is None "
+           "else mem.max):")
+    b.emit(f"    data.extend(bytes({delta} * {PAGE}))")
+    b.emit(f"    {result} = {old}")
+    b.emit("else:")
+    b.emit(f"    {result} = 0xFFFFFFFF")
+    b.stack.append(result)
+    b.record(f'("grow", {old}, {delta}, {result})')
+
+
+def _t_const(b: _Block, op) -> None:
+    b.stack.append(repr(op[3]))
+    b.static(op[1])
+
+
+def _t_unop(b: _Block, op) -> None:
+    b.push(f"{b.const(op[4])}({b.pop()})")
+    b.static(op[1])
+
+
+def _t_testop(b: _Block, op) -> None:
+    b.push(f"{b.const(op[3])}({b.pop()})")
+    b.static(op[1])
+
+
+def _t_relop(b: _Block, op) -> None:
+    rhs, lhs = b.pop(), b.pop()
+    b.push(f"{b.const(op[4])}({lhs}, {rhs})")
+    b.static(op[1])
+
+
+def _t_binop(b: _Block, op) -> None:
+    rhs, lhs = b.pop(), b.pop()
+    if op[1] is None:
+        b.record(f'("unsafe-binop", {op[3]!r}, {lhs}, {rhs})')
+    else:
+        b.static(op[1])
+    expr = f"{b.const(op[4])}({lhs}, {rhs})"
+    if op[2].is_int and op[3] in ast.UNSAFE_BINOPS:  # may trap
+        b.push_trapping(expr)
+    else:
+        b.push(expr)
+
+
+def _t_convert(b: _Block, op) -> None:
+    b.static(op[1])
+    expr = f"{b.const(op[4])}({b.pop()})"
+    if op[2].is_int and not op[3].is_int:  # a truncation may trap
+        b.push_trapping(expr)
+    else:
+        b.push(expr)
+
+
+_TEMPLATES = {
+    flat.T_UNREACHABLE: _t_unreachable, flat.T_NOP: _t_static,
+    flat.T_DROP: _t_drop, flat.T_SELECT: _t_select,
+    flat.T_BLOCK: _t_block, flat.T_LOOP: _t_loop, flat.T_IF: _t_if,
+    flat.T_ELSE: _t_else, flat.T_END: _t_end,
+    flat.T_BR: _t_br, flat.T_BR_IF: _t_br_if, flat.T_BR_TABLE: _t_br_table,
+    flat.T_RETURN: _t_return,
+    flat.T_CALL: _t_call, flat.T_CALL_INDIRECT: _t_call_indirect,
+    flat.T_GET_LOCAL: _t_get_local, flat.T_SET_LOCAL: _t_set_local,
+    flat.T_TEE_LOCAL: _t_tee_local, flat.T_GET_GLOBAL: _t_get_global,
+    flat.T_SET_GLOBAL: _t_set_global,
+    flat.T_LOAD: _t_load, flat.T_STORE: _t_store,
+    flat.T_MEMORY_SIZE: _t_memory_size, flat.T_MEMORY_GROW: _t_memory_grow,
+    flat.T_CONST: _t_const, flat.T_UNOP: _t_unop, flat.T_BINOP: _t_binop,
+    flat.T_TESTOP: _t_testop, flat.T_RELOP: _t_relop,
+    flat.T_CONVERT: _t_convert, flat.T_REINTERPRET: _t_static,
+    flat.T_CLASSIFY: _t_static, flat.T_DECLASSIFY: _t_static,
+}
 
 
 @dataclass

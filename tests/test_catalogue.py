@@ -50,8 +50,9 @@ def test_catalogue_entries_round_trip():
 
 
 def test_decoded_instructions_are_distinct_objects():
-    # strip finds each secret select's pc by identity: a decoder that hands
-    # out the shared prototype would give the s64 select the s32 one's width
+    # strip finds each secret select's pc by its position (flat.instr_pcs);
+    # decoded instructions must still be fresh objects, and the stripped
+    # s32 and s64 selects must each keep their own width
     src = """(module (func (param s32 s32 s64 s64 s32) (result s64)
       (drop (select secret (local.get 0) (local.get 1) (local.get 4)))
       (select secret (local.get 2) (local.get 3) (local.get 4))))"""

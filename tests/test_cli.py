@@ -74,6 +74,25 @@ def test_run_trap_exit_code(capsys, tmp_path):
     assert "unreachable" in err
 
 
+def test_run_json_reports_steps_of_a_trapped_run(capsys, tmp_path):
+    p = tmp_path / "boom.cwat"
+    p.write_text('(module (func (export "boom") i32.const 1 drop unreachable))')
+    rc, out, err = run_cli(["--json", "run", str(p), "--invoke", "boom"],
+                           capsys)
+    assert rc == 1
+    assert json.loads(out) == {"status": "trap", "trap": "unreachable",
+                               "steps": 3}
+
+
+def test_run_json_reports_steps_when_fuel_runs_out(capsys, tmp_path):
+    p = tmp_path / "spin.cwat"
+    p.write_text('(module (func (export "spin") (loop (br 0))))')
+    rc, out, err = run_cli(["--json", "run", str(p), "--invoke", "spin",
+                            "--fuel", "500"], capsys)
+    assert rc == 1
+    assert json.loads(out) == {"status": "fuel", "trap": None, "steps": 500}
+
+
 def test_fuel_env_variable(capsys, tmp_path, monkeypatch):
     p = tmp_path / "spin.cwat"
     p.write_text('(module (func (export "spin") (loop (br 0))))')

@@ -73,6 +73,20 @@ def test_memory_hint_resolves_the_conflict():
     assert res.module.module.memory.sec is PUBLIC
 
 
+def test_tee_into_a_branch_condition_makes_its_local_public():
+    # the value a tee leaves is the local's, so the condition demotes the
+    # local; inference had let the local stay secret and then failed its
+    # own coercion check
+    src = """(module (func (export "f") (param i32) (result i32) (local i32)
+      (block (br_if 0 (local.tee 1 (i32.const 5)))) (local.get 0)))"""
+    res = infer_labels(text.parse_module(src))
+    assert res.ok, res.conflicts
+    f = res.module.module.funcs[0]
+    assert f.locals[0].sec is PUBLIC
+    assert f.type.params[0].sec is SECRET
+    assert f.type.results[0].sec is SECRET
+
+
 def test_corpus_round_trip(typed_corpus):
     for name, (entry, tm) in typed_corpus.items():
         stripped = strip.strip_module(tm).module
