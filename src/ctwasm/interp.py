@@ -778,9 +778,8 @@ class _Block:
             self.pc = pc
             op = self.ff.code[pc]
             _TEMPLATES[op[0]](self, op)
-        if not self.ended:
-            self.flush()
-            self.spill()
+        if not self.ended:  # cut short of a control op
+            self.control()
             self.emit(f"fr.pc = {self.pc0 + self.n}")
         head = ["trace = cfg.trace"] + [
             line for name, line in _PROLOGUE if name in self.uses]
@@ -1091,30 +1090,22 @@ def _t_const(b: _Block, op) -> None:
     b.static(op[1])
 
 
-def _t_unop(b: _Block, op) -> None:
-    b.push(f"{b.const(op[4])}({b.pop()})")
+def _t_unary(b: _Block, op) -> None:
+    """unop and testop: the function is the op's last field."""
+    b.push(f"{b.const(op[-1])}({b.pop()})")
     b.static(op[1])
 
 
-def _t_testop(b: _Block, op) -> None:
-    b.push(f"{b.const(op[3])}({b.pop()})")
-    b.static(op[1])
-
-
-def _t_relop(b: _Block, op) -> None:
-    rhs, lhs = b.pop(), b.pop()
-    b.push(f"{b.const(op[4])}({lhs}, {rhs})")
-    b.static(op[1])
-
-
-def _t_binop(b: _Block, op) -> None:
+def _t_binary(b: _Block, op) -> None:
+    """binop and relop: only an integer div or rem can trap, and only a
+    public one leaks its operands."""
     rhs, lhs = b.pop(), b.pop()
     if op[1] is None:
         b.record(f'("unsafe-binop", {op[3]!r}, {lhs}, {rhs})')
     else:
         b.static(op[1])
     expr = f"{b.const(op[4])}({lhs}, {rhs})"
-    if op[2].is_int and op[3] in ast.UNSAFE_BINOPS:  # may trap
+    if op[2].is_int and op[3] in ast.UNSAFE_BINOPS:
         b.push_trapping(expr)
     else:
         b.push(expr)
@@ -1142,8 +1133,8 @@ _TEMPLATES = {
     flat.T_SET_GLOBAL: _t_set_global,
     flat.T_LOAD: _t_load, flat.T_STORE: _t_store,
     flat.T_MEMORY_SIZE: _t_memory_size, flat.T_MEMORY_GROW: _t_memory_grow,
-    flat.T_CONST: _t_const, flat.T_UNOP: _t_unop, flat.T_BINOP: _t_binop,
-    flat.T_TESTOP: _t_testop, flat.T_RELOP: _t_relop,
+    flat.T_CONST: _t_const, flat.T_UNOP: _t_unary, flat.T_BINOP: _t_binary,
+    flat.T_TESTOP: _t_unary, flat.T_RELOP: _t_binary,
     flat.T_CONVERT: _t_convert, flat.T_REINTERPRET: _t_static,
     flat.T_CLASSIFY: _t_static, flat.T_DECLASSIFY: _t_static,
 }

@@ -115,12 +115,14 @@ def test_step_budget_stops_where_single_steps_stop(cases):
     for case in cases:
         _, tm, export, args, image = case
         _, steps = _invoke(case)
+        stepped = _start(tm, export, args, image)
+        taken = 0
         for k in sorted(rng.sample(range(steps + 1), min(steps + 1, 4))):
             ran = _start(tm, export, args, image)
             interp.run(ran, max_steps=k)
-            stepped = _start(tm, export, args, image)
-            for _ in range(k):
+            for _ in range(k - taken):
                 interp.step(stepped)
+            taken = k
             assert ran.frame_pointers() == stepped.frame_pointers(), \
                 (case[0], k)
             assert leakage.project_config(ran) == \
