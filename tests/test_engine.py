@@ -21,12 +21,17 @@ FUEL = 20_000
 FUZZ_SEEDS = range(40)
 
 
-def _start(tm, export, args, image, fuel=FUEL, debug=False):
+def _instance(tm, image):
     store, idx = interp.instantiate(Store(), tm)
     if image:
         data = store.mems[store.insts[idx].mem_addr].data
         for off, chunk in image.items():
             data[off:off + len(chunk)] = chunk
+    return store, idx
+
+
+def _start(tm, export, args, image, fuel=FUEL, debug=False):
+    store, idx = _instance(tm, image)
     return interp.make_config(store, idx, export, args, fuel, debug=debug)
 
 
@@ -35,6 +40,12 @@ def _invoke(case, fuel=FUEL):
     cfg = _start(tm, export, args, image, fuel)
     interp.run(cfg)
     return cfg, fuel - cfg.fuel
+
+
+def _fuel_cut(case, k):
+    _, tm, export, args, image = case
+    store, idx = _instance(tm, image)
+    return interp.invoke(store, idx, export, args, fuel=k)
 
 
 def _frames(cfg):
@@ -85,8 +96,8 @@ def test_fuel_cut_gives_a_prefix_of_the_full_trace(cases):
         full, steps = _invoke(case)
         assert len(full.trace) == steps, case[0]
         for k in _cuts(steps):
-            cut, used = _invoke(case, fuel=k)
-            assert used == k, (case[0], k)
+            cut = _fuel_cut(case, k)
+            assert cut.steps == k, (case[0], k)
             assert cut.trace == full.trace[:k], (case[0], k)
             assert cut.status == (full.status if k == steps else "fuel"), \
                 (case[0], k)
@@ -166,8 +177,8 @@ def test_every_cut_inside_a_long_sha256_block(typed_corpus):
     for _ in range(i):
         interp.step(stepped)
     for k in range(i, j + 1):
-        cut, used = _invoke(case, fuel=k)
-        assert used == k, k
+        cut = _fuel_cut(case, k)
+        assert cut.steps == k, k
         assert cut.status == (full.status if k == steps else "fuel"), k
         assert cut.trace == full.trace[:k], k
         ran = _start(tm, vec.invoke, vec.args, vec.memory_in)
