@@ -35,11 +35,11 @@ def _start(tm, export, args, image, fuel=FUEL, debug=False):
     return interp.make_config(store, idx, export, args, fuel, debug=debug)
 
 
-def _invoke(case, fuel=FUEL):
+def _invoke(case):
     _, tm, export, args, image = case
-    cfg = _start(tm, export, args, image, fuel)
+    cfg = _start(tm, export, args, image)
     interp.run(cfg)
-    return cfg, fuel - cfg.fuel
+    return cfg, FUEL - cfg.fuel
 
 
 def _fuel_cut(case, k):
