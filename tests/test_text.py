@@ -169,3 +169,72 @@ def test_data_segment_escapes_round_trip():
                      ' "a\\00\\ff\\"\\\\z"))')
     assert m.data[0].data == b'a\x00\xff"\\z'
     assert parse_module(print_module(m)) == m
+
+
+_PINNED_SRC = (
+    "(module $m\r\n"
+    "\t(; outer (; nested\r\n"
+    "   still nested ;) back\t;)\r\n"
+    "  (memory 1)\r\n"
+    '  (data (i32.const 8) "two\n'
+    'lines")  ;; a string across lines\r\n'
+    "\t(global $g (mut i32) (i32.const 7))\r\n"
+    "\t(func (export \"f\") (param i32) (result i32)\r\n"
+    "\t\tlocal.get 0 ;; trailing\r\n"
+    "\t\t(i32.add\t(i32.const 1)\r\n"
+    "\t\t         (i32.const 2))\r\n"
+    "\t\ti32.add\r\n"
+    "\t\tblock $b (result i32) (; inline ;) global.get $g\tend\r\n"
+    "\t\ti32.add\r\n"
+    "\t\t(if (result i32) (local.get 0)\r\n"
+    "\t\t  (then (i32.const 4)) (else (i32.const 5)))\r\n"
+    "\t\ti32.add))\r\n"
+    ";; last comment, no newline"
+)
+
+
+def _walk(instrs):
+    for ins in instrs:
+        yield ins
+        for arm in ("body", "then", "else_"):
+            yield from _walk(getattr(ins, arm, ()))
+
+
+def test_positions_through_comments_strings_tabs_and_crlf():
+    m = parse_module(_PINNED_SRC, "pin.cwat")
+    got = [(type(ins).__name__, ins.span.start, ins.span.end, ins.span.line,
+            ins.span.col)
+           for seq in (m.data[0].offset, m.globals[0].init, m.funcs[0].body)
+           for ins in _walk(seq)]
+    assert got == [
+        ("Const", 84, 93, 5, 10),
+        ("Const", 160, 169, 7, 24),
+        ("GetLocal", 223, 232, 9, 3),
+        ("Const", 260, 269, 10, 13),
+        ("Const", 286, 295, 11, 13),
+        ("Binop", 251, 258, 10, 4),
+        ("Binop", 303, 310, 12, 3),
+        ("Block", 314, 319, 13, 3),
+        ("GetGlobal", 349, 359, 13, 38),
+        ("Binop", 370, 377, 14, 3),
+        ("GetLocal", 399, 408, 15, 21),
+        ("If", 381, 459, 15, 3),
+        ("Const", 424, 433, 16, 12),
+        ("Const", 445, 454, 16, 33),
+        ("Binop", 463, 470, 17, 3),
+    ]
+    assert m.data[0].data == b"two\nlines"
+
+
+@pytest.mark.parametrize("src, message", [
+    ("(module\r\n\t(func\r\n\t\t; nop))",
+     "pin.cwat:3:3: unexpected character ';'"),
+    ("(module\n  (; open (; nested ;)\n (func))",
+     "pin.cwat:2:3: unterminated block comment"),
+    ("(module (func))\r\n\t)", "pin.cwat:2:2: unbalanced ')'"),
+    ("(module (func (block\n nop)", "pin.cwat:1:9: unclosed '('"),
+])
+def test_reader_errors_name_their_position(src, message):
+    with pytest.raises(ParseError) as e:
+        parse_module(src, "pin.cwat")
+    assert str(e.value) == message
