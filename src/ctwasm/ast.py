@@ -15,6 +15,7 @@ import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Secrecy(enum.Enum):
@@ -151,16 +152,12 @@ FLOAT_RELOPS = ("eq", "ne", "lt", "gt", "le", "ge")
 UNSAFE_BINOPS = frozenset(("div_s", "div_u", "rem_s", "rem_u"))
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
+    """Characters [start, end) of the source; line and col of start, from 1."""
     start: int
     end: int
     line: int
     col: int
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError("span start > end")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ functions and on ``call_indirect``, and ``(memory n secret)``.  Every
 plain MVP module is accepted unchanged.  Both folded and unfolded
 instruction forms are accepted; the printer emits canonical unfolded text.
 Legacy mnemonics (``get_local``, ``current_memory``, slash-style
-conversions) are accepted as aliases.
+conversions) are accepted as aliases.  ``(import "m" "n" (func ...))``
+and its kin are sugar for the inline form ``(func (import "m" "n") ...)``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .ast import (
     CATALOGUE, FIXED_CLASSES, VALTYPES_BY_NAME, Block, Br, BrIf, BrTable,
@@ -45,102 +47,89 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Reader: characters to s-expressions in one pass
 
+# Whitespace and ;; comments, then at most one token.  A match without a
+# token is the end of input or a character that starts no token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<line_comment>;;[^\n]*)
-  | (?P<block_comment>\(;)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<atom>[^\s()";]+)
+    (?:\s+|;;[^\n]*)*
+    (?: (?P<comment>\(;)
+      | (?P<open>\()
+      | (?P<close>\))
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<atom>[^\s()";]+) )?
     """,
     re.VERBOSE,
 )
+_NESTED_COMMENT_RE = re.compile(r"\(;|;\)")
 
 
-@dataclass
-class Token:
-    kind: str  # "(" | ")" | "atom" | "string"
+class Token(NamedTuple):
+    kind: str  # "atom" | "string"
     text: str
     span: SourceSpan
 
 
-def _tokenize(src: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {src[pos]!r}", span, filename=filename)
-        kind = m.lastgroup
-        text = m.group()
-        start = pos
-        if kind == "block_comment":
-            # (; ... ;) comments nest
-            depth, i = 1, pos + 2
-            while depth and i < n:
-                if src.startswith("(;", i):
-                    depth += 1
-                    i += 2
-                elif src.startswith(";)", i):
-                    depth -= 1
-                    i += 2
-                else:
-                    i += 1
-            if depth:
-                span = SourceSpan(start, n, line, start - line_start + 1)
-                raise ParseError("unterminated block comment", span, filename=filename)
-            text = src[pos:i]
-            pos = i
-        else:
-            pos = m.end()
-        nl = text.count("\n")
-        col = start - line_start + 1
-        if kind in ("lparen", "rparen", "string", "atom"):
-            span = SourceSpan(start, pos, line, col)
-            k = {"lparen": "(", "rparen": ")"}.get(kind, kind)
-            tokens.append(Token(k, text, span))
-        if nl:
-            line += nl
-            line_start = start + text.rfind("\n") + 1
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# S-expression reader
-
-@dataclass
-class SExpr:
+class SExpr(NamedTuple):
     items: list  # of SExpr | Token
     span: SourceSpan
 
 
-def _read_sexprs(tokens: list[Token], filename: str) -> list:
-    out: list = []
-    stack: list[tuple[list, Token]] = []
-    cur = out
-    for tok in tokens:
-        if tok.kind == "(":
-            stack.append((cur, tok))
-            cur = []
-        elif tok.kind == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", tok.span, filename=filename)
-            parent, open_tok = stack.pop()
-            span = SourceSpan(open_tok.span.start, tok.span.end,
-                              open_tok.span.line, open_tok.span.col)
-            parent.append(SExpr(cur, span))
-            cur = parent
+def _read(src: str, filename: str) -> list:
+    """The top-level SExprs and Tokens of src.
+
+    A character no token starts with, anywhere, is reported before an
+    unbalanced ')', which is reported before an unclosed '('.
+    """
+    top: list = []
+    items = top
+    stack: list[tuple] = []  # (enclosing items, start, line, col) per open '('
+    unbalanced = None
+    pos, last, line, line_start = 0, 0, 1, 0
+    while True:
+        m = _TOKEN_RE.match(src, pos)
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        nl = src.count("\n", last, start)
+        if nl:
+            line += nl
+            line_start = src.rfind("\n", last, start) + 1
+        last, pos, col = start, m.end(), start - line_start + 1
+        if kind == "open":
+            stack.append((items, start, line, col))
+            items = []
+        elif kind == "close":
+            if stack:
+                parent, s0, l0, c0 = stack.pop()
+                parent.append(SExpr(items, SourceSpan(s0, pos, l0, c0)))
+                items = parent
+            elif unbalanced is None:
+                unbalanced = ParseError("unbalanced ')'", SourceSpan(
+                    start, pos, line, col), filename=filename)
+        elif kind == "comment":  # (; ... ;) comments nest
+            depth = 1
+            while depth:
+                c = _NESTED_COMMENT_RE.search(src, pos)
+                if c is None:
+                    raise ParseError("unterminated block comment", SourceSpan(
+                        start, len(src), line, col), filename=filename)
+                depth += 1 if c.group() == "(;" else -1
+                pos = c.end()
+        elif kind:
+            items.append(Token(kind, src[start:pos], SourceSpan(start, pos, line, col)))
+        elif pos < len(src):
+            raise ParseError(f"unexpected character {src[pos]!r}", SourceSpan(
+                pos, pos + 1, line, col), filename=filename)
         else:
-            cur.append(tok)
+            break
+    if unbalanced:
+        raise unbalanced
     if stack:
-        raise ParseError("unclosed '('", stack[-1][1].span, filename=filename)
-    return out
+        _, start, line, col = stack[-1]
+        raise ParseError("unclosed '('", SourceSpan(start, start + 1, line, col),
+                         filename=filename)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +266,6 @@ class _FuncDecl:
     locals: list[ValType]
     body_items: list  # raw sexpr items, resolved in a second pass
     imported: tuple[str, str] | None
-    exports: list[str]
     span: SourceSpan
 
 
@@ -319,12 +307,14 @@ class _Parser:
         self.names = _Names(filename)
         self.types: list[FuncType] = []
         self.funcs: list[_FuncDecl] = []
-        self.globals: list[GlobalVar] = []
+        self.globals: list[GlobalVar] = []  # without their initializers
+        self.global_inits: list[list | None] = []  # raw items; None if imported
         self.table: Table | None = None
         self.table_elems: list[tuple] = []  # (offset items, func refs)
         self.memory: Memory | None = None
         self.data: list[tuple] = []  # (offset items, bytes)
         self.segment_indices: list[tuple] = []  # (space, token): must be 0
+        self.exports: dict[tuple[str, int], list[str]] = {}  # (kind, index)
         self.late_exports: list[tuple] = []  # (name, kind, ref token)
 
     def err(self, message: str, span: SourceSpan | None = None,
@@ -341,6 +331,20 @@ class _Parser:
                 isinstance(item.items[0], Token) and item.items[0].kind == "atom":
             return item.items[0].text
         return None
+
+    def _name(self, items: list) -> tuple[str | None, list]:
+        """Strip an optional leading $name."""
+        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
+            return items[0].text, items[1:]
+        return None, items
+
+    def _keyword(self, items: list, default):
+        """Strip an optional leading keyword naming a member of default's enum
+        (trusted/untrusted, secret/public)."""
+        kind = type(default)
+        if items and self._is_kw(items[0], *(k.value for k in kind)):
+            return kind(items[0].text), items[1:]
+        return default, items
 
     def _valtype(self, tok) -> ValType:
         if isinstance(tok, Token) and tok.kind == "atom" and \
@@ -373,23 +377,26 @@ class _Parser:
         except UnicodeDecodeError:
             raise self.err("name is not valid UTF-8", item.span) from None
 
-    def _globaltype(self, items: list, span: SourceSpan) -> tuple[ValType, bool]:
-        """(mut t) | t -> (type, mutable)."""
-        if not items:
-            raise self.err("global needs a type", span)
-        if self._head(items[0]) == "mut":
-            self._at_most(items[0], 2)
-            return self._valtype(self._nth(items[0], 1, "a type")), True
-        return self._valtype(items[0]), False
+    def _typed_names(self, s: SExpr, names: list, types: list,
+                     allow_names: bool = True) -> None:
+        """(param $p t) | (param t*), and the same for (local ...)."""
+        name, rest = self._name(s.items[1:])
+        if name is None:
+            types += map(self._valtype, rest)
+            names += [None] * len(rest)
+            return
+        if not allow_names:
+            raise self.err(f"named {self._head(s)} not allowed here", s.span)
+        if len(rest) != 1:
+            raise self.err(f"named {self._head(s)} takes one type", s.span)
+        names.append(name)
+        types.append(self._valtype(rest[0]))
 
     # -- module
 
     def parse_module(self, sexprs: list) -> Module:
         if len(sexprs) == 1 and self._head(sexprs[0]) == "module":
-            fields = sexprs[0].items[1:]
-            if fields and isinstance(fields[0], Token) and \
-                    fields[0].text.startswith("$"):
-                fields = fields[1:]  # optional module name, ignored
+            _, fields = self._name(sexprs[0].items[1:])  # module name, ignored
         else:
             fields = sexprs  # bare field list
         for item in fields:
@@ -406,11 +413,7 @@ class _Parser:
         return self._build()
 
     def _field_type(self, s: SExpr) -> None:
-        items = s.items[1:]
-        name = None
-        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
-            name = items[0].text
-            items = items[1:]
+        name, items = self._name(s.items[1:])
         if len(items) != 1 or self._head(items[0]) != "func":
             raise self.err("expected (type $name? (func ...))", s.span)
         ft = self._functype(items[0].items[1:], allow_names=False, span=s.span)[0]
@@ -419,39 +422,25 @@ class _Parser:
 
     def _functype(self, items: list, allow_names: bool, span: SourceSpan,
                   ) -> tuple[FuncType, list[str | None], list]:
-        trust = Trust.UNTRUSTED
-        if items and self._is_kw(items[0], "trusted", "untrusted"):
-            trust = Trust(items[0].text)
-            items = items[1:]
+        trust, items = self._keyword(items, Trust.UNTRUSTED)
         params: list[ValType] = []
         param_names: list[str | None] = []
         results: list[ValType] = []
         i = 0
         while i < len(items) and self._head(items[i]) == "param":
-            inner = items[i].items[1:]
-            if inner and isinstance(inner[0], Token) and inner[0].text.startswith("$"):
-                if not allow_names:
-                    raise self.err("named param not allowed here", items[i].span)
-                if len(inner) != 2:
-                    raise self.err("named param takes one type", items[i].span)
-                param_names.append(inner[0].text)
-                params.append(self._valtype(inner[1]))
-            else:
-                for t in inner:
-                    params.append(self._valtype(t))
-                    param_names.append(None)
+            self._typed_names(items[i], param_names, params, allow_names)
             i += 1
         while i < len(items) and self._head(items[i]) == "result":
-            for t in items[i].items[1:]:
-                results.append(self._valtype(t))
+            results += map(self._valtype, items[i].items[1:])
             i += 1
         if len(results) > 1:
             raise self.err("at most one result supported", span)
         return FuncType(trust, tuple(params), tuple(results)), param_names, items[i:]
 
-    def _inline_clauses(self, items: list):
-        """Strip leading (export "n")* and optional (import "m" "n")."""
-        exports: list[str] = []
+    def _inline_clauses(self, items: list, kind: str, index: int):
+        """Strip leading (export "n")* and optional (import "m" "n"); the
+        exports are recorded for field `index` of `kind`."""
+        exports = self.exports.setdefault((kind, index), [])
         imported = None
         i = 0
         while i < len(items):
@@ -466,7 +455,7 @@ class _Parser:
             else:
                 break
             i += 1
-        return exports, imported, items[i:]
+        return imported, items[i:]
 
     def _typeuse(self, items: list, allow_names: bool, span: SourceSpan):
         """(type $t)? (param..)* (result..)? -> (FuncType sans trust, names, rest)."""
@@ -488,40 +477,22 @@ class _Parser:
         return ft, pnames, rest
 
     def _field_func(self, s: SExpr) -> None:
-        items = s.items[1:]
-        name = None
-        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
-            name = items[0].text
-            items = items[1:]
-        trust = Trust.UNTRUSTED
-        if items and self._is_kw(items[0], "trusted", "untrusted"):
-            trust = Trust(items[0].text)
-            items = items[1:]
-        exports, imported, items = self._inline_clauses(items)
-        if items and self._is_kw(items[0], "trusted", "untrusted"):
-            trust = Trust(items[0].text)
-            items = items[1:]
+        name, items = self._name(s.items[1:])
+        trust, items = self._keyword(items, Trust.UNTRUSTED)
+        imported, items = self._inline_clauses(items, "func", len(self.funcs))
+        trust, items = self._keyword(items, trust)
         ft, pnames, items = self._typeuse(items, allow_names=True, span=s.span)
-        ft = FuncType(trust, ft.params, ft.results)
         local_types: list[ValType] = []
         local_names: list[str | None] = []
         while items and self._head(items[0]) == "local":
-            inner = items[0].items[1:]
-            if inner and isinstance(inner[0], Token) and inner[0].text.startswith("$"):
-                if len(inner) != 2:
-                    raise self.err("named local takes one type", items[0].span)
-                local_names.append(inner[0].text)
-                local_types.append(self._valtype(inner[1]))
-            else:
-                for t in inner:
-                    local_types.append(self._valtype(t))
-                    local_names.append(None)
+            self._typed_names(items[0], local_names, local_types)
             items = items[1:]
         if imported is not None and (local_types or items):
             raise self.err("imported function cannot have a body", s.span)
         self.names.bind("func", name, len(self.funcs), s.span)
-        self.funcs.append(_FuncDecl(name, ft, pnames, local_names, local_types,
-                                    items, imported, exports, s.span))
+        self.funcs.append(_FuncDecl(name, FuncType(trust, ft.params, ft.results),
+                                    pnames, local_names, local_types, items,
+                                    imported, s.span))
 
     def _limits(self, items: list, span: SourceSpan) -> tuple[int, int | None, list]:
         if not items:
@@ -541,39 +512,27 @@ class _Parser:
             raise self.err("limits must be integers in [0, 2^32)", span)
         return mn, mx, items
 
+    def _one_of(self, s: SExpr, kind: str) -> tuple:
+        """$name? clauses limits, the start of (memory ...) and (table ...)."""
+        if getattr(self, kind) is not None:
+            raise self.err(f"at most one {kind}", s.span)
+        name, items = self._name(s.items[1:])
+        self.names.bind(kind, name, 0, s.span)
+        imported, items = self._inline_clauses(items, kind, 0)
+        return (imported, *self._limits(items, s.span))
+
     def _field_memory(self, s: SExpr) -> None:
-        if self.memory is not None:
-            raise self.err("at most one memory", s.span)
-        items = s.items[1:]
-        name = None
-        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
-            name = items[0].text
-            items = items[1:]
-        exports, imported, items = self._inline_clauses(items)
-        mn, mx, items = self._limits(items, s.span)
-        sec = Secrecy.PUBLIC
-        if items and self._is_kw(items[0], "secret", "public"):
-            sec = Secrecy(items[0].text)
-            items = items[1:]
+        imported, mn, mx, items = self._one_of(s, "memory")
+        sec, items = self._keyword(items, Secrecy.PUBLIC)
         if items:
             raise self.err("trailing tokens in memory", s.span)
-        self.names.bind("memory", name, 0, s.span)
-        self.memory = Memory(mn, mx, sec, imported, tuple(exports))
+        self.memory = Memory(mn, mx, sec, imported)
 
     def _field_table(self, s: SExpr) -> None:
-        if self.table is not None:
-            raise self.err("at most one table", s.span)
-        items = s.items[1:]
-        name = None
-        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
-            name = items[0].text
-            items = items[1:]
-        exports, imported, items = self._inline_clauses(items)
-        mn, mx, items = self._limits(items, s.span)
+        imported, mn, mx, items = self._one_of(s, "table")
         if not (len(items) == 1 and self._is_kw(items[0], "funcref", "anyfunc")):
             raise self.err("expected funcref element type", s.span)
-        self.names.bind("table", name, 0, s.span)
-        self.table = Table(mn, mx, (), imported, tuple(exports))
+        self.table = Table(mn, mx, (), imported)
 
     def _offset_expr(self, item) -> list:
         if self._head(item) == "offset":
@@ -601,70 +560,35 @@ class _Parser:
         self.data.append((offset, chunks, s.span))
 
     def _field_global(self, s: SExpr) -> None:
-        items = s.items[1:]
-        name = None
-        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
-            name = items[0].text
-            items = items[1:]
-        exports, imported, items = self._inline_clauses(items)
-        gt, mutable = self._globaltype(items, s.span)
-        init_items = items[1:]
-        if imported is not None and init_items:
+        name, items = self._name(s.items[1:])
+        imported, items = self._inline_clauses(items, "global", len(self.globals))
+        if not items:
+            raise self.err("global needs a type", s.span)
+        mutable = self._head(items[0]) == "mut"
+        if mutable:  # (mut t)
+            self._at_most(items[0], 2)
+            gt = self._valtype(self._nth(items[0], 1, "a type"))
+        else:
+            gt = self._valtype(items[0])
+        if imported is not None and items[1:]:
             raise self.err("imported global cannot have an initializer", s.span)
         self.names.bind("global", name, len(self.globals), s.span)
-        self.globals.append(GlobalVar(gt, mutable, None if imported else (),
-                                      imported, tuple(exports), name, s.span))
-        if imported is None:
-            # stash raw items; resolved once names are known
-            self._global_inits = getattr(self, "_global_inits", {})
-            self._global_inits[len(self.globals) - 1] = init_items
+        self.globals.append(GlobalVar(gt, mutable, None, imported, (), name, s.span))
+        self.global_inits.append(None if imported else items[1:])
 
     def _field_import(self, s: SExpr) -> None:
-        mod = self._string(self._nth(s, 1, "a module name"))
-        fld = self._string(self._nth(s, 2, "a field name"))
+        """(import "m" "n" (K $x? rest...)) is read as (K $x? (import "m" "n") rest...)."""
         desc = self._nth(s, 3, "a description")
         self._at_most(s, 4)
-        head = self._head(desc)
-        if head not in ("func", "global", "memory", "table"):
+        kind = self._head(desc)
+        if kind not in ("func", "global", "memory", "table"):
             raise self.err("unknown import description", desc.span)
-        items = desc.items[1:]
-        name = None
-        if items and isinstance(items[0], Token) and items[0].text.startswith("$"):
-            name = items[0].text
-            items = items[1:]
-        if head == "func":
-            trust = Trust.UNTRUSTED
-            if items and self._is_kw(items[0], "trusted", "untrusted"):
-                trust = Trust(items[0].text)
-                items = items[1:]
-            ft, pnames, rest = self._typeuse(items, allow_names=True, span=desc.span)
-            if rest:
-                raise self.err("trailing tokens in func import", desc.span)
-            ft = FuncType(trust, ft.params, ft.results)
-            self.names.bind("func", name, len(self.funcs), s.span)
-            self.funcs.append(_FuncDecl(name, ft, pnames, [], [], [],
-                                        (mod, fld), [], s.span))
-        elif head == "global":
-            gt, mutable = self._globaltype(items, desc.span)
-            self.names.bind("global", name, len(self.globals), s.span)
-            self.globals.append(GlobalVar(gt, mutable, None, (mod, fld), (),
-                                          name, s.span))
-        elif head == "memory":
-            if self.memory is not None:
-                raise self.err("at most one memory", s.span)
-            mn, mx, items = self._limits(items, desc.span)
-            sec = Secrecy.PUBLIC
-            if items and self._is_kw(items[0], "secret", "public"):
-                sec = Secrecy(items[0].text)
-                items = items[1:]
-            self.names.bind("memory", name, 0, s.span)
-            self.memory = Memory(mn, mx, sec, (mod, fld), ())
-        else:
-            if self.table is not None:
-                raise self.err("at most one table", s.span)
-            mn, mx, items = self._limits(items, desc.span)
-            self.names.bind("table", name, 0, s.span)
-            self.table = Table(mn, mx, (), (mod, fld), ())
+        _, rest = self._name(desc.items[1:])
+        if rest and self._head(rest[0]) == "export":
+            raise self.err("an import description cannot export", rest[0].span)
+        head = desc.items[:len(desc.items) - len(rest)]  # K $x?
+        inline = SExpr([*head, SExpr(s.items[:3], s.span), *rest], s.span)
+        getattr(self, f"_field_{kind}")(inline)
 
     def _field_export(self, s: SExpr) -> None:
         name = self._string(self._nth(s, 1, "a name"))
@@ -838,10 +762,8 @@ class _Parser:
             out.append(BrTable(tuple(targets[:-1]), targets[-1], span=span))
             return i
         if name == "call_indirect":
-            trust = Trust.UNTRUSTED
-            if i < len(items) and self._is_kw(items[i], "trusted", "untrusted"):
-                trust = Trust(items[i].text)
-                i += 1
+            trust, rest = self._keyword(items[i:], Trust.UNTRUSTED)
+            i = len(items) - len(rest)
             sig_items = []
             while i < len(items) and self._head(items[i]) in ("type", "param", "result"):
                 sig_items.append(items[i])
@@ -927,105 +849,67 @@ class _Parser:
 
     def _const_expr(self, items: list, what: str, span: SourceSpan) -> tuple[Instr, ...]:
         dummy = _FuncDecl(None, FuncType(Trust.UNTRUSTED, (), ()), [], [], [],
-                          [], None, [], span)
+                          [], None, span)
         instrs = self._instrs(items, [], dummy)
         if not instrs:
             raise self.err(f"{what} needs a constant expression", span)
         return instrs
 
     def _build(self) -> Module:
-        funcs = []
-        for fd in self.funcs:
-            body = () if fd.imported else self._instrs(fd.body_items, [], fd)
-            funcs.append(Func(fd.type, tuple(fd.locals), body, fd.imported,
-                              tuple(fd.exports), fd.name, fd.span))
-        globals_ = []
-        inits = getattr(self, "_global_inits", {})
-        for gi, g in enumerate(self.globals):
-            if g.imported is None:
-                init = self._const_expr(inits.get(gi, []), "global", g.span)
-                globals_.append(GlobalVar(g.type, g.mutable, init, None,
-                                          g.exports, g.name, g.span))
-            else:
-                globals_.append(g)
+        bodies = [() if fd.imported else self._instrs(fd.body_items, [], fd)
+                  for fd in self.funcs]
+        inits = [None if items is None else self._const_expr(items, "global", g.span)
+                 for g, items in zip(self.globals, self.global_inits)]
         for space, tok in self.segment_indices:
             if self.names.resolve(space, tok) != 0:
                 raise self.err(f"{space} index out of range", tok.span)
-        table = self.table
-        if self.table_elems:
-            if table is None:
-                raise self.err("elem segment without a table",
-                               self.table_elems[0][2])
-            segs = []
-            for offset_items, ref_items, span in self.table_elems:
-                offset = self._const_expr(offset_items, "elem", span)
-                refs = tuple(self.names.resolve("func", t) for t in ref_items)
-                for r in refs:
-                    if r >= len(self.funcs):
-                        raise self.err("elem function index out of range", span)
-                segs.append(ElemSeg(offset, refs))
-            table = Table(table.min, table.max, tuple(segs), table.imported,
-                          table.exports)
+        if self.table_elems and self.table is None:
+            raise self.err("elem segment without a table", self.table_elems[0][2])
+        elems = []
+        for offset_items, ref_items, span in self.table_elems:
+            offset = self._const_expr(offset_items, "elem", span)
+            refs = tuple(self.names.resolve("func", t) for t in ref_items)
+            if any(r >= len(self.funcs) for r in refs):
+                raise self.err("elem function index out of range", span)
+            elems.append(ElemSeg(offset, refs))
         data = []
         for offset_items, chunk, span in self.data:
             if self.memory is None:
                 raise self.err("data segment without a memory", span)
             data.append(DataSeg(self._const_expr(offset_items, "data", span), chunk))
-        memory = self.memory
-        # attach standalone exports
-        extra: dict[tuple[str, int], list[str]] = {}
+        counts = {"func": len(self.funcs), "global": len(self.globals),
+                  "table": int(self.table is not None),
+                  "memory": int(self.memory is not None)}
         for name, kind, ref, span in self.late_exports:
-            if kind == "func":
-                idx = self.names.resolve("func", ref)
-                if idx >= len(funcs):
-                    raise self.err("export func index out of range", span)
-            elif kind == "global":
-                idx = self.names.resolve("global", ref)
-                if idx >= len(globals_):
-                    raise self.err("export global index out of range", span)
-            else:
-                idx = self.names.resolve(kind, ref)
-                if idx != 0 or (kind == "memory" and memory is None) or \
-                        (kind == "table" and table is None):
-                    raise self.err(f"export {kind} index out of range", span)
-            extra.setdefault((kind, idx), []).append(name)
-        if extra:
-            funcs = [
-                Func(f.type, f.locals, f.body, f.imported,
-                     f.exports + tuple(extra.get(("func", i), ())), f.name, f.span)
-                for i, f in enumerate(funcs)
-            ]
-            globals_ = [
-                GlobalVar(g.type, g.mutable, g.init, g.imported,
-                          g.exports + tuple(extra.get(("global", i), ())),
-                          g.name, g.span)
-                for i, g in enumerate(globals_)
-            ]
-            if ("table", 0) in extra and table is not None:
-                table = Table(table.min, table.max, table.elems, table.imported,
-                              table.exports + tuple(extra[("table", 0)]))
-            if ("memory", 0) in extra and memory is not None:
-                memory = Memory(memory.min, memory.max, memory.sec,
-                                memory.imported,
-                                memory.exports + tuple(extra[("memory", 0)]))
-        names = [n for f in funcs for n in f.exports]
-        names += [n for g in globals_ for n in g.exports]
-        names += list(table.exports) if table else []
-        names += list(memory.exports) if memory else []
+            idx = self.names.resolve(kind, ref)
+            if idx >= counts[kind]:
+                raise self.err(f"export {kind} index out of range", span)
+            self.exports.setdefault((kind, idx), []).append(name)
+        names = [n for ns in self.exports.values() for n in ns]
         dup = {n for n in names if names.count(n) > 1}
         if dup:
             raise self.err(f"duplicate export name {sorted(dup)[0]!r}")
+
+        def exports(kind: str, index: int = 0) -> tuple[str, ...]:
+            return tuple(self.exports.get((kind, index), ()))
+
+        funcs = tuple(Func(fd.type, tuple(fd.locals), body, fd.imported,
+                           exports("func", i), fd.name, fd.span)
+                      for i, (fd, body) in enumerate(zip(self.funcs, bodies)))
+        globals_ = tuple(replace(g, init=init, exports=exports("global", i))
+                         for i, (g, init) in enumerate(zip(self.globals, inits)))
+        table = self.table and replace(self.table, elems=tuple(elems),
+                                       exports=exports("table"))
+        memory = self.memory and replace(self.memory, exports=exports("memory"))
         try:
-            return Module(tuple(funcs), tuple(globals_), table, memory,
-                          tuple(data))
+            return Module(funcs, globals_, table, memory, tuple(data))
         except ValueError as e:  # imports after definitions
             raise self.err(str(e)) from None
 
 
 def parse_module(text: str, filename: str = "<input>") -> Module:
     """Parse module text into an AST; raises ParseError with location."""
-    tokens = _tokenize(text, filename)
-    sexprs = _read_sexprs(tokens, filename)
+    sexprs = _read(text, filename)
     if not sexprs:
         raise ParseError("empty input", None, filename=filename)
     return _Parser(filename).parse_module(sexprs)

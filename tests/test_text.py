@@ -238,3 +238,22 @@ def test_reader_errors_name_their_position(src, message):
     with pytest.raises(ParseError) as e:
         parse_module(src, "pin.cwat")
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("kind, rest", [
+    ("func", "trusted (param $x s32) (param i64) (result i32)"),
+    ("global", "(mut s64)"),
+    ("memory", "1 2 secret"),
+    ("table", "2 funcref"),
+])
+def test_import_form_parses_as_the_inline_form(kind, rest):
+    user = "(func (export \"u\") (call $x (s32.const 1) (i64.const 2)) drop)" \
+        if kind == "func" else ""
+    imported = parse_module(
+        f'(module (import "m" "n" ({kind} $x {rest})) {user})')
+    inline = parse_module(
+        f'(module ({kind} $x (import "m" "n") {rest}) {user})')
+    assert imported == inline
+    fields = {"func": imported.funcs, "global": imported.globals,
+              "memory": (imported.memory,), "table": (imported.table,)}[kind]
+    assert fields[0].imported == ("m", "n")

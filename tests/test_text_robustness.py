@@ -77,6 +77,10 @@ def test_mutated_corpus_sources_raise_only_parse_error(corpus_entries):
     '(module (memory 1) (data 1 (i32.const 0) "x"))',
     '(module (memory 1) (data x (i32.const 0) "x"))',
     "(module (table 1 funcref) (func) (elem 1 (i32.const 0) 0))",
+    '(module (import "a" "b" (table 1 garbage)))',
+    '(module (import "a" "b" (table 1)))',
+    '(module (import "a" "b" (memory 1 secret junk)))',
+    '(module (import "a" "b" (global i32 (i32.const 0))))',
 ])
 def test_malformed_text_raises_parse_error(src):
     with pytest.raises(ParseError):
