@@ -206,17 +206,14 @@ def _float_unops(width: int):
     mask = (1 << width) - 1
 
     def lift(f):
+        """A rounding op: infinities are their own result, and a zero
+        result keeps the operand's sign (ceil(-0.5) is -0)."""
         def run(a):
             x = unpack(a)
             if x != x:
                 return canon
-            return pack(f(x))
+            return a if math.isinf(x) else pack(math.copysign(f(x), x))
         return run
-
-    def nearest(x):
-        if math.isinf(x) or abs(x) >= 2 ** 52:
-            return x
-        return float(round(x))
 
     def sqrt(a):
         x = unpack(a)
@@ -230,7 +227,7 @@ def _float_unops(width: int):
         "ceil": lift(math.ceil),
         "floor": lift(math.floor),
         "trunc": lift(math.trunc),
-        "nearest": lift(nearest),
+        "nearest": lift(round),  # ties to even
         "sqrt": sqrt,
     }
 

@@ -47,6 +47,15 @@ def test_run_with_typed_literals(capsys, tmp_path):
     assert "s32:42" in out
 
 
+def test_run_ceil_of_infinity_returns_infinity(capsys, tmp_path):
+    p = tmp_path / "ceil.cwat"
+    p.write_text('(module (func (export "f") (param f32) (result f32)'
+                 " (f32.ceil (local.get 0))))")
+    rc, out, err = run_cli(["run", str(p), "--invoke", "f", "f32:inf"], capsys)
+    assert rc == 0
+    assert "f32:0x7f800000" in out  # +inf
+
+
 def test_run_rejects_wrong_secrecy_literal(capsys, tmp_path):
     p = tmp_path / "add.cwat"
     p.write_text('(module (func (export "add") (param s32) (result s32)'

@@ -1,8 +1,9 @@
 import random
+import struct
 
 import pytest
 
-from ctwasm import ast, interp, text, validate
+from ctwasm import ast, interp, numerics, text, validate
 from ctwasm.ast import I32, I64, S32, S64, F32, F64, FuncType, Secrecy, Trust
 from ctwasm.interp import (
     HostCall, HostFunc, InstantiateError, InvokeError, Store, Value,
@@ -350,3 +351,34 @@ def test_cross_instance_imports():
     store, i2 = instantiate(store, tm2, imports)
     out = invoke(store, i2, "go", [])
     assert out.results == [Value(S32, 42)]
+
+
+_ROUNDING_TABLE = [  # operand: ceil, floor, trunc, nearest
+    (0.0, (0.0, 0.0, 0.0, 0.0)),
+    (-0.0, (-0.0, -0.0, -0.0, -0.0)),
+    (0.4, (1.0, 0.0, 0.0, 0.0)),
+    (-0.4, (-0.0, -1.0, -0.0, -0.0)),
+    (0.5, (1.0, 0.0, 0.0, 0.0)),
+    (-0.5, (-0.0, -1.0, -0.0, -0.0)),
+    (1.5, (2.0, 1.0, 1.0, 2.0)),
+    (-1.5, (-1.0, -2.0, -1.0, -2.0)),
+    (2.5, (3.0, 2.0, 2.0, 2.0)),
+    (-2.5, (-2.0, -3.0, -2.0, -2.0)),
+    (float("inf"), (float("inf"),) * 4),
+    (float("-inf"), (float("-inf"),) * 4),
+]
+
+
+@pytest.mark.parametrize("width", [32, 64])
+@pytest.mark.parametrize("x, expected", _ROUNDING_TABLE)
+def test_float_rounding_keeps_the_sign_of_zero_and_infinities(width, x,
+                                                              expected):
+    fmt = "<f" if width == 32 else "<d"
+    ifmt = "<I" if width == 32 else "<Q"
+
+    def bits(v):
+        return struct.unpack(ifmt, struct.pack(fmt, v))[0]
+
+    got = [numerics.UNOP_FNS[f"f{width}", op](bits(x))
+           for op in ("ceil", "floor", "trunc", "nearest")]
+    assert got == [bits(v) for v in expected]
