@@ -435,10 +435,14 @@ class _Rules:
                     self.edge(y, x, "shared table signature", f"func {first}")
 
 
-def _solve(rs: _Rules, pinned: set[tuple]
-           ) -> tuple[set[tuple], list[Conflict], int, int]:
-    """Round-based demotion to the least public set."""
+def _solve(rs: _Rules) -> tuple[set[tuple], list[Conflict], int, int]:
+    """Round-based demotion to the least public set.
+
+    The forced labels come first.  Then the memory is pinned: a rule that
+    would make a secret memory public is a conflict.
+    """
     public: set[tuple] = set()
+    pinned: set[tuple] = set()
     parent: dict[tuple, _Rule] = {}
     conflicts: list[Conflict] = []
     conflicted: set[tuple] = set()
@@ -461,6 +465,7 @@ def _solve(rs: _Rules, pinned: set[tuple]
 
     for node, why, loc in rs.forced:
         apply(_Rule(None, node, why, loc))
+    pinned.add(("mem",))
     rounds = 1
     changed = True
     while changed:
@@ -626,10 +631,10 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         rs.force(("result", _hinted_func(m, name)), "hinted public",
                  f"export {name}")
 
-    pinned = {("mem",)} if m.memory is not None and not hints.public_memory \
-        else set()
+    if hints.public_memory and m.memory is not None:
+        rs.force(("mem",), "hinted public", "memory")
 
-    public, conflicts, rounds, demotions = _solve(rs, pinned)
+    public, conflicts, rounds, demotions = _solve(rs)
     if conflicts:
         return InferResult(None, conflicts, [], rounds, demotions)
 
@@ -644,8 +649,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
             tuple(ast.at_secrecy(t, sec_of(("result", fi)))
                   for t in ft.results))
 
-    mem_sec = PUBLIC if (m.memory is None or hints.public_memory or
-                         ("mem",) in public) else SECRET
+    mem_sec = PUBLIC if ("mem",) in public else SECRET
 
     trusted = {_hinted_func(m, name) for name in hints.trusted}
     callees = {fi: {ins.func for ins in ast.iter_instrs(f.body)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ctwasm import cli, text
+from ctwasm.ast import I32, Secrecy
 
 
 def run_cli(argv, capsys):
@@ -193,6 +194,22 @@ def test_infer_hints_file(capsys, tmp_path):
     rc, out, err = run_cli(["infer", str(p), "--hints", str(hints),
                             "-o", str(tmp_path / "o.cwat")], capsys)
     assert rc == 0
+
+
+def test_infer_public_memory_hint_makes_stored_values_public(capsys,
+                                                             tmp_path):
+    p = tmp_path / "store.wat"
+    p.write_text("(module (memory 1) (func (export \"f\") (param i32 i32)"
+                 " (i32.store (local.get 0) (local.get 1))))")
+    hints = tmp_path / "hints.json"
+    hints.write_text('{"memory": "public"}')
+    out_path = tmp_path / "o.cwat"
+    rc, out, err = run_cli(["infer", str(p), "--hints", str(hints),
+                            "-o", str(out_path)], capsys)
+    assert rc == 0, err
+    m = text.parse_module(out_path.read_text())
+    assert m.memory.sec is Secrecy.PUBLIC
+    assert m.funcs[0].type.params == (I32, I32)
 
 
 def test_ct_check_spec_invocation(capsys, corpus_root):
