@@ -577,7 +577,8 @@ class _Parser:
         self.global_inits.append(None if imported else items[1:])
 
     def _field_import(self, s: SExpr) -> None:
-        """(import "m" "n" (K $x? rest...)) is read as (K $x? (import "m" "n") rest...)."""
+        """(import "m" "n" (K $x? rest...)) is read as the inline form
+        (K $x? (import "m" "n") rest...)."""
         desc = self._nth(s, 3, "a description")
         self._at_most(s, 4)
         kind = self._head(desc)
