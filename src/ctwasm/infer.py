@@ -435,14 +435,10 @@ class _Rules:
                     self.edge(y, x, "shared table signature", f"func {first}")
 
 
-def _solve(rs: _Rules) -> tuple[set[tuple], list[Conflict], int, int]:
-    """Round-based demotion to the least public set.
-
-    The forced labels come first.  Then the memory is pinned: a rule that
-    would make a secret memory public is a conflict.
-    """
+def _solve(rs: _Rules, pinned: set[tuple]
+           ) -> tuple[set[tuple], list[Conflict], int, int]:
+    """Round-based demotion to the least public set."""
     public: set[tuple] = set()
-    pinned: set[tuple] = set()
     parent: dict[tuple, _Rule] = {}
     conflicts: list[Conflict] = []
     conflicted: set[tuple] = set()
@@ -465,7 +461,6 @@ def _solve(rs: _Rules) -> tuple[set[tuple], list[Conflict], int, int]:
 
     for node, why, loc in rs.forced:
         apply(_Rule(None, node, why, loc))
-    pinned.add(("mem",))
     rounds = 1
     changed = True
     while changed:
@@ -631,10 +626,13 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         rs.force(("result", _hinted_func(m, name)), "hinted public",
                  f"export {name}")
 
+    # without the hint the memory is secret, and a rule that would make it
+    # public (a float load or store, too) is a conflict
     if hints.public_memory and m.memory is not None:
         rs.force(("mem",), "hinted public", "memory")
+    pinned = set() if hints.public_memory else {("mem",)}
 
-    public, conflicts, rounds, demotions = _solve(rs)
+    public, conflicts, rounds, demotions = _solve(rs, pinned)
     if conflicts:
         return InferResult(None, conflicts, [], rounds, demotions)
 

@@ -73,6 +73,24 @@ def test_memory_hint_resolves_the_conflict():
     assert res.module.module.memory.sec is PUBLIC
 
 
+@pytest.mark.parametrize("access", [
+    "(f32.store (i32.const 0) (local.get 0))",
+    "(drop (f32.load (i32.const 0)))",
+])
+def test_float_memory_access_conflicts_without_the_memory_hint(access):
+    # a secret memory takes no float access, so without the hint the
+    # memory stays secret and the access is a conflict
+    src = f"""(module (memory 1)
+      (func (export "f") (param f32) {access}))"""
+    res = infer_labels(text.parse_module(src))
+    assert not res.ok
+    assert len(res.conflicts) == 1
+    assert "float" in " ".join(res.conflicts[0].chain)
+    res = infer_labels(text.parse_module(src), Hints(public_memory=True))
+    assert res.ok, res.conflicts
+    assert res.module.module.memory.sec is PUBLIC
+
+
 def test_tee_into_a_branch_condition_makes_its_local_public():
     # the value a tee leaves is the local's, so the condition demotes the
     # local; inference had let the local stay secret and then failed its
