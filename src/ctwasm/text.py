@@ -763,8 +763,10 @@ class _Parser:
             out.append(BrTable(tuple(targets[:-1]), targets[-1], span=span))
             return i
         if name == "call_indirect":
-            trust, rest = self._keyword(items[i:], Trust.UNTRUSTED)
-            i = len(items) - len(rest)
+            trust = Trust.UNTRUSTED
+            if i < len(items) and self._is_kw(items[i], "trusted", "untrusted"):
+                trust = Trust(items[i].text)
+                i += 1
             sig_items = []
             while i < len(items) and self._head(items[i]) in ("type", "param", "result"):
                 sig_items.append(items[i])
