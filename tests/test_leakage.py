@@ -310,3 +310,59 @@ def test_host_actions_compare_by_projection():
     v = lockstep_check(tm, "go", [Value(S32, 1)], [Value(S32, 2)],
                        imports_factory=imports)
     assert v.ok, v
+
+
+# --- pinned lockstep verdicts ----------------------------------------------------
+
+_SECRET_IF = """(module
+  (func (export "f") (param s32) (result i32)
+    (if (result i32) (local.get 0)
+      (then (i32.const 1)) (else (i32.const 0)))))"""
+
+# the loop's exit is a division by the secret counter, so its iteration
+# count depends on the secret while every action stays the same
+_SECRET_LOOP_COUNT = """(module
+  (func (export "f") (param s32)
+    (loop
+      (local.set 0 (s32.sub (local.get 0) (s32.const 1)))
+      (drop (s32.div_u (s32.const 1) (local.get 0)))
+      (br 0))))"""
+
+_SECRET_TRAP = """(module
+  (func (export "f") (param s32) (result s32)
+    (s32.div_u (s32.const 1) (local.get 0))))"""
+
+_SPIN = """(module (func (export "f") (param s32) (loop (br 0))))"""
+
+
+def test_lockstep_verdicts_are_pinned():
+    cases = [
+        (_SECRET_IF, 0, 1, None,
+         {"verdict": "diverged", "step": 1,
+          "action_a": {"step": 0, "action": "branch", "op": "if",
+                       "condition": 0},
+          "action_b": {"step": 0, "action": "branch", "op": "if",
+                       "condition": 1},
+          "explanation": "leakage actions differ",
+          "location": "func 0 instr 1 (if) at line 3:5"},
+         "func 0 instr 1 (if) at line 3:5"),
+        (_SECRET_LOOP_COUNT, 3, 5, None,
+         {"verdict": "diverged", "step": 28, "action_a": None,
+          "action_b": {"step": 0, "action": "op", "op": "drop"},
+          "explanation": "one run continues where the other stopped"},
+         None),
+        # twin a runs out of fuel on the step where twin b traps
+        (_SECRET_TRAP, 1, 0, 3,
+         {"verdict": "diverged", "step": 3, "action_a": None,
+          "action_b": None,
+          "explanation": "termination differs: fuel/None vs "
+                         "trap/integer divide by zero"},
+         None),
+        (_SPIN, 0, 5, 999, {"verdict": "indistinguishable"}, None),
+    ]
+    for src, a, b, fuel, verdict, location in cases:
+        tm = validate.flatten_unchecked(text.parse_module(src))
+        v = lockstep_check(tm, "f", [Value(S32, a)], [Value(S32, b)],
+                           fuel=fuel, require_untrusted=False)
+        assert v.to_json() == verdict, src
+        assert v.location == location, src
