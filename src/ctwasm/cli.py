@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import ast, binary, infer, interp, leakage, strip, text, validate
@@ -79,29 +80,42 @@ def cmd_run(args) -> int:
     try:
         tm = validate.validate_module(m)
     except validate.ValidationFailure as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return ERROR
+        raise CliError(f"{args.file}: {e}") from e
     try:
         values = [parse_value(a) for a in args.args]
         store, idx = interp.instantiate(Store(), tm)
-        out = interp.invoke(store, idx, args.invoke, values, fuel=args.fuel)
+        cfg = interp.make_config(store, idx, args.invoke, values, args.fuel)
+        cfg.trace = _TracePrinter() if args.trace else deque(maxlen=0)
+        fuel0 = cfg.fuel
+        interp.run(cfg)
     except (ValueError, interp.InvokeError, interp.InstantiateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return ERROR
-    if args.trace:
-        for i, action in enumerate(out.trace):
-            print(json.dumps(interp.action_to_json(i, action)))
-    if out.status == "done":
-        doc = {"status": "done", "results": [repr(v) for v in out.results],
-               "steps": out.steps}
-        _emit(doc, args.json,
-              " ".join(repr(v) for v in out.results) or "(no results)")
+        raise CliError(f"error: {e}") from e
+    steps = fuel0 - cfg.fuel
+    if cfg.status == interp.DONE:
+        results = [repr(v) for v in cfg.typed_results()]
+        _emit({"status": "done", "results": results, "steps": steps},
+              args.json, " ".join(results) or "(no results)")
         return OK
-    _emit({"status": out.status, "trap": out.trap_kind, "steps": out.steps},
+    _emit({"status": cfg.status, "trap": cfg.trap_kind, "steps": steps},
           args.json)
-    print(f"{args.invoke}: {out.status}"
-          + (f" ({out.trap_kind})" if out.trap_kind else ""), file=sys.stderr)
+    print(f"{args.invoke}: {cfg.status}"
+          + (f" ({cfg.trap_kind})" if cfg.trap_kind else ""), file=sys.stderr)
     return ERROR
+
+
+class _TracePrinter:
+    """Stands in for ``Config.trace`` under ``run --trace``: prints each
+    action as a JSON line when it is made, and keeps none."""
+
+    step = 0
+
+    def append(self, action: tuple) -> None:
+        print(json.dumps(interp.action_to_json(self.step, action)))
+        self.step += 1
+
+    def extend(self, actions) -> None:
+        for action in actions:
+            self.append(action)
 
 
 def cmd_fmt(args) -> int:
@@ -212,8 +226,7 @@ def cmd_ct_check(args) -> int:
     try:
         tm = validate.validate_module(m, annotate=True)
     except validate.ValidationFailure as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return ERROR
+        raise CliError(f"{args.file}: {e}") from e
     spec = _sidecar_spec(p, args.invoke)
     if spec is None:
         ex = m.exported(args.invoke)
@@ -235,8 +248,7 @@ def cmd_ct_check(args) -> int:
         report = leakage.randomized_ct_trial(tm, spec, trials=args.trials,
                                              seed=args.seed, vary=vary)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return ERROR
+        raise CliError(f"error: {e}") from e
     _emit(report.to_json(), args.json,
           f"{args.invoke}: {report.passed}/{report.trials} trials "
           f"indistinguishable (secret inputs: {', '.join(report.varied)})")

@@ -189,19 +189,26 @@ class _DefUse:
     result of the construct opened at pc ``target``, or of the function
     (target -1): by branch, by ``return`` or by falling through ``else``
     or ``end``.  ``types[p]`` is the type of the value p pushes, None where
-    dead code leaves it unconstrained.
+    dead code leaves it unconstrained.  ``targets[pc]`` is the target of
+    a br_if: the values it re-pushes in dead code are that target's result.
     """
 
     args: list[tuple]
     flows: list[tuple]
     types: list
+    targets: dict[int, int]
+
+
+def _target(fi: int, target: int) -> tuple:
+    """The node of a construct's result, or of the function's (target -1)."""
+    return ("result", fi) if target < 0 else ("val", fi, target)
 
 
 def _def_use(m: ast.Module, ff: FlatFunc) -> _DefUse:
     code, depths = ff.code, ff.stack_types
-    du = _DefUse([()] * len(code), [()] * len(code), [None] * len(code))
+    du = _DefUse([()] * len(code), [()] * len(code), [None] * len(code), {})
     stack: list = []  # one producer per slot of the validator's stack
-    frames = [[-1, 0, False]]  # [opening pc (-1: the body), height, dead]
+    frames = [(-1, 0)]  # (opening pc (-1: the body), height)
 
     def hand(targets) -> tuple:
         top = stack[-1] if len(stack) > frames[-1][1] else None
@@ -236,24 +243,22 @@ def _def_use(m: ast.Module, ff: FlatFunc) -> _DefUse:
         if tag in (flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE):
             du.flows[pc] = branch((*op[2], op[3]) if tag == flat.T_BR_TABLE
                                   else (op[2],))
-            pushed = None  # the label values br_if re-pushes in dead code
+            if tag == flat.T_BR_IF:
+                du.targets[pc] = frames[-1 - op[2]][0]
         elif tag == flat.T_RETURN:
             du.flows[pc] = hand((-1,))
         elif tag == flat.T_ELSE or tag == flat.T_END:
-            if not frame[2]:
-                du.flows[pc] = hand((frame[0],))
+            du.flows[pc] = hand((frame[0],))
             del stack[frame[1]:]
-            frame[2] = False
             if tag == flat.T_END:
                 frames.pop()
                 pushed = frame[0]
         elif tag in _KIND:
-            frames.append([pc, len(stack), False])
+            frames.append((pc, len(stack)))
         elif tag == flat.T_TEE_LOCAL and args[pc][0] is None:
             pushed = None  # dead code: a tee of no value yields none
         if tag in _DEAD_AFTER:
             del stack[frame[1]:]
-            frame[2] = True
         if pc + 1 < len(code) and len(depths[pc + 1]) > len(stack):
             stack.extend([pushed] * (len(depths[pc + 1]) - len(stack)))
             if pushed is not None:
@@ -392,6 +397,7 @@ class _Rules:
                                  "indirect call result", loc)
                 case flat.T_BR_IF:
                     force(a[0], "br_if condition", loc)
+                    node[pc] = _target(fi, du.targets[pc])
                 case flat.T_BR_TABLE:
                     force(a[0], "br_table index", loc)
                 case flat.T_IF:
@@ -399,7 +405,7 @@ class _Rules:
             if tag in _KIND and op[2] is not None and not op[2].is_int:
                 force(val, f"float {_KIND[tag]} result", loc)
             for target, p in du.flows[pc]:
-                dst = ("result", fi) if target < 0 else ("val", fi, target)
+                dst = _target(fi, target)
                 if tag == flat.T_RETURN:
                     why = "return value"
                 elif tag != flat.T_ELSE and tag != flat.T_END:
@@ -539,8 +545,10 @@ def _flags(m: ast.Module, fi: int, ff: FlatFunc, du: _DefUse, sec_of,
                 out, wants = mem_sec, (PUBLIC, mem_sec)
             case flat.T_CONVERT if op[2].is_int and op[3].is_int:
                 out = PUBLIC if args[0] is None else sec[args[0]]
+            case flat.T_BR_IF:
+                out, wants = sec_of(_target(fi, du.targets[pc])), (PUBLIC,)
             case (flat.T_CONVERT | flat.T_REINTERPRET | flat.T_MEMORY_GROW
-                  | flat.T_IF | flat.T_BR_IF | flat.T_BR_TABLE):
+                  | flat.T_IF | flat.T_BR_TABLE):
                 wants = (PUBLIC,)
             case flat.T_CALL:
                 k = op[2]
@@ -557,8 +565,7 @@ def _flags(m: ast.Module, fi: int, ff: FlatFunc, du: _DefUse, sec_of,
         for p, want in zip(args, wants):
             demand(p, want)
         for target, p in du.flows[pc]:
-            demand(p, sec_of(("result", fi) if target < 0
-                             else ("val", fi, target)))
+            demand(p, sec_of(_target(fi, target)))
         sec[pc] = out
     return sec, classify
 

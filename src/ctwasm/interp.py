@@ -208,19 +208,6 @@ class Store:
         kind, addr = self.insts[inst_idx].exports[name]
         return ExternVal(kind, addr)
 
-    def alloc_global(self, t: ast.ValType, mutable: bool, bits: int) -> ExternVal:
-        self.globals.append(GlobalInst(mutable, t, bits))
-        return ExternVal("global", len(self.globals) - 1)
-
-    def alloc_memory(self, sec: ast.Secrecy, pages: int,
-                     max_pages: int | None = None) -> ExternVal:
-        self.mems.append(MemInst(sec, bytearray(pages * PAGE), max_pages))
-        return ExternVal("memory", len(self.mems) - 1)
-
-    def alloc_table(self, size: int) -> ExternVal:
-        self.tables.append([None] * size)
-        return ExternVal("table", len(self.tables) - 1)
-
 
 # --------------------------------------------------------------------------
 # Public projections of runtime state (shared with the leakage module)
@@ -442,13 +429,11 @@ class HostPending:
 class Config:
     """One execution: frame stack over a store, plus fuel and a trace."""
 
-    def __init__(self, store: Store, inst_idx: int, fuel: int,
-                 grow_limit: int = DEFAULT_GROW_LIMIT, debug: bool = False):
+    def __init__(self, store: Store, inst_idx: int, fuel: int, debug: bool = False):
         self.store = store
         self.inst_idx = inst_idx
         self.frames: list = []
         self.fuel = fuel
-        self.grow_limit = grow_limit
         self.status = RUNNING
         self.trap_kind: str | None = None
         self.results: list[int] = []
@@ -472,8 +457,7 @@ class Config:
 
 
 def make_config(store: Store, inst_idx: int, export: str, args: list[Value],
-                fuel: int | None = None, grow_limit: int = DEFAULT_GROW_LIMIT,
-                debug: bool = False) -> Config:
+                fuel: int | None = None, debug: bool = False) -> Config:
     inst = store.insts[inst_idx]
     if export not in inst.exports:
         raise InvokeError(f"no export named {export!r}")
@@ -488,8 +472,7 @@ def make_config(store: Store, inst_idx: int, export: str, args: list[Value],
         if a.type != t:
             raise InvokeError(
                 f"argument {i} must be {t.name} exactly, got {a.type.name}")
-    cfg = Config(store, inst_idx, default_fuel() if fuel is None else fuel,
-                 grow_limit, debug)
+    cfg = Config(store, inst_idx, default_fuel() if fuel is None else fuel, debug)
     cfg.result_types = ft.results
     if isinstance(cl, HostFunc):
         cfg.frames.append(HostPending(cl, [a.bits for a in args],
@@ -1075,7 +1058,7 @@ def _t_memory_grow(b: _Block, op) -> None:
     delta = b.pop()
     b.uses.add("mem")
     old, result = b.assign(f"len(data) // {PAGE}"), b.fresh()
-    b.emit(f"if {old} + {delta} <= (cfg.grow_limit if mem.max is None "
+    b.emit(f"if {old} + {delta} <= ({DEFAULT_GROW_LIMIT} if mem.max is None "
            "else mem.max):")
     b.emit(f"    data.extend(bytes({delta} * {PAGE}))")
     b.emit(f"    {result} = {old}")
@@ -1151,15 +1134,13 @@ class Outcome:
 
 
 def invoke(store: Store, inst_idx: int, export: str, args: list[Value],
-           fuel: int | None = None, grow_limit: int = DEFAULT_GROW_LIMIT,
-           debug: bool = False) -> Outcome:
+           fuel: int | None = None, debug: bool = False) -> Outcome:
     """Run an exported function to completion (or trap / fuel exhaustion)."""
-    cfg = make_config(store, inst_idx, export, args, fuel, grow_limit, debug)
+    cfg = make_config(store, inst_idx, export, args, fuel, debug)
     fuel0 = cfg.fuel
     run(cfg)
-    results = cfg.typed_results() if cfg.status == DONE else []
-    return Outcome(cfg.status, results, cfg.trap_kind, cfg.trace, store,
-                   fuel0 - cfg.fuel)
+    return Outcome(cfg.status, cfg.typed_results(), cfg.trap_kind, cfg.trace,
+                   store, fuel0 - cfg.fuel)
 
 
 def action_to_json(index: int, action: tuple) -> dict:

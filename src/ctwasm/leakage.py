@@ -15,6 +15,7 @@ guarantee; well-typed untrusted code must never produce one.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import ast, interp
@@ -238,6 +239,7 @@ def _locate(tm: TypedModule, export: str, args: list[Value],
     """Replay one twin up to the divergent step and name the instruction."""
     try:
         cfg = _twin_config(tm, export, args, image, fuel, imports_factory)
+        cfg.trace = deque(maxlen=0)  # the frame is wanted, not the actions
         interp.run(cfg, max_steps=step)
         fr = cfg.frames[-1] if cfg.frames else None
         if isinstance(fr, Frame):
@@ -266,7 +268,9 @@ def lockstep_check(tm: TypedModule, export: str,
     secret-typed positions, memory images only when the memory is secret.
     The verdict reports the first differing step, or indistinguishability
     when both runs terminate the same way with matching traces and final
-    states.
+    states.  The twins run in batches of ``batch`` steps; each batch of
+    actions is compared whole and then dropped, so memory does not grow
+    with the length of the run.
     """
     fuel = interp.default_fuel() if fuel is None else fuel
     if len(args_a) != len(args_b):
@@ -301,57 +305,45 @@ def lockstep_check(tm: TypedModule, export: str,
     except Incomparable as e:
         return Verdict("incomparable", explanation=str(e))
 
-    done = 0  # actions compared so far
+    done = 0  # actions compared, and dropped, so far
     batches = 0
-    while True:
+    ta, tb = ca.trace, cb.trace
+    while not (ca.terminal and cb.terminal):
         interp.run(ca, max_steps=batch)
         interp.run(cb, max_steps=batch)
-        ta, tb = ca.trace, cb.trace
-        n = min(len(ta), len(tb))
-        if ta[done:n] != tb[done:n]:
-            step = next(k for k in range(done, n)
-                        if not actions_indist(ta[k], tb[k]))
+        if ta != tb:
+            # action equality realizes actions_indist, so the first unequal
+            # pair, or the end of the shorter batch, is the witness
+            k = next((k for k, (x, y) in enumerate(zip(ta, tb)) if x != y),
+                     min(len(ta), len(tb)))
+            a = ta[k] if k < len(ta) else None
+            b = tb[k] if k < len(tb) else None
             return Verdict(
-                "diverged", step, ta[step], tb[step],
-                "leakage actions differ",
-                _locate(tm, export, args_a, image_a, fuel, step,
-                        imports_factory))
-        done = n
-        a_end, b_end = ca.terminal, cb.terminal
-        if a_end != b_end and len(ta) == len(tb):
-            # same observable prefix but one side still runs: the next
-            # action of the longer side is the witness
-            interp.run(cb if a_end else ca, max_steps=1)
-        if len(ta) != len(tb):
-            k = min(len(ta), len(tb))
-            longer = ta if len(ta) > len(tb) else tb
-            return Verdict(
-                "diverged", k,
-                longer[k] if longer is ta else None,
-                longer[k] if longer is tb else None,
+                "diverged", done + k, a, b,
+                "leakage actions differ" if a and b else
                 "one run continues where the other stopped",
-                _locate(tm, export, args_a, image_a, fuel, k,
+                _locate(tm, export, args_a, image_a, fuel, done + k,
                         imports_factory))
-        if a_end and b_end:
-            break
+        done += len(ta)
+        ta.clear()
+        tb.clear()
         batches += 1
-        if batches % config_check_every == 0:
-            if ca.frame_pointers() != cb.frame_pointers():
-                return Verdict("diverged", done, None, None,
-                               "residual instruction shapes differ")
-            if not configs_indist(ca, cb):
-                return Verdict("diverged", done, None, None,
-                               "intermediate states are distinguishable")
+        if ca.terminal or cb.terminal or batches % config_check_every:
+            continue
+        if ca.frame_pointers() != cb.frame_pointers():
+            return Verdict("diverged", done, None, None,
+                           "residual instruction shapes differ")
+        if not configs_indist(ca, cb):
+            return Verdict("diverged", done, None, None,
+                           "intermediate states are distinguishable")
 
     if ca.status != cb.status or ca.trap_kind != cb.trap_kind:
         return Verdict("diverged", done, None, None,
                        f"termination differs: {ca.status}/{ca.trap_kind} vs "
                        f"{cb.status}/{cb.trap_kind}")
-    if ca.status == interp.DONE:
-        for t, b1, b2 in zip(ca.result_types, ca.results, cb.results):
-            if not values_indist(Value(t, b1), Value(t, b2)):
-                return Verdict("diverged", done, None, None,
-                               "public results differ")
+    if not all(values_indist(Value(t, b1), Value(t, b2)) for t, b1, b2
+               in zip(ca.result_types, ca.results, cb.results)):
+        return Verdict("diverged", done, None, None, "public results differ")
     if not configs_indist(ca, cb):
         return Verdict("diverged", done, None, None,
                        "final states are distinguishable")

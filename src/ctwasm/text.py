@@ -338,21 +338,20 @@ class _Parser:
             return items[0].text, items[1:]
         return None, items
 
-    def _keyword(self, items: list, default):
-        """Strip an optional leading keyword naming a member of default's enum
-        (trusted/untrusted, secret/public)."""
-        kind = type(default)
+    def _keyword(self, items: list, kind):
+        """Strip an optional leading keyword naming a member of the enum
+        ``kind`` (trusted/untrusted, secret/public); None if there is none."""
         if items and self._is_kw(items[0], *(k.value for k in kind)):
             return kind(items[0].text), items[1:]
-        return default, items
+        return None, items
 
-    def _valtype(self, tok) -> ValType:
-        if isinstance(tok, Token) and tok.kind == "atom" and \
-                tok.text in VALTYPES_BY_NAME:
-            return VALTYPES_BY_NAME[tok.text]
-        span = tok.span if isinstance(tok, (Token, SExpr)) else None
-        raise self.err(f"unknown type keyword {getattr(tok, 'text', tok)!r}", span,
-                       expected=frozenset(VALTYPES_BY_NAME))
+    def _valtype(self, item) -> ValType:
+        if isinstance(item, Token) and item.kind == "atom" and \
+                item.text in VALTYPES_BY_NAME:
+            return VALTYPES_BY_NAME[item.text]
+        raise self.err(f"unknown type keyword {item.text!r}"
+                       if isinstance(item, Token) else "expected a value type",
+                       item.span, expected=frozenset(VALTYPES_BY_NAME))
 
     def _nth(self, s: SExpr, n: int, what: str):
         """Item n of a form, or a ParseError saying what is missing."""
@@ -416,13 +415,13 @@ class _Parser:
         name, items = self._name(s.items[1:])
         if len(items) != 1 or self._head(items[0]) != "func":
             raise self.err("expected (type $name? (func ...))", s.span)
-        ft = self._functype(items[0].items[1:], allow_names=False, span=s.span)[0]
+        trust, rest = self._keyword(items[0].items[1:], Trust)
+        ft = self._functype(rest, False, s.span, trust or Trust.UNTRUSTED)[0]
         self.names.bind("type", name, len(self.types), s.span)
         self.types.append(ft)
 
     def _functype(self, items: list, allow_names: bool, span: SourceSpan,
-                  ) -> tuple[FuncType, list[str | None], list]:
-        trust, items = self._keyword(items, Trust.UNTRUSTED)
+                  trust: Trust) -> tuple[FuncType, list[str | None], list]:
         params: list[ValType] = []
         param_names: list[str | None] = []
         results: list[ValType] = []
@@ -457,8 +456,10 @@ class _Parser:
             i += 1
         return imported, items[i:]
 
-    def _typeuse(self, items: list, allow_names: bool, span: SourceSpan):
-        """(type $t)? (param..)* (result..)? -> (FuncType sans trust, names, rest)."""
+    def _typeuse(self, items: list, allow_names: bool, span: SourceSpan,
+                 trust: Trust | None = None):
+        """(type $t)? trusted? (param..)* (result..)? -> (FuncType, names, rest);
+        ``trust``, a keyword read before, must agree with the type's trust."""
         declared: FuncType | None = None
         if items and self._head(items[0]) == "type":
             idx = self.names.resolve("type", self._nth(items[0], 1, "an index"))
@@ -466,22 +467,27 @@ class _Parser:
                 raise self.err("type index out of range", items[0].span)
             declared = self.types[idx]
             items = items[1:]
-        ft, pnames, rest = self._functype(items, allow_names, span)
+        after, items = self._keyword(items, Trust)
+        claims = {trust, after, declared.trust if declared else None} - {None}
+        if len(claims) > 1:
+            raise self.err("trust keyword disagrees with type use", span)
+        trust = claims.pop() if claims else Trust.UNTRUSTED
+        ft, pnames, rest = self._functype(items, allow_names, span, trust)
         if declared is not None:
             if ft.params or ft.results:
                 if (ft.params, ft.results) != (declared.params, declared.results):
                     raise self.err("inline signature disagrees with type use", span)
-            ft = FuncType(ft.trust, declared.params, declared.results)
+            ft = FuncType(trust, declared.params, declared.results)
             if not pnames:
                 pnames = [None] * len(declared.params)
         return ft, pnames, rest
 
     def _field_func(self, s: SExpr) -> None:
         name, items = self._name(s.items[1:])
-        trust, items = self._keyword(items, Trust.UNTRUSTED)
+        trust, items = self._keyword(items, Trust)
         imported, items = self._inline_clauses(items, "func", len(self.funcs))
-        trust, items = self._keyword(items, trust)
-        ft, pnames, items = self._typeuse(items, allow_names=True, span=s.span)
+        later, items = self._keyword(items, Trust)
+        ft, pnames, items = self._typeuse(items, True, s.span, later or trust)
         local_types: list[ValType] = []
         local_names: list[str | None] = []
         while items and self._head(items[0]) == "local":
@@ -490,9 +496,8 @@ class _Parser:
         if imported is not None and (local_types or items):
             raise self.err("imported function cannot have a body", s.span)
         self.names.bind("func", name, len(self.funcs), s.span)
-        self.funcs.append(_FuncDecl(name, FuncType(trust, ft.params, ft.results),
-                                    pnames, local_names, local_types, items,
-                                    imported, s.span))
+        self.funcs.append(_FuncDecl(name, ft, pnames, local_names, local_types,
+                                    items, imported, s.span))
 
     def _limits(self, items: list, span: SourceSpan) -> tuple[int, int | None, list]:
         if not items:
@@ -523,10 +528,10 @@ class _Parser:
 
     def _field_memory(self, s: SExpr) -> None:
         imported, mn, mx, items = self._one_of(s, "memory")
-        sec, items = self._keyword(items, Secrecy.PUBLIC)
+        sec, items = self._keyword(items, Secrecy)
         if items:
             raise self.err("trailing tokens in memory", s.span)
-        self.memory = Memory(mn, mx, sec, imported)
+        self.memory = Memory(mn, mx, sec or Secrecy.PUBLIC, imported)
 
     def _field_table(self, s: SExpr) -> None:
         imported, mn, mx, items = self._one_of(s, "table")
@@ -763,7 +768,7 @@ class _Parser:
             out.append(BrTable(tuple(targets[:-1]), targets[-1], span=span))
             return i
         if name == "call_indirect":
-            trust = Trust.UNTRUSTED
+            trust = None
             if i < len(items) and self._is_kw(items[i], "trusted", "untrusted"):
                 trust = Trust(items[i].text)
                 i += 1
@@ -771,10 +776,10 @@ class _Parser:
             while i < len(items) and self._head(items[i]) in ("type", "param", "result"):
                 sig_items.append(items[i])
                 i += 1
-            ft, _, rest = self._typeuse(sig_items, allow_names=False, span=span)
+            ft, _, rest = self._typeuse(sig_items, False, span, trust)
             if rest:
                 raise self.err("bad call_indirect signature", span)
-            out.append(CallIndirect(FuncType(trust, ft.params, ft.results), span=span))
+            out.append(CallIndirect(ft, span=span))
             return i
         if name.endswith(".const"):
             tn = name[:-6]

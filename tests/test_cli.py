@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctwasm import cli, text
+from ctwasm import cli, interp, text, validate
 from ctwasm.ast import I32, Secrecy
 
 
@@ -74,6 +74,13 @@ def test_run_trace_streams_actions(capsys, corpus_root):
     lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
     assert any(l["action"] == "mem" for l in lines)
     assert lines[0]["step"] == 0
+    # the streamed lines are the trace a plain invoke keeps, action by action
+    tm = validate.validate_module(cli.load_module(corp("tea", corpus_root)))
+    store, idx = interp.instantiate(interp.Store(), tm)
+    trace = interp.invoke(store, idx, "tea_encrypt",
+                          [interp.parse_value("i32:0"),
+                           interp.parse_value("i32:16")]).trace
+    assert lines == [interp.action_to_json(i, a) for i, a in enumerate(trace)]
 
 
 def test_run_trap_exit_code(capsys, tmp_path):

@@ -433,3 +433,37 @@ def test_inference_matches_bruteforce_maximal_secrecy(src):
     assert _assignment_valid(m, got)
     assert len(got) == len(best), (sorted(got), sorted(best))
     assert got == best  # the maximum is unique: the least-public labeling
+
+
+# In dead code a br_if re-pushes its label's values.  They are the target's
+# result: the enclosing block's, or the function's.
+@pytest.mark.parametrize("src, printed", [
+    ("""(module (memory 1) (func (export "f") (param i32) (result i32)
+      (block (result i32) (local.get 0) (return) (br_if 0) (i32.div_u)
+        (i32.load) (unreachable))))""",
+     "block (result i32) local.get 0 return br_if 0 i32.div_u s32.load "
+     "unreachable end s32.classify/i32"),
+    ("""(module (memory 1) (func (export "f") (param i32) (result i32)
+      (local.get 0) (return) (br_if 0) (i32.div_u) (i32.load) (unreachable)))""",
+     "local.get 0 return br_if 0 i32.div_u s32.load unreachable"),
+    # a secret operand meets a public block result: the classify follows
+    # the br_if that re-pushes it
+    ("""(module (memory 1) (func (export "f") (param i32) (result i32)
+      (block (result i32) (local.get 0) (return) (br_if 0)
+        (i32.add (local.get 0)) (unreachable))
+      (i32.load)))""",
+     "block (result i32) local.get 0 return br_if 0 s32.classify/i32 "
+     "local.get 0 s32.add unreachable end s32.load"),
+    # dead code that falls through to end hands its value to the block
+    ("""(module (memory 1) (func (export "f") (param i32) (result i32)
+      (block (result i32) (local.get 0) (return) (br_if 0) (local.set 0)
+        (i32.const 4))
+      (i32.load)))""",
+     "block (result i32) local.get 0 return br_if 0 s32.classify/i32 "
+     "local.set 0 i32.const 4 end s32.load"),
+])
+def test_dead_br_if_values_are_the_targets_result(src, printed):
+    res = infer_labels(text.parse_module(src))
+    assert res.ok, res.conflicts
+    body = text.print_module(res.module.module).split("\n")[2:-4]
+    assert " ".join(line.strip() for line in body) == printed

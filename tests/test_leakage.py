@@ -366,3 +366,45 @@ def test_lockstep_verdicts_are_pinned():
                            fuel=fuel, require_untrusted=False)
         assert v.to_json() == verdict, src
         assert v.location == location, src
+
+
+_COUNT = """(module
+  (func $count (result i32) (local i32)
+    (loop
+      (local.set 0 (i32.add (local.get 0) (i32.const 1)))
+      (br_if 0 (i32.lt_u (local.get 0) (i32.const 10000))))
+    (local.get 0))
+  (func (export "count") (param s32) (result i32)
+    (call $count))
+  (func (export "count_then_if") (param s32) (result i32)
+    (drop (call $count))
+    (if (result i32) (local.get 0)
+      (then (i32.const 1)) (else (i32.const 0)))))"""
+
+
+def test_lockstep_memory_does_not_grow_with_run_length():
+    """About 90,000 steps in 4096-step batches: each batch is dropped once
+    compared, so the peak stays far below what two whole traces take."""
+    import tracemalloc
+
+    tm = validate.flatten_unchecked(text.parse_module(_COUNT))
+    for export, verdict, location in [
+            ("count", {"verdict": "indistinguishable"}, None),
+            ("count_then_if",
+             {"verdict": "diverged", "step": 90006,
+              "action_a": {"step": 0, "action": "branch", "op": "if",
+                           "condition": 0},
+              "action_b": {"step": 0, "action": "branch", "op": "if",
+                           "condition": 1},
+              "explanation": "leakage actions differ",
+              "location": "func 2 instr 3 (if) at line 11:5"},
+             "func 2 instr 3 (if) at line 11:5")]:
+        tracemalloc.start()
+        try:
+            v = lockstep_check(tm, export, [Value(S32, 0)], [Value(S32, 1)],
+                               require_untrusted=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.to_json() == verdict and v.location == location, v
+        assert peak < 1_000_000, peak

@@ -257,3 +257,42 @@ def test_import_form_parses_as_the_inline_form(kind, rest):
     fields = {"func": imported.funcs, "global": imported.globals,
               "memory": (imported.memory,), "table": (imported.table,)}[kind]
     assert fields[0].imported == ("m", "n")
+
+
+@pytest.mark.parametrize("src", [
+    "(module (type (func trusted)) (func (type 0)))",
+    "(module (type (func trusted)) (func (type 0) trusted))",
+    "(module (type (func trusted)) (func trusted (type 0)))",
+    "(module (type (func trusted (param i32))) (func (type 0) (param i32)))",
+])
+def test_type_use_keeps_the_trust_it_is_given(src):
+    f = parse_module(src).funcs[0]
+    assert f.type.trust is Trust.TRUSTED
+    assert f.type.params == (() if "param" not in src else (ast.I32,))
+
+
+@pytest.mark.parametrize("src", [
+    "(module (type (func)) (func (type 0) trusted))",
+    "(module (type (func)) (func trusted (type 0)))",
+    "(module (type (func trusted)) (func (type 0) untrusted))",
+    "(module (type (func trusted)) (func untrusted (type 0) trusted))",
+    "(module (type (func trusted)) (table 1 funcref)"
+    " (func (call_indirect untrusted (type 0) (i32.const 0))))",
+])
+def test_trust_keyword_contradicting_the_type_use_is_rejected(src):
+    with pytest.raises(ParseError) as e:
+        parse_module(src)
+    assert "trust keyword disagrees with type use" in str(e.value)
+
+
+def test_call_indirect_takes_the_trust_of_its_type_use():
+    m = parse_module("(module (type (func trusted)) (table 1 funcref)"
+                     " (func (call_indirect (type 0) (i32.const 0))))")
+    assert m.funcs[0].body[-1].type.trust is Trust.TRUSTED
+
+
+def test_list_in_a_type_position_names_no_type():
+    with pytest.raises(ParseError) as e:
+        parse_module("(module (func (param (i32))))", "pin.cwat")
+    assert str(e.value).startswith("pin.cwat:1:22: expected a value type")
+    assert "i32" in e.value.expected
