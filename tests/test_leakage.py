@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import relgen
 from ctwasm import ast, interp, leakage, text, validate
@@ -385,8 +386,6 @@ _COUNT = """(module
 def test_lockstep_memory_does_not_grow_with_run_length():
     """About 90,000 steps in 4096-step batches: each batch is dropped once
     compared, so the peak stays far below what two whole traces take."""
-    import tracemalloc
-
     tm = validate.flatten_unchecked(text.parse_module(_COUNT))
     for export, verdict, location in [
             ("count", {"verdict": "indistinguishable"}, None),
