@@ -407,3 +407,104 @@ def test_lockstep_memory_does_not_grow_with_run_length():
             tracemalloc.stop()
         assert v.to_json() == verdict and v.location == location, v
         assert peak < 1_000_000, peak
+
+
+# --- randomized trials against per-trial lockstep checks ----------------------
+
+def _reference_verdicts(tm, spec, trials, seed, **kw):
+    """Each trial's ``lockstep_check(zero, trial_t)`` verdict, drawing the
+    random assignments from ``random.Random(seed)`` in trial order."""
+    def draw(rng):
+        args, image = list(spec.args), dict(spec.image)
+        for s in spec.secrets:
+            if s.param is not None:
+                t = args[s.param].type
+                args[s.param] = Value(t, rng.getrandbits(t.bits) if rng else 0)
+            else:
+                image[s.offset] = (
+                    bytes(rng.getrandbits(8) for _ in range(s.length))
+                    if rng else bytes(s.length))
+        return args, image
+
+    rng = random.Random(seed)
+    args_zero, image_zero = draw(None)
+    return [lockstep_check(tm, spec.export, args_zero, args, image_zero, image,
+                           spec.fuel, **kw)
+            for args, image in (draw(rng) for _ in range(trials))]
+
+
+def _assert_trial_matches_reference(tm, spec, trials, seed, **kw):
+    verdicts = _reference_verdicts(tm, spec, trials, seed, **kw)
+    failed = next((t for t, v in enumerate(verdicts) if not v.ok), None)
+    rep = randomized_ct_trial(tm, spec, trials, seed, **kw)
+    names = [s.name for s in spec.secrets]
+    want = leakage.TrialReport(spec.export, trials, trials, names)
+    if failed is not None:
+        want = leakage.TrialReport(spec.export, trials, failed, names,
+                                   verdicts[failed], failed)
+    assert rep.to_json() == want.to_json(), (spec.export, seed, kw)
+    assert (rep.failure and rep.failure.location) == \
+        (want.failure and want.failure.location), (spec.export, seed, kw)
+    return verdicts
+
+
+# a secret branch on bit 0 early and on bit 1 after 1,000 public loop turns
+_TWO_LEAKS = """(module
+  (func (export "f") (param s32) (result i32) (local i32)
+    (if (s32.and (local.get 0) (s32.const 1)) (then (nop)))
+    (loop
+      (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+      (br_if 0 (i32.lt_u (local.get 1) (i32.const 1000))))
+    (if (result i32) (s32.and (local.get 0) (s32.const 2))
+      (then (i32.const 1)) (else (i32.const 0)))))"""
+
+
+def test_randomized_trial_equals_per_trial_lockstep_checks(typed_corpus):
+    for name, (entry, tm) in sorted(typed_corpus.items()):
+        if entry.trial is not None:
+            _assert_trial_matches_reference(tm, entry.trial, 3, 5)
+
+    spec = TrialSpec("f", [Value(S32, 0)], [leakage.SecretInput("x", param=0)])
+    tm = validate.flatten_unchecked(text.parse_module(_TWO_LEAKS))
+    for batch in (7, 4096):
+        # seed 7: trials 0 and 1 pass, trial 2 leaks at the early branch
+        v = _assert_trial_matches_reference(tm, spec, 6, 7, batch=batch,
+                                            require_untrusted=False)
+        assert [x.ok for x in v[:3]] == [True, True, False]
+        # seed 6: trial 0 leaks only at the late branch, trial 3 earlier
+        v = _assert_trial_matches_reference(tm, spec, 6, 6, batch=batch,
+                                            require_untrusted=False)
+        assert v[3].step < v[0].step > 4096
+        for src, fuel in ((_SECRET_IF, None), (_SECRET_LOOP_COUNT, 300),
+                          (_SECRET_TRAP, 3), (_SPIN, 999)):
+            unchecked = validate.flatten_unchecked(text.parse_module(src))
+            fspec = TrialSpec("f", [Value(S32, 0)],
+                              [leakage.SecretInput("x", param=0)], fuel=fuel)
+            for seed in range(3):
+                _assert_trial_matches_reference(unchecked, fspec, 8, seed,
+                                                batch=batch,
+                                                require_untrusted=False)
+        # the untrusted-export precheck fails on trial 0
+        _assert_trial_matches_reference(tm, spec, 4, 0, batch=batch)
+
+
+def test_randomized_trial_with_host_imports_equals_per_trial_checks():
+    src = """(module (memory 1 secret)
+      (func (import "env" "note") (param s32 i32))
+      (func (export "go") (param s32)
+        (call 0 (local.get 0) (i32.const 3))))"""
+    tm = validate.validate_module(text.parse_module(src), annotate=True)
+
+    def imports():
+        host = interp.HostFunc(
+            "env", "note",
+            ast.FuncType(ast.Trust.UNTRUSTED, (S32, I32), ()),
+            lambda call: [])
+        return {("env", "note"): host}
+
+    spec = TrialSpec("go", [Value(S32, 0)],
+                     [leakage.SecretInput("x", param=0),
+                      leakage.SecretInput("pad", offset=8, length=16)])
+    for seed in range(3):
+        _assert_trial_matches_reference(tm, spec, 5, seed,
+                                        imports_factory=imports)
