@@ -6,7 +6,8 @@ type, secret memories only in size.  The module provides the relations on
 values, configurations, and per-step leakage actions, a canonical erasure
 (public projection) whose equality coincides with the relations, and a
 checker that runs two instantiations of the same module in lockstep and
-reports the first observable difference.
+reports the first observable difference; randomized trials run many
+twins in one pass against a single baseline run.
 
 A diverging pair is a concrete counterexample to the constant-time
 guarantee; well-typed untrusted code must never produce one.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from . import ast, interp
 from .interp import Config, Frame, HostPending, Store, Value
@@ -253,26 +255,20 @@ def _locate(tm: TypedModule, export: str, args: list[Value],
     return None
 
 
-def lockstep_check(tm: TypedModule, export: str,
-                   args_a: list[Value], args_b: list[Value],
-                   image_a: dict[int, bytes] | None = None,
-                   image_b: dict[int, bytes] | None = None,
-                   fuel: int | None = None,
-                   batch: int = 4096,
-                   config_check_every: int = 8,
-                   imports_factory=None,
-                   require_untrusted: bool = True) -> Verdict:
-    """Run two instantiations in lockstep and compare their leakage.
+# twins admitted beside one baseline run hold at most this many bytes of
+# linear memory; a larger trial count runs more cohorts
+COHORT_BYTES = 16 << 20
+_CHECK_EVERY = 8  # batches between intermediate state checks
 
-    The twins must start indistinguishable: arguments may differ only in
-    secret-typed positions, memory images only when the memory is secret.
-    The verdict reports the first differing step, or indistinguishability
-    when both runs terminate the same way with matching traces and final
-    states.  The twins run in batches of ``batch`` steps; each batch of
-    actions is compared whole and then dropped, so memory does not grow
-    with the length of the run.
-    """
-    fuel = interp.default_fuel() if fuel is None else fuel
+
+def _start_twin(tm: TypedModule, export: str, base: Config | Verdict,
+                args_a: list[Value], args_b: list[Value],
+                image_b: dict[int, bytes] | None, fuel: int,
+                imports_factory, require_untrusted: bool) -> Config | Verdict:
+    """Twin b's configuration beside the baseline ``base``, or the verdict
+    that refuses the pair: the argument and trust prechecks, b's
+    instantiation, and the initial indistinguishability of the two.
+    ``base`` is a verdict when the baseline did not instantiate."""
     if len(args_a) != len(args_b):
         return Verdict("incomparable", explanation="argument arity differs")
     for i, (a, b) in enumerate(zip(args_a, args_b)):
@@ -291,63 +287,181 @@ def lockstep_check(tm: TypedModule, export: str,
             return Verdict("incomparable",
                            explanation="export is trusted; the guarantee "
                            "only covers untrusted code")
+    if isinstance(base, Verdict):
+        return base
     try:
-        ca = _twin_config(tm, export, args_a, image_a, fuel, imports_factory)
         cb = _twin_config(tm, export, args_b, image_b, fuel, imports_factory)
-    except (interp.InvokeError, interp.InstantiateError, Incomparable) as e:
-        return Verdict("incomparable", explanation=str(e))
-
-    try:
-        if not configs_indist(ca, cb):
+        if not configs_indist(base, cb):
             return Verdict("incomparable",
                            explanation="initial configurations are "
                            "distinguishable (public state differs)")
-    except Incomparable as e:
+    except (interp.InvokeError, interp.InstantiateError, Incomparable) as e:
         return Verdict("incomparable", explanation=str(e))
+    return cb
 
-    done = 0  # actions compared, and dropped, so far
-    batches = 0
-    ta, tb = ca.trace, cb.trace
-    while not (ca.terminal and cb.terminal):
-        interp.run(ca, max_steps=batch)
-        interp.run(cb, max_steps=batch)
-        if ta != tb:
-            # action equality realizes actions_indist, so the first unequal
-            # pair, or the end of the shorter batch, is the witness
-            k = next((k for k, (x, y) in enumerate(zip(ta, tb)) if x != y),
-                     min(len(ta), len(tb)))
-            a = ta[k] if k < len(ta) else None
-            b = tb[k] if k < len(tb) else None
-            return Verdict(
-                "diverged", done + k, a, b,
-                "leakage actions differ" if a and b else
-                "one run continues where the other stopped",
-                _locate(tm, export, args_a, image_a, fuel, done + k,
-                        imports_factory))
-        done += len(ta)
-        ta.clear()
-        tb.clear()
-        batches += 1
-        if ca.terminal or cb.terminal or batches % config_check_every:
-            continue
+
+def _states_verdict(ca: Config, cb: Config, step: int) -> Verdict | None:
+    """Compare the twins' states after a batch: their final states when
+    both have stopped, else their residual instructions and states."""
+    if not (ca.terminal and cb.terminal):
         if ca.frame_pointers() != cb.frame_pointers():
-            return Verdict("diverged", done, None, None,
+            return Verdict("diverged", step, None, None,
                            "residual instruction shapes differ")
         if not configs_indist(ca, cb):
-            return Verdict("diverged", done, None, None,
+            return Verdict("diverged", step, None, None,
                            "intermediate states are distinguishable")
-
+        return None
     if ca.status != cb.status or ca.trap_kind != cb.trap_kind:
-        return Verdict("diverged", done, None, None,
+        return Verdict("diverged", step, None, None,
                        f"termination differs: {ca.status}/{ca.trap_kind} vs "
                        f"{cb.status}/{cb.trap_kind}")
     if not all(values_indist(Value(t, b1), Value(t, b2)) for t, b1, b2
                in zip(ca.result_types, ca.results, cb.results)):
-        return Verdict("diverged", done, None, None, "public results differ")
+        return Verdict("diverged", step, None, None, "public results differ")
     if not configs_indist(ca, cb):
-        return Verdict("diverged", done, None, None,
+        return Verdict("diverged", step, None, None,
                        "final states are distinguishable")
-    return INDISTINGUISHABLE
+    return None
+
+
+def _memory_bound(tm: TypedModule, store: Store) -> int:
+    """Bytes of linear memory one instance holds: its size at instantiation,
+    or, when the module has a ``memory.grow``, the size it may grow to."""
+    if not any(isinstance(o, ast.MemoryGrow)
+               for ff in tm.funcs if ff is not None for o in ff.origins):
+        return sum(len(m.data) for m in store.mems)
+    return sum(max(len(m.data), interp.PAGE * (
+        interp.DEFAULT_GROW_LIMIT if m.max is None else m.max))
+        for m in store.mems)
+
+
+def _cohort(tm: TypedModule, export: str, args_a: list[Value],
+            image_a: dict[int, bytes] | None, first: tuple, rest, fuel: int,
+            batch: int, config_check_every: int, imports_factory,
+            require_untrusted: bool) -> tuple | None:
+    """Check twin ``first`` and the next twins of ``rest`` that fit in
+    ``COHORT_BYTES`` against one fresh baseline run.  Returns the lowest
+    failure as ``(index, verdict, twin to replay for its location)``."""
+    try:
+        ca = _twin_config(tm, export, args_a, image_a, fuel, imports_factory)
+    except (interp.InvokeError, interp.InstantiateError, Incomparable) as e:
+        ca = Verdict("incomparable", explanation=str(e))
+        cohort = [first]
+    else:
+        size = _memory_bound(tm, ca.store)
+        more = max(COHORT_BYTES // size, 1) - 1 if size else None
+        cohort = [first, *islice(rest, more)]
+    failed = None
+    live = []
+    for t, (args_b, image_b) in cohort:
+        cb = _start_twin(tm, export, ca, args_a, args_b, image_b, fuel,
+                         imports_factory, require_untrusted)
+        if isinstance(cb, Verdict):
+            failed = (t, cb, None)
+            break
+        live.append((t, cb, (args_b, image_b)))
+
+    done = batches = 0  # baseline actions compared so far, and batches
+    while live:
+        ta = ca.trace
+        interp.run(ca, max_steps=batch)
+        step = done + len(ta)
+        batches += 1
+        kept = []
+        for twin in live:
+            t, cb, replay = twin
+            tb = cb.trace
+            interp.run(cb, max_steps=batch)
+            if ta != tb:
+                # action equality realizes actions_indist, so the first
+                # unequal pair, or the end of the shorter batch, is the
+                # witness
+                k = next((k for k, (x, y) in enumerate(zip(ta, tb))
+                          if x != y), min(len(ta), len(tb)))
+                a = ta[k] if k < len(ta) else None
+                b = tb[k] if k < len(tb) else None
+                failed = (t, Verdict(
+                    "diverged", done + k, a, b,
+                    "leakage actions differ" if a and b else
+                    "one run continues where the other stopped"),
+                    # the run that continues names the next instruction
+                    replay if a is None else (args_a, image_a))
+                break  # the twins above t are dropped
+            tb.clear()
+            # final checks once both have stopped; while both run, state
+            # checks every config_check_every batches
+            if ca.terminal and cb.terminal or not (
+                    ca.terminal or cb.terminal
+                    or batches % config_check_every):
+                v = _states_verdict(ca, cb, step)
+                if v is not None:
+                    failed = (t, v, None)
+                    break
+                if ca.terminal:
+                    continue  # both stopped: this twin passes
+            kept.append(twin)
+        live = kept
+        done = step
+        ta.clear()
+    return failed
+
+
+def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
+              image_a: dict[int, bytes] | None, twins, fuel: int | None,
+              batch: int, config_check_every: int, imports_factory,
+              require_untrusted: bool) -> tuple[int, Verdict] | None:
+    """Check every twin ``(args, image)`` drawn from ``twins`` against one
+    baseline run of ``(args_a, image_a)``, in one lockstep pass.
+
+    Twins are admitted in cohorts whose linear memories total at most
+    ``COHORT_BYTES`` (see ``_memory_bound``), and the baseline runs once
+    per cohort.  In each batch the baseline runs ``batch`` steps; then each
+    live twin, in index order, runs ``batch`` steps, and its actions are
+    compared whole with the baseline's and dropped.  A failing twin drops
+    the twins above it, since only the lowest failure is reported.
+    Returns ``(index, verdict)`` of the lowest failing twin, or None; each
+    twin's verdict is what a check of that twin alone gives.
+    """
+    fuel = interp.default_fuel() if fuel is None else fuel
+    twins = enumerate(twins)
+    for first in twins:
+        failed = _cohort(tm, export, args_a, image_a, first, twins, fuel,
+                         batch, config_check_every, imports_factory,
+                         require_untrusted)
+        if failed is not None:
+            t, v, replay = failed
+            if replay is not None:
+                v = replace(v, location=_locate(tm, export, *replay, fuel,
+                                                v.step, imports_factory))
+            return t, v
+    return None
+
+
+def lockstep_check(tm: TypedModule, export: str,
+                   args_a: list[Value], args_b: list[Value],
+                   image_a: dict[int, bytes] | None = None,
+                   image_b: dict[int, bytes] | None = None,
+                   fuel: int | None = None,
+                   batch: int = 4096,
+                   config_check_every: int = _CHECK_EVERY,
+                   imports_factory=None,
+                   require_untrusted: bool = True) -> Verdict:
+    """Run two instantiations in lockstep and compare their leakage.
+
+    The twins must start indistinguishable: arguments may differ only in
+    secret-typed positions, memory images only when the memory is secret.
+    The verdict reports the first differing step, or indistinguishability
+    when both runs terminate the same way with matching traces and final
+    states.  The twins run in batches of ``batch`` steps; each batch of
+    actions is compared whole and then dropped, so memory does not grow
+    with the length of the run.  ``imports_factory`` builds the imports of
+    each instantiation; ``randomized_ct_trial`` calls it once for the
+    baseline of a cohort, not once per trial.
+    """
+    failed = _lockstep(tm, export, args_a, image_a, [(args_b, image_b)],
+                       fuel, batch, config_check_every, imports_factory,
+                       require_untrusted)
+    return INDISTINGUISHABLE if failed is None else failed[1]
 
 
 # --------------------------------------------------------------------------
@@ -419,8 +533,10 @@ def randomized_ct_trial(tm: TypedModule, spec: TrialSpec, trials: int = 100,
                         require_untrusted: bool = True) -> TrialReport:
     """Pair the all-zero secret assignment against fresh random ones.
 
-    Each trial runs a lockstep check; the report carries the first
-    divergence, if any.
+    One lockstep pass checks every trial against a single run of the
+    all-zero twin per cohort (see ``_lockstep``); the report carries the
+    lowest failing trial, whose verdict is what ``lockstep_check`` gives
+    for that pair.
     """
     chosen = [s for s in spec.secrets
               if vary is None or s.name in vary]
@@ -435,16 +551,12 @@ def randomized_ct_trial(tm: TypedModule, spec: TrialSpec, trials: int = 100,
                              f"{len(spec.args)} arguments")
     rng = random.Random(seed)
     args_zero, image_zero = _assignment(spec, chosen, None)
-    report = TrialReport(spec.export, trials, 0, [s.name for s in chosen])
-    for t in range(trials):
-        args_rand, image_rand = _assignment(spec, chosen, rng)
-        verdict = lockstep_check(tm, spec.export, args_zero, args_rand,
-                                 image_zero, image_rand, spec.fuel,
-                                 batch=batch, imports_factory=imports_factory,
-                                 require_untrusted=require_untrusted)
-        if not verdict.ok:
-            report.failure = verdict
-            report.failed_trial = t
-            return report
-        report.passed += 1
+    twins = (_assignment(spec, chosen, rng) for _ in range(trials))
+    failed = _lockstep(tm, spec.export, args_zero, image_zero, twins,
+                       spec.fuel, batch, _CHECK_EVERY, imports_factory,
+                       require_untrusted)
+    report = TrialReport(spec.export, trials, trials, [s.name for s in chosen])
+    if failed is not None:
+        report.failed_trial, report.failure = failed
+        report.passed = report.failed_trial
     return report

@@ -416,7 +416,10 @@ class _Parser:
         if len(items) != 1 or self._head(items[0]) != "func":
             raise self.err("expected (type $name? (func ...))", s.span)
         trust, rest = self._keyword(items[0].items[1:], Trust)
-        ft = self._functype(rest, False, s.span, trust or Trust.UNTRUSTED)[0]
+        ft, _, rest = self._functype(rest, False, s.span,
+                                     trust or Trust.UNTRUSTED)
+        if rest:
+            raise self.err("trailing tokens in (func ...)", rest[0].span)
         self.names.bind("type", name, len(self.types), s.span)
         self.types.append(ft)
 

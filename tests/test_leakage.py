@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import pytest
 import relgen
 from ctwasm import ast, interp, leakage, text, validate
 from ctwasm.ast import I32, I64, S32, Secrecy
@@ -350,8 +351,9 @@ def test_lockstep_verdicts_are_pinned():
         (_SECRET_LOOP_COUNT, 3, 5, None,
          {"verdict": "diverged", "step": 28, "action_a": None,
           "action_b": {"step": 0, "action": "op", "op": "drop"},
-          "explanation": "one run continues where the other stopped"},
-         None),
+          "explanation": "one run continues where the other stopped",
+          "location": "func 0 instr 8 (drop) at line 5:8"},
+         "func 0 instr 8 (drop) at line 5:8"),
         # twin a runs out of fuel on the step where twin b traps
         (_SECRET_TRAP, 1, 0, 3,
          {"verdict": "diverged", "step": 3, "action_a": None,
@@ -508,3 +510,31 @@ def test_randomized_trial_with_host_imports_equals_per_trial_checks():
     for seed in range(3):
         _assert_trial_matches_reference(tm, spec, 5, seed,
                                         imports_factory=imports)
+
+
+@pytest.mark.parametrize("pages, grow", [
+    (64, ""),
+    # one page at instantiation, grown to the 64-page default limit
+    (1, "(drop (memory.grow (i32.const 63)))"),
+])
+def test_randomized_trial_bounds_the_twins_alive_at_once(pages, grow):
+    """Every twin holds a 4 MiB secret memory.  16 trials run in cohorts of
+    at most ``COHORT_BYTES`` of twin memory beside one baseline, so the peak
+    stays near one cohort plus a baseline, far below 16 live twins."""
+    src = f"""(module (memory {pages} secret)
+      (func (export "f") (param s32) (result s32)
+        {grow}
+        (s32.add (s32.load (i32.const 0)) (local.get 0))))"""
+    tm = validate.validate_module(text.parse_module(src), annotate=True)
+    spec = TrialSpec("f", [Value(S32, 0)],
+                     [leakage.SecretInput("key", offset=0, length=4),
+                      leakage.SecretInput("x", param=0)])
+    size = 64 * 65536
+    tracemalloc.start()
+    try:
+        rep = randomized_ct_trial(tm, spec, trials=16, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.passed == 16, rep.to_json()
+    assert peak < leakage.COHORT_BYTES + 2 * size + size // 2, peak

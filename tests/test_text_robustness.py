@@ -81,6 +81,7 @@ def test_mutated_corpus_sources_raise_only_parse_error(corpus_entries):
     '(module (import "a" "b" (table 1)))',
     '(module (import "a" "b" (memory 1 secret junk)))',
     '(module (import "a" "b" (global i32 (i32.const 0))))',
+    "(module (type (func (param i32) garbage)))",
 ])
 def test_malformed_text_raises_parse_error(src):
     with pytest.raises(ParseError):
