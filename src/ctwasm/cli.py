@@ -26,17 +26,46 @@ class CliError(Exception):
     pass
 
 
-def load_module(path: str) -> ast.Module:
+def _read_input(path: str, as_text: bool = False) -> bytes | str:
+    """The bytes of an input file, or its UTF-8 text."""
     p = Path(path)
-    if not p.exists():
-        raise CliError(f"no such file: {path}")
-    if p.suffix in (".cwasm", ".wasm"):
-        try:
-            return binary.decode_module(p.read_bytes())
-        except binary.DecodeError as e:
-            raise CliError(f"{path}: {e}") from e
     try:
-        return text.parse_module(p.read_text(), path)
+        return p.read_text(encoding="utf-8") if as_text else p.read_bytes()
+    except FileNotFoundError:
+        raise CliError(f"no such file: {path}") from None
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text (byte {e.start})") from e
+
+
+def _write_output(path: str | None, data: bytes | str) -> None:
+    """Write an output file, or text to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(data)
+        return
+    p = Path(path)
+    try:
+        if isinstance(data, bytes):
+            p.write_bytes(data)
+        else:
+            p.write_text(data, encoding="utf-8")
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror or e}") from e
+
+
+def _decode(path: str) -> ast.Module:
+    try:
+        return binary.decode_module(_read_input(path))
+    except binary.DecodeError as e:
+        raise CliError(f"{path}: {e}") from e
+
+
+def load_module(path: str) -> ast.Module:
+    if Path(path).suffix in (".cwasm", ".wasm"):
+        return _decode(path)
+    try:
+        return text.parse_module(_read_input(path, as_text=True), path)
     except text.ParseError as e:
         raise CliError(str(e)) from e
 
@@ -120,34 +149,20 @@ class _TracePrinter:
 
 def cmd_fmt(args) -> int:
     m = load_module(args.file)
-    out = text.print_module(m)
-    if args.output:
-        Path(args.output).write_text(out)
-    else:
-        sys.stdout.write(out)
+    _write_output(args.output, text.print_module(m))
     return OK
 
 
 def cmd_encode(args) -> int:
     m = load_module(args.file)
     data = binary.encode_module(m)
-    Path(args.output).write_bytes(data)
+    _write_output(args.output, data)
     _emit({"bytes": len(data)}, args.json, f"wrote {len(data)} bytes")
     return OK
 
 
 def cmd_decode(args) -> int:
-    p = Path(args.file)
-    try:
-        m = binary.decode_module(p.read_bytes())
-    except binary.DecodeError as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return ERROR
-    out = text.print_module(m)
-    if args.output:
-        Path(args.output).write_text(out)
-    else:
-        sys.stdout.write(out)
+    _write_output(args.output, text.print_module(_decode(args.file)))
     return OK
 
 
@@ -158,10 +173,8 @@ def cmd_strip(args) -> int:
     except strip.RefuseUnvalidated as e:
         print(f"{args.file}: refusing unvalidated input: {e}", file=sys.stderr)
         return ERROR
-    if args.emit == "binary":
-        Path(args.output).write_bytes(binary.encode_module(report.module))
-    else:
-        Path(args.output).write_text(text.print_module(report.module))
+    _write_output(args.output, binary.encode_module(report.module)
+                  if args.emit == "binary" else text.print_module(report.module))
     doc = {"warnings": [w.to_json() for w in report.warnings],
            "input_bytes": report.input_bytes,
            "output_bytes": report.output_bytes,
@@ -195,7 +208,7 @@ def cmd_infer(args) -> int:
                 print(f"    {link}", file=sys.stderr)
             print(f"    hint: {c.suggestion}", file=sys.stderr)
         return ERROR
-    Path(args.output).write_text(text.print_module(result.module.module))
+    _write_output(args.output, text.print_module(result.module.module))
     doc = {"iterations": result.iterations, "demotions": result.demotions,
            "notes": result.notes}
     _emit(doc, args.json)
@@ -255,7 +268,8 @@ def cmd_ct_check(args) -> int:
     if report.ok:
         return OK
     v = report.failure
-    print(f"trial {report.failed_trial}: {v.kind} at step {v.step}"
+    print(f"trial {report.failed_trial}: {v.kind}"
+          + (f" at step {v.step}" if v.step is not None else "")
           + (f" [{v.location}]" if v.location else ""), file=sys.stderr)
     if v.action_a is not None or v.action_b is not None:
         print(f"    zero-secret run: {v.action_a}", file=sys.stderr)

@@ -136,26 +136,11 @@ def entries(root: Path | None = None) -> list[CorpusEntry]:
     return out
 
 
-def _fresh_instance(tm: validate.TypedModule) -> tuple[Store, int]:
-    return interp.instantiate(Store(), tm)
-
-
-def _poke(store: Store, idx: int, image: dict[int, bytes]) -> None:
-    mem_addr = store.insts[idx].mem_addr
-    if mem_addr is None:
-        if image:
-            raise ValueError("vector pokes memory but module has none")
-        return
-    data = store.mems[mem_addr].data
-    for off, chunk in image.items():
-        data[off:off + len(chunk)] = chunk
-
-
 def run_vector(tm: validate.TypedModule, vec: Vector,
                fuel: int = 10_000_000) -> tuple[bool, str]:
     """Run one functional vector; compares results and memory bit-exactly."""
-    store, idx = _fresh_instance(tm)
-    _poke(store, idx, vec.memory_in)
+    store, idx = interp.instantiate(Store(), tm)
+    interp.write_image(store, idx, vec.memory_in)
     out = interp.invoke(store, idx, vec.invoke, vec.args, fuel=fuel)
     if out.status != "done":
         return False, f"{vec.name}: {out.status} ({out.trap_kind})"
@@ -173,17 +158,17 @@ def run_vector(tm: validate.TypedModule, vec: Vector,
     return True, vec.name
 
 
-def strip_and_rerun(entry: CorpusEntry, tm: validate.TypedModule,
-                    vectors: int = 0) -> tuple[bool, str, strip.StripReport]:
+def strip_and_rerun(entry: CorpusEntry, tm: validate.TypedModule
+                    ) -> tuple[bool, str, strip.StripReport]:
     """Erase annotations and check every vector agrees bit-for-bit."""
     report = strip.strip_module(tm)
     stripped = validate.validate_module(report.module)
     for vec in entry.vectors:
         pub_args = [Value(ast.public_type(v.type), v.bits) for v in vec.args]
-        s1, i1 = _fresh_instance(tm)
-        s2, i2 = _fresh_instance(stripped)
-        _poke(s1, i1, vec.memory_in)
-        _poke(s2, i2, vec.memory_in)
+        s1, i1 = interp.instantiate(Store(), tm)
+        s2, i2 = interp.instantiate(Store(), stripped)
+        interp.write_image(s1, i1, vec.memory_in)
+        interp.write_image(s2, i2, vec.memory_in)
         a = interp.invoke(s1, i1, vec.invoke, vec.args)
         b = interp.invoke(s2, i2, vec.invoke, pub_args)
         if (a.status, a.trap_kind) != (b.status, b.trap_kind):

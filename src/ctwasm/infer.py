@@ -18,11 +18,15 @@ Inference reads the validator's flat code and its stack annotations.
 One def-use pass per function (``_def_use``) is the only model of the
 operand stack here: it records which ops produced each op's operands and
 which values reach each block, loop or if result and the function result,
-by fall-through or by branch.  The demotion rules (``_Rules``) and the
-coercion flags (``_flags``) are per-op functions of those edges, in which
-a value is the node ("val", func, pc) of the op that pushed it (of the
-opening op, for a construct's result).  ``ast.rebuild`` then meets the
-instructions in the order of their flat ops as it rebuilds each body.
+by fall-through or by branch.  A value is the node ("val", func, pc) of
+the op that pushed it (of the opening op, for a construct's result).
+
+Each op's secrecy rule is stated once, in ``_Rules.func``.  As it adds an
+op's demotion rules it records what the op's variant takes its secrecy
+from and which node or public slot each operand's value must match; the
+coercion flags (``_flags``) read that record, so they demand only what a
+rule enforces.  ``ast.rebuild`` then meets the instructions in the order
+of their flat ops as it rebuilds each body.
 """
 
 from __future__ import annotations
@@ -267,12 +271,15 @@ def _def_use(m: ast.Module, ff: FlatFunc) -> _DefUse:
 
 
 class _Rules:
-    """The demotion rules, and the labels forced public outright."""
+    """The demotion rules, the labels forced public outright, and for each
+    function the record of its ops that the coercion flags read."""
 
     def __init__(self, m: ast.Module):
         self.m = m
         self.rules: list[_Rule] = []
         self.forced: list[tuple[tuple, str, str]] = []
+        self.sources: dict[int, list] = {}
+        self.needs: dict[int, list[tuple]] = {}
 
     def edge(self, a, b, why, loc) -> None:
         """a public implies b public; None stands for no producer."""
@@ -301,111 +308,144 @@ class _Rules:
 
     def func(self, fi: int, ff: FlatFunc, du: _DefUse) -> None:
         m, edge, force = self.m, self.edge, self.force
-        # producer -> the node of its value; a tee's value is its local's,
-        # which is how the coercion pass reads it too
+        # producer -> the node of its value; a tee's value is its local's and
+        # the value a br_if re-pushes is its target's result
         node: dict = {}
         where = f"func {fi}"
+        # the record the coercion flags read: what each op's variant takes
+        # its secrecy from (a node, None for public, or the producer whose
+        # variant it follows), and the (producer, node or None for public)
+        # pairs its operands and handed-on values must match
+        src: list = [None] * len(ff.code)
+        needs: list[tuple] = [()] * len(ff.code)
+        self.sources[fi], self.needs[fi] = src, needs
+
+        def need(p, target, why: str) -> None:
+            """p's value is public when target is, or always (None)."""
+            if target is None:
+                force(node.get(p), why, loc)
+            else:
+                edge(target, node.get(p), why, loc)
+            if p is not None:
+                needs[pc] += ((p, target),)
+
+        def out(target, why: str | None = None) -> None:
+            """The op's variant takes its secrecy from target.  With a why,
+            target is public when the op's value is, or for None the value
+            is public outright."""
+            src[pc] = target
+            if why is not None and target is None:
+                force(val, why, loc)
+            elif why is not None:
+                edge(val, target, why, loc)
+
         for pc, op in enumerate(ff.code):
             tag = op[0]
             if (tag == flat.T_END or tag == flat.T_ELSE) and not du.flows[pc]:
                 continue
-            val = node[pc] = ("val", fi, pc)
+            val = node[pc] = src[pc] = ("val", fi, pc)
             span = ff.origins[pc].span
             loc = where if span is None else \
                 f"{where} line {span.line}:{span.col}"
-            args = du.args[pc]
-            a = [node.get(p) for p in args] if args else ()  # None: no producer
+            a = du.args[pc]  # producers; None where dead code pops nothing
             match tag:
                 case flat.T_GET_LOCAL:
-                    edge(val, ("local", fi, op[2]), "read of local", loc)
+                    out(("local", fi, op[2]), "read of local")
                 case flat.T_CONST:
                     if not op[2].is_int:
-                        force(val, "float constant", loc)
-                case flat.T_SET_LOCAL:
-                    edge(("local", fi, op[2]), a[0], "write to local", loc)
-                case flat.T_TEE_LOCAL:
-                    edge(("local", fi, op[2]), a[0], "write to local", loc)
-                    node[pc] = ("local", fi, op[2])
+                        out(None, "float constant")
+                case flat.T_SET_LOCAL | flat.T_TEE_LOCAL:
+                    need(a[0], ("local", fi, op[2]), "write to local")
+                    node[pc] = src[pc] = ("local", fi, op[2])
                 case flat.T_GET_GLOBAL:
-                    edge(val, ("global", op[2]), "read of global", loc)
+                    out(("global", op[2]), "read of global")
                 case flat.T_SET_GLOBAL:
-                    edge(("global", op[2]), a[0], "write to global", loc)
+                    need(a[0], ("global", op[2]), "write to global")
                 case flat.T_BINOP if op[3] in ast.UNSAFE_BINOPS and op[2].is_int:
-                    for x, what in ((a[0], "left operand"),
-                                    (a[1], "right operand"), (val, "result")):
-                        force(x, f"{what} of {op[2].name}.{op[3]}", loc)
+                    name = f"{op[2].name}.{op[3]}"
+                    need(a[0], None, f"left operand of {name}")
+                    need(a[1], None, f"right operand of {name}")
+                    out(None, f"result of {name}")
                 case flat.T_UNOP | flat.T_BINOP | flat.T_TESTOP | flat.T_RELOP:
                     name = "eqz" if tag == flat.T_TESTOP else op[3]
-                    for x in a:
-                        edge(val, x, f"operand of {name}", loc)
-                    if tag != flat.T_RELOP and not op[2].is_int:
-                        force(val, "float arithmetic", loc)
+                    # a float comparison takes public floats and has only a
+                    # public variant; its i32 node stays free
+                    fcmp = tag == flat.T_RELOP and not op[2].is_int
+                    for p in a:
+                        need(p, None if fcmp else val, f"operand of {name}")
+                    if fcmp:
+                        out(None)
+                    elif not op[2].is_int:
+                        out(None, "float arithmetic")
                 case flat.T_SELECT:
                     t = du.types[pc]
                     if t is not None and not t.is_int:
                         # a float select is never secret, so its result
                         # (and through it the condition) must be public
-                        force(val, "float select", loc)
-                    edge(val, a[0], "select operand", loc)
-                    edge(val, a[1], "select operand", loc)
-                    edge(val, a[2], "select condition under a public type",
-                         loc)
+                        out(None, "float select")
+                    need(a[0], val, "select operand")
+                    need(a[1], val, "select operand")
+                    need(a[2], val, "select condition under a public type")
                 case flat.T_LOAD:
-                    force(a[0], "memory address", loc)
+                    need(a[0], None, "memory address")
                     if op[2].is_int:
-                        edge(val, ("mem",), "value loaded from memory", loc)
+                        out(("mem",), "value loaded from memory")
                     else:
-                        force(val, "float load", loc)
+                        out(None, "float load")
                         force(("mem",), "float load", loc)
                 case flat.T_STORE:
-                    force(a[0], "memory address", loc)
-                    if op[2].is_int:
-                        edge(("mem",), a[1], "value stored to memory", loc)
-                    else:
+                    need(a[0], None, "memory address")
+                    if not op[2].is_int:
                         force(("mem",), "float store", loc)
+                    need(a[1], ("mem",), "value stored to memory")
+                    out(("mem",))
                 case flat.T_MEMORY_SIZE:
-                    force(val, "memory.size result", loc)
+                    out(None, "memory.size result")
                 case flat.T_MEMORY_GROW:
-                    force(a[0], "memory.grow operand", loc)
-                    force(val, "memory.grow result", loc)
-                case flat.T_CONVERT:
-                    if op[2].is_int and op[3].is_int:
-                        edge(val, a[0], "width conversion", loc)
-                    else:
-                        force(a[0], "float conversion operand", loc)
-                        force(val, "float conversion result", loc)
-                case flat.T_REINTERPRET:
-                    force(a[0], "reinterpret operand", loc)
-                    force(val, "reinterpret result", loc)
+                    need(a[0], None, "memory.grow operand")
+                    out(None, "memory.grow result")
+                case flat.T_CONVERT if op[2].is_int and op[3].is_int:
+                    # the variant follows the operand's, so a classify a
+                    # secret result needs follows the convert
+                    edge(val, node.get(a[0]), "width conversion", loc)
+                    out(a[0])
+                case flat.T_CONVERT | flat.T_REINTERPRET:
+                    what = "reinterpret" if tag == flat.T_REINTERPRET \
+                        else "float conversion"
+                    need(a[0], None, f"{what} operand")
+                    out(None, f"{what} result")
                 case flat.T_CALL:
                     k = op[2]
-                    for i, x in enumerate(a):
-                        edge(("local", k, i), x,
-                             f"argument {i} of call to func {k}", loc)
+                    for i, p in enumerate(a):
+                        need(p, ("local", k, i),
+                             f"argument {i} of call to func {k}")
                     if m.funcs[k].type.results:
-                        edge(val, ("result", k), "call result", loc)
+                        out(("result", k), "call result")
                 case flat.T_CALL_INDIRECT:
-                    force(a[-1], "call_indirect index", loc)
+                    need(a[-1], None, "call_indirect index")
                     cands = _table_candidates(m, op[2])
-                    for cand in cands:
-                        for i, x in enumerate(a[:-1]):
-                            edge(("local", cand, i), x,
-                                 f"argument {i} of indirect call", loc)
-                    if op[2].results:
+                    # with no candidate the call traps and keeps its public
+                    # type: public arguments, a public variant
+                    for cand in cands or (None,):
+                        for i, p in enumerate(a[:-1]):
+                            need(p, None if cand is None else
+                                 ("local", cand, i),
+                                 f"argument {i} of indirect call")
+                    if not cands:
+                        out(None)
+                    elif op[2].results:
                         for cand in cands:
-                            edge(val, ("result", cand),
-                                 "indirect call result", loc)
+                            out(("result", cand), "indirect call result")
                 case flat.T_BR_IF:
-                    force(a[0], "br_if condition", loc)
-                    node[pc] = _target(fi, du.targets[pc])
+                    need(a[0], None, "br_if condition")
+                    node[pc] = src[pc] = _target(fi, du.targets[pc])
                 case flat.T_BR_TABLE:
-                    force(a[0], "br_table index", loc)
+                    need(a[0], None, "br_table index")
                 case flat.T_IF:
-                    force(a[0], "if condition", loc)
+                    need(a[0], None, "if condition")
             if tag in _KIND and op[2] is not None and not op[2].is_int:
-                force(val, f"float {_KIND[tag]} result", loc)
+                out(None, f"float {_KIND[tag]} result")
             for target, p in du.flows[pc]:
-                dst = _target(fi, target)
                 if tag == flat.T_RETURN:
                     why = "return value"
                 elif tag != flat.T_ELSE and tag != flat.T_END:
@@ -414,7 +454,7 @@ class _Rules:
                     why, loc = "function result", where
                 else:
                     why = f"{_KIND[ff.code[target][0]]} result"
-                edge(dst, node[p], why, loc)
+                need(p, _target(fi, target), why)
 
     def _unify_table_signatures(self) -> None:
         """Functions sharing table slots of one signature must share labels,
@@ -499,74 +539,31 @@ def _make_conflict(rule: _Rule, parent: dict) -> Conflict:
     )
 
 
-def _flags(m: ast.Module, fi: int, ff: FlatFunc, du: _DefUse, sec_of,
-           mem_sec: Secrecy) -> tuple[list[Secrecy], dict[int, ast.Rep]]:
+def _flags(src: list, needs: list[tuple], types: list, sec_of
+           ) -> tuple[list[Secrecy], dict[int, ast.Rep]]:
     """The secrecy variant of each op, and where classify must follow.
 
-    An op's variant is the secrecy of the value it pushes (a store's is
-    the memory's).  Where an operand or a handed-on value must be secret
-    and its producer is public, a classify follows the producer.
+    Reads the record ``_Rules.func`` left, so it demands only what a rule
+    enforces.  Where a value must be secret and its producer's variant is
+    public, a classify follows the producer.
     """
-    sec = [PUBLIC] * len(ff.code)
+    sec = [PUBLIC] * len(src)
     classify: dict[int, ast.Rep] = {}
 
-    def demand(p, want: Secrecy) -> None:
-        if p is None:
-            return
-        if want is SECRET and sec[p] is PUBLIC:
-            t = du.types[p]  # None in dead code, where any width checks
-            classify[p] = ast.Rep.I32 if t is None else t.rep
-        elif want is PUBLIC and sec[p] is SECRET:
-            raise AssertionError("solver let a secret reach a public slot")
+    def label(s) -> Secrecy:  # of a node, None (public) or a producer
+        if s is None:
+            return PUBLIC
+        return sec[s] if isinstance(s, int) else sec_of(s)
 
-    for pc, op in enumerate(ff.code):
-        tag = op[0]
-        args = du.args[pc]
-        out = sec_of(("val", fi, pc))  # forced public where the type is float
-        wants: tuple = ()
-        match tag:
-            case flat.T_GET_LOCAL:
-                out = sec_of(("local", fi, op[2]))
-            case flat.T_SET_LOCAL | flat.T_TEE_LOCAL:
-                out = sec_of(("local", fi, op[2]))
-                wants = (out,)
-            case flat.T_GET_GLOBAL:
-                out = sec_of(("global", op[2]))
-            case flat.T_SET_GLOBAL:
-                wants = (sec_of(("global", op[2])),)
-            case flat.T_UNOP | flat.T_BINOP | flat.T_TESTOP | flat.T_SELECT:
-                wants = (out,) * len(args)
-            case flat.T_RELOP:
-                out = out if op[2].is_int else PUBLIC
-                wants = (out, out)
-            case flat.T_LOAD:
-                out, wants = mem_sec, (PUBLIC,)
-            case flat.T_STORE:
-                out, wants = mem_sec, (PUBLIC, mem_sec)
-            case flat.T_CONVERT if op[2].is_int and op[3].is_int:
-                out = PUBLIC if args[0] is None else sec[args[0]]
-            case flat.T_BR_IF:
-                out, wants = sec_of(_target(fi, du.targets[pc])), (PUBLIC,)
-            case (flat.T_CONVERT | flat.T_REINTERPRET | flat.T_MEMORY_GROW
-                  | flat.T_IF | flat.T_BR_TABLE):
-                wants = (PUBLIC,)
-            case flat.T_CALL:
-                k = op[2]
-                wants = tuple(sec_of(("local", k, i))
-                              for i in range(len(args)))
-                out = sec_of(("result", k))
-            case flat.T_CALL_INDIRECT:
-                cands = _table_candidates(m, op[2])
-                wants = tuple(sec_of(("local", cands[0], i)) if cands
-                              else PUBLIC for i in range(len(args) - 1))
-                wants += (PUBLIC,)
-                out = (sec_of(("result", cands[0]))
-                       if cands and op[2].results else PUBLIC)
-        for p, want in zip(args, wants):
-            demand(p, want)
-        for target, p in du.flows[pc]:
-            demand(p, sec_of(_target(fi, target)))
-        sec[pc] = out
+    for pc, s in enumerate(src):
+        for p, target in needs[pc]:
+            if label(target) is SECRET:
+                if sec[p] is PUBLIC:
+                    t = types[p]  # None in dead code, where any width checks
+                    classify[p] = ast.Rep.I32 if t is None else t.rep
+            elif sec[p] is SECRET:
+                raise AssertionError("solver let a secret reach a public slot")
+        sec[pc] = label(s)
     return sec, classify
 
 
@@ -674,7 +671,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
                                   f.name, f.span))
             continue
         ff, du = flats[fi]
-        sec, classify = _flags(m, fi, ff, du, sec_of, mem_sec)
+        sec, classify = _flags(rs.sources[fi], rs.needs[fi], du.types, sec_of)
         np = len(f.type.params)
         locals_ = tuple(ast.at_secrecy(t, sec_of(("local", fi, np + i)))
                         for i, t in enumerate(f.locals))

@@ -117,6 +117,40 @@ class MemInst:
     def pages(self) -> int:
         return len(self.data) // PAGE
 
+    def _region(self, offset: int, length: int) -> slice:
+        if offset < 0 or offset + length > len(self.data):
+            raise Trap("out of bounds memory access")
+        return slice(offset, offset + length)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Bytes of the memory for the outside; out of range, a Trap."""
+        return bytes(self.data[self._region(offset, length)])
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Write bytes from the outside in; out of range, a Trap, and
+        nothing is written."""
+        self.data[self._region(offset, len(data))] = data
+
+
+def write_image(store: Store, inst_idx: int,
+                image: dict[int, bytes] | None) -> None:
+    """Write an image (offset -> bytes) into an instance's memory.  Raises
+    ValueError when the instance has no memory, or naming the offset of a
+    region that runs past the memory's end."""
+    if not image:
+        return
+    mem_addr = store.insts[inst_idx].mem_addr
+    if mem_addr is None:
+        raise ValueError("memory image given but module has no memory")
+    mem = store.mems[mem_addr]
+    for offset, chunk in image.items():
+        try:
+            mem.write(offset, chunk)
+        except Trap:
+            raise ValueError(
+                f"memory image region at offset {offset} ({len(chunk)} "
+                f"bytes) runs past the {len(mem.data)}-byte memory") from None
+
 
 @dataclass
 class GlobalInst:
@@ -182,12 +216,12 @@ class HostMemory:
     def read(self, offset: int, length: int) -> bytes:
         if not self._visible:
             raise PermissionError("secret memory is not visible to untrusted host")
-        return bytes(self._mem.data[offset:offset + length])
+        return self._mem.read(offset, length)
 
     def write(self, offset: int, data: bytes) -> None:
         if not self._visible:
             raise PermissionError("secret memory is not writable by untrusted host")
-        self._mem.data[offset:offset + len(data)] = data
+        self._mem.write(offset, data)
 
 
 @dataclass

@@ -213,25 +213,16 @@ INDISTINGUISHABLE = Verdict("indistinguishable")
 # --------------------------------------------------------------------------
 # Lockstep twin execution
 
-def _write_image(store: Store, inst_idx: int, image: dict[int, bytes] | None
-                 ) -> None:
-    if not image:
-        return
-    mem_addr = store.insts[inst_idx].mem_addr
-    if mem_addr is None:
-        raise Incomparable("memory image given but module has no memory")
-    data = store.mems[mem_addr].data
-    for offset, chunk in image.items():
-        data[offset:offset + len(chunk)] = chunk
-
-
 def _twin_config(tm: TypedModule, export: str, args: list[Value],
                  image: dict[int, bytes] | None, fuel: int,
                  imports_factory=None) -> Config:
     store = Store()
     imports = imports_factory() if imports_factory else None
     store, idx = interp.instantiate(store, tm, imports)
-    _write_image(store, idx, image)
+    try:
+        interp.write_image(store, idx, image)
+    except ValueError as e:
+        raise Incomparable(str(e)) from None
     return interp.make_config(store, idx, export, args, fuel)
 
 

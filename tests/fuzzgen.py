@@ -275,6 +275,36 @@ def generate(seed: int, ct: bool = False) -> str:
     return ModuleGen(seed, ct).module()
 
 
+# dead code: after each of these the operand stack is polymorphic
+DEAD_CODE = ("(unreachable)", "(return)", "(br 0)", "(return) (br_if 0)")
+_NOT_EXPR = ("(then", "(else", "(param", "(result")  # parts of a construct
+
+
+def dead_code(seed: int) -> str | None:
+    """``generate(seed)`` with one dead-code sequence inserted before an
+    expression of a function body or at the body's end; None when the
+    result does not validate."""
+    from ctwasm import text, validate
+
+    rng = random.Random(f"dead-code {seed}")
+    src = generate(seed)
+    spots, at = [], 0
+    for line in src.split("\n"):
+        if line == "  )":
+            spots.append(at)
+        elif line.startswith("    ") and not line.startswith("    (local "):
+            spots += [at + i for i, ch in enumerate(line) if ch == "("
+                      and not line.startswith(_NOT_EXPR, i)]
+        at += len(line) + 1
+    at = rng.choice(spots)
+    src = src[:at] + rng.choice(DEAD_CODE) + " " + src[at:]
+    try:
+        validate.validate_module(text.parse_module(src))
+    except validate.ValidationFailure:
+        return None
+    return src
+
+
 # deliberate single-error mutants; both validators must reject
 _BAD_BODIES = [
     "(drop (i32.add (i64.const 0) (i32.const 1)))",   # operand type clash

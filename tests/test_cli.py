@@ -272,3 +272,46 @@ def test_ct_check_rejects_a_malformed_argument_literal(capsys, tmp_path):
                             "--trials", "1", "s32:0", "i32:zz"], capsys)
     assert rc == 1
     assert "invalid literal" in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("decode-missing", "no such file"),
+    ("directory", "Is a directory"),
+    ("decode-directory", "Is a directory"),
+    ("not-utf8", "not UTF-8 text"),
+    ("output-in-missing-directory", "No such file or directory"),
+])
+def test_bad_input_or_output_paths_fail_with_one_line(capsys, tmp_path, case,
+                                                      message):
+    good = tmp_path / "m.cwat"
+    good.write_text("(module)")
+    bad = tmp_path / "bad.cwat"
+    bad.write_bytes(b"\xff\xfe(module)")
+    argv = {
+        "decode-missing": ["decode", str(tmp_path / "nope.cwasm")],
+        "directory": ["validate", str(tmp_path)],
+        "decode-directory": ["decode", str(tmp_path)],
+        "not-utf8": ["validate", str(bad)],
+        "output-in-missing-directory":
+            ["fmt", str(good), "-o", str(tmp_path / "no" / "o.cwat")],
+    }[case]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_ct_check_of_an_image_past_the_end_of_memory_is_incomparable(
+        capsys, tmp_path):
+    p = tmp_path / "m.cwat"
+    p.write_text('(module (memory 1 secret) (func (export "f") (result s32)'
+                 " (s32.load (i32.const 0))))")
+    (tmp_path / "m.secrets.json").write_text(json.dumps(
+        {"invoke": "f", "secrets": {"m": {"offset": 70000, "length": 8}}}))
+    rc, out, err = run_cli(["ct-check", str(p), "--invoke", "f",
+                            "--trials", "5"], capsys)
+    assert rc == 1
+    assert "0/5 trials" in out
+    assert err.splitlines() == [
+        "trial 0: incomparable",
+        "    memory image region at offset 70000 (8 bytes) runs past the "
+        "65536-byte memory"]

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import oracles
+import pytest
 from ctwasm import corpus, interp, validate
 from ctwasm.interp import Store, Value, parse_value
 
@@ -151,3 +152,10 @@ def test_run_corpus_aggregate_report(corpus_root):
         assert stages["validate"] == "accepted"
         assert stages["strip"]["warnings"] == []
         assert stages["ct-check"]["ok"]
+
+
+def test_vector_region_past_the_end_of_memory_is_an_error(typed_corpus):
+    _, tm = typed_corpus["sha256"]
+    vec = corpus.Vector("far", "hash", [], {65530: bytes(64)}, {}, [])
+    with pytest.raises(ValueError, match="offset 65530"):
+        corpus.run_vector(tm, vec)

@@ -148,23 +148,56 @@ def test_infer_strip_idempotent_on_corpus(typed_corpus):
 
 def test_soundness_on_fuzz_corpus():
     """Every conflict-free inference output validates (the tool checks its
-    own output; this confirms it across generated shapes)."""
+    own output; this confirms it across generated shapes), with and without
+    the memory hint, also with dead code in the module."""
     import fuzzgen
 
-    inferred = conflicted = 0
-    for seed in range(120):
-        m = text.parse_module(fuzzgen.generate(seed))
+    def inferred(src: str, hints: Hints | None = None) -> bool:
         try:
-            res = infer_labels(m)
+            res = infer_labels(text.parse_module(src), hints)
         except InputInvalid:
-            continue  # generator can build div-free modules only; keep all
+            return False  # generator can build div-free modules only
         if res.ok:
-            inferred += 1
             validate.validate_module(res.module.module)
         else:
-            conflicted += 1
             assert res.conflicts
-    assert inferred >= 40  # most generated modules infer cleanly
+        return res.ok
+
+    # most generated modules infer cleanly
+    assert sum(inferred(fuzzgen.generate(seed)) for seed in range(120)) >= 40
+    # the dead-code mutants of seeds 656 and 1225 once crashed the coercion
+    # pass under the memory hint
+    for seed in (*range(120), 656, 1225):
+        inferred(fuzzgen.generate(seed), Hints(public_memory=True))
+        if (dead := fuzzgen.dead_code(seed)) is not None:
+            inferred(dead)
+            inferred(dead, Hints(public_memory=True))
+
+
+# Valid plain modules on which the demotion rules and the coercion flags
+# once disagreed, so that inference raised instead of returning.
+@pytest.mark.parametrize("src, hints", [
+    # a float store ties its value to the memory the hint makes public
+    ("""(module (memory 1)
+      (func (export "f") (unreachable) (select) (f32.store)))""",
+     Hints(public_memory=True)),
+    # a float comparison takes public operands whatever its result's label
+    ("""(module (func (export "f") (result i32)
+      (unreachable) (select) (f32.const 0) (f32.eq)))""", Hints()),
+    # no table function has the signature: the call keeps its public type
+    ("""(module (table 1 funcref) (type (func (param i32)))
+      (func (export "f") (param i32)
+        (call_indirect (type 0) (local.get 0) (i32.const 0))))""", Hints()),
+], ids=["float-store", "float-compare", "no-table-candidate"])
+def test_rules_and_coercions_agree_on_edge_cases(src, hints):
+    m = text.parse_module(src)
+    res = infer_labels(m, hints)
+    assert res.ok, res.conflicts
+    validate.validate_module(res.module.module)
+    if hints.public_memory:  # without the hint the memory stays secret
+        res = infer_labels(m)
+        assert [c.chain for c in res.conflicts] == \
+            [("float store (func 0 line 2:50)",)]
 
 
 def test_rejects_annotated_input():

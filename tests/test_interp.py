@@ -382,3 +382,27 @@ def test_float_rounding_keeps_the_sign_of_zero_and_infinities(width, x,
     got = [numerics.UNOP_FNS[f"f{width}", op](bits(x))
            for op in ("ceil", "floor", "trunc", "nearest")]
     assert got == [bits(v) for v in expected]
+
+
+@pytest.mark.parametrize("access", [
+    lambda mem: mem.write(65530, b"\1" * 64),
+    lambda mem: mem.write(70000, b"\1"),
+    lambda mem: mem.read(65530, 64),
+    lambda mem: mem.read(-1, 4),
+], ids=["write-across-end", "write-past-end", "read-across-end",
+        "read-before-start"])
+def test_host_memory_access_out_of_range_traps_the_run(access):
+    src = """(module (memory 1)
+      (func (import "env" "poke"))
+      (func (export "go") (call 0)))"""
+    tm = validate.validate_module(text.parse_module(src))
+
+    def callback(call: HostCall):
+        access(call.memory)
+
+    host = HostFunc("env", "poke", FuncType(Trust.UNTRUSTED, (), ()), callback)
+    store, idx = instantiate(Store(), tm, {("env", "poke"): host})
+    out = invoke(store, idx, "go", [])
+    assert (out.status, out.trap_kind) == ("trap", "out of bounds memory access")
+    data = store.mems[store.insts[idx].mem_addr].data
+    assert data == bytes(65536)  # neither grown nor partly written

@@ -538,3 +538,19 @@ def test_randomized_trial_bounds_the_twins_alive_at_once(pages, grow):
         tracemalloc.stop()
     assert rep.ok and rep.passed == 16, rep.to_json()
     assert peak < leakage.COHORT_BYTES + 2 * size + size // 2, peak
+
+
+def test_image_region_past_the_end_of_memory_is_incomparable():
+    src = """(module (memory 1 secret)
+      (func (export "f") (result s32) (s32.load (i32.const 0))))"""
+    tm = validate.validate_module(text.parse_module(src), annotate=True)
+    spec = TrialSpec("f", [], [leakage.SecretInput("m", offset=70000,
+                                                   length=8)], {}, None)
+    rep = randomized_ct_trial(tm, spec, trials=2, seed=0)
+    assert not rep.ok and rep.failed_trial == 0
+    assert rep.to_json()["failure"] == {
+        "verdict": "incomparable",
+        "reason": "memory image region at offset 70000 (8 bytes) runs past "
+                  "the 65536-byte memory"}
+    v = lockstep_check(tm, "f", [], [], image_b={65530: bytes(64)})
+    assert v.kind == "incomparable" and "offset 65530" in v.explanation
