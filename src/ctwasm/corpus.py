@@ -11,6 +11,7 @@ lockstep trials.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -103,9 +104,15 @@ def load_trial_spec(doc) -> TrialSpec:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _parse(src: str, name: str) -> ast.Module:
+    return text.parse_module(src, name)
+
+
 def load_entry(path: Path) -> CorpusEntry:
-    module = text.parse_module((path / "impl.cwat").read_text(),
-                               str(path / "impl.cwat"))
+    """The entry in ``path``.  ``impl.cwat`` is read on every call but
+    parsed once per content; the frozen AST is shared between calls."""
+    module = _parse((path / "impl.cwat").read_text(), str(path / "impl.cwat"))
     expect = json.loads((path / "expect.json").read_text())
     vectors = []
     vpath = path / "vectors.json"
@@ -158,6 +165,14 @@ def run_vector(tm: validate.TypedModule, vec: Vector,
     return True, vec.name
 
 
+def _vector_outcome(tm: validate.TypedModule, vec: Vector) -> tuple[bool, str]:
+    """``run_vector``, with a memory image that does not fit as a failure."""
+    try:
+        return run_vector(tm, vec)
+    except ValueError as e:
+        return False, f"{vec.name}: {e}"
+
+
 def strip_and_rerun(entry: CorpusEntry, tm: validate.TypedModule
                     ) -> tuple[bool, str, strip.StripReport]:
     """Erase annotations and check every vector agrees bit-for-bit."""
@@ -205,7 +220,7 @@ def run_corpus(root: Path | None = None, trials: int = 20,
                            for f in entry.module.funcs)
                 stages["trust"] = "all untrusted" if okay else "trusted leak"
             if okay:
-                results = [run_vector(tm, v) for v in entry.vectors]
+                results = [_vector_outcome(tm, v) for v in entry.vectors]
                 stages["vectors"] = [d for _, d in results]
                 okay = all(ok for ok, _ in results)
             if okay:

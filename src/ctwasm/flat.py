@@ -40,7 +40,8 @@ class FlatFunc:
     # operand-stack types before each op, filled in by the validator when
     # annotation is requested (None otherwise)
     stack_types: list[tuple[ast.ValType, ...]] | None = None
-    # the interpreter's compiled blocks, built on first execution
+    # the interpreter's compiled code, shared by every FlatFunc with equal
+    # code and looked up on first execution
     compiled: object = field(default=None, repr=False, compare=False)
 
     @property

@@ -23,10 +23,11 @@ serialize):
 Ops whose action is data-independent reuse one precomputed tuple, so
 tracing adds no allocation on the hot path.
 
-Execution compiles each function's flat code, on first run, into blocks:
-a block is a straight-line run of ops up to and including its first
-control op, lowered to one generated Python function with the operand
-stack in locals and the run's static actions in one ``trace.extend``.
+Execution compiles each function's flat code, on first run, into blocks,
+shared by every function with equal flat code.  A block is a
+straight-line run of ops up to and including its first control op,
+lowered to one generated Python function with the operand stack in
+locals and the run's static actions in one ``trace.extend``.
 Each op's semantics is written once, as a template (``_t_*``) that emits
 its source; a single step, a debug-mode step and a step that fuel or a
 step budget cuts short run the one-op block of the same template, so
@@ -35,6 +36,7 @@ every stop falls on the same instruction as it would op by op.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -444,7 +446,9 @@ class Frame:
     def __init__(self, inst: Instance, ff: flat.FlatFunc, locals_: list[int]):
         self.inst = inst
         self.ff = ff
-        self.code = ff.compiled or _Code(ff)
+        if ff.compiled is None:
+            ff.compiled = _code_of(tuple(ff.code))
+        self.code = ff.compiled
         self.locals = locals_
         self.stack: list[int] = []
         self.labels: list[tuple[int, int, int]] = []  # (target, arity, height)
@@ -723,12 +727,17 @@ def step(cfg: Config) -> tuple | None:
 # and go out with one ``trace.extend`` before the next data-dependent
 # action, before a trap, and at the end of the block.  Per-instance state
 # (globals, memory and its secrecy) is read through ``cfg`` and ``fr`` on
-# each call, so twins in two stores share the compiled code.
+# each call, and a block embeds nothing of its function but its flat code,
+# so compiled code is shared by every function with equal flat code: twins
+# in two stores, and a module validated again.  The cache keeps the code
+# of at most CODE_CACHE_SIZE distinct functions, the least recently looked
+# up going first; a FlatFunc holds on to its own for as long as it lives.
 
 # Longer straight-line runs are split: compiling a block takes transient
 # memory in proportion to its source (about 0.7 MB at 64 ops), and a block
 # longer than a lockstep batch could only ever run one op at a time.
 MAX_BLOCK = 64
+CODE_CACHE_SIZE = 64
 
 _CONTROL = frozenset((
     flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE, flat.T_IF, flat.T_ELSE,
@@ -747,17 +756,16 @@ _PROLOGUE = (
 
 
 class _Code:
-    """Compiled blocks of one FlatFunc, built on first execution.
+    """Compiled blocks of one function's flat code, built on first use.
 
     ``lens[pc]`` is the length of the block that starts at ``pc``;
     ``blocks[pc]`` runs it and ``singles[pc]`` runs the op at ``pc``
-    alone.  Both are compiled when first needed and cached here, on the
-    FlatFunc, for every store that runs the function."""
+    alone.  Both are compiled when first needed and kept here, shared by
+    every FlatFunc with equal flat code (see ``_code_of``)."""
 
     __slots__ = ("lens", "blocks", "singles")
 
-    def __init__(self, ff: flat.FlatFunc):
-        code = ff.code
+    def __init__(self, code: tuple):
         lens = [1] * len(code)
         for pc in range(len(code) - 2, -1, -1):
             if code[pc][0] not in _CONTROL and lens[pc + 1] < MAX_BLOCK:
@@ -765,7 +773,6 @@ class _Code:
         self.lens = lens
         self.blocks: list = [None] * len(code)
         self.singles: list = [None] * len(code)
-        ff.compiled = self
 
     def compile(self, ff: flat.FlatFunc, pc: int, n: int):
         fn = _Block(ff, pc, n).build()
@@ -774,6 +781,15 @@ class _Code:
         if n == 1:
             self.singles[pc] = fn
         return fn
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code_of(code: tuple) -> _Code:
+    """The one _Code of a function's flat code.  Keys compare as whole
+    tuples, not by hash alone, and every op field is an int, str, bool,
+    None, enum, value or function type, or numerics function, so equal
+    keys compile alike."""
+    return _Code(code)
 
 
 class _Block:

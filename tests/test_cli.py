@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from ctwasm import cli, interp, text, validate
+from ctwasm import binary, cli, interp, text, validate
 from ctwasm.ast import I32, Secrecy
 
 
@@ -315,3 +316,117 @@ def test_ct_check_of_an_image_past_the_end_of_memory_is_incomparable(
         "trial 0: incomparable",
         "    memory image region at offset 70000 (8 bytes) runs past the "
         "65536-byte memory"]
+
+
+_MODULE = """(module (memory (export "mem") 1 secret)
+  (func (export "f") (param s32 i32) (result s32)
+    (s32.add (local.get 0) (s32.classify (local.get 1))))
+  (func (export "g") (param i32 i32) (result i32)
+    (i32.div_u (local.get 0) (local.get 1)))
+  (func (export "h") (param s32) (s32.store (i32.const 65532) (local.get 0)))
+  (func (export "c") (param f32) (result f32) (f32.ceil (local.get 0))))"""
+_PLAIN = """(module (memory 1)
+  (func (export "f") (param i32 i32) (result i32)
+    (i32.store (local.get 0) (local.get 1))
+    (i32.add (local.get 1) (i32.load (i32.const 4)))))"""
+_GOOD = ["m.cwat", "m.cwasm", "p.cwat", "s.cwat"]
+_FILES = _GOOD + ["bad.cwat", "ill.cwat", "junk.cwasm", "latin.cwat",
+                  "empty.cwat", "missing.cwat", ".", "no/o.cwat"]
+_LITERALS = ["s32:7", "i32:9", "i32:0", "i64:1", "s64:-1", "f32:inf",
+             "f32:nan", "f32:-0", "i32:zz", "s32:99999999999999999999",
+             "x:1", ":", "s32:", "7"]
+_NUMBERS = ["0", "1", "2", "100", "5000", "-1", "-99999999999999999999",
+            "99999999999999999999999", "x", "1e3", ""]
+# each export of _MODULE with arguments it takes
+_CALLS = {"f": ["s32:7", "i32:9"], "g": ["i32:9", "i32:0"], "h": ["s32:-1"],
+          "c": ["f32:-0.5"]}
+_EXPORTS = sorted(_CALLS) + ["mem", "nope", ""]
+_OUTPUTS = ["out.cwat", "out.cwasm", ".", "no/o.cwat", "m.cwat"]
+_FLAGS = ["--json", "--trace", "--paranoid", "--fuel", "--seed", "--trials",
+          "--invoke", "--hints", "--secret-params", "--emit", "-o",
+          "--output", "--bogus", "-", "--", "-h"]
+# the options each subcommand takes, with the values each may have
+_SHAPES = {
+    "validate": {},
+    "run": {"--invoke": _EXPORTS, "--fuel": _NUMBERS, "--trace": None},
+    "fmt": {"-o": _OUTPUTS},
+    "encode": {"-o": _OUTPUTS},
+    "decode": {"-o": _OUTPUTS},
+    "strip": {"-o": _OUTPUTS, "--paranoid": None,
+              "--emit": ["text", "binary", "wat"]},
+    "infer": {"-o": _OUTPUTS, "--hints": ["hints.json", "badhints.json",
+                                          "list.json", "missing.json"]},
+    "ct-check": {"--invoke": _EXPORTS, "--trials": ["1", "2", "3", "0", "x"],
+                 "--seed": _NUMBERS, "--fuel": _NUMBERS,
+                 "--secret-params": ["0", "1", "0,1", "", ",", "m", "9"]},
+}
+
+
+def _argv(rng):
+    cmd = rng.choice(sorted(_SHAPES))
+    argv = (["--json"] if rng.random() < 0.3 else []) + \
+        [cmd, rng.choice(_GOOD if rng.random() < 0.6 else _FILES)]
+    for opt, values in _SHAPES[cmd].items():
+        if rng.random() < 0.8:
+            argv.append(opt)
+            if values is not None:
+                argv.append(rng.choice(values))
+    if cmd in ("run", "ct-check"):
+        export = argv[argv.index("--invoke") + 1] if "--invoke" in argv \
+            else ""
+        argv += _CALLS.get(export, []) if rng.random() < 0.6 else \
+            rng.sample(_LITERALS, rng.randrange(4))
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):  # mutate
+        at = rng.randrange(len(argv) + 1)
+        kind = rng.randrange(4)
+        if kind == 0 and at < len(argv):
+            del argv[at]
+        elif kind == 1 and at < len(argv):
+            argv[at], argv[-1] = argv[-1], argv[at]
+        else:
+            pool = (_FLAGS, _LITERALS, _NUMBERS, _FILES)[rng.randrange(4)]
+            argv.insert(at, rng.choice(pool))
+    # a large trial count is a valid request that only takes long
+    return [("3" if prev == "--trials" and a.isdecimal() and int(a) > 3
+             else a) for prev, a in zip([None] + argv, argv)]
+
+
+def test_mutated_argv_exits_with_a_code_and_never_a_traceback(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CTWASM_FUEL", raising=False)
+    inputs = {
+        "m.cwat": _MODULE, "s.cwat": _MODULE, "p.cwat": _PLAIN,
+        "bad.cwat": "(module (func (",
+        "ill.cwat": '(module (func (export "f") (param s32)'
+                    ' (if (local.get 0) (then))))',
+        "m.cwasm": binary.encode_module(text.parse_module(_MODULE)),
+        "junk.cwasm": b"\0asm\1\0\0\0\x01\x7f\xff",
+        "latin.cwat": b"(module) ;; \xe9",
+        "empty.cwat": "",
+        "s.secrets.json": json.dumps(
+            {"invoke": "f", "secrets": {"x": {"param": 9}}}),
+        "hints.json": json.dumps({"memory": "public"}),
+        "badhints.json": "{not json",
+        "list.json": "[1, 2]",
+    }
+    written = set(inputs)
+    rng = random.Random(2018)
+    for n in range(1500):
+        for name in written & inputs.keys():  # an -o may have overwritten it
+            data = inputs[name]
+            if isinstance(data, bytes):
+                (tmp_path / name).write_bytes(data)
+            else:
+                (tmp_path / name).write_text(data)
+        argv = _argv(rng)
+        written = set(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:  # argparse's usage errors and --help
+            rc = e.code
+        except Exception as e:  # pragma: no cover - the failure report
+            pytest.fail(f"argv {n} {argv}: {type(e).__name__}: {e}")
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (n, argv, rc)
+        assert rc != 1 or err.strip(), (n, argv)

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+import shutil
 
 import oracles
 import pytest
@@ -159,3 +161,19 @@ def test_vector_region_past_the_end_of_memory_is_an_error(typed_corpus):
     vec = corpus.Vector("far", "hash", [], {65530: bytes(64)}, {}, [])
     with pytest.raises(ValueError, match="offset 65530"):
         corpus.run_vector(tm, vec)
+
+
+def test_vector_region_past_the_end_of_memory_fails_its_stage(corpus_root,
+                                                              tmp_path):
+    shutil.copytree(corpus_root / "tea", tmp_path / "tea")
+    vpath = tmp_path / "tea" / "vectors.json"
+    doc = json.loads(vpath.read_text())
+    doc["vectors"][0]["memory_in"]["70000"] = "00"
+    vpath.write_text(json.dumps(doc))
+    report = corpus.run_corpus(tmp_path, trials=2, seed=7)
+    stages = report["entries"]["tea"]
+    assert not report["ok"] and not stages["ok"]
+    first = doc["vectors"][0]["name"]
+    assert stages["vectors"][0].startswith(f"{first}: memory image region "
+                                           "at offset 70000")
+    assert "strip" not in stages and "ct-check" not in stages
