@@ -11,6 +11,7 @@ from these two.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import itertools
@@ -660,6 +661,11 @@ class Memory:
     sec: Secrecy = Secrecy.PUBLIC
     imported: tuple[str, str] | None = None
     exports: tuple[str, ...] = ()
+
+
+def duplicates(names) -> list[str]:
+    """The names that occur more than once, sorted; in linear time."""
+    return sorted(n for n, k in collections.Counter(names).items() if k > 1)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ stdout; human diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import deque
@@ -292,7 +293,9 @@ def _trial_count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing keeps no state in it."""
     ap = _Parser(
         prog="ctwasm",
         description="Toolchain for secrecy-typed WebAssembly: validate, "

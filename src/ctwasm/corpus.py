@@ -143,55 +143,75 @@ def entries(root: Path | None = None) -> list[CorpusEntry]:
     return out
 
 
-def run_vector(tm: validate.TypedModule, vec: Vector,
-               fuel: int = 10_000_000) -> tuple[bool, str]:
-    """Run one functional vector; compares results and memory bit-exactly."""
+VECTOR_FUEL = 10_000_000
+
+
+@dataclass
+class VectorRun:
+    """What one run of a vector leaves: how it ended, its results' bits
+    and its final memory (None without one)."""
+    status: str
+    trap_kind: str | None
+    results: list[int]
+    memory: bytearray | None
+
+
+def _run(tm: validate.TypedModule, vec: Vector, args: list[Value],
+         fuel: int = VECTOR_FUEL) -> VectorRun:
     store, idx = interp.instantiate(Store(), tm)
     interp.write_image(store, idx, vec.memory_in)
-    out = interp.invoke(store, idx, vec.invoke, vec.args, fuel=fuel)
-    if out.status != "done":
-        return False, f"{vec.name}: {out.status} ({out.trap_kind})"
-    if vec.expect_results:
-        got = [v.bits for v in out.results]
-        want = [v.bits for v in vec.expect_results]
-        if got != want:
-            return False, f"{vec.name}: results {got} != {want}"
+    out = interp.invoke(store, idx, vec.invoke, args, fuel=fuel)
     mem_addr = store.insts[idx].mem_addr
+    return VectorRun(out.status, out.trap_kind, [v.bits for v in out.results],
+                     None if mem_addr is None else store.mems[mem_addr].data)
+
+
+def run_vector(tm: validate.TypedModule, vec: Vector, fuel: int = VECTOR_FUEL,
+               runs: list[VectorRun] | None = None) -> tuple[bool, str]:
+    """Run one functional vector; compares results and memory bit-exactly.
+    The run is appended to ``runs`` when given."""
+    run = _run(tm, vec, vec.args, fuel)
+    if runs is not None:
+        runs.append(run)
+    if run.status != "done":
+        return False, f"{vec.name}: {run.status} ({run.trap_kind})"
+    if vec.expect_results:
+        want = [v.bits for v in vec.expect_results]
+        if run.results != want:
+            return False, f"{vec.name}: results {run.results} != {want}"
     for off, want in vec.expect_memory.items():
-        got = bytes(store.mems[mem_addr].data[off:off + len(want)])
+        got = bytes(run.memory[off:off + len(want)])
         if got != want:
             return False, (f"{vec.name}: memory[{off}:{off + len(want)}] "
                            f"= {got.hex()} != {want.hex()}")
     return True, vec.name
 
 
-def _vector_outcome(tm: validate.TypedModule, vec: Vector) -> tuple[bool, str]:
+def _vector_outcome(tm: validate.TypedModule, vec: Vector,
+                    runs: list[VectorRun]) -> tuple[bool, str]:
     """``run_vector``, with a memory image that does not fit as a failure."""
     try:
-        return run_vector(tm, vec)
+        return run_vector(tm, vec, runs=runs)
     except ValueError as e:
         return False, f"{vec.name}: {e}"
 
 
-def strip_and_rerun(entry: CorpusEntry, tm: validate.TypedModule
+def strip_and_rerun(entry: CorpusEntry, tm: validate.TypedModule,
+                    annotated: list[VectorRun]
                     ) -> tuple[bool, str, strip.StripReport]:
-    """Erase annotations and check every vector agrees bit-for-bit."""
+    """Erase annotations and check that every vector's stripped run agrees
+    bit-for-bit with its run on ``tm`` (given in ``annotated``, as
+    ``run_vector`` leaves them at its default fuel)."""
     report = strip.strip_module(tm)
     stripped = validate.validate_module(report.module)
-    for vec in entry.vectors:
-        pub_args = [Value(ast.public_type(v.type), v.bits) for v in vec.args]
-        s1, i1 = interp.instantiate(Store(), tm)
-        s2, i2 = interp.instantiate(Store(), stripped)
-        interp.write_image(s1, i1, vec.memory_in)
-        interp.write_image(s2, i2, vec.memory_in)
-        a = interp.invoke(s1, i1, vec.invoke, vec.args)
-        b = interp.invoke(s2, i2, vec.invoke, pub_args)
+    for vec, a in zip(entry.vectors, annotated, strict=True):
+        b = _run(stripped, vec,
+                 [Value(ast.public_type(v.type), v.bits) for v in vec.args])
         if (a.status, a.trap_kind) != (b.status, b.trap_kind):
             return False, f"{vec.name}: termination differs", report
-        if [v.bits for v in a.results] != [v.bits for v in b.results]:
+        if a.results != b.results:
             return False, f"{vec.name}: results differ", report
-        ma, mb = s1.insts[i1].mem_addr, s2.insts[i2].mem_addr
-        if ma is not None and bytes(s1.mems[ma].data) != bytes(s2.mems[mb].data):
+        if a.memory != b.memory:
             return False, f"{vec.name}: final memory differs", report
     return True, "stripped run agrees", report
 
@@ -220,11 +240,12 @@ def run_corpus(root: Path | None = None, trials: int = 20,
                            for f in entry.module.funcs)
                 stages["trust"] = "all untrusted" if okay else "trusted leak"
             if okay:
-                results = [_vector_outcome(tm, v) for v in entry.vectors]
+                runs: list[VectorRun] = []
+                results = [_vector_outcome(tm, v, runs) for v in entry.vectors]
                 stages["vectors"] = [d for _, d in results]
                 okay = all(ok for ok, _ in results)
             if okay:
-                ok, detail, srep = strip_and_rerun(entry, tm)
+                ok, detail, srep = strip_and_rerun(entry, tm, runs)
                 stages["strip"] = {
                     "detail": detail,
                     "warnings": [w.to_json() for w in srep.warnings],

@@ -31,7 +31,9 @@ locals and the run's static actions in one ``trace.extend``.
 Each op's semantics is written once, as a template (``_t_*``) that emits
 its source; a single step, a debug-mode step and a step that fuel or a
 step budget cuts short run the one-op block of the same template, so
-every stop falls on the same instruction as it would op by op.
+every stop falls on the same instruction as it would op by op.  A numeric
+op's meaning is ``numerics``': the cheap integer ops paste in the
+expression it states them in, and every other op calls its function.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ast, flat
-from .numerics import Trap, signed
+from .numerics import EXPRS, Trap, signed
 from .validate import TypedModule
 
 PAGE = 65536
@@ -894,6 +896,16 @@ class _Block:
             actions = self.const(tuple(self.pending))
         return f"return _fault(cfg, {kind}, {actions}, {self.refund()})"
 
+    def apply(self, fn, *args: str) -> str:
+        """``fn`` of numerics applied to operands: its expression inlined
+        if it has one, else a call.  Operands are temps or non-negative
+        int literals, so an expression may name one twice."""
+        text = EXPRS.get(fn)
+        if text is None:
+            return f"{self.const(fn)}({', '.join(args)})"
+        assert all(a.isidentifier() or a.isdigit() for a in args), args
+        return "(" + text.format(**dict(zip("ab", args))) + ")"
+
     def push_trapping(self, expr: str) -> None:
         name = self.fresh()
         self.emit("try:")
@@ -1125,7 +1137,7 @@ def _t_const(b: _Block, op) -> None:
 
 def _t_unary(b: _Block, op) -> None:
     """unop and testop: the function is the op's last field."""
-    b.push(f"{b.const(op[-1])}({b.pop()})")
+    b.push(b.apply(op[-1], b.pop()))
     b.static(op[1])
 
 
@@ -1137,7 +1149,7 @@ def _t_binary(b: _Block, op) -> None:
         b.record(f'("unsafe-binop", {op[3]!r}, {lhs}, {rhs})')
     else:
         b.static(op[1])
-    expr = f"{b.const(op[4])}({lhs}, {rhs})"
+    expr = b.apply(op[4], lhs, rhs)
     if op[2].is_int and op[3] in ast.UNSAFE_BINOPS:
         b.push_trapping(expr)
     else:
@@ -1146,7 +1158,7 @@ def _t_binary(b: _Block, op) -> None:
 
 def _t_convert(b: _Block, op) -> None:
     b.static(op[1])
-    expr = f"{b.const(op[4])}({b.pop()})"
+    expr = b.apply(op[4], b.pop())
     if op[2].is_int and not op[3].is_int:  # a truncation may trap
         b.push_trapping(expr)
     else:

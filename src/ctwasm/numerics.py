@@ -63,8 +63,62 @@ def f64_to_bits(v: float) -> int:
     return b
 
 
+# The integer ops cheap enough to inline, each stated once as an
+# expression over its operands {a} and {b}, its width {bits}, its {mask}
+# and its sign bit {top}.  A signed operand is read as ({a} ^ {top}) -
+# {top}, which orders and shifts as signed(a, bits) does.  The function a
+# table hands out is built from the expression at import, and EXPRS maps
+# it back to the expression's text, width filled in, which compiled
+# blocks inline in place of the call.
+_INT_BINOP_EXPRS = {
+    "add": "({a} + {b}) & {mask}",
+    "sub": "({a} - {b}) & {mask}",
+    "mul": "({a} * {b}) & {mask}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "({a} << ({b} % {bits})) & {mask}",
+    "shr_u": "{a} >> ({b} % {bits})",
+    "shr_s": "((({a} ^ {top}) - {top}) >> ({b} % {bits})) & {mask}",
+    "rotl": "(({a} << ({b} % {bits})) | ({a} >> ({bits} - {b} % {bits}))) & {mask}",
+    "rotr": "(({a} >> ({b} % {bits})) | ({a} << ({bits} - {b} % {bits}))) & {mask}",
+}
+
+_INT_RELOP_EXPRS = {
+    "eq": "1 if {a} == {b} else 0",
+    "ne": "1 if {a} != {b} else 0",
+    "lt_s": "1 if ({a} ^ {top}) < ({b} ^ {top}) else 0",
+    "lt_u": "1 if {a} < {b} else 0",
+    "gt_s": "1 if ({a} ^ {top}) > ({b} ^ {top}) else 0",
+    "gt_u": "1 if {a} > {b} else 0",
+    "le_s": "1 if ({a} ^ {top}) <= ({b} ^ {top}) else 0",
+    "le_u": "1 if {a} <= {b} else 0",
+    "ge_s": "1 if ({a} ^ {top}) >= ({b} ^ {top}) else 0",
+    "ge_u": "1 if {a} >= {b} else 0",
+}
+
+_INT_UNOP_EXPRS = {
+    "clz": "{bits} - ({a}).bit_length()",
+    "ctz": "({a} & -{a}).bit_length() - 1 if {a} else {bits}",
+    "popcnt": "({a}).bit_count()",
+}
+
+EXPRS: dict = {}  # function -> its expression over {a} (and {b})
+
+
+def _from_exprs(exprs: dict, bits: int) -> dict:
+    """The function of each op in ``exprs``, recorded in EXPRS."""
+    fns = {}
+    for key, text in exprs.items():
+        text = text.format(a="{a}", b="{b}", bits=bits, mask=(1 << bits) - 1,
+                           top=1 << (bits - 1))
+        params = "a, b" if "{b}" in text else "a"
+        fn = fns[key] = eval(f"lambda {params}: {text.format(a='a', b='b')}")
+        EXPRS[fn] = text
+    return fns
+
+
 def _int_binops(bits: int):
-    mask = (1 << bits) - 1
     top = 1 << (bits - 1)
 
     def div_s(a, b):
@@ -93,56 +147,8 @@ def _int_binops(bits: int):
             raise Trap("integer divide by zero")
         return a % b
 
-    return {
-        "add": lambda a, b: (a + b) & mask,
-        "sub": lambda a, b: (a - b) & mask,
-        "mul": lambda a, b: (a * b) & mask,
-        "div_s": div_s,
-        "div_u": div_u,
-        "rem_s": rem_s,
-        "rem_u": rem_u,
-        "and": lambda a, b: a & b,
-        "or": lambda a, b: a | b,
-        "xor": lambda a, b: a ^ b,
-        "shl": lambda a, b: (a << (b % bits)) & mask,
-        "shr_u": lambda a, b: a >> (b % bits),
-        "shr_s": lambda a, b: (signed(a, bits) >> (b % bits)) & mask,
-        "rotl": lambda a, b: ((a << (b % bits)) | (a >> (bits - b % bits))) & mask
-        if b % bits else a,
-        "rotr": lambda a, b: ((a >> (b % bits)) | (a << (bits - b % bits))) & mask
-        if b % bits else a,
-    }
-
-
-def _int_unops(bits: int):
-    def clz(a):
-        return bits - a.bit_length()
-
-    def ctz(a):
-        return (a & -a).bit_length() - 1 if a else bits
-
-    return {
-        "clz": clz,
-        "ctz": ctz,
-        "popcnt": lambda a: bin(a).count("1"),
-    }
-
-
-def _int_relops(bits: int):
-    def s(f):
-        return lambda a, b: 1 if f(signed(a, bits), signed(b, bits)) else 0
-
-    def u(f):
-        return lambda a, b: 1 if f(a, b) else 0
-
-    import operator as op
-    return {
-        "eq": u(op.eq), "ne": u(op.ne),
-        "lt_s": s(op.lt), "lt_u": u(op.lt),
-        "gt_s": s(op.gt), "gt_u": u(op.gt),
-        "le_s": s(op.le), "le_u": u(op.le),
-        "ge_s": s(op.ge), "ge_u": u(op.ge),
-    }
+    return _from_exprs(_INT_BINOP_EXPRS, bits) | {
+        "div_s": div_s, "div_u": div_u, "rem_s": rem_s, "rem_u": rem_u}
 
 
 def _float_binops(width: int):
@@ -257,9 +263,9 @@ BINOP_FNS = {
 }
 
 UNOP_FNS = {
-    ("i32", op): fn for op, fn in _int_unops(32).items()
+    ("i32", op): fn for op, fn in _from_exprs(_INT_UNOP_EXPRS, 32).items()
 } | {
-    ("i64", op): fn for op, fn in _int_unops(64).items()
+    ("i64", op): fn for op, fn in _from_exprs(_INT_UNOP_EXPRS, 64).items()
 } | {
     ("f32", op): fn for op, fn in _float_unops(32).items()
 } | {
@@ -267,9 +273,9 @@ UNOP_FNS = {
 }
 
 RELOP_FNS = {
-    ("i32", op): fn for op, fn in _int_relops(32).items()
+    ("i32", op): fn for op, fn in _from_exprs(_INT_RELOP_EXPRS, 32).items()
 } | {
-    ("i64", op): fn for op, fn in _int_relops(64).items()
+    ("i64", op): fn for op, fn in _from_exprs(_INT_RELOP_EXPRS, 64).items()
 } | {
     ("f32", op): fn for op, fn in _float_relops(32).items()
 } | {
@@ -277,8 +283,8 @@ RELOP_FNS = {
 }
 
 TESTOP_FNS = {
-    ("i32", "eqz"): lambda a: 1 if a == 0 else 0,
-    ("i64", "eqz"): lambda a: 1 if a == 0 else 0,
+    (f"i{bits}", "eqz"): _from_exprs({"eqz": "1 if {a} == 0 else 0"}, bits)["eqz"]
+    for bits in (32, 64)
 }
 
 
@@ -294,10 +300,11 @@ def _trunc_to_int(v: float, lo: int, hi: int) -> int:
 
 
 def _convert_table() -> dict:
-    fns: dict[tuple, object] = {}
-    fns[("i32", "i64", None)] = lambda a: a & M32  # wrap
-    fns[("i64", "i32", "s")] = lambda a: unsigned(signed(a, 32), 64)
-    fns[("i64", "i32", "u")] = lambda a: a
+    fns: dict[tuple, object] = _from_exprs({
+        ("i32", "i64", None): "{a} & 0xFFFFFFFF",  # wrap
+        ("i64", "i32", "s"): "(({a} ^ 0x80000000) - 0x80000000) & {mask}",
+        ("i64", "i32", "u"): "{a}",
+    }, 64)
     for iw, lo, hi in ((32, -(1 << 31), (1 << 31) - 1), (64, -(1 << 63), (1 << 63) - 1)):
         ulo, uhi = 0, (1 << iw) - 1
         for fw in (32, 64):

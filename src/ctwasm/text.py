@@ -25,7 +25,7 @@ from .ast import (
     Call, CallIndirect, Classify, Const, Convert, DataSeg, Declassify, ElemSeg,
     Func, FuncType, GetGlobal, GetLocal, GlobalVar, If, Instr, Load, Loop,
     Memory, Module, Reinterpret, Secrecy, SetGlobal, SetLocal, SourceSpan,
-    Store, Table, TeeLocal, Trust, ValType, fresh, mnemonic,
+    Store, Table, TeeLocal, Trust, ValType, duplicates, fresh, mnemonic,
 )
 
 
@@ -662,8 +662,8 @@ class _Parser:
                 i += 1
             elif t.startswith("align="):
                 a = _parse_int(t[6:])
-                if a is None or a <= 0 or a & (a - 1):
-                    raise self.err("alignment must be a positive power of 2",
+                if a is None or a <= 0 or a & (a - 1) or a >> 32:
+                    raise self.err("alignment must be a power of 2 below 2^32",
                                    items[i].span)
                 align = a.bit_length() - 1
                 i += 1
@@ -896,10 +896,9 @@ class _Parser:
             if idx >= counts[kind]:
                 raise self.err(f"export {kind} index out of range", span)
             self.exports.setdefault((kind, idx), []).append(name)
-        names = [n for ns in self.exports.values() for n in ns]
-        dup = {n for n in names if names.count(n) > 1}
+        dup = duplicates(n for ns in self.exports.values() for n in ns)
         if dup:
-            raise self.err(f"duplicate export name {sorted(dup)[0]!r}")
+            raise self.err(f"duplicate export name {dup[0]!r}")
 
         def exports(kind: str, index: int = 0) -> tuple[str, ...]:
             return tuple(self.exports.get((kind, index), ()))
@@ -949,7 +948,7 @@ def _memarg_text(ins: Load | Store) -> str:
     parts = []
     if ins.offset:
         parts.append(f"offset={ins.offset}")
-    if (1 << ins.align) != natural:
+    if ins.align != natural.bit_length() - 1:
         parts.append(f"align={1 << ins.align}")
     return (" " + " ".join(parts)) if parts else ""
 
@@ -1005,9 +1004,12 @@ class _Printer:
 
     def _inline(self, exports: tuple[str, ...],
                 imported: tuple[str, str] | None) -> str:
-        out = "".join(f' (export "{e}")' for e in exports)
+        def quoted(name: str) -> str:
+            return '"' + _escape_bytes(name.encode("utf-8")) + '"'
+
+        out = "".join(f" (export {quoted(e)})" for e in exports)
         if imported:
-            out += f' (import "{imported[0]}" "{imported[1]}")'
+            out += f" (import {quoted(imported[0])} {quoted(imported[1])})"
         return out
 
     def module(self, m: Module) -> str:

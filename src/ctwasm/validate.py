@@ -407,7 +407,7 @@ class _FuncChecker:
         if t.sec is not mem_sec:
             raise _Reject(ErrorCode.MemorySecrecyMismatch,
                           f"{t.name}.{origin} on {mem_sec.value} memory")
-        if (1 << align) > width:
+        if align > width.bit_length() - 1:
             raise _Reject(ErrorCode.AlignmentViolation,
                           f"alignment 2^{align} exceeds access width {width}")
         if not 0 <= offset < 1 << 32:
@@ -555,10 +555,9 @@ def check_module(m: ast.Module, annotate: bool = False
     names += [n for g in m.globals for n in g.exports]
     names += list(m.table.exports) if m.table else []
     names += list(m.memory.exports) if m.memory else []
-    for n in sorted(set(names)):
-        if names.count(n) > 1:
-            errors.append(ValidationError(ErrorCode.SyntaxIndex, None, None,
-                                          f"duplicate export name {n!r}"))
+    for n in ast.duplicates(names):
+        errors.append(ValidationError(ErrorCode.SyntaxIndex, None, None,
+                                      f"duplicate export name {n!r}"))
 
     for g in m.globals:
         if g.imported is None:

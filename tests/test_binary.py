@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 import fuzzgen
 import wabt_bridge
-from ctwasm import ast, binary, text
+from ctwasm import ast, binary, cli, text, validate
 from ctwasm.binary import DecodeError, decode_module, encode_module
 
 HEADER = b"\0asm\x01\x00\x00\x00"
@@ -81,6 +83,30 @@ def test_decode_error_bad_magic():
     with pytest.raises(DecodeError) as e:
         decode_module(b"\x00bad\x01\x00\x00\x00")
     assert e.value.code == "BadMagic"
+
+
+@pytest.mark.parametrize("align", [20_000, (1 << 32) - 1])
+def test_huge_alignment_exponent_fails_without_a_huge_integer(
+        align, tmp_path, capsys):
+    m = text.parse_module("(module (memory 1) (func (result i32)"
+                          " (i32.load (i32.const 0))))")
+    const, load = m.funcs[0].body
+    m = replace(m, funcs=(replace(
+        m.funcs[0], body=(const, replace(load, align=align))),))
+    data = encode_module(m)
+    with pytest.raises(DecodeError) as e:
+        decode_module(data)
+    assert e.value.code == "MalformedSection"
+    assert e.value.message == f"alignment exponent {align}"
+    _, errors = validate.check_module(m)
+    assert [err.code for err in errors] == [
+        validate.ErrorCode.AlignmentViolation]
+    path = tmp_path / "m.cwasm"
+    path.write_bytes(data)
+    assert cli.main(["decode", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert f"alignment exponent {align}" in err
 
 
 def test_memory_secrecy_flag_bit():

@@ -430,3 +430,9 @@ def test_mutated_argv_exits_with_a_code_and_never_a_traceback(
         err = capsys.readouterr().err
         assert rc in (0, 1, 2), (n, argv, rc)
         assert rc != 1 or err.strip(), (n, argv)
+
+
+def test_the_parser_is_built_once_per_process(capsys, corpus_root):
+    parser = cli.build_parser()
+    rc, _, _ = run_cli(["validate", corp("tea", corpus_root)], capsys)
+    assert rc == 0 and cli.build_parser() is parser

@@ -177,3 +177,19 @@ def test_vector_region_past_the_end_of_memory_fails_its_stage(corpus_root,
     assert stages["vectors"][0].startswith(f"{first}: memory image region "
                                            "at offset 70000")
     assert "strip" not in stages and "ct-check" not in stages
+
+
+def test_run_corpus_runs_each_vector_once_annotated_once_stripped(
+        corpus_root, monkeypatch):
+    runs = []
+    run = corpus._run
+
+    def counted(tm, vec, *args):
+        runs.append(vec.name)
+        return run(tm, vec, *args)
+
+    monkeypatch.setattr(corpus, "_run", counted)
+    assert corpus.run_corpus(corpus_root, trials=1)["ok"]
+    names = [v.name for e in corpus.entries(corpus_root) if e.positive
+             for v in e.vectors]
+    assert sorted(runs) == sorted(names * 2)

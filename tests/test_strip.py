@@ -140,9 +140,12 @@ def test_paranoid_mode_warnings():
 
 
 def test_observational_equivalence_on_corpus_sample(typed_corpus):
-    from ctwasm.corpus import strip_and_rerun
+    from ctwasm.corpus import run_vector, strip_and_rerun
     for name, (entry, tm) in typed_corpus.items():
-        ok, detail, _ = strip_and_rerun(entry, tm)
+        runs = []
+        for vec in entry.vectors:
+            run_vector(tm, vec, runs=runs)
+        ok, detail, _ = strip_and_rerun(entry, tm, runs)
         assert ok, (name, detail)
 
 

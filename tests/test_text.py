@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import fuzzgen
@@ -52,6 +54,20 @@ def test_round_trip_parse_print_identity(ct):
         again = parse_module(printed)
         assert again == m, f"seed {seed}"
         assert print_module(again) == printed, f"seed {seed} (idempotence)"
+
+
+@pytest.mark.parametrize("name", ['f"', "back\\slash", "ctl\x01\n",
+                                  "caf\u00e9 \u4e2d"])
+def test_export_and_import_names_are_escaped_when_printed(name):
+    m = parse_module('(module (import "m" "f" (func)) (func (export "e"))'
+                     ' (memory (export "mem") 1)'
+                     ' (global (export "g") i32 (i32.const 0)))')
+    imported, defined = m.funcs
+    m = replace(m, funcs=(replace(imported, imported=(name, name + "f")),
+                          replace(defined, exports=(name,))),
+                memory=replace(m.memory, exports=(name + "m",)),
+                globals=(replace(m.globals[0], exports=(name + "g",)),))
+    assert parse_module(print_module(m)) == m
 
 
 def test_corpus_files_are_canonical_after_one_pass(corpus_entries):
@@ -162,6 +178,16 @@ def test_memarg_spellings():
     with pytest.raises(ParseError):
         parse_module("(module (memory 1) (func (i32.const 0) i32.load align=3"
                      " drop))")
+
+
+def test_alignment_of_2_to_the_32_or_more_is_a_parse_error():
+    for align in (1 << 32, 1 << 40):
+        with pytest.raises(ParseError, match="below 2\\^32"):
+            parse_module("(module (memory 1) (func (i32.const 0) i32.load"
+                         f" align={align} drop))")
+    m = parse_module("(module (memory 1) (func (i32.const 0) i64.load"
+                     f" align={1 << 31} drop))")
+    assert m.funcs[0].body[1].align == 31
 
 
 def test_data_segment_escapes_round_trip():

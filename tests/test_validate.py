@@ -304,3 +304,45 @@ def test_memory_offset_must_fit_u32():
         assert errors(bad) == [(ErrorCode.SyntaxIndex, 2),
                                (ErrorCode.SyntaxIndex, 4)]
     assert errors((1 << 32) - 1) == []
+
+
+# --- duplicate exports ------------------------------------------------------
+
+def _exported_funcs(*exports):
+    ft = ast.FuncType(Trust.UNTRUSTED, (), ())
+    return tuple(ast.Func(ft, (), (), exports=(e,)) for e in exports)
+
+
+def test_duplicate_export_names_are_reported_sorted():
+    with pytest.raises(text.ParseError, match="duplicate export name 'a'"):
+        text.parse_module(
+            '(module (func (export "b")) (func (export "a")) (global (export'
+            ' "b") i32 (i32.const 0)) (func (export "a")) (func (export "c")))')
+    m = ast.Module(funcs=_exported_funcs("b", "a", "a", "c"), globals=(
+        ast.GlobalVar(I32, False, (ast.Const(I32, 0),), exports=("b",)),))
+    _, errors = check_module(m)
+    assert [e.message for e in errors] == [
+        "duplicate export name 'a'", "duplicate export name 'b'"]
+
+
+def test_duplicate_export_check_is_linear():
+    """4x the exports may cost at most 8x the time (a quadratic check
+    costs about 16x); hand-built, so no parse is timed."""
+    import gc
+    import time
+
+    def best(m):
+        times = []
+        for _ in range(3):
+            gc.disable()
+            try:
+                t = time.perf_counter()
+                validate_module(m)
+                times.append(time.perf_counter() - t)
+            finally:
+                gc.enable()
+        return min(times)
+
+    small, large = (ast.Module(funcs=_exported_funcs(*map(str, range(n))))
+                    for n in (4000, 16000))
+    assert best(large) < 8 * best(small)
