@@ -152,6 +152,18 @@ FLOAT_RELOPS = ("eq", "ne", "lt", "gt", "le", "ge")
 # Binops whose hardware timing depends on operand values.
 UNSAFE_BINOPS = frozenset(("div_s", "div_u", "rem_s", "rem_u"))
 
+# The deepest that blocks, loops and ifs may nest in a function body, as
+# the Wasm spec lets an implementation bound it.  The parser, flattener,
+# printer, encoder, decoder and ``rebuild`` recurse two to four Python
+# frames per level, so at this depth each stays well under Python's
+# default recursion limit of 1,000 frames.
+MAX_NESTING = 200
+TOO_DEEP = f"blocks nested deeper than {MAX_NESTING}"
+
+
+class NestingTooDeep(ValueError):
+    """A body nests blocks deeper than MAX_NESTING."""
+
 
 class SourceSpan(NamedTuple):
     """Characters [start, end) of the source; line and col of start, from 1."""

@@ -494,6 +494,7 @@ class _BodyDecoder:
     def __init__(self, r: _Reader, types: list[FuncType]):
         self.r = r
         self.types = types
+        self.depth = -1  # of the body being decoded; the function's is 0
 
     def instr(self, name: str) -> Instr:
         r = self.r
@@ -555,12 +556,17 @@ class _BodyDecoder:
 
     def block(self, stops: tuple[str, ...]):
         r = self.r
+        self.depth += 1
+        if self.depth > ast.MAX_NESTING:
+            r.fail("NestingTooDeep", ast.TOO_DEEP)
         out: list[Instr] = []
         while True:
             opcode = r.byte()
             if opcode == OPCODES["end"] and "end" in stops:
+                self.depth -= 1
                 return tuple(out), "end"
             if opcode == OPCODES["else"] and "else" in stops:
+                self.depth -= 1
                 return tuple(out), "else"
             if opcode == SECRET_PREFIX:
                 payload = r.byte()

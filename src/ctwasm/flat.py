@@ -31,15 +31,39 @@ from .numerics import BINOP_FNS, CONVERT_FNS, RELOP_FNS, TESTOP_FNS, UNOP_FNS
 ) = range(33)
 
 @dataclass
+class DefUse:
+    """Def-use edges of one function's flat code, indexed by pc.
+
+    A producer is the pc of the op that pushed a value, or the opening pc
+    of the block, loop or if whose result it is.  ``args[pc]`` holds the
+    producers of the op's operands, deepest first, with None for an
+    operand that dead code pops from the polymorphic stack.  ``flows[pc]``
+    holds a (target, producer) pair for each value the op hands to the
+    result of the construct opened at pc ``target``, or of the function
+    (target -1): by branch, ``return``, ``else`` or ``end``.  ``types[p]``
+    is the type of the value p pushes, None where dead code leaves it
+    unconstrained.  ``targets[pc]`` is a br_if's target, whose result is
+    what the br_if re-pushes in dead code.
+    """
+
+    args: list[tuple]
+    flows: list[tuple]
+    types: list
+    targets: dict[int, int]
+
+
+@dataclass
 class FlatFunc:
     index: int
     type: ast.FuncType
     local_types: tuple[ast.ValType, ...]  # params followed by declared locals
     code: list[tuple]
     origins: list[ast.Instr]
-    # operand-stack types before each op, filled in by the validator when
-    # annotation is requested (None otherwise)
-    stack_types: list[tuple[ast.ValType, ...]] | None = None
+    # left by the validator when annotation is requested (None otherwise):
+    # the operand-stack types before each op, None in a slot dead code
+    # leaves unconstrained, and, if the function checks, its def-use record
+    stack_types: list[tuple[ast.ValType | None, ...]] | None = None
+    def_use: DefUse | None = None
     # the interpreter's compiled code, shared by every FlatFunc with equal
     # code and looked up on first execution
     compiled: object = field(default=None, repr=False, compare=False)
@@ -53,6 +77,7 @@ class _Flattener:
     def __init__(self) -> None:
         self.code: list[tuple] = []
         self.origins: list[ast.Instr] = []
+        self.depth = -1  # of the body being flattened; the function's is 0
 
     def emit(self, origin: ast.Instr, *op) -> int:
         self.code.append(op)
@@ -60,8 +85,12 @@ class _Flattener:
         return len(self.code) - 1
 
     def block_body(self, body: tuple[ast.Instr, ...]) -> None:
+        self.depth += 1
+        if self.depth > ast.MAX_NESTING:
+            raise ast.NestingTooDeep(ast.TOO_DEEP)
         for ins in body:
             self.instr(ins)
+        self.depth -= 1
 
     def instr(self, ins: ast.Instr) -> None:
         safe = ("op", ast.mnemonic(ins))

@@ -14,12 +14,12 @@ publishing the data.
 Hints can only weaken: force a parameter/result or the memory public, or
 mark functions trusted.
 
-Inference reads the validator's flat code and its stack annotations.
-One def-use pass per function (``_def_use``) is the only model of the
-operand stack here: it records which ops produced each op's operands and
-which values reach each block, loop or if result and the function result,
-by fall-through or by branch.  A value is the node ("val", func, pc) of
-the op that pushed it (of the opening op, for a construct's result).
+Inference keeps no model of the operand stack.  It reads the flat code
+and the def-use record (``FlatFunc.def_use``) that the validator leaves
+when it annotates: which ops produced each op's operands and which values
+reach each block, loop or if result and the function result, by
+fall-through or by branch.  A value is the node ("val", func, pc) of the
+op that pushed it (of the opening op, for a construct's result).
 
 Each op's secrecy rule is stated once, in ``_Rules.func``.  As it adds an
 op's demotion rules it records what the op's variant takes its secrecy
@@ -162,112 +162,12 @@ def _table_candidates(m: ast.Module, ft: ast.FuncType) -> list[int]:
     return out
 
 
-# Operands each op pops where that is fixed; calls pop their parameters
-# (and call_indirect its table index too), and the ops not listed pop
-# none.  How many values an op pushes is read off the validator's depths.
-_POPS = {
-    flat.T_DROP: 1, flat.T_SELECT: 3, flat.T_IF: 1, flat.T_BR_IF: 1,
-    flat.T_BR_TABLE: 1, flat.T_SET_LOCAL: 1, flat.T_TEE_LOCAL: 1,
-    flat.T_SET_GLOBAL: 1, flat.T_LOAD: 1, flat.T_STORE: 2,
-    flat.T_MEMORY_GROW: 1, flat.T_UNOP: 1, flat.T_BINOP: 2,
-    flat.T_TESTOP: 1, flat.T_RELOP: 2, flat.T_CONVERT: 1,
-    flat.T_REINTERPRET: 1,
-}
 _KIND = {flat.T_BLOCK: "block", flat.T_LOOP: "loop", flat.T_IF: "if"}
-_DEAD_AFTER = (flat.T_BR, flat.T_BR_TABLE, flat.T_RETURN, flat.T_UNREACHABLE)
-# ops that pass values to labels, open or close frames, or whose pushes
-# are not simply their own value
-_CONTROL = frozenset((*_KIND, *_DEAD_AFTER, flat.T_BR_IF, flat.T_ELSE,
-                      flat.T_END, flat.T_TEE_LOCAL))
-
-
-@dataclass
-class _DefUse:
-    """Def-use edges of one function's flat code, indexed by pc.
-
-    A producer is the pc of the op that pushed a value, or the opening pc
-    of the block, loop or if whose result it is.  ``args[pc]`` holds the
-    producers of the op's operands, deepest first, with None for an
-    operand that dead code pops from the polymorphic stack.  ``flows[pc]``
-    holds a (target, producer) pair for each value the op hands to the
-    result of the construct opened at pc ``target``, or of the function
-    (target -1): by branch, by ``return`` or by falling through ``else``
-    or ``end``.  ``types[p]`` is the type of the value p pushes, None where
-    dead code leaves it unconstrained.  ``targets[pc]`` is the target of
-    a br_if: the values it re-pushes in dead code are that target's result.
-    """
-
-    args: list[tuple]
-    flows: list[tuple]
-    types: list
-    targets: dict[int, int]
 
 
 def _target(fi: int, target: int) -> tuple:
     """The node of a construct's result, or of the function's (target -1)."""
     return ("result", fi) if target < 0 else ("val", fi, target)
-
-
-def _def_use(m: ast.Module, ff: FlatFunc) -> _DefUse:
-    code, depths = ff.code, ff.stack_types
-    du = _DefUse([()] * len(code), [()] * len(code), [None] * len(code), {})
-    stack: list = []  # one producer per slot of the validator's stack
-    frames = [(-1, 0)]  # (opening pc (-1: the body), height)
-
-    def hand(targets) -> tuple:
-        top = stack[-1] if len(stack) > frames[-1][1] else None
-        return tuple((t, top) for t in targets if top is not None and (
-            ff.type.results if t < 0 else code[t][2] is not None))
-
-    def branch(labels) -> tuple:  # a branch to a loop restarts it: no value
-        return hand([t for d in labels if (t := frames[-1 - d][0]) < 0
-                     or code[t][0] != flat.T_LOOP])
-
-    args, types = du.args, du.types
-    for pc, op in enumerate(code):
-        tag = op[0]
-        frame = frames[-1]
-        n = _POPS.get(tag, 0)
-        if tag == flat.T_CALL:
-            n = len(m.funcs[op[2]].type.params)
-        elif tag == flat.T_CALL_INDIRECT:
-            n = len(op[2].params) + 1
-        if n:
-            real = min(n, len(stack) - frame[1])
-            args[pc] = (None,) * (n - real) + tuple(stack[len(stack) - real:])
-            del stack[len(stack) - real:]
-        if tag not in _CONTROL:  # pushes at most its own value
-            after = depths[pc + 1]
-            if len(after) > len(stack):
-                stack.append(pc)
-                types[pc] = after[-1]
-            continue
-
-        pushed = pc
-        if tag in (flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE):
-            du.flows[pc] = branch((*op[2], op[3]) if tag == flat.T_BR_TABLE
-                                  else (op[2],))
-            if tag == flat.T_BR_IF:
-                du.targets[pc] = frames[-1 - op[2]][0]
-        elif tag == flat.T_RETURN:
-            du.flows[pc] = hand((-1,))
-        elif tag == flat.T_ELSE or tag == flat.T_END:
-            du.flows[pc] = hand((frame[0],))
-            del stack[frame[1]:]
-            if tag == flat.T_END:
-                frames.pop()
-                pushed = frame[0]
-        elif tag in _KIND:
-            frames.append((pc, len(stack)))
-        elif tag == flat.T_TEE_LOCAL and args[pc][0] is None:
-            pushed = None  # dead code: a tee of no value yields none
-        if tag in _DEAD_AFTER:
-            del stack[frame[1]:]
-        if pc + 1 < len(code) and len(depths[pc + 1]) > len(stack):
-            stack.extend([pushed] * (len(depths[pc + 1]) - len(stack)))
-            if pushed is not None:
-                types[pushed] = depths[pc + 1][-1]
-    return du
 
 
 class _Rules:
@@ -290,7 +190,7 @@ class _Rules:
         if node is not None:
             self.forced.append((node, why, loc))
 
-    def build(self, flats: dict[int, tuple[FlatFunc, _DefUse]]) -> "_Rules":
+    def build(self, funcs: list[FlatFunc | None]) -> "_Rules":
         m = self.m
         for gi, g in enumerate(m.globals):
             if not g.type.is_int:
@@ -301,13 +201,14 @@ class _Rules:
                     self.force(("local", fi, li), "float local", f"func {fi}")
             if f.type.results and not f.type.results[0].is_int:
                 self.force(("result", fi), "float result", f"func {fi}")
-        for fi, (ff, du) in flats.items():
-            self.func(fi, ff, du)
+        for fi, ff in enumerate(funcs):
+            if ff is not None:
+                self.func(fi, ff)
         self._unify_table_signatures()
         return self
 
-    def func(self, fi: int, ff: FlatFunc, du: _DefUse) -> None:
-        m, edge, force = self.m, self.edge, self.force
+    def func(self, fi: int, ff: FlatFunc) -> None:
+        m, edge, force, du = self.m, self.edge, self.force, ff.def_use
         # producer -> the node of its value; a tee's value is its local's and
         # the value a br_if re-pushes is its target's result
         node: dict = {}
@@ -614,9 +515,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
     except Exception as e:
         raise InputInvalid(f"input fails base validation: {e}") from e
 
-    flats = {fi: (ff, _def_use(m, ff))
-             for fi, ff in enumerate(tm.funcs) if ff is not None}
-    rs = _Rules(m).build(flats)
+    rs = _Rules(m).build(tm.funcs)
 
     for name, params in hints.public_params.items():
         fi = _hinted_func(m, name)
@@ -670,8 +569,9 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
             funcs.append(ast.Func(ft, (), (), f.imported, f.exports,
                                   f.name, f.span))
             continue
-        ff, du = flats[fi]
-        sec, classify = _flags(rs.sources[fi], rs.needs[fi], du.types, sec_of)
+        ff = tm.funcs[fi]
+        sec, classify = _flags(rs.sources[fi], rs.needs[fi], ff.def_use.types,
+                               sec_of)
         np = len(f.type.params)
         locals_ = tuple(ast.at_secrecy(t, sec_of(("local", fi, np + i)))
                         for i, t in enumerate(f.locals))

@@ -21,12 +21,14 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .ast import (
-    CATALOGUE, FIXED_CLASSES, VALTYPES_BY_NAME, Block, Br, BrIf, BrTable,
-    Call, CallIndirect, Classify, Const, Convert, DataSeg, Declassify, ElemSeg,
-    Func, FuncType, GetGlobal, GetLocal, GlobalVar, If, Instr, Load, Loop,
-    Memory, Module, Reinterpret, Secrecy, SetGlobal, SetLocal, SourceSpan,
-    Store, Table, TeeLocal, Trust, ValType, duplicates, fresh, mnemonic,
+    CATALOGUE, FIXED_CLASSES, MAX_NESTING, TOO_DEEP, VALTYPES_BY_NAME, Block,
+    Br, BrIf, BrTable, Call, CallIndirect, Classify, Const, Convert, DataSeg,
+    Declassify, ElemSeg, Func, FuncType, GetGlobal, GetLocal, GlobalVar, If,
+    Instr, Load, Loop, Memory, Module, Reinterpret, Secrecy, SetGlobal,
+    SetLocal, SourceSpan, Store, Table, TeeLocal, Trust, ValType, duplicates,
+    fresh, mnemonic,
 )
+from .numerics import f32_from_bits, f64_from_bits
 
 
 class ParseError(Exception):
@@ -63,6 +65,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _NESTED_COMMENT_RE = re.compile(r"\(;|;\)")
+# A folded if opens two lists per level of nesting, and (module (func ...))
+# and the innermost instructions take a few more.
+_MAX_LISTS = 2 * MAX_NESTING + 8
 
 
 class Token(NamedTuple):
@@ -97,6 +102,9 @@ def _read(src: str, filename: str) -> list:
             line_start = src.rfind("\n", last, start) + 1
         last, pos, col = start, m.end(), start - line_start + 1
         if kind == "open":
+            if len(stack) == _MAX_LISTS:
+                raise ParseError(f"lists nested deeper than {_MAX_LISTS}",
+                                 SourceSpan(start, pos, line, col), filename=filename)
             stack.append((items, start, line, col))
             items = []
         elif kind == "close":
@@ -174,9 +182,15 @@ _INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F][0-9a-fA-F_]*|[0-9][0-9_]*)$")
 
 
 def _parse_int(text: str) -> int | None:
+    """The value of an integer literal, or None if text is not one or has
+    more decimal digits than Python converts (4,300)."""
     if not _INT_RE.match(text):
         return None
-    return int(text.replace("_", ""), 0)
+    t = text.replace("_", "")
+    try:
+        return int(t, 16 if "x" in t else 10)
+    except ValueError:
+        return None
 
 
 def _parse_float(text: str) -> float | None:
@@ -211,12 +225,6 @@ def _float_bits(value: float, width: int) -> int:
     if width == 32:
         return struct.unpack("<I", struct.pack("<f", value))[0]
     return struct.unpack("<Q", struct.pack("<d", value))[0]
-
-
-def _bits_float(bits: int, width: int) -> float:
-    if width == 32:
-        return struct.unpack("<f", struct.pack("<I", bits))[0]
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +642,8 @@ class _Parser:
 
     def _block_intro(self, items: list, i: int, labels: list[str | None]):
         """label? (result t)? -> (label name, result, next index)."""
+        if len(labels) == MAX_NESTING:
+            raise self.err(TOO_DEEP, items[i - 1].span)
         name = None
         if i < len(items) and isinstance(items[i], Token) and \
                 items[i].text.startswith("$"):
@@ -762,8 +772,7 @@ class _Parser:
             targets: list[int] = []
             while i < len(items) and isinstance(items[i], Token) and \
                     items[i].kind == "atom" and \
-                    (items[i].text.startswith("$") or
-                     _parse_int(items[i].text) is not None):
+                    (items[i].text.startswith("$") or _INT_RE.match(items[i].text)):
                 targets.append(self._index("label", items[i], labels, fd))
                 i += 1
             if not targets:
@@ -932,7 +941,7 @@ def _const_literal(t: ValType, bits: int) -> str:
     if t.is_int:
         hi = 1 << t.bits
         return str(bits - hi if bits >= hi >> 1 else bits)
-    v = _bits_float(bits, t.bits)
+    v = (f32_from_bits if t.bits == 32 else f64_from_bits)(bits)
     if v != v:  # NaN: preserve payload
         exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
         sign = "-" if bits >> (t.bits - 1) else ""

@@ -10,6 +10,10 @@ side conditions are enforced where the rules demand them.
 Validation never stops at the first problem: a rejected instruction
 resets the stack to the unreachable state so later diagnostics in the
 same function still surface.
+
+This walk is the only static model of how an op moves the stack.  To
+annotate, ``_Recorder`` also keeps each slot's producer next to its
+constraint, and leaves the stack types and def-use record on the flat code.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class ErrorCode(enum.Enum):
     FloatSecrecy = "FloatSecrecy"
     MutabilityViolation = "MutabilityViolation"
     AlignmentViolation = "AlignmentViolation"
+    NestingTooDeep = "NestingTooDeep"
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,7 @@ class _Frame:
     end_types: tuple[ast.ValType, ...]
     height: int
     unreachable: bool = False
+    start: int = -1  # the pc of the op that opened it; -1 for the body
 
 
 class CheckState:
@@ -125,13 +131,11 @@ class CheckState:
     def __init__(self) -> None:
         self.vals: list = []
         self.ctrls: list[_Frame] = []
+        self.pc = -1  # the offset of the op being checked
 
     def push_ctrl(self, kind: str, label_types, end_types) -> None:
         self.ctrls.append(_Frame(kind, tuple(label_types), tuple(end_types),
-                                 len(self.vals)))
-
-    def snapshot(self):
-        return tuple(v if isinstance(v, ast.ValType) else None for v in self.vals)
+                                 len(self.vals), start=self.pc))
 
 
 class _Reject(Exception):
@@ -141,10 +145,9 @@ class _Reject(Exception):
 
 
 class _FuncChecker:
-    def __init__(self, ctx: Ctx, annotate: bool):
+    def __init__(self, ctx: Ctx):
         self.ctx = ctx
         self.state = CheckState()
-        self.annotate = annotate
         self.checks = 0
 
     # -- stack primitives
@@ -178,10 +181,13 @@ class _FuncChecker:
         del self.state.vals[frame.height:]
         frame.unreachable = True
 
+    def hand(self, types, depths) -> list:
+        """Pop, top first, what an op hands to the labels at these depths."""
+        return [self.pop(t) for t in reversed(types)]
+
     def pop_ctrl(self) -> _Frame:
         frame = self.state.ctrls[-1]
-        for t in reversed(frame.end_types):
-            self.pop(t)
+        self.hand(frame.end_types, (0,))
         if len(self.state.vals) != frame.height:
             raise _Reject(ErrorCode.TypeMismatch,
                           "values left on stack at end of block")
@@ -192,16 +198,43 @@ class _FuncChecker:
             raise _Reject(ErrorCode.SyntaxIndex, f"label depth {depth} out of range")
         return self.state.ctrls[-1 - depth]
 
-    # -- per-instruction rule
+    # -- per-instruction rule, the most frequent ops first
 
     def check_op(self, op: tuple) -> None:
         self.checks += 1
-        ctx = self.ctx
         tag = op[0]
-        if tag == flat.T_NOP:
-            pass
-        elif tag == flat.T_UNREACHABLE:
-            self.set_unreachable()
+        if tag == flat.T_CONST:
+            self.push(op[2])
+        elif tag == flat.T_GET_LOCAL:
+            self.push(self._local(op[2]))
+        elif tag == flat.T_BINOP:
+            t, opname = op[2], op[3]
+            if opname in ast.UNSAFE_BINOPS and t.sec is ast.Secrecy.SECRET:
+                raise _Reject(ErrorCode.UnsafeOpOnSecret,
+                              f"{t.name}.{opname} leaks operand values")
+            self.pop(t)
+            self.pop(t)
+            self.push(t)
+        elif tag == flat.T_END:
+            frame = self.pop_ctrl()
+            for t in frame.end_types:
+                self.push(t)
+        elif tag == flat.T_SET_LOCAL:
+            self.pop(self._local(op[2]))
+        elif tag == flat.T_TEE_LOCAL:
+            t = self._local(op[2])
+            self.pop(t)
+            self.push(t)
+        elif tag == flat.T_STORE:
+            t = op[2]
+            self._mem_access(t, op[4], op[5], op[6], "store")
+            self.pop(t)
+            self.pop_public_i32(ErrorCode.SecretMemoryIndex)
+        elif tag == flat.T_LOAD:
+            t: ast.ValType = op[2]
+            self._mem_access(t, op[5], op[6], op[7], "load")
+            self.pop_public_i32(ErrorCode.SecretMemoryIndex)
+            self.push(t)
         elif tag == flat.T_DROP:
             self.pop()
         elif tag == flat.T_SELECT:
@@ -220,12 +253,21 @@ class _FuncChecker:
                 t = self._unify_or(t, TSECRET, ErrorCode.TypeMismatch,
                                    "select secret requires secret operands")
             self.push(t)
-        elif tag == flat.T_BLOCK:
-            r = (op[2],) if op[2] else ()
-            self.state.push_ctrl("block", r, r)
-        elif tag == flat.T_LOOP:
-            r = (op[2],) if op[2] else ()
-            self.state.push_ctrl("loop", (), r)
+        elif tag == flat.T_GET_GLOBAL:
+            self.push(self._global(op[2])[1])
+        elif tag == flat.T_RELOP:
+            t = op[2]
+            self.pop(t)
+            self.pop(t)
+            self.push(ast.ValType(ast.Rep.I32, t.sec))
+        elif tag == flat.T_UNOP:
+            t = op[2]
+            self.pop(t)
+            self.push(t)
+        elif tag == flat.T_TESTOP:
+            t = op[2]
+            self.pop(t)
+            self.push(ast.ValType(ast.Rep.I32, t.sec))
         elif tag == flat.T_IF:
             self.pop_public_i32(ErrorCode.SecretCondition)
             r = (op[2],) if op[2] else ()
@@ -233,112 +275,39 @@ class _FuncChecker:
                 raise _Reject(ErrorCode.TypeMismatch,
                               "if without else cannot produce a result")
             self.state.push_ctrl("if", r, r)
-        elif tag == flat.T_ELSE:
-            frame = self.pop_ctrl()
-            self.state.push_ctrl("else", frame.label_types, frame.end_types)
-        elif tag == flat.T_END:
-            frame = self.pop_ctrl()
-            for t in frame.end_types:
-                self.push(t)
-        elif tag == flat.T_BR:
-            frame = self.label(op[2])
-            for t in reversed(frame.label_types):
-                self.pop(t)
-            self.set_unreachable()
+        elif tag == flat.T_BLOCK:
+            r = (op[2],) if op[2] else ()
+            self.state.push_ctrl("block", r, r)
+        elif tag == flat.T_LOOP:
+            r = (op[2],) if op[2] else ()
+            self.state.push_ctrl("loop", (), r)
         elif tag == flat.T_BR_IF:
             self.pop_public_i32(ErrorCode.SecretCondition)
             frame = self.label(op[2])
-            kept = [self.pop(t) for t in reversed(frame.label_types)]
-            for v in reversed(kept):
+            for v in reversed(self.hand(frame.label_types, (op[2],))):
                 self.push(v)
-        elif tag == flat.T_BR_TABLE:
-            self.pop_public_i32(ErrorCode.SecretCondition)
-            default = self.label(op[3])
-            for depth in op[2]:
-                if self.label(depth).label_types != default.label_types:
-                    raise _Reject(ErrorCode.TypeMismatch,
-                                  "br_table labels have mismatched types")
-            for t in reversed(default.label_types):
-                self.pop(t)
+        elif tag == flat.T_BR:
+            self.hand(self.label(op[2]).label_types, (op[2],))
             self.set_unreachable()
-        elif tag == flat.T_RETURN:
-            for t in reversed(ctx.return_types):
-                self.pop(t)
-            self.set_unreachable()
+        elif tag == flat.T_ELSE:
+            frame = self.pop_ctrl()
+            frame.kind, frame.unreachable = "else", False  # keeps its start
+            self.state.ctrls.append(frame)
+        elif tag == flat.T_CLASSIFY:
+            self.pop(op[3])
+            self.push(op[2])
         elif tag == flat.T_CALL:
-            if op[2] >= len(ctx.funcs):
+            if op[2] >= len(self.ctx.funcs):
                 raise _Reject(ErrorCode.SyntaxIndex,
                               f"function index {op[2]} out of range")
-            ft = ctx.funcs[op[2]]
+            ft = self.ctx.funcs[op[2]]
             self._call(ft)
-        elif tag == flat.T_CALL_INDIRECT:
-            ft: ast.FuncType = op[2]
-            if not ast.trust_geq(ctx.trust, ft.trust):
-                raise _Reject(ErrorCode.TrustViolationCall,
-                              "untrusted code cannot call_indirect a trusted type")
-            if ctx.table is None:
-                raise _Reject(ErrorCode.SyntaxIndex, "no table in module")
-            self.pop_public_i32(ErrorCode.SecretCondition)
-            for t in reversed(ft.params):
-                self.pop(t)
-            for t in ft.results:
-                self.push(t)
-        elif tag == flat.T_GET_LOCAL:
-            self.push(self._local(op[2]))
-        elif tag == flat.T_SET_LOCAL:
-            self.pop(self._local(op[2]))
-        elif tag == flat.T_TEE_LOCAL:
-            t = self._local(op[2])
-            self.pop(t)
-            self.push(t)
-        elif tag == flat.T_GET_GLOBAL:
-            self.push(self._global(op[2])[1])
         elif tag == flat.T_SET_GLOBAL:
             mut, t = self._global(op[2])
             if not mut:
                 raise _Reject(ErrorCode.MutabilityViolation,
                               f"global {op[2]} is immutable")
             self.pop(t)
-        elif tag == flat.T_LOAD:
-            t: ast.ValType = op[2]
-            self._mem_access(t, op[5], op[6], op[7], "load")
-            self.pop_public_i32(ErrorCode.SecretMemoryIndex)
-            self.push(t)
-        elif tag == flat.T_STORE:
-            t = op[2]
-            self._mem_access(t, op[4], op[5], op[6], "store")
-            self.pop(t)
-            self.pop_public_i32(ErrorCode.SecretMemoryIndex)
-        elif tag == flat.T_MEMORY_SIZE:
-            self._memory()
-            self.push(ast.I32)
-        elif tag == flat.T_MEMORY_GROW:
-            self._memory()
-            self.pop_public_i32(ErrorCode.SecretMemoryIndex)
-            self.push(ast.I32)
-        elif tag == flat.T_CONST:
-            self.push(op[2])
-        elif tag == flat.T_UNOP:
-            t = op[2]
-            self.pop(t)
-            self.push(t)
-        elif tag == flat.T_BINOP:
-            t, opname = op[2], op[3]
-            if opname in ast.UNSAFE_BINOPS and t.sec is ast.Secrecy.SECRET:
-                raise _Reject(ErrorCode.UnsafeOpOnSecret,
-                              f"{t.name}.{opname} leaks operand values")
-            self.pop(t)
-            self.pop(t)
-            self.push(t)
-        elif tag == flat.T_TESTOP:
-            t = op[2]
-            self.pop(t)
-            self.push(ast.ValType(ast.Rep.I32, t.sec))
-        elif tag == flat.T_RELOP:
-            t = op[2]
-            self.pop(t)
-            self.pop(t)
-            self.push(ast.ValType(ast.Rep.I32, t.sec))
         elif tag == flat.T_CONVERT:
             to, frm = op[2], op[3]
             if ast.Secrecy.SECRET in (to.sec, frm.sec):
@@ -357,15 +326,47 @@ class _FuncChecker:
                               "reinterpret requires public types on both sides")
             self.pop(frm)
             self.push(to)
-        elif tag == flat.T_CLASSIFY:
-            self.pop(op[3])
-            self.push(op[2])
         elif tag == flat.T_DECLASSIFY:
-            if ctx.trust is not ast.Trust.TRUSTED:
+            if self.ctx.trust is not ast.Trust.TRUSTED:
                 raise _Reject(ErrorCode.DeclassifyRequiresTrusted,
                               "declassify in untrusted function")
             self.pop(op[3])
             self.push(op[2])
+        elif tag == flat.T_NOP:
+            pass
+        elif tag == flat.T_UNREACHABLE:
+            self.set_unreachable()
+        elif tag == flat.T_BR_TABLE:
+            self.pop_public_i32(ErrorCode.SecretCondition)
+            default = self.label(op[3])
+            for depth in op[2]:
+                if self.label(depth).label_types != default.label_types:
+                    raise _Reject(ErrorCode.TypeMismatch,
+                                  "br_table labels have mismatched types")
+            self.hand(default.label_types, (*op[2], op[3]))
+            self.set_unreachable()
+        elif tag == flat.T_RETURN:
+            self.hand(self.ctx.return_types, (len(self.state.ctrls) - 1,))
+            self.set_unreachable()
+        elif tag == flat.T_CALL_INDIRECT:
+            ft: ast.FuncType = op[2]
+            if not ast.trust_geq(self.ctx.trust, ft.trust):
+                raise _Reject(ErrorCode.TrustViolationCall,
+                              "untrusted code cannot call_indirect a trusted type")
+            if self.ctx.table is None:
+                raise _Reject(ErrorCode.SyntaxIndex, "no table in module")
+            self.pop_public_i32(ErrorCode.SecretCondition)
+            for t in reversed(ft.params):
+                self.pop(t)
+            for t in ft.results:
+                self.push(t)
+        elif tag == flat.T_MEMORY_SIZE:
+            self._memory()
+            self.push(ast.I32)
+        elif tag == flat.T_MEMORY_GROW:
+            self._memory()
+            self.pop_public_i32(ErrorCode.SecretMemoryIndex)
+            self.push(ast.I32)
         else:
             raise AssertionError(f"unhandled tag {tag}")
 
@@ -418,12 +419,11 @@ class _FuncChecker:
 
     def run(self, ff: FlatFunc, errors: list[ValidationError]) -> None:
         rts = ff.type.results
-        self.state.push_ctrl("func", rts, rts)
-        snapshots = [] if self.annotate else None
+        st = self.state
+        st.push_ctrl("func", rts, rts)
         for pc, op in enumerate(ff.code):
-            if snapshots is not None:
-                snapshots.append(self.state.snapshot())
-            depth0 = len(self.state.ctrls)
+            st.pc = pc
+            depth0 = len(st.ctrls)
             try:
                 self.check_op(op)
             except _Reject as r:
@@ -438,8 +438,6 @@ class _FuncChecker:
             errors.append(ValidationError(
                 ErrorCode.TypeMismatch, ff.index, len(ff.code) - 1,
                 "unbalanced block structure", None))
-        if snapshots is not None:
-            ff.stack_types = snapshots
 
     def _recover(self, op: tuple, depth0: int, rts) -> None:
         st = self.state
@@ -462,6 +460,74 @@ class _FuncChecker:
         self.set_unreachable()
 
 
+class _Recorder(_FuncChecker):
+    """The checker that also records the stack types before each op and
+    which op produced each slot (``flat.DefUse``, left only on a function
+    that checks).  A construct's result is produced by its opening op."""
+
+    def __init__(self, ctx: Ctx, n: int) -> None:
+        super().__init__(ctx)
+        self.snapshots: list[tuple] = []
+        self.exact = True  # no slot holds TANY or TSECRET: snapshots are exact
+        self.du = flat.DefUse([()] * n, [()] * n, [None] * n, {})
+        self.prods: list = []  # the producer of each slot of state.vals
+        self.popped: list = []  # what the current op popped, top first
+        self.handed: list = []  # what it handed to a label, top first
+
+    def pop(self, expect=TANY, secret_code: ErrorCode | None = None):
+        st = self.state
+        self.popped.append(self.prods.pop()
+                           if len(st.vals) > st.ctrls[-1].height else None)
+        return _FuncChecker.pop(self, expect, secret_code)
+
+    def hand(self, types, depths) -> list:
+        n = len(self.popped)
+        kept = _FuncChecker.hand(self, types, depths)
+        self.handed = self.popped[n:]
+        del self.popped[n:]  # label pops are flows, not operands
+        if self.handed and self.handed[0] is not None:
+            ctrls = self.state.ctrls
+            self.du.flows[self.state.pc] = tuple(
+                (ctrls[-1 - d].start, self.handed[0]) for d in depths)
+        return kept
+
+    def check_op(self, op: tuple) -> None:
+        st, du, prods, popped = self.state, self.du, self.prods, self.popped
+        pc, tag, closing = st.pc, op[0], st.ctrls[-1]
+        self.snapshots.append(tuple(st.vals) if self.exact else tuple(
+            v if isinstance(v, ast.ValType) else None for v in st.vals))
+        _FuncChecker.check_op(self, op)
+        if popped:
+            popped.reverse()
+            du.args[pc] = tuple(popped)
+            popped.clear()
+        if tag == flat.T_BR_IF:
+            du.targets[pc] = st.ctrls[-1 - op[2]].start
+        n = len(st.vals) - len(prods)
+        del prods[len(st.vals):]  # slots an unconditional branch dropped
+        if n <= 0:
+            return
+        p = pc
+        if tag == flat.T_END:
+            p = closing.start  # -1 after the body's final end
+        elif tag == flat.T_BR_IF and self.handed[0] is not None:
+            p = self.handed[0]  # a kept value keeps its producer and type
+        elif tag == flat.T_TEE_LOCAL and du.args[pc] == (None,):
+            p = None  # dead code: a tee of no value yields none
+        prods.extend([p] * n)
+        if p == pc or tag == flat.T_END and p >= 0:
+            v = st.vals[-1]
+            if not isinstance(v, ast.ValType):  # only select pushes these
+                v, self.exact = None, False
+            du.types[p] = v
+
+    def run(self, ff: FlatFunc, errors: list[ValidationError]) -> None:
+        n = len(errors)
+        super().run(ff, errors)
+        ff.stack_types = self.snapshots
+        ff.def_use = self.du if len(errors) == n else None
+
+
 def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
     """Check one non-structured instruction against a state.
 
@@ -471,7 +537,7 @@ def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
     """
     fl = flat._Flattener()
     fl.instr(ins)
-    checker = _FuncChecker(ctx, annotate=False)
+    checker = _FuncChecker(ctx)
     checker.state = state
     if not state.ctrls:
         state.push_ctrl("func", (), ())
@@ -583,10 +649,14 @@ def check_module(m: ast.Module, annotate: bool = False
         if f.imported is not None:
             flat_funcs.append(None)
             continue
-        ff = flat.flatten_func(i, f)
+        try:
+            ff = flat.flatten_func(i, f)
+        except ast.NestingTooDeep as e:
+            errors.append(ValidationError(ErrorCode.NestingTooDeep, i, None, str(e)))
+            continue
         ctx = Ctx(trust=f.type.trust, locals=f.type.params + f.locals,
                   return_types=f.type.results, **parts)
-        checker = _FuncChecker(ctx, annotate)
+        checker = _Recorder(ctx, len(ff.code)) if annotate else _FuncChecker(ctx)
         checker.run(ff, errors)
         n_checks += checker.checks
         n_ops += len(ff.code)

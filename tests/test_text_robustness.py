@@ -95,3 +95,38 @@ def test_memarg_offset_must_fit_u32():
     for bad in ("-1", str(1 << 32)):
         with pytest.raises(ParseError):
             parse_module(ok.format(bad))
+
+
+_LONG = "1" + "0" * 5000  # more digits than Python converts to an int
+
+
+@pytest.mark.parametrize("src, message", [
+    (f"(module (func (result i32) (i32.const {_LONG})))", "bad integer literal"),
+    (f"(module (func (local.get {_LONG})))", "expected local index"),
+    (f"(module (memory {_LONG}))", "expected limits"),
+    ("(module (memory 1) (func (result i32)"
+     f" (i32.load offset={_LONG} (i32.const 0))))", "offset must be"),
+    ("(module (memory 1) (func (result i32)"
+     f" (i32.load align={_LONG} (i32.const 0))))", "alignment must be"),
+], ids=["constant", "index", "limit", "offset", "align"])
+def test_over_long_decimal_literals_are_parse_errors(src, message, tmp_path,
+                                                      capsys):
+    from ctwasm import cli
+
+    with pytest.raises(ParseError, match=message) as e:
+        parse_module(src)
+    # at the literal's span
+    assert src[e.value.span.start:e.value.span.end].endswith(_LONG)
+    path = tmp_path / "long.cwat"
+    path.write_text(src)
+    assert cli.main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_decimal_literals_may_have_leading_zeros():
+    m = parse_module("(module (memory 01) (func (param i32) (result i32)"
+                     " (i32.load offset=010 (local.get 00)) (i32.const 007)"
+                     " (i32.add)))")
+    get, load, const, _ = m.funcs[0].body
+    assert (m.memory.min, get.local, load.offset, const.bits) == (1, 0, 10, 7)

@@ -346,3 +346,117 @@ def test_duplicate_export_check_is_linear():
     small, large = (ast.Module(funcs=_exported_funcs(*map(str, range(n))))
                     for n in (4000, 16000))
     assert best(large) < 8 * best(small)
+
+
+# --- the def-use record -----------------------------------------------------
+
+# Offsets of the flat code on the right; a construct's result is produced by
+# its opening op, and -1 stands for the function result.
+_DEF_USE_SRC = """
+(module
+  (func (export "f") (param i32) (result i32) (local i32)
+    block (result i32)   ;; 0
+      i32.const 1        ;; 1
+      br 0               ;; 2   hands 1 to the block
+      br_if 0            ;; 3   dead: pops nothing, re-pushes its own value
+    end                  ;; 4   hands 3 to the block
+    local.tee 1          ;; 5
+    drop                 ;; 6
+    block (result i32)   ;; 7
+      i32.const 4        ;; 8
+      local.get 0        ;; 9
+      br_if 0            ;; 10  keeps 8 on the stack
+    end                  ;; 11
+    drop                 ;; 12
+    block                ;; 13
+      loop               ;; 14
+        local.get 0      ;; 15
+        br_table 0 1     ;; 16  to the loop and the block: no values
+      end                ;; 17
+    end                  ;; 18
+    block (result i32)   ;; 19
+      block (result i32) ;; 20
+        i32.const 5      ;; 21
+        local.get 0      ;; 22
+        br_table 0 1 0   ;; 23  each target in order, duplicates kept
+      end                ;; 24
+    end                  ;; 25
+    drop                 ;; 26
+    local.get 0          ;; 27
+    if (result i32)      ;; 28
+      i32.const 2        ;; 29
+    else                 ;; 30
+      i32.const 3        ;; 31
+    end                  ;; 32
+    return               ;; 33
+    local.tee 1))        ;; 34  dead: a tee of no value yields none; 35 end
+"""
+
+
+def test_def_use_record_of_a_hand_written_function():
+    ff = validate_module(text.parse_module(_DEF_USE_SRC), annotate=True).flat(0)
+    du = ff.def_use
+    assert len(ff.code) == 36
+    assert {pc: a for pc, a in enumerate(du.args) if a} == {
+        3: (None,), 5: (0,), 6: (5,), 10: (9,), 12: (7,), 16: (15,),
+        23: (22,), 26: (19,), 28: (27,), 34: (None,)}
+    assert {pc: f for pc, f in enumerate(du.flows) if f} == {
+        2: ((0, 1),), 4: ((0, 3),), 10: ((7, 8),), 11: ((7, 8),),
+        23: ((20, 21), (19, 21), (20, 21)), 25: ((19, 20),),
+        30: ((28, 29),), 32: ((28, 31),), 33: ((-1, 28),)}
+    assert [pc for pc, t in enumerate(du.types) if t is not None] == [
+        0, 1, 3, 5, 7, 8, 9, 15, 19, 20, 21, 22, 27, 28, 29, 31]
+    assert set(du.types) == {I32, None}
+    assert du.targets == {3: 0, 10: 7}
+
+
+def test_def_use_producers_carry_the_types_of_their_slots(corpus_entries):
+    """Each op's operands, and each value handed on, have the types the
+    stack held in those slots before the op."""
+    modules = [e.module for e in corpus_entries if e.positive]
+    modules += [text.parse_module(fuzzgen.generate(seed, ct=seed % 2 == 0))
+                for seed in range(300)]
+    checked = 0
+    for m in modules:
+        for ff in validate_module(m, annotate=True).funcs:
+            if ff is None:
+                continue
+            du = ff.def_use
+            for pc, stack in enumerate(ff.stack_types):
+                real = [p for p in du.args[pc] if p is not None]
+                assert len(real) <= len(stack), (ff.index, pc)
+                slots = stack[len(stack) - len(real):]
+                assert [du.types[p] for p in real] == list(slots), (ff.index, pc)
+                for _, p in du.flows[pc]:
+                    assert du.types[p] == stack[-1], (ff.index, pc)
+                checked += len(real)
+    assert checked > 5_000
+
+
+def test_def_use_is_left_only_when_annotating_a_function_that_checks():
+    m = text.parse_module(_DEF_USE_SRC)
+    assert validate_module(m).flat(0).def_use is None
+    assert validate_module(m, annotate=True).flat(0).def_use is not None
+    for src in ("(module (func (result i32) (i64.const 0)))",
+                "(module (func i32.add drop))"):
+        assert codes(src)  # rejected, and nothing escapes the recorder
+        assert check_module(text.parse_module(src), annotate=True)[0] is None
+
+
+# --- nesting depth ----------------------------------------------------------
+
+def _nested_blocks(depth: int) -> ast.Module:
+    body: tuple = (ast.Nop(),)
+    for _ in range(depth):
+        body = (ast.Block(None, body),)
+    ft = ast.FuncType(Trust.UNTRUSTED, (), ())
+    return ast.Module(funcs=(ast.Func(ft, (), body),))
+
+
+def test_hand_built_bodies_nested_too_deep_are_rejected():
+    assert check_module(_nested_blocks(ast.MAX_NESTING))[1] == []
+    for depth in (ast.MAX_NESTING + 1, 10_000):
+        _, errors = check_module(_nested_blocks(depth), annotate=True)
+        assert [(e.code, e.func, e.message) for e in errors] == [
+            (ErrorCode.NestingTooDeep, 0,
+             f"blocks nested deeper than {ast.MAX_NESTING}")]
