@@ -588,15 +588,23 @@ def fresh(proto: Instr, span: SourceSpan | None = None, **fields) -> Instr:
 
 
 def iter_instrs(body: tuple[Instr, ...]):
-    """Every instruction of a body, nested ones included, in pre-order."""
-    for ins in body:
-        yield ins
-        match ins:
-            case Block(body=b) | Loop(body=b):
-                yield from iter_instrs(b)
-            case If(then=t, else_=e):
-                yield from iter_instrs(t)
-                yield from iter_instrs(e)
+    """Every instruction of a body, nested ones included, in pre-order.
+
+    The walk keeps its own stack of open bodies, so it does not recurse
+    and takes input nested to any depth."""
+    stack = [iter(body)]
+    while stack:
+        for ins in stack[-1]:
+            yield ins
+            match ins:
+                case Block(body=b) | Loop(body=b):
+                    stack.append(iter(b))
+                    break
+                case If(then=t, else_=e):
+                    stack += (iter(e), iter(t))
+                    break
+        else:
+            stack.pop()
 
 
 def rebuild(body: tuple[Instr, ...], fn) -> tuple[Instr, ...]:

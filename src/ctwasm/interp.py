@@ -33,7 +33,10 @@ its source; a single step, a debug-mode step and a step that fuel or a
 step budget cuts short run the one-op block of the same template, so
 every stop falls on the same instruction as it would op by op.  A numeric
 op's meaning is ``numerics``': the cheap integer ops paste in the
-expression it states them in, and every other op calls its function.
+expression it states them in, and every other op calls its function.  A
+counted loop, whose body is straight-line code ending in ``br``, is also
+lowered whole, by the same templates, into one function that runs its
+iterations in a Python ``while``, never going back to ``run`` between two.
 """
 
 from __future__ import annotations
@@ -578,7 +581,9 @@ def run(cfg: Config, max_steps: int | None = None) -> None:
     Each turn of the loop runs one compiled block of the top frame and
     charges its length up front; when the fuel or the budget is shorter
     than the block, or in debug mode, it runs the block's first op alone,
-    so every stop falls on the same instruction as with single steps."""
+    so every stop falls on the same instruction as with single steps.  At
+    a counted loop with room for a whole iteration it charges all it may
+    run, and the loop function hands back what it did not use."""
     frames = cfg.frames
     budget = sys.maxsize if max_steps is None else max_steps
     debug = cfg.debug
@@ -608,6 +613,15 @@ def run(cfg: Config, max_steps: int | None = None) -> None:
             n = 1
             block = code.singles[pc] or code.compile(fr.ff, pc, 1)
         else:
+            m = code.iters[pc]
+            if m and m <= fuel and m <= budget:  # a whole iteration fits
+                n = fuel if fuel < budget else budget
+                cfg.fuel = fuel - n
+                left = (code.loops[pc] or code.compile(fr.ff, pc, m, True))(
+                    cfg, fr, n)
+                cfg.fuel += left
+                budget -= n - left
+                continue
             block = code.blocks[pc] or code.compile(fr.ff, pc, n)
         cfg.fuel = fuel - n
         budget -= n
@@ -631,12 +645,14 @@ def _trap(cfg: Config, kind: str) -> None:
     cfg.frames.clear()
 
 
-def _fault(cfg: Config, kind: str, actions: tuple, refund: int) -> None:
+def _fault(cfg: Config, kind: str, actions: tuple, refund: int) -> int:
     """Trap inside a block: record the actions of the ops run since the
-    last flush and give back the fuel of the ops that did not run."""
+    last flush and give back the fuel of the ops that did not run.  It
+    returns 0, the steps a loop function has left to hand back."""
     cfg.trace.extend(actions)
     cfg.fuel += refund
     _trap(cfg, kind)
+    return 0
 
 
 def _br(cfg: Config, fr: Frame, depth: int) -> None:
@@ -734,16 +750,32 @@ def step(cfg: Config) -> tuple | None:
 # in two stores, and a module validated again.  The cache keeps the code
 # of at most CODE_CACHE_SIZE distinct functions, the least recently looked
 # up going first; a FlatFunc holds on to its own for as long as it lives.
+#
+# A counted loop, whose body holds no block, loop, if, call, br_table,
+# return or unreachable and ends in an unconditional br, also compiles to
+# a loop function ``loop(cfg, fr, n)``: it pushes the loop's label once
+# and runs whole iterations in a Python ``while`` as long as ``n`` steps
+# leave room for one.  A branch to the loop is a ``continue``, any other
+# leaves through ``_br``, and the steps not used go back to ``run``, the
+# frame left at the loop op as the back edge leaves it.  MAX_BLOCK does
+# not split an iteration: a piece of one would leave the ``while``.
 
 # Longer straight-line runs are split: compiling a block takes transient
 # memory in proportion to its source (about 0.7 MB at 64 ops), and a block
 # longer than a lockstep batch could only ever run one op at a time.
 MAX_BLOCK = 64
+# A longer iteration keeps the block path, for the same compile memory
+# (1.1 MB by tracemalloc for Salsa20's double round, the corpus's longest
+# at 266 ops).
+MAX_ITERATION = 512
 CODE_CACHE_SIZE = 64
 
 _CONTROL = frozenset((
     flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE, flat.T_IF, flat.T_ELSE,
     flat.T_RETURN, flat.T_CALL, flat.T_CALL_INDIRECT, flat.T_UNREACHABLE))
+# ops a counted loop's body holds none of, but for its closing br
+_NOT_IN_LOOP = _CONTROL - {flat.T_BR_IF} | {flat.T_BLOCK, flat.T_LOOP,
+                                            flat.T_END}
 _PUBLIC = ast.Secrecy.PUBLIC
 
 # what a block loads on entry, by the names its code uses
@@ -762,10 +794,12 @@ class _Code:
 
     ``lens[pc]`` is the length of the block that starts at ``pc``;
     ``blocks[pc]`` runs it and ``singles[pc]`` runs the op at ``pc``
-    alone.  Both are compiled when first needed and kept here, shared by
-    every FlatFunc with equal flat code (see ``_code_of``)."""
+    alone.  At a counted loop's op, ``iters[pc]`` is the length of a
+    whole iteration (0 elsewhere) and ``loops[pc]`` runs iterations.  All
+    are compiled when first needed and kept here, shared by every
+    FlatFunc with equal flat code (see ``_code_of``)."""
 
-    __slots__ = ("lens", "blocks", "singles")
+    __slots__ = ("lens", "blocks", "singles", "iters", "loops")
 
     def __init__(self, code: tuple):
         lens = [1] * len(code)
@@ -775,10 +809,22 @@ class _Code:
         self.lens = lens
         self.blocks: list = [None] * len(code)
         self.singles: list = [None] * len(code)
+        self.iters = [0] * len(code)
+        self.loops: list = [None] * len(code)
+        for pc, op in enumerate(code):
+            if op[0] == flat.T_LOOP:
+                end = pc + 1
+                while code[end][0] not in _NOT_IN_LOOP:
+                    end += 1
+                if code[end][0] == flat.T_BR and code[end + 1][0] == \
+                        flat.T_END and end - pc < MAX_ITERATION:
+                    self.iters[pc] = end + 1 - pc
 
-    def compile(self, ff: flat.FlatFunc, pc: int, n: int):
-        fn = _Block(ff, pc, n).build()
-        if n == self.lens[pc]:
+    def compile(self, ff: flat.FlatFunc, pc: int, n: int, loop: bool = False):
+        fn = _Block(ff, pc, n, loop).build()
+        if loop:
+            self.loops[pc] = fn
+        elif n == self.lens[pc]:
             self.blocks[pc] = fn
         if n == 1:
             self.singles[pc] = fn
@@ -795,10 +841,11 @@ def _code_of(code: tuple) -> _Code:
 
 
 class _Block:
-    """Source generator for the block of ``n`` ops starting at ``pc0``."""
+    """Source generator for the block of ``n`` ops starting at ``pc0``,
+    or, in loop mode, for the loop function whose iteration they are."""
 
-    def __init__(self, ff: flat.FlatFunc, pc0: int, n: int):
-        self.ff, self.pc0, self.n = ff, pc0, n
+    def __init__(self, ff: flat.FlatFunc, pc0: int, n: int, loop: bool = False):
+        self.ff, self.pc0, self.n, self.loop = ff, pc0, n, loop
         self.pc = pc0
         self.lines: list[str] = []
         self.consts: dict[int, tuple[str, object]] = {}
@@ -816,13 +863,21 @@ class _Block:
         if not self.ended:  # cut short of a control op
             self.control()
             self.emit(f"fr.pc = {self.pc0 + self.n}")
+        kind, params, body = "block", "cfg, fr", self.lines
+        if self.loop:
+            self.uses.update(("S", "labels"))
+            kind, params, body = "loop", "cfg, fr, n", [
+                f"labels.append(({self.pc0}, 0, len(S)))",
+                f"while n >= {self.n}:", f"    n -= {self.n}"] + [
+                "    " + line for line in body] + [
+                "labels.pop()", f"fr.pc = {self.pc0}", "return n"]
         head = ["trace = cfg.trace"] + [
             line for name, line in _PROLOGUE if name in self.uses]
         names = [name for name, _ in self.consts.values()]
         src = "\n".join(
-            [f"def _make({', '.join(names)}):", "  def block(cfg, fr):"]
-            + ["    " + line for line in head + self.lines]
-            + ["  return block"])
+            [f"def _make({', '.join(names)}):", f"  def {kind}({params}):"]
+            + ["    " + line for line in head + body]
+            + [f"  return {kind}"])
         ns: dict = {}
         exec(compile(src, f"<func {self.ff.index} pc {self.pc0}>", "exec"),
              globals(), ns)
@@ -881,20 +936,35 @@ class _Block:
         self.flush()
         self.emit(f"trace.append({action})")
 
+    def spilled(self) -> list[str]:
+        """Statements moving the operand expressions to the frame's stack."""
+        if not self.stack:
+            return []
+        self.uses.add("S")
+        return [f"S.extend(({', '.join(self.stack)},))"
+                if len(self.stack) > 1 else f"S.append({self.stack[0]})"]
+
     def spill(self) -> None:
-        """Move the operand expressions onto the frame's stack."""
-        if self.stack:
-            self.uses.add("S")
-            self.emit(f"S.extend(({', '.join(self.stack)},))"
-                      if len(self.stack) > 1 else f"S.append({self.stack[0]})")
+        self.lines += self.spilled()
         self.stack = []
+
+    def branch(self, depth: int) -> list[str]:
+        """Statements that take a branch to ``depth``, the actions before
+        it recorded.  In a loop function a branch to the loop drops this
+        iteration's operands and starts the next one, and any other
+        returns the steps not used."""
+        if self.loop and depth == 0:
+            return [f"n += {self.refund()}", "continue"]
+        leave = [f"return n + {self.refund()}"] if self.loop else []
+        return self.spilled() + [f"_br(cfg, fr, {depth})"] + leave
 
     def fault(self, kind: str, actions: str | None = None) -> str:
         """A statement that traps with ``kind`` (an expression) after
         ``actions`` (a tuple expression), by default the pending ones."""
         if actions is None:
             actions = self.const(tuple(self.pending))
-        return f"return _fault(cfg, {kind}, {actions}, {self.refund()})"
+        refund = f"{self.refund()} + n" if self.loop else self.refund()
+        return f"return _fault(cfg, {kind}, {actions}, {refund})"
 
     def apply(self, fn, *args: str) -> str:
         """``fn`` of numerics applied to operands: its expression inlined
@@ -966,8 +1036,9 @@ def _t_block(b: _Block, op) -> None:
 
 def _t_loop(b: _Block, op) -> None:
     b.static(op[1])
-    b.uses.add("labels")
-    b.emit(f"labels.append(({b.pc}, 0, {b.height()}))")
+    if not b.loop:  # a loop function pushes its label once, on entry
+        b.uses.add("labels")
+        b.emit(f"labels.append(({b.pc}, 0, {b.height()}))")
 
 
 def _t_if(b: _Block, op) -> None:
@@ -1008,18 +1079,19 @@ def _t_end(b: _Block, op) -> None:
 
 def _t_br(b: _Block, op) -> None:
     b.static(op[1])
-    b.control()
-    b.emit(f"_br(cfg, fr, {op[2]})")
+    b.flush()
+    b.lines += b.branch(op[2])
+    b.ended = True
 
 
 def _t_br_if(b: _Block, op) -> None:
     c = b.pop()
     b.record(f'("branch", "br_if", {c})')
-    b.control()
+    if not b.loop:  # the block ends here either way
+        b.control()
+        b.emit(f"fr.pc = {b.pc + 1}")
     b.emit(f"if {c}:")
-    b.emit(f"    _br(cfg, fr, {op[2]})")
-    b.emit("else:")
-    b.emit(f"    fr.pc = {b.pc + 1}")
+    b.lines += ["    " + line for line in b.branch(op[2])]
 
 
 def _t_br_table(b: _Block, op) -> None:

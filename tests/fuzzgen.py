@@ -305,6 +305,128 @@ def dead_code(seed: int) -> str | None:
     return src
 
 
+class LoopGen(ModuleGen):
+    """Modules of counted loops, ``block (loop (br_if 1 …) … (br 0))``,
+    whose bodies are straight-line code: mid-body ``br_if 0`` continues,
+    ``br_if`` exits to outer labels and to the function, loads, stores,
+    globals and ``memory.grow``, and sometimes a ``div``/``rem`` or an
+    out-of-bounds load that traps at a chosen iteration.  Some put such a
+    loop inside an outer loop that holds it, a loop that is not
+    straight-line.  Expressions make no calls, and every loop runs at
+    most a few dozen iterations, so any arguments end the run."""
+
+    def module(self) -> str:
+        rng = self.rng
+        self.has_memory = True
+        self.mem_secret = self.ct and rng.random() < 0.5
+        self.sigs, self.table_sig = [], None  # no calls
+        self.globals = [("i32", True)] + [
+            (self.pick_type(), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 1))]
+        sec = " secret" if self.mem_secret else ""
+        fields = [self.func(0)]
+        fields.append(f"  (memory 1 {rng.randint(1, 3)}{sec})")
+        for t, mut in self.globals:
+            gt = f"(mut {t})" if mut else t
+            fields.append(f"  (global {gt} ({t}.const {self.const_text(t)}))")
+        return "(module\n" + "\n".join(fields) + "\n)\n"
+
+    def func(self, idx: int) -> str:
+        rng = self.rng
+        params = [self.pick_type() for _ in range(rng.randint(0, 2))]
+        extra = [self.pick_type() for _ in range(rng.randint(1, 3))]
+        self.locals = params + ["i32", "i32"] + extra
+        self.i, self.j = len(params), len(params) + 1  # the counters
+        self.sets = [self.j + 1 + k for k in range(len(extra))] + \
+            list(range(len(params)))
+        head = f'  (func (export "f{idx}")' + "".join(
+            f" (param {p})" for p in params) + " (result i32)"
+        local = "    (local " + " ".join(self.locals[len(params):]) + ")"
+        if rng.random() < 0.5:
+            loop = self.counted(self.i, rng.randint(0, 12), ["i32"])
+        else:  # the simple loop inside an outer loop that holds it
+            inner = self.counted(self.i, rng.randint(0, 6), [None, None, "i32"])
+            loop = (f"(block (loop (br_if 1 (i32.ge_u (local.get {self.j}) "
+                    f"(i32.const {rng.randint(0, 4)}))) (local.set {self.j} "
+                    f"(i32.add (local.get {self.j}) (i32.const 1))) "
+                    f"(local.set {self.i} (i32.const 0)) {self.stmt_in([])} "
+                    f"{inner} (br 0)))")
+        body = f"    (block (result i32) {loop} {self.expr('i32', 2)})"
+        return "\n".join((head, local, body, "  )"))
+
+    def counted(self, counter: int, iterations: int, outer: list) -> str:
+        """``block (loop …)`` running ``iterations`` times; ``outer`` holds
+        the result type of each label outside the block, innermost
+        first.  The function, which returns an i32, is outside them."""
+        labels = [None, None] + outer  # the loop and its block
+        stmts = [f"(br_if 1 (i32.ge_u (local.get {counter}) "
+                 f"(i32.const {iterations})))",
+                 f"(local.set {counter} (i32.add (local.get {counter}) "
+                 "(i32.const 1)))"]
+        stmts += [self.stmt_in(labels, iterations)
+                  for _ in range(self.rng.randint(1, 3))]
+        return f"(block (loop {' '.join(stmts)} (br 0)))"
+
+    def cond(self) -> str:
+        rng = self.rng
+        i = f"(local.get {self.i})"
+        return rng.choice((
+            f"(i32.eq (i32.and {i} (i32.const {rng.choice((1, 3, 7))})) "
+            f"(i32.const {rng.randint(0, 3)}))",
+            f"(i32.gt_u {i} (i32.const {rng.randint(0, 12)}))",
+            f"(i32.and {self.expr('i32', 2)} (i32.const 1))"))
+
+    def stmt_in(self, labels: list, iterations: int = 0) -> str:
+        """A straight-line statement; with ``labels``, those of a counted
+        loop's body (the loop's first), branches may target them and the
+        function beyond them."""
+        rng = self.rng
+        kinds = ["set", "set", "store", "global", "grow"]
+        if labels:
+            kinds += ["continue", "exit", "exit", "trap"]
+        kind = rng.choice(kinds)
+        if kind == "set":
+            k = rng.choice(self.sets)
+            return f"(local.set {k} {self.expr(self.locals[k], 2)})"
+        if kind == "store":
+            t = self.mem_type()
+            return f"({t}.store {self.addr_expr(2)} {self.expr(t, 2)})"
+        if kind == "global":
+            return f"(global.set 0 {self.expr('i32', 2)})"
+        if kind == "grow":
+            return f"(drop (memory.grow (i32.const {rng.randint(0, 1)})))"
+        if kind == "continue":
+            return f"(br_if 0 {self.cond()})"
+        if kind == "exit":
+            depth = rng.randint(1, len(labels))
+            t = labels[depth] if depth < len(labels) else "i32"
+            if t is None:
+                return f"(br_if {depth} {self.cond()})"
+            return f"(drop (br_if {depth} {self.expr(t, 2)} {self.cond()}))"
+        at = f"(i32.const {rng.randint(0, iterations + 1)})"
+        hit = f"(i32.eq (local.get {self.i}) {at})"
+        if rng.random() < 0.5:  # out of bounds at that iteration
+            t = "s32" if self.mem_secret else "i32"
+            return (f"(drop ({t}.load (i32.add (i32.const 65532) "
+                    f"(i32.mul {hit} (i32.const 8)))))")
+        op = rng.choice(("div_u", "div_s", "rem_u", "rem_s"))
+        zero = f"(i32.sub (local.get {self.i}) {at})"
+        if rng.random() < 0.5:
+            return f"(drop (i32.{op} {self.expr('i32', 2)} {zero}))"
+        return (f"(drop (i64.{op} {self.expr('i64', 2)} "
+                f"(i64.extend_i32_u {zero})))")
+
+    def addr_expr(self, depth: int) -> str:
+        if self.rng.random() < 0.5:
+            return super().addr_expr(depth)
+        return (f"(i32.and (i32.add (local.get {self.i}) "
+                f"(i32.const {self.rng.randrange(512)})) (i32.const 511))")
+
+
+def counted_loops(seed: int, ct: bool = False) -> str:
+    return LoopGen(seed, ct).module()
+
+
 # deliberate single-error mutants; both validators must reject
 _BAD_BODIES = [
     "(drop (i32.add (i64.const 0) (i32.const 1)))",   # operand type clash

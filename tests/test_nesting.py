@@ -93,3 +93,25 @@ def test_a_10000_deep_nest_exits_1_with_one_line(name, data, commands,
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, (command, err)
         assert "nested deeper than" in err, (command, err)
+
+
+def test_inference_on_a_10000_deep_hand_built_ast_is_input_invalid():
+    body: tuple = (ast.Nop(),)
+    for _ in range(10_000):
+        body = (ast.Block(None, body),)
+    ft = ast.FuncType(ast.Trust.UNTRUSTED, (), ())
+    m = ast.Module(funcs=(ast.Func(ft, (), body),))
+    assert sum(1 for _ in ast.iter_instrs(body)) == 10_001
+    with pytest.raises(infer.InputInvalid, match="NestingTooDeep"):
+        infer.infer_labels(m)
+
+
+def test_iter_instrs_walks_in_pre_order():
+    m = text.parse_module("""(module (func (result i32)
+      (block (loop (nop) (if (i32.const 1) (then (drop (i32.const 2)))
+                                         (else (block (nop)))))
+             (br 0))
+      (i32.const 3)))""")
+    names = [ast.mnemonic(ins) for ins in ast.iter_instrs(m.funcs[0].body)]
+    assert names == ["block", "loop", "nop", "i32.const", "if", "i32.const",
+                     "drop", "block", "nop", "br", "i32.const"]
