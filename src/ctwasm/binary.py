@@ -245,7 +245,10 @@ class _BodyEncoder:
         self.types = types
         self.out = bytearray()
 
-    def instr(self, ins: Instr) -> None:
+    def instr(self, ins: Instr, depth: int = 0) -> None:
+        """Encode ``ins``, ``depth`` blocks deep in its function's body."""
+        if depth > ast.MAX_NESTING:  # only a hand-built AST gets here
+            raise ast.NestingTooDeep(ast.TOO_DEEP)
         out = self.out
         code = _ENCODING.get(ast.mnemonic(ins))
         if code is None:
@@ -255,16 +258,16 @@ class _BodyEncoder:
             case ast.Block(result=r, body=b) | ast.Loop(result=r, body=b):
                 out += _blocktype(r)
                 for i in b:
-                    self.instr(i)
+                    self.instr(i, depth + 1)
                 out.append(OPCODES["end"])
             case ast.If(result=r, then=t, else_=e):
                 out += _blocktype(r)
                 for i in t:
-                    self.instr(i)
+                    self.instr(i, depth + 1)
                 if e:
                     out.append(OPCODES["else"])
                     for i in e:
-                        self.instr(i)
+                        self.instr(i, depth + 1)
                 out.append(OPCODES["end"])
             case (ast.Br(label=k) | ast.BrIf(label=k) | ast.Call(func=k)
                   | ast.GetLocal(local=k) | ast.SetLocal(local=k)

@@ -27,21 +27,23 @@ Execution compiles each function's flat code, on first run, into blocks,
 shared by every function with equal flat code.  A block is a
 straight-line run of ops up to and including its first control op,
 lowered to one generated Python function with the operand stack in
-locals and the run's static actions in one ``trace.extend``.
-Each op's semantics is written once, as a template (``_t_*``) that emits
-its source; a single step, a debug-mode step and a step that fuel or a
-step budget cuts short run the one-op block of the same template, so
-every stop falls on the same instruction as it would op by op.  A numeric
-op's meaning is ``numerics``': the cheap integer ops paste in the
-expression it states them in, and every other op calls its function.  A
-counted loop, whose body is straight-line code ending in ``br``, is also
-lowered whole, by the same templates, into one function that runs its
-iterations in a Python ``while``, never going back to ``run`` between two.
+locals and the run's static actions in one ``trace.extend``.  A counted
+loop, whose body is straight-line code ending in ``br``, is lowered whole
+instead, into one function that runs its iterations in a Python
+``while``.  Every compiled function takes the steps it may run and
+returns those it did not, so ``run`` calls each alike.  Each op's
+semantics is written once, as a template (``_t_*``) that emits its
+source; a single step, a debug-mode step and a step that fuel or a step
+budget cuts short run the one-op block of the same template, so every
+stop falls on the same instruction as it would op by op.  A numeric op's
+meaning is ``numerics``': the cheap integer ops paste in the expression
+it states them in, and every other op calls its function.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -60,7 +62,13 @@ RUNNING, DONE, TRAPPED, OUT_OF_FUEL = "running", "done", "trap", "fuel"
 
 
 def default_fuel() -> int:
-    return int(os.environ.get("CTWASM_FUEL", DEFAULT_FUEL))
+    """DEFAULT_FUEL, or the integer in CTWASM_FUEL if it is set."""
+    raw = os.environ.get("CTWASM_FUEL")
+    try:
+        return DEFAULT_FUEL if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(
+            f"CTWASM_FUEL must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -578,12 +586,13 @@ def run(cfg: Config, max_steps: int | None = None) -> None:
     """Drive the configuration until it terminates, runs out of fuel, or
     has executed max_steps further instructions.
 
-    Each turn of the loop runs one compiled block of the top frame and
-    charges its length up front; when the fuel or the budget is shorter
-    than the block, or in debug mode, it runs the block's first op alone,
-    so every stop falls on the same instruction as with single steps.  At
-    a counted loop with room for a whole iteration it charges all it may
-    run, and the loop function hands back what it did not use."""
+    Each turn of the loop calls one compiled function of the top frame
+    with ``n``, the steps it may run, and charges what it did not hand
+    back.  That is the full-length function at the frame's pc, given the
+    smaller of the fuel and the budget; when that is shorter than the
+    function's length, or in debug mode, it is the one-op function, given
+    one step, so every stop falls on the same instruction as with single
+    steps."""
     frames = cfg.frames
     budget = sys.maxsize if max_steps is None else max_steps
     debug = cfg.debug
@@ -606,26 +615,17 @@ def run(cfg: Config, max_steps: int | None = None) -> None:
             continue
         code = fr.code
         pc = fr.pc
-        n = code.lens[pc]
-        if n > fuel or n > budget or debug:
+        n = fuel if fuel < budget else budget
+        if code.lens[pc] > n or debug:
             if debug:
                 _debug_check(cfg, fr, pc)
             n = 1
-            block = code.singles[pc] or code.compile(fr.ff, pc, 1)
+            fn = code.singles[pc] or code.compile(fr.ff, pc, 1)
         else:
-            m = code.iters[pc]
-            if m and m <= fuel and m <= budget:  # a whole iteration fits
-                n = fuel if fuel < budget else budget
-                cfg.fuel = fuel - n
-                left = (code.loops[pc] or code.compile(fr.ff, pc, m, True))(
-                    cfg, fr, n)
-                cfg.fuel += left
-                budget -= n - left
-                continue
-            block = code.blocks[pc] or code.compile(fr.ff, pc, n)
-        cfg.fuel = fuel - n
-        budget -= n
-        block(cfg, fr)
+            fn = code.blocks[pc] or code.compile(fr.ff, pc, code.lens[pc])
+        left = fn(cfg, fr, n)
+        cfg.fuel = fuel - n + left
+        budget -= n - left
 
 
 def _return(cfg: Config, fr: Frame) -> None:
@@ -645,14 +645,12 @@ def _trap(cfg: Config, kind: str) -> None:
     cfg.frames.clear()
 
 
-def _fault(cfg: Config, kind: str, actions: tuple, refund: int) -> int:
-    """Trap inside a block: record the actions of the ops run since the
-    last flush and give back the fuel of the ops that did not run.  It
-    returns 0, the steps a loop function has left to hand back."""
+def _fault(cfg: Config, kind: str, actions: tuple, left: int) -> int:
+    """Trap inside a compiled function: record the actions of the ops run
+    since the last flush, and return ``left``, the steps it hands back."""
     cfg.trace.extend(actions)
-    cfg.fuel += refund
     _trap(cfg, kind)
-    return 0
+    return left
 
 
 def _br(cfg: Config, fr: Frame, depth: int) -> None:
@@ -738,7 +736,10 @@ def step(cfg: Config) -> tuple | None:
 # Compilation of flat code to blocks
 #
 # A block is a run of ops that ends at its first control op (or after
-# MAX_BLOCK ops), compiled to one Python function ``block(cfg, fr)``.
+# MAX_BLOCK ops), compiled to one Python function.  Every compiled
+# function is called as ``fn(cfg, fr, n)``, ``n`` being the steps it may
+# run, and returns the steps it did not: it charges its length on entry,
+# and a branch out or a trap returns those of the ops after it.
 # Operand-stack slots become Python locals, and the frame's stack sees
 # only the values the block takes from below it and leaves behind.  The
 # actions of ops whose observation is static are buffered at compile time
@@ -752,13 +753,13 @@ def step(cfg: Config) -> tuple | None:
 # up going first; a FlatFunc holds on to its own for as long as it lives.
 #
 # A counted loop, whose body holds no block, loop, if, call, br_table,
-# return or unreachable and ends in an unconditional br, also compiles to
-# a loop function ``loop(cfg, fr, n)``: it pushes the loop's label once
-# and runs whole iterations in a Python ``while`` as long as ``n`` steps
-# leave room for one.  A branch to the loop is a ``continue``, any other
-# leaves through ``_br``, and the steps not used go back to ``run``, the
-# frame left at the loop op as the back edge leaves it.  MAX_BLOCK does
-# not split an iteration: a piece of one would leave the ``while``.
+# return or unreachable and ends in an unconditional br, compiles to a
+# loop function instead of a block: it pushes the loop's label once and
+# runs whole iterations in a Python ``while`` as long as ``n`` leaves room
+# for one.  A branch to the loop is a ``continue``, any other leaves
+# through ``_br``, and the frame is left at the loop op as the back edge
+# leaves it.  MAX_BLOCK does not split an iteration: a piece of one would
+# leave the ``while``.
 
 # Longer straight-line runs are split: compiling a block takes transient
 # memory in proportion to its source (about 0.7 MB at 64 ops), and a block
@@ -769,6 +770,7 @@ MAX_BLOCK = 64
 # at 266 ops).
 MAX_ITERATION = 512
 CODE_CACHE_SIZE = 64
+_SERIALS = itertools.count()  # one per compiled function, for its label
 
 _CONTROL = frozenset((
     flat.T_BR, flat.T_BR_IF, flat.T_BR_TABLE, flat.T_IF, flat.T_ELSE,
@@ -790,16 +792,16 @@ _PROLOGUE = (
 
 
 class _Code:
-    """Compiled blocks of one function's flat code, built on first use.
+    """Compiled functions of one function's flat code, built on first use.
 
-    ``lens[pc]`` is the length of the block that starts at ``pc``;
-    ``blocks[pc]`` runs it and ``singles[pc]`` runs the op at ``pc``
-    alone.  At a counted loop's op, ``iters[pc]`` is the length of a
-    whole iteration (0 elsewhere) and ``loops[pc]`` runs iterations.  All
-    are compiled when first needed and kept here, shared by every
-    FlatFunc with equal flat code (see ``_code_of``)."""
+    ``blocks[pc]`` is the full-length function at ``pc`` and ``lens[pc]``
+    its length: the block that starts there or, at a counted loop's op,
+    where ``iters[pc]`` is also set (0 elsewhere), the loop function and
+    the length of one iteration.  ``singles[pc]`` runs the op at ``pc``
+    alone.  All are compiled when first needed and kept here, shared by
+    every FlatFunc with equal flat code (see ``_code_of``)."""
 
-    __slots__ = ("lens", "blocks", "singles", "iters", "loops")
+    __slots__ = ("lens", "blocks", "singles", "iters")
 
     def __init__(self, code: tuple):
         lens = [1] * len(code)
@@ -810,7 +812,6 @@ class _Code:
         self.blocks: list = [None] * len(code)
         self.singles: list = [None] * len(code)
         self.iters = [0] * len(code)
-        self.loops: list = [None] * len(code)
         for pc, op in enumerate(code):
             if op[0] == flat.T_LOOP:
                 end = pc + 1
@@ -818,13 +819,11 @@ class _Code:
                     end += 1
                 if code[end][0] == flat.T_BR and code[end + 1][0] == \
                         flat.T_END and end - pc < MAX_ITERATION:
-                    self.iters[pc] = end + 1 - pc
+                    lens[pc] = self.iters[pc] = end + 1 - pc
 
-    def compile(self, ff: flat.FlatFunc, pc: int, n: int, loop: bool = False):
-        fn = _Block(ff, pc, n, loop).build()
-        if loop:
-            self.loops[pc] = fn
-        elif n == self.lens[pc]:
+    def compile(self, ff: flat.FlatFunc, pc: int, n: int):
+        fn = _Block(ff, pc, n, n == self.iters[pc]).build()
+        if n == self.lens[pc]:
             self.blocks[pc] = fn
         if n == 1:
             self.singles[pc] = fn
@@ -844,7 +843,7 @@ class _Block:
     """Source generator for the block of ``n`` ops starting at ``pc0``,
     or, in loop mode, for the loop function whose iteration they are."""
 
-    def __init__(self, ff: flat.FlatFunc, pc0: int, n: int, loop: bool = False):
+    def __init__(self, ff: flat.FlatFunc, pc0: int, n: int, loop: bool):
         self.ff, self.pc0, self.n, self.loop = ff, pc0, n, loop
         self.pc = pc0
         self.lines: list[str] = []
@@ -863,24 +862,24 @@ class _Block:
         if not self.ended:  # cut short of a control op
             self.control()
             self.emit(f"fr.pc = {self.pc0 + self.n}")
-        kind, params, body = "block", "cfg, fr", self.lines
+        kind, body = "block", [f"n -= {self.n}"] + self.lines
         if self.loop:
             self.uses.update(("S", "labels"))
-            kind, params, body = "loop", "cfg, fr, n", [
+            kind, body = "loop", [
                 f"labels.append(({self.pc0}, 0, len(S)))",
-                f"while n >= {self.n}:", f"    n -= {self.n}"] + [
-                "    " + line for line in body] + [
-                "labels.pop()", f"fr.pc = {self.pc0}", "return n"]
+                f"while n >= {self.n}:"] + ["    " + line for line in body] + [
+                "labels.pop()", f"fr.pc = {self.pc0}"]
         head = ["trace = cfg.trace"] + [
             line for name, line in _PROLOGUE if name in self.uses]
         names = [name for name, _ in self.consts.values()]
         src = "\n".join(
-            [f"def _make({', '.join(names)}):", f"  def {kind}({params}):"]
-            + ["    " + line for line in head + body]
+            [f"def _make({', '.join(names)}):", f"  def {kind}(cfg, fr, n):"]
+            + ["    " + line for line in head + body + ["return n"]]
             + [f"  return {kind}"])
+        label = f"<func {self.ff.index} pc {self.pc0} len {self.n} " \
+            f"#{next(_SERIALS)}>"
         ns: dict = {}
-        exec(compile(src, f"<func {self.ff.index} pc {self.pc0}>", "exec"),
-             globals(), ns)
+        exec(compile(src, label, "exec"), globals(), ns)
         return ns["_make"](*(v for _, v in self.consts.values()))
 
     # -- emission helpers
@@ -917,9 +916,11 @@ class _Block:
         self.uses.add("S")
         return f"len(S) + {len(self.stack)}" if self.stack else "len(S)"
 
-    def refund(self) -> int:
-        """Fuel of the ops after the current one, charged but not run."""
-        return self.pc0 + self.n - 1 - self.pc
+    def left(self) -> str:
+        """The steps to hand back from the current op: ``n`` and those of
+        the ops after it, charged but not run."""
+        refund = self.pc0 + self.n - 1 - self.pc
+        return f"n + {refund}" if refund else "n"
 
     def static(self, action: tuple) -> None:
         self.pending.append(action)
@@ -950,21 +951,21 @@ class _Block:
 
     def branch(self, depth: int) -> list[str]:
         """Statements that take a branch to ``depth``, the actions before
-        it recorded.  In a loop function a branch to the loop drops this
-        iteration's operands and starts the next one, and any other
-        returns the steps not used."""
+        it recorded, and return the steps not run.  In a loop function a
+        branch to the loop drops this iteration's operands and starts the
+        next one."""
         if self.loop and depth == 0:
-            return [f"n += {self.refund()}", "continue"]
-        leave = [f"return n + {self.refund()}"] if self.loop else []
-        return self.spilled() + [f"_br(cfg, fr, {depth})"] + leave
+            left = self.left()
+            return ["continue"] if left == "n" else [f"n = {left}", "continue"]
+        return self.spilled() + [f"_br(cfg, fr, {depth})",
+                                 f"return {self.left()}"]
 
     def fault(self, kind: str, actions: str | None = None) -> str:
         """A statement that traps with ``kind`` (an expression) after
         ``actions`` (a tuple expression), by default the pending ones."""
         if actions is None:
             actions = self.const(tuple(self.pending))
-        refund = f"{self.refund()} + n" if self.loop else self.refund()
-        return f"return _fault(cfg, {kind}, {actions}, {refund})"
+        return f"return _fault(cfg, {kind}, {actions}, {self.left()})"
 
     def apply(self, fn, *args: str) -> str:
         """``fn`` of numerics applied to operands: its expression inlined

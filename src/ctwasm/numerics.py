@@ -25,7 +25,6 @@ class Trap(Exception):
 
 
 M32 = 0xFFFFFFFF
-M64 = 0xFFFFFFFFFFFFFFFF
 CANON_NAN32 = 0x7FC00000
 CANON_NAN64 = 0x7FF8000000000000
 

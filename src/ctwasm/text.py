@@ -24,9 +24,9 @@ from .ast import (
     CATALOGUE, FIXED_CLASSES, MAX_NESTING, TOO_DEEP, VALTYPES_BY_NAME, Block,
     Br, BrIf, BrTable, Call, CallIndirect, Classify, Const, Convert, DataSeg,
     Declassify, ElemSeg, Func, FuncType, GetGlobal, GetLocal, GlobalVar, If,
-    Instr, Load, Loop, Memory, Module, Reinterpret, Secrecy, SetGlobal,
-    SetLocal, SourceSpan, Store, Table, TeeLocal, Trust, ValType, duplicates,
-    fresh, mnemonic,
+    Instr, Load, Loop, Memory, Module, NestingTooDeep, Reinterpret, Secrecy,
+    SetGlobal, SetLocal, SourceSpan, Store, Table, TeeLocal, Trust, ValType,
+    duplicates, fresh, mnemonic,
 )
 from .numerics import f32_from_bits, f64_from_bits
 
@@ -970,6 +970,8 @@ class _Printer:
         self.lines.append("  " * depth + text)
 
     def instrs(self, body: tuple[Instr, ...], depth: int) -> None:
+        if depth > MAX_NESTING + 2:  # a function's body is at depth 2
+            raise NestingTooDeep(TOO_DEEP)
         for ins in body:
             self.instr(ins, depth)
 

@@ -84,7 +84,6 @@ class _CtSecret:
 
 TANY = _CtAny()
 TSECRET = _CtSecret()
-CtType = object  # TANY | TSECRET | ast.ValType
 
 
 def unify(a, b):
@@ -117,7 +116,6 @@ class Ctx:
 
 @dataclass
 class _Frame:
-    kind: str  # "func" | "block" | "loop" | "if" | "else"
     label_types: tuple[ast.ValType, ...]  # what a br to this label carries
     end_types: tuple[ast.ValType, ...]
     height: int
@@ -133,8 +131,8 @@ class CheckState:
         self.ctrls: list[_Frame] = []
         self.pc = -1  # the offset of the op being checked
 
-    def push_ctrl(self, kind: str, label_types, end_types) -> None:
-        self.ctrls.append(_Frame(kind, tuple(label_types), tuple(end_types),
+    def push_ctrl(self, label_types, end_types) -> None:
+        self.ctrls.append(_Frame(tuple(label_types), tuple(end_types),
                                  len(self.vals), start=self.pc))
 
 
@@ -274,13 +272,10 @@ class _FuncChecker:
             if op[3] < 0 and r:
                 raise _Reject(ErrorCode.TypeMismatch,
                               "if without else cannot produce a result")
-            self.state.push_ctrl("if", r, r)
-        elif tag == flat.T_BLOCK:
+            self.state.push_ctrl(r, r)
+        elif tag == flat.T_BLOCK or tag == flat.T_LOOP:
             r = (op[2],) if op[2] else ()
-            self.state.push_ctrl("block", r, r)
-        elif tag == flat.T_LOOP:
-            r = (op[2],) if op[2] else ()
-            self.state.push_ctrl("loop", (), r)
+            self.state.push_ctrl(() if tag == flat.T_LOOP else r, r)
         elif tag == flat.T_BR_IF:
             self.pop_public_i32(ErrorCode.SecretCondition)
             frame = self.label(op[2])
@@ -291,7 +286,7 @@ class _FuncChecker:
             self.set_unreachable()
         elif tag == flat.T_ELSE:
             frame = self.pop_ctrl()
-            frame.kind, frame.unreachable = "else", False  # keeps its start
+            frame.unreachable = False  # keeps its start
             self.state.ctrls.append(frame)
         elif tag == flat.T_CLASSIFY:
             self.pop(op[3])
@@ -420,7 +415,7 @@ class _FuncChecker:
     def run(self, ff: FlatFunc, errors: list[ValidationError]) -> None:
         rts = ff.type.results
         st = self.state
-        st.push_ctrl("func", rts, rts)
+        st.push_ctrl(rts, rts)
         for pc, op in enumerate(ff.code):
             st.pc = pc
             depth0 = len(st.ctrls)
@@ -444,19 +439,17 @@ class _FuncChecker:
         tag = op[0]
         if tag in (flat.T_BLOCK, flat.T_LOOP, flat.T_IF):
             r = (op[2],) if op[2] else ()
-            kind = {flat.T_BLOCK: "block", flat.T_LOOP: "loop",
-                    flat.T_IF: "if"}[tag]
-            st.push_ctrl(kind, () if tag is flat.T_LOOP else r, r)
+            st.push_ctrl(() if tag is flat.T_LOOP else r, r)
         elif tag in (flat.T_ELSE, flat.T_END) and len(st.ctrls) == depth0 \
                 and depth0 > 1:
             frame = st.ctrls.pop()
             del st.vals[frame.height:]
             if tag == flat.T_ELSE:
-                st.push_ctrl("else", frame.label_types, frame.end_types)
+                st.push_ctrl(frame.label_types, frame.end_types)
             else:
                 st.vals.extend(frame.end_types)
         if not st.ctrls:
-            st.push_ctrl("func", rts, rts)
+            st.push_ctrl(rts, rts)
         self.set_unreachable()
 
 
@@ -540,7 +533,7 @@ def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
     checker = _FuncChecker(ctx)
     checker.state = state
     if not state.ctrls:
-        state.push_ctrl("func", (), ())
+        state.push_ctrl((), ())
     try:
         for op in fl.code:
             checker.check_op(op)

@@ -120,6 +120,18 @@ def test_fuel_env_variable(capsys, tmp_path, monkeypatch):
     assert "fuel" in err
 
 
+@pytest.mark.parametrize("command", ["run", "ct-check"])
+def test_a_bad_fuel_env_variable_is_named(command, capsys, tmp_path,
+                                          monkeypatch):
+    p = tmp_path / "id.cwat"
+    p.write_text('(module (func (export "f") (param s32) (result s32) '
+                 '(local.get 0)))')
+    monkeypatch.setenv("CTWASM_FUEL", "abc")
+    rc, out, err = run_cli([command, str(p), "--invoke", "f", "s32:1"], capsys)
+    assert rc == 1 and out == ""
+    assert err == "error: CTWASM_FUEL must be an integer, got 'abc'\n"
+
+
 def test_fmt_idempotent(capsys, corpus_root, tmp_path):
     rc, out, _ = run_cli(["fmt", corp("sha256", corpus_root)], capsys)
     assert rc == 0

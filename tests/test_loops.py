@@ -104,8 +104,9 @@ def test_loop_functions_match_debug_mode_on_counted_loops():
         cuts = sorted(set(range(entry, horizon + 1)) | set(
             rng.sample(beyond, min(SAMPLE, len(beyond)))))
         _check_cuts(label, tm, export, args, cuts)
-        entered += any(fn is not None for ff in tm.funcs if ff.compiled
-                       for fn in ff.compiled.loops)
+        entered += any(ff.compiled.blocks[pc] is not None
+                       for ff in tm.funcs if ff.compiled
+                       for pc, m in enumerate(ff.compiled.iters) if m)
     assert entered > 200  # of the 300 exports
 
 
@@ -157,7 +158,27 @@ def test_the_corpus_hot_loops_run_as_loop_functions(typed_corpus):
                      if op[0] == flat.T_LOOP]
             assert len(loops) == count, (name, loops)
             for i, pc in loops:
-                assert tm.flat(i).compiled.loops[pc] is not None, (name, i, pc)
+                code = tm.flat(i).compiled
+                assert code.iters[pc] and code.blocks[pc] is not None, \
+                    (name, i, pc)
+
+
+def test_every_compiled_function_has_its_own_profile_label(typed_corpus):
+    """Batches of 61 cut SHA-256's blocks, so a trial compiles blocks,
+    one-op blocks at the same pcs and loop functions; a profiler keys each
+    by its code's file, line and name, and no two may share one."""
+    entry, tm = typed_corpus["sha256"]
+    assert leakage.randomized_ct_trial(tm, entry.trial, trials=2, seed=3,
+                                       batch=61).ok
+    fns = {id(fn): fn for ff in tm.funcs if ff.compiled
+           for fn in ff.compiled.blocks + ff.compiled.singles if fn}
+    codes = [fn.__code__ for fn in fns.values()]
+    assert {c.co_name for c in codes} == {"block", "loop"}
+    assert any(fn is not None for ff in tm.funcs if ff.compiled
+               for fn, m in zip(ff.compiled.singles, ff.compiled.lens)
+               if m > 1)
+    labels = {(c.co_filename, c.co_firstlineno, c.co_name) for c in codes}
+    assert len(labels) == len(codes)
 
 
 # from the 21st round on, a load whose address depends on the secret block

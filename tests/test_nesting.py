@@ -95,15 +95,30 @@ def test_a_10000_deep_nest_exits_1_with_one_line(name, data, commands,
         assert "nested deeper than" in err, (command, err)
 
 
-def test_inference_on_a_10000_deep_hand_built_ast_is_input_invalid():
+def _hand_built(depth: int) -> ast.Module:
+    """A module whose one function nests ``depth`` blocks, built without
+    the parser or decoder, which would bound it."""
     body: tuple = (ast.Nop(),)
-    for _ in range(10_000):
+    for _ in range(depth):
         body = (ast.Block(None, body),)
     ft = ast.FuncType(ast.Trust.UNTRUSTED, (), ())
-    m = ast.Module(funcs=(ast.Func(ft, (), body),))
-    assert sum(1 for _ in ast.iter_instrs(body)) == 10_001
+    return ast.Module(funcs=(ast.Func(ft, (), body),))
+
+
+def test_inference_on_a_10000_deep_hand_built_ast_is_input_invalid():
+    m = _hand_built(10_000)
+    assert sum(1 for _ in ast.iter_instrs(m.funcs[0].body)) == 10_001
     with pytest.raises(infer.InputInvalid, match="NestingTooDeep"):
         infer.infer_labels(m)
+
+
+@pytest.mark.parametrize("write", [text.print_module, binary.encode_module],
+                         ids=["print", "encode"])
+def test_writing_a_hand_built_ast_past_the_bound_is_nesting_too_deep(write):
+    assert write(_hand_built(N))
+    for depth in (N + 1, 10_000):
+        with pytest.raises(ast.NestingTooDeep, match=ast.TOO_DEEP):
+            write(_hand_built(depth))
 
 
 def test_iter_instrs_walks_in_pre_order():

@@ -47,7 +47,7 @@ def plain_ctx(trust=Trust.UNTRUSTED, **kw) -> Ctx:
 
 def primed_state(*vals) -> CheckState:
     st = CheckState()
-    st.push_ctrl("func", (), ())
+    st.push_ctrl((), ())
     st.vals.extend(vals)
     return st
 
