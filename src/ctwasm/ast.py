@@ -14,6 +14,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -710,16 +711,49 @@ class Module:
             elif seen_defined:
                 raise ValueError("imported globals must precede defined ones")
 
-    def exported(self, name: str):
-        """Find an export by name: ('func'|'global'|'table'|'memory', index)."""
-        for i, f in enumerate(self.funcs):
-            if name in f.exports:
-                return ("func", i)
-        for i, g in enumerate(self.globals):
-            if name in g.exports:
-                return ("global", i)
-        if self.table is not None and name in self.table.exports:
-            return ("table", 0)
-        if self.memory is not None and name in self.memory.exports:
-            return ("memory", 0)
-        return None
+    def exports(self) -> tuple[tuple[str, str, int], ...]:
+        """Every export as (name, kind, index), kind one of 'func', 'table',
+        'memory' and 'global', in the binary format's order: functions,
+        then the table, the memory and globals, each field's names in
+        their own order.  Computed once per module."""
+        return self._exports
+
+    @functools.cached_property
+    def _exports(self) -> tuple[tuple[str, str, int], ...]:
+        fields = [*(("func", i, f) for i, f in enumerate(self.funcs)),
+                  ("table", 0, self.table), ("memory", 0, self.memory),
+                  *(("global", i, g) for i, g in enumerate(self.globals))]
+        return tuple((name, kind, i) for kind, i, x in fields if x is not None
+                     for name in x.exports)
+
+    def with_exports(self, exports) -> Module:
+        """This module with each field's ``exports`` set to the names that
+        the (name, kind, index) triples ``exports`` give it, in order.
+
+        Raises ``IndexError(at)`` when triple ``at`` names a field the
+        module lacks."""
+        sizes = {"func": len(self.funcs), "global": len(self.globals),
+                 "table": int(self.table is not None),
+                 "memory": int(self.memory is not None)}
+        names: dict[tuple[str, int], list[str]] = {}
+        for at, (name, kind, i) in enumerate(exports):
+            if not 0 <= i < sizes[kind]:
+                raise IndexError(at)
+            names.setdefault((kind, i), []).append(name)
+
+        def attach(x, kind: str, i: int = 0):
+            new = tuple(names.get((kind, i), ()))
+            return x if x is None or x.exports == new else \
+                dataclasses.replace(x, exports=new)
+        return dataclasses.replace(
+            self,
+            funcs=tuple(attach(f, "func", i) for i, f in enumerate(self.funcs)),
+            globals=tuple(attach(g, "global", i)
+                          for i, g in enumerate(self.globals)),
+            table=attach(self.table, "table"),
+            memory=attach(self.memory, "memory"))
+
+    def exported(self, name: str) -> tuple[str, int] | None:
+        """The (kind, index) of the first export named ``name``, or None."""
+        return next(((kind, i) for n, kind, i in self.exports() if n == name),
+                    None)

@@ -46,6 +46,7 @@ OP_CLASSIFY_S64 = 0xC1
 OP_DECLASSIFY_I32 = 0xC2
 OP_DECLASSIFY_I64 = 0xC3
 MEMORY_SECRET_FLAG = 0x04
+EXPORT_KINDS = ("func", "table", "memory", "global")  # by export kind byte
 
 # Public single-byte opcodes (standard MVP assignments).
 OPCODES: dict[str, int] = {
@@ -365,21 +366,9 @@ def encode_module(m: Module) -> bytes:
                    _expr(types, g.init) for g in own_globals]
         out += _section(6, _vec(entries))
 
-    exports = []
-    for i, f in enumerate(m.funcs):
-        for name in f.exports:
-            exports.append(_name(name) + b"\x00" + uleb(i))
-    if m.table is not None:
-        for name in m.table.exports:
-            exports.append(_name(name) + b"\x01" + uleb(0))
-    if m.memory is not None:
-        for name in m.memory.exports:
-            exports.append(_name(name) + b"\x02" + uleb(0))
-    for i, g in enumerate(m.globals):
-        for name in g.exports:
-            exports.append(_name(name) + b"\x03" + uleb(i))
-    if exports:
-        out += _section(7, _vec(exports))
+    if m.exports():
+        out += _section(7, _vec([_name(name) + bytes([EXPORT_KINDS.index(kind)])
+                                 + uleb(i) for name, kind, i in m.exports()]))
 
     if m.table is not None and m.table.elems:
         segs = [uleb(0) + _expr(types, seg.offset) +
@@ -482,6 +471,12 @@ class _Reader:
         if b not in CODE_VALTYPES:
             self.fail("UnknownType", f"value type code 0x{b:02x}")
         return CODE_VALTYPES[b]
+
+    def globaltype(self) -> tuple[ValType, bool]:
+        t, mut = self.valtype(), self.byte()
+        if mut > 1:
+            self.fail("MalformedSection", f"global mutability 0x{mut:02x}")
+        return t, mut == 1
 
     def limits(self, allow_secret: bool = False):
         flags = self.byte()
@@ -622,7 +617,7 @@ def decode_module(data: bytes) -> Module:
                 s.fail("MalformedSection", "multiple results")
             types.append(FuncType(trust, params, results))
 
-    funcs: list[dict] = []
+    funcs: list[ast.Func] = []
     globals_: list[ast.GlobalVar] = []
     table: ast.Table | None = None
     memory: ast.Memory | None = None
@@ -639,29 +634,30 @@ def decode_module(data: bytes) -> Module:
             mod, field_ = s.name(), s.name()
             kind = s.byte()
             if kind == 0:
-                funcs.append({"type": typeref(s), "imported": (mod, field_)})
+                funcs.append(ast.Func(typeref(s), (), (), (mod, field_)))
             elif kind == 1:
+                if table is not None:
+                    s.fail("MalformedSection", "second table")
                 if s.byte() != ELEMTYPE_FUNCREF:
                     s.fail("UnknownType", "table element type")
                 mn, mx, _ = s.limits()
-                table = ast.Table(mn, mx, (), (mod, field_), ())
+                table = ast.Table(mn, mx, imported=(mod, field_))
             elif kind == 2:
+                if memory is not None:
+                    s.fail("MalformedSection", "second memory")
                 mn, mx, secret = s.limits(allow_secret=True)
                 memory = ast.Memory(mn, mx, Secrecy.SECRET if secret
-                                    else Secrecy.PUBLIC, (mod, field_), ())
+                                    else Secrecy.PUBLIC, (mod, field_))
             elif kind == 3:
-                t = s.valtype()
-                mut = s.byte()
-                globals_.append(ast.GlobalVar(t, bool(mut), None,
-                                              (mod, field_), ()))
+                t, mut = s.globaltype()
+                globals_.append(ast.GlobalVar(t, mut, imported=(mod, field_)))
             else:
                 s.fail("MalformedSection", f"import kind {kind}")
 
-    n_imported = len(funcs)
+    defined: list[FuncType] = []
     if 3 in sections:
         s = sections[3]
-        for _ in range(s.u32()):
-            funcs.append({"type": typeref(s), "imported": None})
+        defined = [typeref(s) for _ in range(s.u32())]
 
     if 4 in sections:
         s = sections[4]
@@ -672,7 +668,7 @@ def decode_module(data: bytes) -> Module:
         if s.byte() != ELEMTYPE_FUNCREF:
             s.fail("UnknownType", "table element type")
         mn, mx, _ = s.limits()
-        table = ast.Table(mn, mx, (), None, ())
+        table = ast.Table(mn, mx)
 
     if 5 in sections:
         s = sections[5]
@@ -682,7 +678,7 @@ def decode_module(data: bytes) -> Module:
             s.fail("MalformedSection", "second memory")
         mn, mx, secret = s.limits(allow_secret=True)
         memory = ast.Memory(mn, mx, Secrecy.SECRET if secret
-                            else Secrecy.PUBLIC, None, ())
+                            else Secrecy.PUBLIC)
 
     def const_expr(s: _Reader) -> tuple[Instr, ...]:
         dec = _BodyDecoder(s, types)
@@ -692,12 +688,10 @@ def decode_module(data: bytes) -> Module:
     if 6 in sections:
         s = sections[6]
         for _ in range(s.u32()):
-            t = s.valtype()
-            mut = s.byte()
-            init = const_expr(s)
-            globals_.append(ast.GlobalVar(t, bool(mut), init, None, ()))
+            t, mut = s.globaltype()
+            globals_.append(ast.GlobalVar(t, mut, const_expr(s)))
 
-    exports: list[tuple[str, int, int]] = []
+    exports: list[tuple[str, str, int]] = []
     if 7 in sections:
         s = sections[7]
         for _ in range(s.u32()):
@@ -706,7 +700,7 @@ def decode_module(data: bytes) -> Module:
             idx = s.u32()
             if kind > 3:
                 s.fail("MalformedSection", f"export kind {kind}")
-            exports.append((name, kind, idx))
+            exports.append((name, EXPORT_KINDS[kind], idx))
 
     elems: list[ast.ElemSeg] = []
     if 9 in sections:
@@ -720,8 +714,7 @@ def decode_module(data: bytes) -> Module:
     if elems:
         if table is None:
             raise DecodeError("MalformedSection", 0, "elem without table")
-        table = ast.Table(table.min, table.max, tuple(elems),
-                          table.imported, table.exports)
+        table = replace(table, elems=tuple(elems))
 
     bodies: list[tuple[tuple[ValType, ...], tuple[Instr, ...]]] = []
     if 10 in sections:
@@ -741,9 +734,11 @@ def decode_module(data: bytes) -> Module:
             if not sub.eof():
                 sub.fail("MalformedSection", "trailing bytes after body end")
             bodies.append((tuple(locals_), body))
-    if len(bodies) != len(funcs) - n_imported:
+    if len(bodies) != len(defined):
         raise DecodeError("MalformedSection", 0,
                           "function and code section lengths disagree")
+    funcs += [ast.Func(t, locals_, body)
+              for t, (locals_, body) in zip(defined, bodies)]
 
     data: list[ast.DataSeg] = []
     if 11 in sections:
@@ -754,50 +749,9 @@ def decode_module(data: bytes) -> Module:
             offset = const_expr(s)
             data.append(ast.DataSeg(offset, bytes(s.take(s.u32()))))
 
-    out_funcs: list[ast.Func] = []
-    for i, fd in enumerate(funcs):
-        if fd["imported"] is not None:
-            out_funcs.append(ast.Func(fd["type"], (), (), fd["imported"], ()))
-        else:
-            locals_, body = bodies[i - n_imported]
-            out_funcs.append(ast.Func(fd["type"], locals_, body, None, ()))
-
-    ex_funcs: dict[int, list[str]] = {}
-    ex_globals: dict[int, list[str]] = {}
-    ex_table: list[str] = []
-    ex_memory: list[str] = []
-    for name, kind, idx in exports:
-        if kind == 0:
-            if idx >= len(out_funcs):
-                raise DecodeError("IndexOverflow", 0, f"export func {idx}")
-            ex_funcs.setdefault(idx, []).append(name)
-        elif kind == 3:
-            if idx >= len(globals_):
-                raise DecodeError("IndexOverflow", 0, f"export global {idx}")
-            ex_globals.setdefault(idx, []).append(name)
-        elif kind == 1:
-            if table is None or idx != 0:
-                raise DecodeError("IndexOverflow", 0, f"export table {idx}")
-            ex_table.append(name)
-        else:
-            if memory is None or idx != 0:
-                raise DecodeError("IndexOverflow", 0, f"export memory {idx}")
-            ex_memory.append(name)
-    out_funcs = [
-        ast.Func(f.type, f.locals, f.body, f.imported,
-                 tuple(ex_funcs.get(i, ())))
-        for i, f in enumerate(out_funcs)
-    ]
-    globals_ = [
-        ast.GlobalVar(g.type, g.mutable, g.init, g.imported,
-                      tuple(ex_globals.get(i, ())))
-        for i, g in enumerate(globals_)
-    ]
-    if table is not None and ex_table:
-        table = ast.Table(table.min, table.max, table.elems, table.imported,
-                          tuple(ex_table))
-    if memory is not None and ex_memory:
-        memory = ast.Memory(memory.min, memory.max, memory.sec,
-                            memory.imported, tuple(ex_memory))
-
-    return Module(tuple(out_funcs), tuple(globals_), table, memory, tuple(data))
+    m = Module(tuple(funcs), tuple(globals_), table, memory, tuple(data))
+    try:
+        return m.with_exports(exports)
+    except IndexError as e:
+        _, kind, idx = exports[e.args[0]]
+        raise DecodeError("IndexOverflow", 0, f"export {kind} {idx}") from None

@@ -163,7 +163,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    _write_output(args.output, text.print_module(_decode(args.file)))
+    out = text.print_module(_decode(args.file))
+    try:  # a module that fails validation may print as text that does not parse
+        text.parse_module(out, args.file)
+    except text.ParseError as e:
+        raise CliError(f"{args.file}: decodes to text that does not parse: "
+                       f"{e.message}") from e
+    _write_output(args.output, out)
     return OK
 
 

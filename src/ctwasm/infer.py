@@ -31,7 +31,7 @@ of their flat ops as it rebuilds each body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import ast, flat
@@ -566,8 +566,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         ft = signature(fi, f.type,
                        Trust.TRUSTED if fi in trusted else Trust.UNTRUSTED)
         if f.imported is not None:
-            funcs.append(ast.Func(ft, (), (), f.imported, f.exports,
-                                  f.name, f.span))
+            funcs.append(replace(f, type=ft))
             continue
         ff = tm.funcs[fi]
         sec, classify = _flags(rs.sources[fi], rs.needs[fi], ff.def_use.types,
@@ -575,20 +574,14 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         np = len(f.type.params)
         locals_ = tuple(ast.at_secrecy(t, sec_of(("local", fi, np + i)))
                         for i, t in enumerate(f.locals))
-        funcs.append(ast.Func(ft, locals_,
-                              _emit_body(m, f, ff, sec, classify, signature),
-                              None, f.exports, f.name, f.span))
+        funcs.append(replace(f, type=ft, locals=locals_, body=_emit_body(
+            m, f, ff, sec, classify, signature)))
 
     globals_ = tuple(
-        ast.GlobalVar(ast.at_secrecy(g.type, sec_of(("global", gi))),
-                      g.mutable, g.init, g.imported, g.exports, g.name, g.span)
+        replace(g, type=ast.at_secrecy(g.type, sec_of(("global", gi))))
         for gi, g in enumerate(m.globals))
-    memory = m.memory
-    if memory is not None:
-        memory = ast.Memory(memory.min, memory.max, mem_sec,
-                            memory.imported, memory.exports)
-
-    out = ast.Module(tuple(funcs), globals_, m.table, memory, m.data)
+    memory = m.memory and replace(m.memory, sec=mem_sec)
+    out = replace(m, funcs=tuple(funcs), globals=globals_, memory=memory)
     tm = validate_module(out, annotate=True)
 
     notes = []

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -106,8 +107,11 @@ def parse_value(literal: str) -> Value:
     import struct as _struct
     fmt = "<I" if t.bits == 32 else "<Q"
     ffmt = "<f" if t.bits == 32 else "<d"
+    v = float(raw)
     try:
-        return Value(t, _struct.unpack(fmt, _struct.pack(ffmt, float(raw)))[0])
+        if math.isinf(v) and "inf" not in raw.lower():
+            raise OverflowError  # a finite decimal past f64 reads as inf
+        return Value(t, _struct.unpack(fmt, _struct.pack(ffmt, v))[0])
     except OverflowError:
         raise ValueError(f"{raw} out of range for {tname}") from None
 
@@ -431,19 +435,11 @@ def instantiate(store: Store, tm: TypedModule,
             # in, which does not change any byte
             mem.data[base:base + len(seg.data)] = seg.data
 
+    addrs = {"func": func_addrs, "global": global_addrs,
+             "table": [table_addr], "memory": [mem_addr]}
     exports: dict[str, tuple[str, int]] = {}
-    for i, f in enumerate(m.funcs):
-        for name in f.exports:
-            exports[name] = ("func", func_addrs[i])
-    for i, g in enumerate(m.globals):
-        for name in g.exports:
-            exports[name] = ("global", global_addrs[i])
-    if m.table is not None:
-        for name in m.table.exports:
-            exports[name] = ("table", table_addr)
-    if m.memory is not None:
-        for name in m.memory.exports:
-            exports[name] = ("memory", mem_addr)
+    for name, kind, i in m.exports():
+        exports.setdefault(name, (kind, addrs[kind][i]))
 
     store.insts.append(Instance(tm, func_addrs, global_addrs,
                                 table_addr, mem_addr, exports))

@@ -15,7 +15,7 @@ paranoid mode also any export that hands secret state to the host).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ast, binary, flat
 from .ast import (
@@ -104,7 +104,7 @@ class _Stripper:
                     f"import {f.imported[0]}.{f.imported[1]} loses its "
                     "untrusted contract: the final link may satisfy it with "
                     "code that leaks its arguments"))
-            return ast.Func(ft, (), (), f.imported, f.exports, f.name, f.span)
+            return replace(f, type=ft)
 
         ff = self.tm.flat(index)
         widths = {_select_width(ff, pc) for pc, op in enumerate(ff.code)
@@ -143,7 +143,7 @@ class _Stripper:
 
         body = ast.rebuild(f.body, erase)
         locals_ = tuple(ast.public_type(t) for t in f.locals) + tuple(extra)
-        return ast.Func(ft, locals_, body, None, f.exports, f.name, f.span)
+        return replace(f, type=ft, locals=locals_, body=body)
 
 
 def _erase_functype(ft: ast.FuncType) -> ast.FuncType:
@@ -177,16 +177,11 @@ def strip_module(m: ast.Module | TypedModule, paranoid: bool = False
     stripper = _Stripper(tm)
     funcs = tuple(stripper.func(i, f) for i, f in enumerate(src.funcs))
     globals_ = tuple(
-        ast.GlobalVar(ast.public_type(g.type), g.mutable,
-                      None if g.init is None else
-                      tuple(ast.publicize_instr(i) for i in g.init),
-                      g.imported, g.exports, g.name, g.span)
+        replace(g, type=ast.public_type(g.type),
+                init=g.init and tuple(map(ast.publicize_instr, g.init)))
         for g in src.globals)
-    memory = src.memory
-    if memory is not None:
-        memory = ast.Memory(memory.min, memory.max, Secrecy.PUBLIC,
-                            memory.imported, memory.exports)
-    out = ast.Module(funcs, globals_, src.table, memory, src.data)
+    memory = src.memory and replace(src.memory, sec=Secrecy.PUBLIC)
+    out = replace(src, funcs=funcs, globals=globals_, memory=memory)
 
     if paranoid:
         if src.memory is not None and src.memory.sec is Secrecy.SECRET and \

@@ -322,8 +322,8 @@ class _Parser:
         self.memory: Memory | None = None
         self.data: list[tuple] = []  # (offset items, bytes)
         self.segment_indices: list[tuple] = []  # (space, token): must be 0
-        self.exports: dict[tuple[str, int], list[str]] = {}  # (kind, index)
-        self.late_exports: list[tuple] = []  # (name, kind, ref token)
+        self.exports: list[tuple] = []  # inline (name, kind, index)
+        self.late_exports: list[tuple] = []  # (name, kind, ref token, span)
 
     def err(self, message: str, span: SourceSpan | None = None,
             expected: frozenset[str] | None = None) -> ParseError:
@@ -450,13 +450,13 @@ class _Parser:
     def _inline_clauses(self, items: list, kind: str, index: int):
         """Strip leading (export "n")* and optional (import "m" "n"); the
         exports are recorded for field `index` of `kind`."""
-        exports = self.exports.setdefault((kind, index), [])
         imported = None
         i = 0
         while i < len(items):
             head = self._head(items[i])
             if head == "export":
-                exports.append(self._string(self._nth(items[i], 1, "a name")))
+                name = self._string(self._nth(items[i], 1, "a name"))
+                self.exports.append((name, kind, index))
             elif head == "import":
                 if imported is not None:
                     raise self.err("duplicate import clause", items[i].span)
@@ -548,7 +548,7 @@ class _Parser:
         imported, mn, mx, items = self._one_of(s, "table")
         if not (len(items) == 1 and self._is_kw(items[0], "funcref", "anyfunc")):
             raise self.err("expected funcref element type", s.span)
-        self.table = Table(mn, mx, (), imported)
+        self.table = Table(mn, mx, imported=imported)
 
     def _offset_expr(self, item) -> list:
         if self._head(item) == "offset":
@@ -589,7 +589,8 @@ class _Parser:
         if imported is not None and items[1:]:
             raise self.err("imported global cannot have an initializer", s.span)
         self.names.bind("global", name, len(self.globals), s.span)
-        self.globals.append(GlobalVar(gt, mutable, None, imported, (), name, s.span))
+        self.globals.append(GlobalVar(gt, mutable, imported=imported, name=name,
+                                      span=s.span))
         self.global_inits.append(None if imported else items[1:])
 
     def _field_import(self, s: SExpr) -> None:
@@ -897,33 +898,26 @@ class _Parser:
             if self.memory is None:
                 raise self.err("data segment without a memory", span)
             data.append(DataSeg(self._const_expr(offset_items, "data", span), chunk))
-        counts = {"func": len(self.funcs), "global": len(self.globals),
-                  "table": int(self.table is not None),
-                  "memory": int(self.memory is not None)}
-        for name, kind, ref, span in self.late_exports:
-            idx = self.names.resolve(kind, ref)
-            if idx >= counts[kind]:
-                raise self.err(f"export {kind} index out of range", span)
-            self.exports.setdefault((kind, idx), []).append(name)
-        dup = duplicates(n for ns in self.exports.values() for n in ns)
-        if dup:
-            raise self.err(f"duplicate export name {dup[0]!r}")
-
-        def exports(kind: str, index: int = 0) -> tuple[str, ...]:
-            return tuple(self.exports.get((kind, index), ()))
-
+        exports = self.exports + [(name, kind, self.names.resolve(kind, ref))
+                                  for name, kind, ref, _ in self.late_exports]
         funcs = tuple(Func(fd.type, tuple(fd.locals), body, fd.imported,
-                           exports("func", i), fd.name, fd.span)
-                      for i, (fd, body) in enumerate(zip(self.funcs, bodies)))
-        globals_ = tuple(replace(g, init=init, exports=exports("global", i))
-                         for i, (g, init) in enumerate(zip(self.globals, inits)))
-        table = self.table and replace(self.table, elems=tuple(elems),
-                                       exports=exports("table"))
-        memory = self.memory and replace(self.memory, exports=exports("memory"))
+                           name=fd.name, span=fd.span)
+                      for fd, body in zip(self.funcs, bodies))
+        globals_ = tuple(replace(g, init=init)
+                         for g, init in zip(self.globals, inits))
+        table = self.table and replace(self.table, elems=tuple(elems))
         try:
-            return Module(funcs, globals_, table, memory, tuple(data))
+            m = Module(funcs, globals_, table, self.memory,
+                       tuple(data)).with_exports(exports)
         except ValueError as e:  # imports after definitions
             raise self.err(str(e)) from None
+        except IndexError as e:  # only an (export ...) field names another
+            _, kind, _, span = self.late_exports[e.args[0] - len(self.exports)]
+            raise self.err(f"export {kind} index out of range", span) from None
+        dup = duplicates(name for name, _, _ in exports)
+        if dup:
+            raise self.err(f"duplicate export name {dup[0]!r}")
+        return m
 
 
 def parse_module(text: str, filename: str = "<input>") -> Module:

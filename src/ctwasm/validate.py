@@ -610,11 +610,7 @@ def check_module(m: ast.Module, annotate: bool = False
     errors: list[ValidationError] = []
     parts = _module_ctx(m)
 
-    names = [n for f in m.funcs for n in f.exports]
-    names += [n for g in m.globals for n in g.exports]
-    names += list(m.table.exports) if m.table else []
-    names += list(m.memory.exports) if m.memory else []
-    for n in ast.duplicates(names):
+    for n in ast.duplicates(name for name, _, _ in m.exports()):
         errors.append(ValidationError(ErrorCode.SyntaxIndex, None, None,
                                       f"duplicate export name {n!r}"))
 

@@ -4,7 +4,7 @@ import pytest
 
 import fuzzgen
 import wabt_bridge
-from ctwasm import ast, binary, cli, text, validate
+from ctwasm import ast, binary, cli, interp, text, validate
 from ctwasm.binary import DecodeError, decode_module, encode_module
 
 HEADER = b"\0asm\x01\x00\x00\x00"
@@ -35,6 +35,88 @@ def test_round_trip_1000_fuzz_modules():
     for seed in range(1000):
         m = text.parse_module(fuzzgen.generate(seed, ct=seed % 2 == 0))
         assert decode_module(encode_module(m)) == m, f"seed {seed}"
+
+
+def _export_section(data: bytes) -> list[tuple[str, str, int]]:
+    """The export section of module bytes as (name, kind, index) triples,
+    read without the decoder."""
+    def uleb(at: int) -> tuple[int, int]:
+        n = shift = 0
+        while True:
+            b = data[at]
+            at += 1
+            n |= (b & 0x7F) << shift
+            shift += 7
+            if b < 0x80:
+                return n, at
+
+    at = len(HEADER)
+    while at < len(data):
+        sid = data[at]
+        size, at = uleb(at + 1)
+        if sid != 7:
+            at += size
+            continue
+        count, at = uleb(at)
+        out = []
+        for _ in range(count):
+            n, at = uleb(at)
+            name = data[at:at + n].decode()
+            kind, (idx, at) = data[at + n], uleb(at + n + 1)
+            out.append((name, ("func", "table", "memory", "global")[kind], idx))
+        return out
+    return []
+
+
+def test_every_reader_and_writer_follows_the_one_export_list(corpus_entries):
+    every_kind = text.parse_module("""(module
+      (export "late-g" (global 0)) (global (export "g") i32 (i32.const 1))
+      (memory (export "m") 1) (table (export "t") 1 funcref)
+      (export "late-f" (func 1)) (func (export "f0")) (func (export "f1"))
+      (export "late-m" (memory 0)))""")
+    assert [name for name, _, _ in every_kind.exports()] == [
+        "f0", "f1", "late-f", "t", "m", "late-m", "g", "late-g"]
+    modules = [every_kind] + [e.module for e in corpus_entries] + [
+        text.parse_module(fuzzgen.generate(seed, ct))
+        for seed in range(200) for ct in (False, True)]
+    for n, m in enumerate(modules):
+        triples = list(m.exports())
+        data = encode_module(m)
+        assert _export_section(data) == triples, n
+        assert list(decode_module(data).exports()) == triples, n
+        printed = text.print_module(m)
+        assert list(text.parse_module(printed).exports()) == triples, n
+        tm, errors = validate.check_module(m)
+        if errors:
+            continue
+        store, idx = interp.instantiate(interp.Store(), tm)
+        inst = store.insts[idx]
+        addrs = {"func": inst.func_addrs, "global": inst.global_addrs,
+                 "table": [inst.table_addr], "memory": [inst.mem_addr]}
+        assert inst.exports == {name: (kind, addrs[kind][i])
+                                for name, kind, i in triples}, n
+
+
+@pytest.mark.parametrize("kind, desc", [("table", "01700001"),
+                                        ("memory", "020001")])
+def test_a_second_imported_table_or_memory_is_malformed(kind, desc):
+    entry = b"\x01m\x01x" + bytes.fromhex(desc)
+    imports = b"\x02" + entry + entry
+    with pytest.raises(DecodeError) as e:
+        decode_module(HEADER + bytes([0x02, len(imports)]) + imports)
+    assert (e.value.code, e.value.message) == (
+        "MalformedSection", f"second {kind}")
+
+
+@pytest.mark.parametrize("section", [
+    "020801016d0167037f02",  # an imported (global i32) with byte 0x02
+    "0606017f0241000b",  # a defined one
+])
+def test_a_global_mutability_byte_past_one_is_malformed(section):
+    with pytest.raises(DecodeError) as e:
+        decode_module(HEADER + bytes.fromhex(section))
+    assert (e.value.code, e.value.message) == (
+        "MalformedSection", "global mutability 0x02")
 
 
 def test_corpus_byte_stability(corpus_entries):

@@ -63,9 +63,14 @@ def test_cli_on_mutated_bytes_exits_with_a_code(mutants, tmp_path, capsys):
     decoding = [data for data, decodes in mutants if decodes]
     failing = [data for data, decodes in mutants if not decodes][:100]
     path, out = tmp_path / "mutant.cwasm", tmp_path / "stripped.cwat"
+    decoded = tmp_path / "decoded.cwat"
     for n, data in enumerate(decoding + failing):
         path.write_bytes(data)
-        for argv in (["decode", str(path)], ["validate", str(path)],
+        for argv in (["decode", str(path), "-o", str(decoded)],
+                     ["validate", str(path)],
                      ["strip", str(path), "-o", str(out)]):
-            assert cli.main(argv) in (0, 1, 2), (n, argv)
+            code = cli.main(argv)
+            assert code in (0, 1, 2), (n, argv)
+            if argv[0] == "decode" and code == 0:  # its text parses back
+                assert cli.main(["fmt", str(decoded)]) == 0, n
         capsys.readouterr()

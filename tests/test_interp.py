@@ -332,6 +332,29 @@ def test_value_literals():
         parse_value("i32:0x1ffffffff")
 
 
+def test_a_float_literal_past_its_width_is_out_of_range():
+    for literal in ("f64:1e400", "f64:-1e400", "f32:1e39", "f32:1e400"):
+        with pytest.raises(ValueError,
+                           match=f"out of range for {literal[:3]}$"):
+            parse_value(literal)
+    assert parse_value("f32:inf") == Value(F32, 0x7F800000)
+    assert parse_value("f64:-inf") == Value(F64, 0xFFF0000000000000)
+    assert parse_value("f64:1e308") == Value(
+        F64, struct.unpack("<Q", struct.pack("<d", 1e308))[0])
+
+
+def test_a_name_exported_twice_means_its_first_export_everywhere():
+    m = ast.Module(funcs=(ast.Func(FuncType(Trust.UNTRUSTED, (), ()), (), (),
+                                   exports=("x",)),),
+                   memory=ast.Memory(1, exports=("x",)))
+    assert m.exports() == (("x", "func", 0), ("x", "memory", 0))
+    assert m.exported("x") == ("func", 0)
+    store, idx = instantiate(Store(), validate.flatten_unchecked(m))
+    assert store.insts[idx].exports["x"] == (
+        "func", store.insts[idx].func_addrs[0])
+    assert invoke(store, idx, "x", []).status == interp.DONE
+
+
 def test_cross_instance_imports():
     provider = """(module (func (export "one") (result s32) (s32.const 1))
       (global (export "g") i32 (i32.const 5))
