@@ -35,9 +35,15 @@ returns those it did not, so ``run`` calls each alike.  Each op's
 semantics is written once, as a template (``_t_*``) that emits its
 source; a single step, a debug-mode step and a step that fuel or a step
 budget cuts short run the one-op block of the same template, so every
-stop falls on the same instruction as it would op by op.  A numeric op's
-meaning is ``numerics``': the cheap integer ops paste in the expression
-it states them in, and every other op calls its function.
+stop falls on the same instruction as it would op by op.  A template
+states only what its op does with operands: the compiler queues the
+op's static action (its flat op's second field) before calling it, and
+an expression that reads the frame's stack, locals, globals, labels or
+memory is built by a helper that has the block load that state on
+entry.  One template serves every numeric op, whose meaning is
+``numerics``': the cheap integer ops paste in the expression it states
+them in, every other op calls its function, and only a function in
+``numerics.TRAPPING`` is guarded for a trap.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ast, flat
-from .numerics import EXPRS, Trap, signed
+from .numerics import EXPRS, TRAPPING, Trap, signed
 from .validate import TypedModule
 
 PAGE = 65536
@@ -846,25 +852,25 @@ class _Block:
         self.consts: dict[int, tuple[str, object]] = {}
         self.stack: list[str] = []  # operand expressions above fr.stack
         self.pending: list[tuple] = []  # static actions not yet recorded
-        self.uses: set[str] = set()
+        self.uses: set[str] = set()  # _PROLOGUE names, added by helpers
         self.temps = 0
         self.ended = False  # a control op has set the next pc
 
     def build(self):
+        entry = self.label(self.pc0, None) if self.loop else None
         for pc in range(self.pc0, self.pc0 + self.n):
             self.pc = pc
             op = self.ff.code[pc]
+            if op[1] is not None:  # its static action, before its template
+                self.pending.append(op[1])
             _TEMPLATES[op[0]](self, op)
         if not self.ended:  # cut short of a control op
-            self.control()
-            self.emit(f"fr.pc = {self.pc0 + self.n}")
+            self.control(self.pc0 + self.n)
         kind, body = "block", [f"n -= {self.n}"] + self.lines
         if self.loop:
-            self.uses.update(("S", "labels"))
-            kind, body = "loop", [
-                f"labels.append(({self.pc0}, 0, len(S)))",
-                f"while n >= {self.n}:"] + ["    " + line for line in body] + [
-                "labels.pop()", f"fr.pc = {self.pc0}"]
+            kind, body = "loop", [entry, f"while n >= {self.n}:"] + [
+                "    " + line for line in body] + [
+                self.unlabel(), f"fr.pc = {self.pc0}"]
         head = ["trace = cfg.trace"] + [
             line for name, line in _PROLOGUE if name in self.uses]
         names = [name for name, _ in self.consts.values()]
@@ -905,21 +911,55 @@ class _Block:
         self.uses.add("S")
         return self.assign("S.pop()")
 
-    def push(self, expr: str) -> None:
-        self.stack.append(self.assign(expr))
+    def push(self, expr: str, trapping: bool = False) -> None:
+        """Push ``expr``'s value; a ``trapping`` one may raise Trap."""
+        name = self.fresh()
+        if trapping:
+            self.emit("try:")
+            self.emit(f"    {name} = {expr}")
+            self.emit("except Trap as e:")
+            self.emit("    " + self.fault("e.kind"))
+        else:
+            self.emit(f"{name} = {expr}")
+        self.stack.append(name)
 
     def height(self) -> str:
         self.uses.add("S")
         return f"len(S) + {len(self.stack)}" if self.stack else "len(S)"
+
+    def local(self, i: int) -> str:
+        self.uses.add("L")
+        return f"L[{i}]"
+
+    def glob(self, i: int) -> str:
+        self.uses.add("G")
+        return f"G[ga[{i}]].bits"
+
+    def label(self, target: int, result) -> str:
+        """A statement pushing the label of a construct whose branches go
+        to ``target`` and carry ``result``'s value, if it has one."""
+        self.uses.add("labels")
+        arity = 0 if result is None else 1
+        return f"labels.append(({target}, {arity}, {self.height()}))"
+
+    def unlabel(self) -> str:
+        self.uses.add("labels")
+        return "labels.pop()"
+
+    def pages(self) -> str:
+        self.uses.add("mem")
+        return f"len(data) // {PAGE}"
+
+    def address(self, offset: int) -> str:
+        addr = self.pop()
+        self.uses.add("mem")
+        return self.assign(f"{addr} + {offset}") if offset else addr
 
     def left(self) -> str:
         """The steps to hand back from the current op: ``n`` and those of
         the ops after it, charged but not run."""
         refund = self.pc0 + self.n - 1 - self.pc
         return f"n + {refund}" if refund else "n"
-
-    def static(self, action: tuple) -> None:
-        self.pending.append(action)
 
     def flush(self) -> None:
         if len(self.pending) == 1:
@@ -973,14 +1013,6 @@ class _Block:
         assert all(a.isidentifier() or a.isdigit() for a in args), args
         return "(" + text.format(**dict(zip("ab", args))) + ")"
 
-    def push_trapping(self, expr: str) -> None:
-        name = self.fresh()
-        self.emit("try:")
-        self.emit(f"    {name} = {expr}")
-        self.emit("except Trap as e:")
-        self.emit("    " + self.fault("e.kind"))
-        self.stack.append(name)
-
     def bounds(self, kind: str, ea: str, width: int) -> None:
         """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
         self.flush()
@@ -989,63 +1021,54 @@ class _Block:
         self.emit("    " + self.fault('"out of bounds memory access"',
                                       f"({action},)"))
 
-    def control(self) -> None:
+    def control(self, next_pc: int | None = None) -> None:
         """The op being lowered is a control op: record the block's
-        actions, hand its operands to the frame and leave."""
+        actions, hand its operands to the frame and leave, setting the
+        frame's pc to ``next_pc`` if it is given."""
         self.flush()
         self.spill()
         self.ended = True
+        if next_pc is not None:
+            self.emit(f"fr.pc = {next_pc}")
 
 
 # -- one template per tag: the semantics of each op, written once
 
 def _t_unreachable(b: _Block, op) -> None:
-    b.static(op[1])
     b.emit(b.fault('"unreachable"'))
     b.ended = True
 
 
 def _t_static(b: _Block, op) -> None:
     """nop, reinterpret, classify, declassify: the value is unchanged."""
-    b.static(op[1])
 
 
 def _t_drop(b: _Block, op) -> None:
     b.pop()
-    b.static(op[1])
 
 
 def _t_select(b: _Block, op) -> None:
     c, v2, v1 = b.pop(), b.pop(), b.pop()
     if op[1] is None:
         b.record(f'("branch", "select", {c})')
-    else:
-        b.static(op[1])
     b.push(f"{v2} if {c} == 0 else {v1}")
 
 
 def _t_block(b: _Block, op) -> None:
-    b.static(op[1])
-    b.uses.add("labels")
-    arity = 0 if op[2] is None else 1
-    b.emit(f"labels.append(({op[3] + 1}, {arity}, {b.height()}))")
+    b.emit(b.label(op[3] + 1, op[2]))
 
 
 def _t_loop(b: _Block, op) -> None:
-    b.static(op[1])
     if not b.loop:  # a loop function pushes its label once, on entry
-        b.uses.add("labels")
-        b.emit(f"labels.append(({b.pc}, 0, {b.height()}))")
+        b.emit(b.label(b.pc, None))
 
 
 def _t_if(b: _Block, op) -> None:
     c = b.pop()
     b.record(f'("branch", "if", {c})')
     b.control()
-    b.uses.add("labels")
-    arity = 0 if op[2] is None else 1
     else_pc, end_pc = op[3], op[4]
-    label = f"labels.append(({end_pc + 1}, {arity}, {b.height()}))"
+    label = b.label(end_pc + 1, op[2])
     b.emit(f"if {c}:")
     b.emit(f"    {label}")
     b.emit(f"    fr.pc = {b.pc + 1}")
@@ -1059,23 +1082,17 @@ def _t_if(b: _Block, op) -> None:
 
 def _t_else(b: _Block, op) -> None:
     # reached only by falling out of the then-branch
-    b.static(op[1])
-    b.control()
-    b.emit(f"fr.pc = {op[2]}")
+    b.control(op[2])
 
 
 def _t_end(b: _Block, op) -> None:
-    b.static(op[1])
     if b.pc == len(b.ff.code) - 1:  # the function's own end
-        b.control()
-        b.emit("_return(cfg, fr)")
+        _t_return(b, op)
     else:
-        b.uses.add("labels")
-        b.emit("labels.pop()")
+        b.emit(b.unlabel())
 
 
 def _t_br(b: _Block, op) -> None:
-    b.static(op[1])
     b.flush()
     b.lines += b.branch(op[2])
     b.ended = True
@@ -1085,8 +1102,7 @@ def _t_br_if(b: _Block, op) -> None:
     c = b.pop()
     b.record(f'("branch", "br_if", {c})')
     if not b.loop:  # the block ends here either way
-        b.control()
-        b.emit(f"fr.pc = {b.pc + 1}")
+        b.control(b.pc + 1)
     b.emit(f"if {c}:")
     b.lines += ["    " + line for line in b.branch(op[2])]
 
@@ -1100,67 +1116,47 @@ def _t_br_table(b: _Block, op) -> None:
 
 
 def _t_return(b: _Block, op) -> None:
-    b.static(op[1])
     b.control()
     b.emit("_return(cfg, fr)")
 
 
 def _t_call(b: _Block, op) -> None:
-    b.static(op[1])
-    b.control()
-    b.emit(f"fr.pc = {b.pc + 1}")
+    b.control(b.pc + 1)
     b.emit(f"_enter(cfg, fr, cfg.store.funcs[fr.inst.func_addrs[{op[2]}]])")
 
 
 def _t_call_indirect(b: _Block, op) -> None:
     i = b.pop()
     b.record(f'("call-indirect", {i})')
-    b.control()
-    b.emit(f"fr.pc = {b.pc + 1}")
+    b.control(b.pc + 1)
     b.emit(f"_call_indirect(cfg, fr, {i}, {b.const(op[2])})")
 
 
 def _t_get_local(b: _Block, op) -> None:
-    b.uses.add("L")
-    b.push(f"L[{op[2]}]")
-    b.static(op[1])
+    b.push(b.local(op[2]))
 
 
 def _t_set_local(b: _Block, op) -> None:
-    b.uses.add("L")
-    b.emit(f"L[{op[2]}] = {b.pop()}")
-    b.static(op[1])
+    b.emit(f"{b.local(op[2])} = {b.pop()}")
 
 
 def _t_tee_local(b: _Block, op) -> None:
-    b.uses.add("L")
     v = b.pop()
-    b.emit(f"L[{op[2]}] = {v}")
+    b.emit(f"{b.local(op[2])} = {v}")
     b.stack.append(v)
-    b.static(op[1])
 
 
 def _t_get_global(b: _Block, op) -> None:
-    b.uses.add("G")
-    b.push(f"G[ga[{op[2]}]].bits")
-    b.static(op[1])
+    b.push(b.glob(op[2]))
 
 
 def _t_set_global(b: _Block, op) -> None:
-    b.uses.add("G")
-    b.emit(f"G[ga[{op[2]}]].bits = {b.pop()}")
-    b.static(op[1])
-
-
-def _address(b: _Block, offset: int) -> str:
-    addr = b.pop()
-    b.uses.add("mem")
-    return b.assign(f"{addr} + {offset}") if offset else addr
+    b.emit(f"{b.glob(op[2])} = {b.pop()}")
 
 
 def _t_load(b: _Block, op) -> None:
     t, pack, sign, offset, width = op[2], op[3], op[4], op[6], op[7]
-    ea = _address(b, offset)
+    ea = b.address(offset)
     b.bounds("load", ea, width)
     v = b.assign(f'int.from_bytes(data[{ea}:{ea} + {width}], "little")')
     b.record(f'("mem", "load", {ea}, {width}, {v} if pub else None)')
@@ -1172,7 +1168,7 @@ def _t_load(b: _Block, op) -> None:
 def _t_store(b: _Block, op) -> None:
     offset, width = op[5], op[6]
     value = b.pop()
-    ea = _address(b, offset)
+    ea = b.address(offset)
     b.bounds("store", ea, width)
     bits = b.assign(f"{value} & {(1 << (width * 8)) - 1}")
     b.emit(f'data[{ea}:{ea} + {width}] = {bits}.to_bytes({width}, "little")')
@@ -1180,15 +1176,12 @@ def _t_store(b: _Block, op) -> None:
 
 
 def _t_memory_size(b: _Block, op) -> None:
-    b.uses.add("mem")
-    b.push(f"len(data) // {PAGE}")
-    b.static(op[1])
+    b.push(b.pages())
 
 
 def _t_memory_grow(b: _Block, op) -> None:
     delta = b.pop()
-    b.uses.add("mem")
-    old, result = b.assign(f"len(data) // {PAGE}"), b.fresh()
+    old, result = b.assign(b.pages()), b.fresh()
     b.emit(f"if {old} + {delta} <= ({DEFAULT_GROW_LIMIT} if mem.max is None "
            "else mem.max):")
     b.emit(f"    data.extend(bytes({delta} * {PAGE}))")
@@ -1201,41 +1194,20 @@ def _t_memory_grow(b: _Block, op) -> None:
 
 def _t_const(b: _Block, op) -> None:
     b.stack.append(repr(op[3]))
-    b.static(op[1])
 
 
-def _t_unary(b: _Block, op) -> None:
-    """unop and testop: the function is the op's last field."""
-    b.push(b.apply(op[-1], b.pop()))
-    b.static(op[1])
-
-
-def _t_binary(b: _Block, op) -> None:
-    """binop and relop: only an integer div or rem can trap, and only a
-    public one leaks its operands."""
-    rhs, lhs = b.pop(), b.pop()
+def _t_numeric(b: _Block, op) -> None:
+    """unop, testop, binop, relop and convert: the function is the op's
+    last field, and only a public integer div or rem leaks its operands."""
+    arity = 2 if op[0] == flat.T_BINOP or op[0] == flat.T_RELOP else 1
+    args = [b.pop() for _ in range(arity)][::-1]
     if op[1] is None:
-        b.record(f'("unsafe-binop", {op[3]!r}, {lhs}, {rhs})')
-    else:
-        b.static(op[1])
-    expr = b.apply(op[4], lhs, rhs)
-    if op[2].is_int and op[3] in ast.UNSAFE_BINOPS:
-        b.push_trapping(expr)
-    else:
-        b.push(expr)
-
-
-def _t_convert(b: _Block, op) -> None:
-    b.static(op[1])
-    expr = b.apply(op[4], b.pop())
-    if op[2].is_int and not op[3].is_int:  # a truncation may trap
-        b.push_trapping(expr)
-    else:
-        b.push(expr)
+        b.record(f'("unsafe-binop", {op[3]!r}, {", ".join(args)})')
+    b.push(b.apply(op[-1], *args), op[-1] in TRAPPING)
 
 
 _TEMPLATES = {
-    flat.T_UNREACHABLE: _t_unreachable, flat.T_NOP: _t_static,
+    flat.T_UNREACHABLE: _t_unreachable,
     flat.T_DROP: _t_drop, flat.T_SELECT: _t_select,
     flat.T_BLOCK: _t_block, flat.T_LOOP: _t_loop, flat.T_IF: _t_if,
     flat.T_ELSE: _t_else, flat.T_END: _t_end,
@@ -1247,11 +1219,11 @@ _TEMPLATES = {
     flat.T_SET_GLOBAL: _t_set_global,
     flat.T_LOAD: _t_load, flat.T_STORE: _t_store,
     flat.T_MEMORY_SIZE: _t_memory_size, flat.T_MEMORY_GROW: _t_memory_grow,
-    flat.T_CONST: _t_const, flat.T_UNOP: _t_unary, flat.T_BINOP: _t_binary,
-    flat.T_TESTOP: _t_unary, flat.T_RELOP: _t_binary,
-    flat.T_CONVERT: _t_convert, flat.T_REINTERPRET: _t_static,
-    flat.T_CLASSIFY: _t_static, flat.T_DECLASSIFY: _t_static,
-}
+    flat.T_CONST: _t_const,
+} | dict.fromkeys((flat.T_NOP, flat.T_REINTERPRET, flat.T_CLASSIFY,
+                   flat.T_DECLASSIFY), _t_static) \
+  | dict.fromkeys((flat.T_UNOP, flat.T_TESTOP, flat.T_BINOP, flat.T_RELOP,
+                   flat.T_CONVERT), _t_numeric)
 
 
 @dataclass

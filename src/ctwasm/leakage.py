@@ -413,6 +413,10 @@ def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
     Returns ``(index, verdict)`` of the lowest failing twin, or None; each
     twin's verdict is what a check of that twin alone gives.
     """
+    for name, value in (("batch", batch),
+                        ("config_check_every", config_check_every)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     fuel = interp.default_fuel() if fuel is None else fuel
     twins = enumerate(twins)
     for first in twins:
@@ -540,6 +544,8 @@ def randomized_ct_trial(tm: TypedModule, spec: TrialSpec, trials: int = 100,
             raise ValueError(f"secret input {s.name!r} is parameter "
                              f"{s.param}, but the spec passes "
                              f"{len(spec.args)} arguments")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     args_zero, image_zero = _assignment(spec, chosen, None)
     twins = (_assignment(spec, chosen, rng) for _ in range(trials))

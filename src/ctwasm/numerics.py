@@ -103,6 +103,7 @@ _INT_UNOP_EXPRS = {
 }
 
 EXPRS: dict = {}  # function -> its expression over {a} (and {b})
+TRAPPING: set = set()  # the functions that may raise Trap: div, rem, trunc
 
 
 def _from_exprs(exprs: dict, bits: int) -> dict:
@@ -146,6 +147,7 @@ def _int_binops(bits: int):
             raise Trap("integer divide by zero")
         return a % b
 
+    TRAPPING.update((div_s, div_u, rem_s, rem_u))
     return _from_exprs(_INT_BINOP_EXPRS, bits) | {
         "div_s": div_s, "div_u": div_u, "rem_s": rem_s, "rem_u": rem_u}
 
@@ -308,11 +310,12 @@ def _convert_table() -> dict:
         ulo, uhi = 0, (1 << iw) - 1
         for fw in (32, 64):
             unpack = f32_from_bits if fw == 32 else f64_from_bits
-            fns[(f"i{iw}", f"f{fw}", "s")] = (
+            trunc_s = fns[(f"i{iw}", f"f{fw}", "s")] = (
                 lambda a, u=unpack, l=lo, h=hi, w=iw:
                 unsigned(_trunc_to_int(u(a), l, h), w))
-            fns[(f"i{iw}", f"f{fw}", "u")] = (
+            trunc_u = fns[(f"i{iw}", f"f{fw}", "u")] = (
                 lambda a, u=unpack, l=ulo, h=uhi: _trunc_to_int(u(a), l, h))
+            TRAPPING.update((trunc_s, trunc_u))
     for fw in (32, 64):
         pack = f32_to_bits if fw == 32 else f64_to_bits
         for iw in (32, 64):

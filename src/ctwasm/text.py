@@ -501,9 +501,11 @@ class _Parser:
         ft, pnames, items = self._typeuse(items, True, s.span, later or trust)
         local_types: list[ValType] = []
         local_names: list[str | None] = []
-        while items and self._head(items[0]) == "local":
-            self._typed_names(items[0], local_names, local_types)
-            items = items[1:]
+        k = 0  # walked by index: slicing per field is quadratic
+        while k < len(items) and self._head(items[k]) == "local":
+            self._typed_names(items[k], local_names, local_types)
+            k += 1
+        items = items[k:]
         if imported is not None and (local_types or items):
             raise self.err("imported function cannot have a body", s.span)
         self.names.bind("func", name, len(self.funcs), s.span)

@@ -183,6 +183,12 @@ class _FuncChecker:
         """Pop, top first, what an op hands to the labels at these depths."""
         return [self.pop(t) for t in reversed(types)]
 
+    def _open(self, op: tuple) -> None:
+        """Open the frame of a block, loop or if; a branch to a loop
+        carries no value."""
+        r = (op[2],) if op[2] else ()
+        self.state.push_ctrl(() if op[0] == flat.T_LOOP else r, r)
+
     def pop_ctrl(self) -> _Frame:
         frame = self.state.ctrls[-1]
         self.hand(frame.end_types, (0,))
@@ -268,14 +274,12 @@ class _FuncChecker:
             self.push(ast.ValType(ast.Rep.I32, t.sec))
         elif tag == flat.T_IF:
             self.pop_public_i32(ErrorCode.SecretCondition)
-            r = (op[2],) if op[2] else ()
-            if op[3] < 0 and r:
+            if op[3] < 0 and op[2]:
                 raise _Reject(ErrorCode.TypeMismatch,
                               "if without else cannot produce a result")
-            self.state.push_ctrl(r, r)
+            self._open(op)
         elif tag == flat.T_BLOCK or tag == flat.T_LOOP:
-            r = (op[2],) if op[2] else ()
-            self.state.push_ctrl(() if tag == flat.T_LOOP else r, r)
+            self._open(op)
         elif tag == flat.T_BR_IF:
             self.pop_public_i32(ErrorCode.SecretCondition)
             frame = self.label(op[2])
@@ -438,8 +442,7 @@ class _FuncChecker:
         st = self.state
         tag = op[0]
         if tag in (flat.T_BLOCK, flat.T_LOOP, flat.T_IF):
-            r = (op[2],) if op[2] else ()
-            st.push_ctrl(() if tag is flat.T_LOOP else r, r)
+            self._open(op)
         elif tag in (flat.T_ELSE, flat.T_END) and len(st.ctrls) == depth0 \
                 and depth0 > 1:
             frame = st.ctrls.pop()

@@ -1,0 +1,94 @@
+"""Print a digest of the generated source of every compiled function.
+
+For each module, every function's flat code is compiled at every pc as a
+full block (or, at a counted loop, the loop function) and as a one-op
+block, the two lengths ``run`` asks for.  Each compile prints one line:
+
+    module  function  pc  length  sha256-of-source
+
+The modules are the corpus modules (ill-typed ones flattened unchecked)
+and ``fuzzgen.generate`` and ``fuzzgen.counted_loops`` for seeds 0-299,
+plain and with the secrecy extensions.  The source is captured by
+standing in for the ``compile`` builtin inside ``ctwasm.interp``, so
+nothing under ``src/`` changes.
+
+Two versions of the interpreter generate the same code when their outputs
+are equal.  From the repository root:
+
+    PYTHONPATH=src python tests/compiled_sources.py > new.txt
+    PYTHONPATH=../old/src python tests/compiled_sources.py > old.txt
+    diff old.txt new.txt
+
+Pytest does not collect this file: its name does not start with
+``test_``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import builtins
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import fuzzgen  # noqa: E402
+from ctwasm import corpus, interp, text, validate  # noqa: E402
+
+
+def modules(seeds: range):
+    """(name, TypedModule) of every module to compile."""
+    for e in corpus.entries():
+        try:
+            yield e.name, validate.validate_module(e.module)
+        except validate.ValidationFailure:
+            yield e.name, validate.flatten_unchecked(e.module)
+    for gen in (fuzzgen.generate, fuzzgen.counted_loops):
+        for seed in seeds:
+            for ct in (False, True):
+                m = text.parse_module(gen(seed, ct))
+                yield (f"{gen.__name__}:{seed}:{'ct' if ct else 'plain'}",
+                       validate.validate_module(m))
+
+
+def digests(seeds: range):
+    """One (module, function, pc, length, sha256) per compiled function."""
+    sources: list[str] = []
+
+    def capture(src, *args, **kwargs):
+        sources.append(src)
+        return builtins.compile(src, *args, **kwargs)
+
+    interp.compile = capture
+    try:
+        for name, tm in modules(seeds):
+            for ff in tm.funcs:
+                if ff is None:
+                    continue
+                code = interp._Code(tuple(ff.code))
+                for pc in range(len(ff.code)):
+                    for n in sorted({code.lens[pc], 1}, reverse=True):
+                        code.compile(ff, pc, n)
+                        src = sources.pop()
+                        yield (name, ff.index, pc, n,
+                               hashlib.sha256(src.encode()).hexdigest())
+    finally:
+        del interp.compile
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, default=300,
+                    help="fuzz seeds 0 .. SEEDS-1 (default 300)")
+    args = ap.parse_args(argv)
+    count = 0
+    for row in digests(range(args.seeds)):
+        print(*row)
+        count += 1
+    print(f"{count} compiled functions", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -554,3 +554,28 @@ def test_image_region_past_the_end_of_memory_is_incomparable():
                   "the 65536-byte memory"}
     v = lockstep_check(tm, "f", [], [], image_b={65530: bytes(64)})
     assert v.kind == "incomparable" and "offset 65530" in v.explanation
+
+
+@pytest.mark.parametrize("kw,name", [
+    ({"batch": 0}, "batch"), ({"batch": -1}, "batch"),
+    ({"config_check_every": 0}, "config_check_every")])
+def test_lockstep_rejects_a_batch_or_check_interval_below_one(kw, name):
+    """A batch of 0 steps never ends; a check interval of 0 divides by
+    zero once a batch ends with both twins running."""
+    tm = validate.validate_module(text.parse_module(_SPIN), annotate=True)
+    with pytest.raises(ValueError, match=name):
+        lockstep_check(tm, "f", [Value(S32, 0)], [Value(S32, 5)],
+                       fuel=10_000, **kw)
+
+
+@pytest.mark.parametrize("kw,name", [
+    ({"trials": -3}, "trials"), ({"trials": 0}, "trials"),
+    ({"batch": 0}, "batch")])
+def test_randomized_trial_rejects_no_trials_or_an_empty_batch(kw, name):
+    """-3 trials reported ``ok`` with ``passed`` -3, and 0 trials ``ok``
+    with nothing checked; the CLI asks for a positive count too."""
+    tm = validate.validate_module(text.parse_module(_SPIN), annotate=True)
+    spec = TrialSpec("f", [Value(S32, 0)],
+                     [leakage.SecretInput("x", param=0)], {}, 10_000)
+    with pytest.raises(ValueError, match=name):
+        randomized_ct_trial(tm, spec, **kw)
