@@ -14,8 +14,8 @@ Submodules:
 - ``text``     s-expression parser / printer (``.cwat``, superset of ``.wat``)
 - ``binary``   bytecode encoder / decoder (``.cwasm``, superset of ``.wasm``)
 - ``validate`` single-pass type checker over a constraint stack
-- ``flat``     flat op arrays (``(tag, static action, *fields)``) shared
-               by the validator, inference and the interpreter
+- ``flat``     flat op arrays (``(tag, static action, *fields, *extras)``)
+               shared by the validator, inference and the interpreter
 - ``numerics`` bit-exact numeric functions, inlined integer expressions
                and ``TRAPPING``, the functions that may trap
 - ``interp``   deterministic interpreter with per-step leakage actions

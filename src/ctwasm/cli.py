@@ -262,7 +262,9 @@ def cmd_ct_check(args) -> int:
         secrets = [SecretInput(str(i), param=i)
                    for i, t in enumerate(ft.params)
                    if t.sec is ast.Secrecy.SECRET]
-        spec = TrialSpec(args.invoke, base, secrets, {}, args.fuel)
+        spec = TrialSpec(args.invoke, base, secrets)
+    if args.fuel is not None:  # overrides the sidecar's
+        spec.fuel = args.fuel
     vary = args.secret_params.split(",") if args.secret_params else None
     try:
         report = leakage.randomized_ct_trial(tm, spec, trials=args.trials,

@@ -6,14 +6,25 @@ Nested bodies are lowered to the same linear shape the binary format uses:
 a closing ``end``.  The validator walks this array once; the interpreter
 executes it with a label stack, so both agree on instruction offsets.
 
-Each op is a tuple ``(tag, static_action, *fields)``.  ``static_action``
-is the leakage record for ops whose observation never depends on operand
-values (reused every execution); ops with data-dependent observations
-carry ``None`` and the interpreter builds the record per step.
+Every instruction is flattened by one rule, to the op
+``(tag, static_action, *fields, *extras)``.  The tag is its class's
+position in ``ast.INSTRUCTION_VARIANTS`` (``T_ELSE`` and ``T_END`` come
+after).  The fields are its dataclass fields in declaration order, without
+``span``; a block's body stands as its ``end`` offset, a loop's as
+nothing, and an if's two bodies as its ``else`` (-1 if none) and ``end``
+offsets.  The extras are a load's or store's width in bytes and the
+``numerics`` function of a unop, binop, testop, relop or convert.
+``static_action`` is the leakage record, reused every execution, of an op
+whose observation never depends on operand values: ``("call", k)``,
+``("secret-select",)`` or ``("op", mnemonic)``.  ``if``, ``br_if``,
+``br_table``, ``call_indirect``, loads, stores, ``memory.grow``, a public
+``select`` and a public integer div or rem carry ``None``, and the
+interpreter builds their record per step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from . import ast
@@ -21,14 +32,47 @@ from .numerics import BINOP_FNS, CONVERT_FNS, RELOP_FNS, TESTOP_FNS, UNOP_FNS
 
 (
     T_UNREACHABLE, T_NOP, T_DROP, T_SELECT,
-    T_BLOCK, T_LOOP, T_IF, T_ELSE, T_END,
-    T_BR, T_BR_IF, T_BR_TABLE, T_RETURN,
+    T_BLOCK, T_LOOP, T_IF, T_BR, T_BR_IF, T_BR_TABLE, T_RETURN,
     T_CALL, T_CALL_INDIRECT,
     T_GET_LOCAL, T_SET_LOCAL, T_TEE_LOCAL, T_GET_GLOBAL, T_SET_GLOBAL,
     T_LOAD, T_STORE, T_MEMORY_SIZE, T_MEMORY_GROW,
     T_CONST, T_UNOP, T_BINOP, T_TESTOP, T_RELOP,
     T_CONVERT, T_REINTERPRET, T_CLASSIFY, T_DECLASSIFY,
-) = range(33)
+    T_ELSE, T_END,
+) = range(len(ast.INSTRUCTION_VARIANTS) + 2)
+TAGS: dict[type, int] = {cls: tag
+                         for tag, cls in enumerate(ast.INSTRUCTION_VARIANTS)}
+
+# the classes of which every op's observation depends on its operands
+_DYNAMIC = frozenset((ast.If, ast.BrIf, ast.BrTable, ast.CallIndirect,
+                      ast.Load, ast.Store, ast.MemoryGrow))
+_NUMERICS = {ast.Unop: UNOP_FNS, ast.Binop: BINOP_FNS, ast.Testop: TESTOP_FNS,
+             ast.Relop: RELOP_FNS, ast.Convert: CONVERT_FNS}
+# each class's tag, field names and numerics table (None if it has none)
+_LAYOUTS = {cls: (TAGS[cls],
+                  tuple(f.name for f in dataclasses.fields(cls)
+                        if f.name != "span"),
+                  _NUMERICS.get(cls))
+            for cls in ast.INSTRUCTION_VARIANTS}
+_ELSE = ("op", "else")
+_END = ("op", "end")
+
+
+def static_action(ins: ast.Instr) -> tuple | None:
+    """The leakage record ``ins`` leaves whatever its operands, or None
+    when its operand values change what it reveals."""
+    cls = type(ins)
+    if cls in _DYNAMIC:
+        return None
+    if cls is ast.Select:
+        return ("secret-select",) if ins.sec is ast.Secrecy.SECRET else None
+    if cls is ast.Binop and ins.op in ast.UNSAFE_BINOPS \
+            and ins.type.sec is ast.Secrecy.PUBLIC:
+        return None
+    if cls is ast.Call:
+        return ("call", ins.func)
+    return ("op", ast.mnemonic(ins))  # raises TypeError for a non-instruction
+
 
 @dataclass
 class DefUse:
@@ -93,95 +137,38 @@ class _Flattener:
         self.depth -= 1
 
     def instr(self, ins: ast.Instr) -> None:
-        safe = ("op", ast.mnemonic(ins))
+        act = static_action(ins)
         match ins:
-            case ast.Unreachable():
-                self.emit(ins, T_UNREACHABLE, safe)
-            case ast.Nop():
-                self.emit(ins, T_NOP, safe)
-            case ast.Drop():
-                self.emit(ins, T_DROP, safe)
-            case ast.Select(sec=sec):
-                if sec is ast.Secrecy.SECRET:
-                    self.emit(ins, T_SELECT, ("secret-select",), sec)
-                else:
-                    self.emit(ins, T_SELECT, None, sec)
             case ast.Block(result=r, body=b):
-                at = self.emit(ins, T_BLOCK, safe, r, -1)
+                at = self.emit(ins, T_BLOCK, act, r, -1)
                 self.block_body(b)
-                end = self.emit(ins, T_END, ("op", "end"))
-                self.code[at] = (T_BLOCK, safe, r, end)
+                end = self.emit(ins, T_END, _END)
+                self.code[at] = (T_BLOCK, act, r, end)
             case ast.Loop(result=r, body=b):
-                at = self.emit(ins, T_LOOP, safe, r)
+                self.emit(ins, T_LOOP, act, r)
                 self.block_body(b)
-                self.emit(ins, T_END, ("op", "end"))
+                self.emit(ins, T_END, _END)
             case ast.If(result=r, then=t, else_=e):
-                at = self.emit(ins, T_IF, None, r, -1, -1)
+                at = self.emit(ins, T_IF, act, r, -1, -1)
                 self.block_body(t)
                 else_pc = -1
                 if e:
-                    else_pc = self.emit(ins, T_ELSE, ("op", "else"), -1)
+                    else_pc = self.emit(ins, T_ELSE, _ELSE, -1)
                     self.block_body(e)
-                end = self.emit(ins, T_END, ("op", "end"))
+                end = self.emit(ins, T_END, _END)
                 if else_pc >= 0:
-                    self.code[else_pc] = (T_ELSE, ("op", "else"), end)
-                self.code[at] = (T_IF, None, r, else_pc, end)
-            case ast.Br(label=k):
-                self.emit(ins, T_BR, safe, k)
-            case ast.BrIf(label=k):
-                self.emit(ins, T_BR_IF, None, k)
-            case ast.BrTable(labels=ls, default=d):
-                self.emit(ins, T_BR_TABLE, None, ls, d)
-            case ast.Return():
-                self.emit(ins, T_RETURN, safe)
-            case ast.Call(func=k):
-                self.emit(ins, T_CALL, ("call", k), k)
-            case ast.CallIndirect(type=ft):
-                self.emit(ins, T_CALL_INDIRECT, None, ft)
-            case ast.GetLocal(local=k):
-                self.emit(ins, T_GET_LOCAL, safe, k)
-            case ast.SetLocal(local=k):
-                self.emit(ins, T_SET_LOCAL, safe, k)
-            case ast.TeeLocal(local=k):
-                self.emit(ins, T_TEE_LOCAL, safe, k)
-            case ast.GetGlobal(glob=k):
-                self.emit(ins, T_GET_GLOBAL, safe, k)
-            case ast.SetGlobal(glob=k):
-                self.emit(ins, T_SET_GLOBAL, safe, k)
-            case ast.Load(type=t, pack=pack, signed=signed, align=align,
-                          offset=off):
-                width = (pack or t.bits) // 8
-                self.emit(ins, T_LOAD, None, t, pack, signed, align, off, width)
-            case ast.Store(type=t, pack=pack, align=align, offset=off):
-                width = (pack or t.bits) // 8
-                self.emit(ins, T_STORE, None, t, pack, align, off, width)
-            case ast.MemorySize():
-                self.emit(ins, T_MEMORY_SIZE, safe)
-            case ast.MemoryGrow():
-                self.emit(ins, T_MEMORY_GROW, None)
-            case ast.Const(type=t, bits=bits):
-                self.emit(ins, T_CONST, safe, t, bits)
-            case ast.Unop(type=t, op=op):
-                self.emit(ins, T_UNOP, safe, t, op, UNOP_FNS[(t.rep.value, op)])
-            case ast.Binop(type=t, op=op):
-                unsafe = t.is_int and op in ast.UNSAFE_BINOPS
-                act = None if unsafe and t.sec is ast.Secrecy.PUBLIC else safe
-                self.emit(ins, T_BINOP, act, t, op, BINOP_FNS[(t.rep.value, op)])
-            case ast.Testop(type=t):
-                self.emit(ins, T_TESTOP, safe, t, TESTOP_FNS[(t.rep.value, "eqz")])
-            case ast.Relop(type=t, op=op):
-                self.emit(ins, T_RELOP, safe, t, op, RELOP_FNS[(t.rep.value, op)])
-            case ast.Convert(to=to, frm=frm, sign=sign):
-                self.emit(ins, T_CONVERT, safe, to, frm,
-                          CONVERT_FNS[(to.rep.value, frm.rep.value, sign)])
-            case ast.Reinterpret(to=to, frm=frm):
-                self.emit(ins, T_REINTERPRET, safe, to, frm)
-            case ast.Classify(to=to, frm=frm):
-                self.emit(ins, T_CLASSIFY, safe, to, frm)
-            case ast.Declassify(to=to, frm=frm):
-                self.emit(ins, T_DECLASSIFY, safe, to, frm)
+                    self.code[else_pc] = (T_ELSE, _ELSE, end)
+                self.code[at] = (T_IF, act, r, else_pc, end)
             case _:
-                raise TypeError(f"unknown instruction {ins!r}")
+                tag, names, fns = _LAYOUTS[type(ins)]
+                fields = [getattr(ins, n) for n in names]
+                if fns is not None:
+                    fields.append(fns[tuple(
+                        f.rep.value if isinstance(f, ast.ValType) else f
+                        for f in fields)])
+                elif tag == T_LOAD or tag == T_STORE:
+                    fields.append((ins.pack or ins.type.bits) // 8)
+                self.emit(ins, tag, act, *fields)
 
 
 def instr_pcs(code: list[tuple]) -> list[int]:
@@ -197,5 +184,5 @@ def flatten_func(index: int, f: ast.Func) -> FlatFunc:
     fl = _Flattener()
     fl.block_body(f.body)
     end = ast.Nop(span=f.span)
-    fl.emit(f.body[-1] if f.body else end, T_END, ("op", "end"))
+    fl.emit(f.body[-1] if f.body else end, T_END, _END)
     return FlatFunc(index, f.type, f.type.params + f.locals, fl.code, fl.origins)

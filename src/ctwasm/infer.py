@@ -268,12 +268,11 @@ class _Rules:
                     need(a[1], None, f"right operand of {name}")
                     out(None, f"result of {name}")
                 case flat.T_UNOP | flat.T_BINOP | flat.T_TESTOP | flat.T_RELOP:
-                    name = "eqz" if tag == flat.T_TESTOP else op[3]
                     # a float comparison takes public floats and has only a
                     # public variant; its i32 node stays free
                     fcmp = tag == flat.T_RELOP and not op[2].is_int
                     for p in a:
-                        need(p, None if fcmp else val, f"operand of {name}")
+                        need(p, None if fcmp else val, f"operand of {op[3]}")
                     if fcmp:
                         out(None)
                     elif not op[2].is_int:

@@ -987,21 +987,17 @@ class _Printer:
                     self.emit(depth, "else")
                     self.instrs(e, depth + 1)
                 self.emit(depth, "end")
-            case Br(label=k) | BrIf(label=k):
+            case (Br(label=k) | BrIf(label=k) | Call(func=k)
+                  | GetLocal(local=k) | SetLocal(local=k) | TeeLocal(local=k)
+                  | GetGlobal(glob=k) | SetGlobal(glob=k)):
                 self.emit(depth, f"{mnemonic(ins)} {k}")
             case BrTable(labels=ls, default=d):
                 self.emit(depth, "br_table " + " ".join(str(k) for k in (*ls, d)))
-            case Call(func=k):
-                self.emit(depth, f"call {k}")
             case CallIndirect(type=ft):
                 sig = "".join(f" (param {t.name})" for t in ft.params)
                 sig += "".join(f" (result {t.name})" for t in ft.results)
                 trust = " trusted" if ft.trust is Trust.TRUSTED else ""
                 self.emit(depth, f"call_indirect{trust}{sig}")
-            case GetLocal(local=k) | SetLocal(local=k) | TeeLocal(local=k):
-                self.emit(depth, f"{mnemonic(ins)} {k}")
-            case GetGlobal(glob=k) | SetGlobal(glob=k):
-                self.emit(depth, f"{mnemonic(ins)} {k}")
             case Load() | Store():
                 self.emit(depth, mnemonic(ins) + _memarg_text(ins))
             case Const(type=t, bits=bits):

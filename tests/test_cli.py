@@ -249,6 +249,23 @@ def test_ct_check_json(capsys, corpus_root):
     assert doc["trials"] == 3 and doc["ok"]
 
 
+@pytest.mark.parametrize("flag, fuel", [([], 500_000),
+                                        (["--fuel", "12345"], 12345)])
+def test_ct_check_fuel_overrides_the_sidecar(capsys, corpus_root,
+                                            monkeypatch, flag, fuel):
+    seen = []
+    trial = cli.leakage.randomized_ct_trial
+
+    def spy(tm, spec, **kw):
+        seen.append(spec.fuel)
+        return trial(tm, spec, **kw)
+    monkeypatch.setattr(cli.leakage, "randomized_ct_trial", spy)
+    rc, out, err = run_cli(["ct-check", corp("tea", corpus_root), "--invoke",
+                            "tea_encrypt", "--trials", "1", *flag], capsys)
+    assert rc == 0
+    assert seen == [fuel]  # tea's secrets.json gives 500,000
+
+
 def test_ct_check_without_sidecar_uses_secret_params(capsys, tmp_path):
     p = tmp_path / "f.cwat"
     p.write_text('(module (func (export "f") (param s32 i32) (result s32)'

@@ -13,7 +13,7 @@ import random
 import pytest
 
 import fuzzgen
-from ctwasm import ast, interp, leakage, text, validate
+from ctwasm import ast, flat, interp, leakage, text, validate
 from ctwasm.ast import F32, I32
 from ctwasm.interp import Frame, Store, Value
 
@@ -66,15 +66,65 @@ def _fuzz_args(rng, params):
     return [Value(t, rng.getrandbits(t.bits)) for t in params]
 
 
+# ops that neither the corpus nor the fuzz seeds run: br_table to each
+# target and past them, return from nested blocks with a value, local.tee,
+# memory.size, every reinterpret, declassify, memory.grow and unreachable
+_RARE_OPS = """(module (memory 3)
+  (func (export "pick") (param i32) (result i32) (local i32)
+    block
+      block
+        block
+          local.get 0
+          br_table 0 1 2
+        end
+        i32.const 10
+        local.tee 1
+        return
+      end
+      local.get 1
+      i32.eqz
+      return
+    end
+    memory.size)
+  (func (export "bits") (param f32 f64) (result i64)
+    local.get 0 i32.reinterpret_f32 f32.reinterpret_i32 i32.reinterpret_f32
+    i64.extend_i32_u
+    local.get 1 i64.reinterpret_f64 f64.reinterpret_i64 i64.reinterpret_f64
+    i64.xor)
+  (func (export "grow") trusted (param s32) (result i32)
+    local.get 0
+    i32.declassify/s32
+    memory.grow
+    i32.const -1
+    i32.eq
+    if
+      unreachable
+    end
+    memory.size))"""
+_PICKS = (0, 1, 2, 5, 0xFFFFFFFF)
+_BITS_ARGS = [Value(F32, 0x3F800000), Value(ast.F64, 0xC000000000000000)]
+
+
+def _rare_cases():
+    tm = validate.validate_module(text.parse_module(_RARE_OPS), annotate=True)
+    return [*((f"rare/pick {k}", tm, "pick", [Value(I32, k)], None)
+              for k in _PICKS),
+            ("rare/bits", tm, "bits", _BITS_ARGS, None),
+            *((f"rare/grow {k}", tm, "grow", [Value(ast.S32, k)], None)
+              for k in (1, 100))]
+
+
 @pytest.fixture(scope="module")
 def cases(typed_corpus):
     """(name, typed module, export, args, memory image) for every corpus
-    vector and every exported function of the fuzz seeds."""
+    vector, the hand-written module of rare ops and every exported function
+    of the fuzz seeds."""
     out = []
     for name, (entry, tm) in sorted(typed_corpus.items()):
         for vec in entry.vectors:
             out.append((f"{name}/{vec.name}", tm, vec.invoke, vec.args,
                         vec.memory_in))
+    out += _rare_cases()
     rng = random.Random(5)
     for seed in FUZZ_SEEDS:
         m = text.parse_module(fuzzgen.generate(seed, ct=seed % 2 == 0))
@@ -140,6 +190,53 @@ def test_step_budget_stops_where_single_steps_stop(cases):
                 leakage.project_config(stepped), (case[0], k)
             assert _frames(ran) == _frames(stepped), (case[0], k)
             assert ran.trace == stepped.trace, (case[0], k)
+
+
+_BLOCKS = [("op", "block")] * 3 + [("op", "local.get")]
+
+
+def test_rare_ops_give_pinned_results_and_traces():
+    outs = [interp.invoke(*_instance(tm, None), export, args, fuel=FUEL)
+            for _, tm, export, args, _ in _rare_cases()]
+    assert [(o.status, o.trap_kind, [v.bits for v in o.results], o.steps)
+            for o in outs] == [
+        *(("done", None, [r], n) for r, n in ((10, 8), (1, 8), (3, 7),
+                                               (3, 7), (3, 7))),
+        ("done", None, [0xC00000003F800000], 11),
+        ("done", None, [4], 8), ("trap", "unreachable", [], 7)]
+    picks = [o.trace for o in outs[:5]]
+    assert picks[0] == _BLOCKS + [("branch", "br_table", 0),
+                                  ("op", "i32.const"), ("op", "local.tee"),
+                                  ("op", "return")]
+    assert picks[1] == _BLOCKS + [("branch", "br_table", 1),
+                                  ("op", "local.get"), ("op", "i32.eqz"),
+                                  ("op", "return")]
+    for k, trace in zip(_PICKS[2:], picks[2:]):  # 2 and past it: the default
+        assert trace == _BLOCKS + [("branch", "br_table", k),
+                                   ("op", "memory.size"), ("op", "end")]
+    assert outs[5].trace == [("op", name) for name in (
+        "local.get", "i32.reinterpret_f32", "f32.reinterpret_i32",
+        "i32.reinterpret_f32", "i64.extend_i32_u", "local.get",
+        "i64.reinterpret_f64", "f64.reinterpret_i64", "i64.reinterpret_f64",
+        "i64.xor", "end")]
+    grow = [("op", "local.get"), ("op", "i32.declassify/s32")]
+    assert outs[6].trace == grow + [
+        ("grow", 3, 1, 3), ("op", "i32.const"), ("op", "i32.eq"),
+        ("branch", "if", 0), ("op", "memory.size"), ("op", "end")]
+    assert outs[7].trace == grow + [
+        ("grow", 3, 100, 0xFFFFFFFF), ("op", "i32.const"), ("op", "i32.eq"),
+        ("branch", "if", 1), ("op", "unreachable")]
+
+
+def test_the_cases_run_every_op_the_compiler_has_a_template_for(cases):
+    ran = set()
+    for _, tm, export, args, image in cases:
+        for site in _step_sites(_start(tm, export, args, image)):
+            if site is not None:
+                ran.add(tm.flat(site[0]).code[site[1]][0])
+    names = {tag: name for name, tag in vars(flat).items()
+             if name.startswith("T_")}
+    assert sorted(names[t] for t in interp._TEMPLATES.keys() - ran) == []
 
 
 def _step_sites(cfg):
