@@ -684,6 +684,12 @@ class Memory:
     exports: tuple[str, ...] = ()
 
 
+# A module field, and the noun that names each kind of field in messages.
+Field = Func | Table | Memory | GlobalVar
+FIELD_NOUNS = {"func": "function", "table": "table", "memory": "memory",
+               "global": "global"}
+
+
 def duplicates(names) -> list[str]:
     """The names that occur more than once, sorted; in linear time."""
     return sorted(n for n, k in collections.Counter(names).items() if k > 1)
@@ -691,6 +697,12 @@ def duplicates(names) -> list[str]:
 
 @dataclass(frozen=True)
 class Module:
+    """A module's functions, globals, table, memory and data segments.
+
+    ``fields()`` is the one walk of its functions, table, memory and
+    globals; the imports-first rule, ``exports()``, ``with_exports`` and
+    instantiation all read it."""
+
     funcs: tuple[Func, ...] = ()
     globals: tuple[GlobalVar, ...] = ()
     table: Table | None = None
@@ -698,32 +710,37 @@ class Module:
     data: tuple[DataSeg, ...] = ()
 
     def __post_init__(self) -> None:
-        seen_defined = False
-        for f in self.funcs:
-            if f.imported is None:
-                seen_defined = True
-            elif seen_defined:
-                raise ValueError("imported functions must precede defined ones")
-        seen_defined = False
-        for g in self.globals:
-            if g.imported is None:
-                seen_defined = True
-            elif seen_defined:
-                raise ValueError("imported globals must precede defined ones")
+        defined = set()
+        for kind, _, x in self.fields():
+            if x.imported is None:
+                defined.add(kind)
+            elif kind in defined:
+                raise ValueError(
+                    f"imported {FIELD_NOUNS[kind]}s must precede defined ones")
+
+    def fields(self) -> tuple[tuple[str, int, Field], ...]:
+        """Every function, table, memory and global as (kind, index,
+        field), kind one of 'func', 'table', 'memory' and 'global', in the
+        binary format's order: functions, then the table, the memory and
+        globals.  Computed once per module."""
+        return self._fields
+
+    @functools.cached_property
+    def _fields(self) -> tuple[tuple[str, int, Field], ...]:
+        fields = [*(("func", i, f) for i, f in enumerate(self.funcs)),
+                  ("table", 0, self.table), ("memory", 0, self.memory),
+                  *(("global", i, g) for i, g in enumerate(self.globals))]
+        return tuple(f for f in fields if f[2] is not None)
 
     def exports(self) -> tuple[tuple[str, str, int], ...]:
-        """Every export as (name, kind, index), kind one of 'func', 'table',
-        'memory' and 'global', in the binary format's order: functions,
-        then the table, the memory and globals, each field's names in
-        their own order.  Computed once per module."""
+        """Every export as (name, kind, index), in the order of
+        ``fields()``, each field's names in their own order.  Computed once
+        per module."""
         return self._exports
 
     @functools.cached_property
     def _exports(self) -> tuple[tuple[str, str, int], ...]:
-        fields = [*(("func", i, f) for i, f in enumerate(self.funcs)),
-                  ("table", 0, self.table), ("memory", 0, self.memory),
-                  *(("global", i, g) for i, g in enumerate(self.globals))]
-        return tuple((name, kind, i) for kind, i, x in fields if x is not None
+        return tuple((name, kind, i) for kind, i, x in self.fields()
                      for name in x.exports)
 
     def with_exports(self, exports) -> Module:
@@ -732,9 +749,7 @@ class Module:
 
         Raises ``IndexError(at)`` when triple ``at`` names a field the
         module lacks."""
-        sizes = {"func": len(self.funcs), "global": len(self.globals),
-                 "table": int(self.table is not None),
-                 "memory": int(self.memory is not None)}
+        sizes = collections.Counter(kind for kind, _, _ in self.fields())
         names: dict[tuple[str, int], list[str]] = {}
         for at, (name, kind, i) in enumerate(exports):
             if not 0 <= i < sizes[kind]:

@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import ast, flat
+from . import ast, flat, text
 from .numerics import EXPRS, TRAPPING, Trap, signed
 from .validate import TypedModule
 
@@ -97,29 +96,18 @@ class Value:
 
 
 def parse_value(literal: str) -> Value:
-    """Parse a typed argument literal like ``i32:7``, ``s64:-1``, ``f32:0.5``."""
+    """Parse a typed argument literal like ``i32:7``, ``s64:-1``, ``f32:0.5``;
+    the value after the colon follows the text format's ``t.const``."""
     if ":" not in literal:
         raise ValueError(f"expected type:value, got {literal!r}")
     tname, _, raw = literal.partition(":")
     t = ast.VALTYPES_BY_NAME.get(tname)
     if t is None:
         raise ValueError(f"unknown value type {tname!r}")
-    if t.is_int:
-        v = int(raw, 0)
-        lo, hi = -(1 << (t.bits - 1)), (1 << t.bits) - 1
-        if not lo <= v <= hi:
-            raise ValueError(f"{raw} out of range for {tname}")
-        return Value(t, v & hi)
-    import struct as _struct
-    fmt = "<I" if t.bits == 32 else "<Q"
-    ffmt = "<f" if t.bits == 32 else "<d"
-    v = float(raw)
     try:
-        if math.isinf(v) and "inf" not in raw.lower():
-            raise OverflowError  # a finite decimal past f64 reads as inf
-        return Value(t, _struct.unpack(fmt, _struct.pack(ffmt, v))[0])
-    except OverflowError:
-        raise ValueError(f"{raw} out of range for {tname}") from None
+        return Value(t, text.const_bits(t, raw))
+    except ValueError as e:
+        raise ValueError(f"invalid literal {literal!r}: {e}") from None
 
 
 class InvokeError(Exception):
@@ -312,142 +300,110 @@ def _init_bits(store: Store, inst_globals: list[int],
     raise InstantiateError("BadConstantExpression", f"{ins!r}")
 
 
+# The store list that holds each kind of extern.
+_STORE_FIELDS = {"func": "funcs", "table": "tables", "memory": "mems",
+                 "global": "globals"}
+
+
+def _import(store: Store, imports: dict, decl: ast.Field,
+            kind: str) -> None:
+    """Check that ``imports`` satisfies ``decl``, an imported field of
+    ``kind``: with an extern of that kind (a host function only for a
+    function) whose type matches the declared one, trust and secrecy
+    included."""
+    name = decl.imported
+    ext = imports.get(name)
+    if ext is None:
+        raise InstantiateError("ImportMissing", f"{name[0]}.{name[1]} ({kind})")
+    noun = ast.FIELD_NOUNS[kind]
+    if isinstance(ext, ExternVal) and ext.kind == kind:
+        got = getattr(store, _STORE_FIELDS[kind])[ext.addr]
+    elif isinstance(ext, HostFunc) and kind == "func":
+        got = ext
+    else:
+        raise InstantiateError("ImportTypeMismatch", f"{name} is not a {noun}")
+    match decl:
+        case ast.Func(type=t) if got.type != t:
+            why = f": declared {t!r}, got {got.type!r}"
+        case ast.GlobalVar(type=t) if got.type != t:
+            why = f": declared {t.name}, got {got.type.name}"
+        case ast.GlobalVar(mutable=mut) if got.mutable != mut:
+            why = ": declared " + ("mutable, got immutable" if mut
+                                   else "immutable, got mutable")
+        case ast.Memory(sec=sec) if got.sec is not sec:
+            why = f": secrecy {got.sec.value} != {sec.value}"
+        case ast.Memory(min=lo) if got.pages < lo:
+            why = f": {got.pages} pages < min {lo}"
+        case ast.Memory(max=hi) if hi is not None and (
+                got.max is None or got.max > hi):
+            why = ": max exceeds bound"
+        case ast.Table(min=lo) if len(got) < lo:
+            why = " too small"
+        case _:
+            return
+    raise InstantiateError("ImportTypeMismatch", f"{noun} {name}{why}")
+
+
 def instantiate(store: Store, tm: TypedModule,
                 imports: dict[tuple[str, str], object] | None = None
                 ) -> tuple[Store, int]:
-    """Link and initialize a validated module; returns (store, instance)."""
+    """Link and initialize a validated module; returns (store, instance).
+
+    As the Wasm spec instantiates: match every import, allocate the
+    defined fields, evaluate and bounds-check every element and data
+    segment, and only then write them, so a failed link writes into no
+    table or memory it imported."""
     imports = imports or {}
     m = tm.module
+    fields = m.fields()
+    for kind, _, x in fields:
+        if x.imported is not None:
+            _import(store, imports, x, kind)
+
     inst_idx = len(store.insts)
-    func_addrs: list[int] = []
-    global_addrs: list[int] = []
-    table_addr = mem_addr = None
-
-    def lookup(name_pair: tuple[str, str], kind: str):
-        ext = imports.get(name_pair)
-        if ext is None:
-            raise InstantiateError(
-                "ImportMissing", f"{name_pair[0]}.{name_pair[1]} ({kind})")
-        return ext
-
-    for i, f in enumerate(m.funcs):
-        if f.imported is None:
-            continue
-        ext = lookup(f.imported, "func")
-        if isinstance(ext, HostFunc):
-            if ext.type != f.type:
-                raise InstantiateError(
-                    "ImportTypeMismatch",
-                    f"function {f.imported}: declared {f.type!r}, got {ext.type!r}")
-            store.funcs.append(ext)
-            func_addrs.append(len(store.funcs) - 1)
-        elif isinstance(ext, ExternVal) and ext.kind == "func":
-            cl = store.funcs[ext.addr]
-            if cl.type != f.type:
-                raise InstantiateError(
-                    "ImportTypeMismatch",
-                    f"function {f.imported}: declared {f.type!r}, got {cl.type!r}")
-            func_addrs.append(ext.addr)
+    addrs: dict[str, list[int]] = {kind: [] for kind in _STORE_FIELDS}
+    for kind, i, x in fields:
+        if x.imported is not None:
+            ext = imports[x.imported]
+            if isinstance(ext, ExternVal):
+                addrs[kind].append(ext.addr)
+                continue
+        elif kind == "func":
+            ext = WasmFunc(x.type, inst_idx, tm.flat(i))
+        elif kind == "table":
+            ext = [None] * x.min
+        elif kind == "memory":
+            ext = MemInst(x.sec, bytearray(x.min * PAGE), x.max)
         else:
-            raise InstantiateError("ImportTypeMismatch",
-                                   f"{f.imported} is not a function")
+            ext = GlobalInst(x.mutable, x.type,
+                             _init_bits(store, addrs["global"], x.init))
+        # a field defined here, or an imported host function
+        into = getattr(store, _STORE_FIELDS[kind])
+        into.append(ext)
+        addrs[kind].append(len(into) - 1)
+    table_addr = addrs["table"][0] if m.table else None
+    mem_addr = addrs["memory"][0] if m.memory else None
 
-    for g in m.globals:
-        if g.imported is None:
-            continue
-        ext = lookup(g.imported, "global")
-        if not (isinstance(ext, ExternVal) and ext.kind == "global"):
-            raise InstantiateError("ImportTypeMismatch",
-                                   f"{g.imported} is not a global")
-        gi = store.globals[ext.addr]
-        if gi.type != g.type or gi.mutable != g.mutable:
-            raise InstantiateError(
-                "ImportTypeMismatch",
-                f"global {g.imported}: declared {g.type.name}, got {gi.type.name}")
-        global_addrs.append(ext.addr)
+    segments = [("ElemSegmentOutOfBounds", store.tables[table_addr], seg.offset,
+                 [addrs["func"][fi] for fi in seg.funcs])
+                for seg in (m.table.elems if m.table else ())]
+    segments += [("DataSegmentOutOfBounds", store.mems[mem_addr].data,
+                  seg.offset, seg.data) for seg in m.data]
+    writes = []
+    for error, target, offset, items in segments:
+        base = _init_bits(store, addrs["global"], offset)
+        if base + len(items) > len(target):
+            raise InstantiateError(error, f"offset {base} + {len(items)}")
+        writes.append((target, base, items))
+    # a segment targeting a secret memory is classified on the way in,
+    # which does not change any byte
+    for target, base, items in writes:
+        target[base:base + len(items)] = items
 
-    if m.memory is not None:
-        mem = m.memory
-        if mem.imported is not None:
-            ext = lookup(mem.imported, "memory")
-            if not (isinstance(ext, ExternVal) and ext.kind == "memory"):
-                raise InstantiateError("ImportTypeMismatch",
-                                       f"{mem.imported} is not a memory")
-            mi = store.mems[ext.addr]
-            if mi.sec is not mem.sec:
-                raise InstantiateError(
-                    "ImportTypeMismatch",
-                    f"memory {mem.imported}: secrecy {mi.sec.value} != "
-                    f"{mem.sec.value}")
-            if mi.pages < mem.min:
-                raise InstantiateError(
-                    "ImportTypeMismatch",
-                    f"memory {mem.imported}: {mi.pages} pages < min {mem.min}")
-            if mem.max is not None and (mi.max is None or mi.max > mem.max):
-                raise InstantiateError(
-                    "ImportTypeMismatch", f"memory {mem.imported}: max exceeds bound")
-            mem_addr = ext.addr
-        else:
-            store.mems.append(MemInst(mem.sec, bytearray(mem.min * PAGE), mem.max))
-            mem_addr = len(store.mems) - 1
-
-    if m.table is not None:
-        tab = m.table
-        if tab.imported is not None:
-            ext = lookup(tab.imported, "table")
-            if not (isinstance(ext, ExternVal) and ext.kind == "table"):
-                raise InstantiateError("ImportTypeMismatch",
-                                       f"{tab.imported} is not a table")
-            if len(store.tables[ext.addr]) < tab.min:
-                raise InstantiateError("ImportTypeMismatch",
-                                       f"table {tab.imported} too small")
-            table_addr = ext.addr
-        else:
-            store.tables.append([None] * tab.min)
-            table_addr = len(store.tables) - 1
-
-    # defined globals: constant expressions, classification is bit-preserving
-    for g in m.globals:
-        if g.imported is not None:
-            continue
-        bits = _init_bits(store, global_addrs, g.init)
-        store.globals.append(GlobalInst(g.mutable, g.type, bits))
-        global_addrs.append(len(store.globals) - 1)
-
-    for i, f in enumerate(m.funcs):
-        if f.imported is not None:
-            continue
-        store.funcs.append(WasmFunc(f.type, inst_idx, tm.flat(i)))
-        func_addrs.append(len(store.funcs) - 1)
-
-    if m.table is not None:
-        table = store.tables[table_addr]
-        for seg in m.table.elems:
-            base = _init_bits(store, global_addrs, seg.offset)
-            if base + len(seg.funcs) > len(table):
-                raise InstantiateError("ElemSegmentOutOfBounds",
-                                       f"offset {base} + {len(seg.funcs)}")
-            for k, fi in enumerate(seg.funcs):
-                table[base + k] = func_addrs[fi]
-
-    if m.data:
-        mem = store.mems[mem_addr]
-        for seg in m.data:
-            base = _init_bits(store, global_addrs, seg.offset)
-            if base + len(seg.data) > len(mem.data):
-                raise InstantiateError("DataSegmentOutOfBounds",
-                                       f"offset {base} + {len(seg.data)}")
-            # a segment targeting a secret memory is classified on the way
-            # in, which does not change any byte
-            mem.data[base:base + len(seg.data)] = seg.data
-
-    addrs = {"func": func_addrs, "global": global_addrs,
-             "table": [table_addr], "memory": [mem_addr]}
     exports: dict[str, tuple[str, int]] = {}
     for name, kind, i in m.exports():
         exports.setdefault(name, (kind, addrs[kind][i]))
-
-    store.insts.append(Instance(tm, func_addrs, global_addrs,
+    store.insts.append(Instance(tm, addrs["func"], addrs["global"],
                                 table_addr, mem_addr, exports))
     return store, inst_idx
 

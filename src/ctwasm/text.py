@@ -194,6 +194,8 @@ def _parse_int(text: str) -> int | None:
 
 
 def _parse_float(text: str) -> float | None:
+    """The value of a float literal, or None if text is not one; raises
+    OverflowError for one past the largest f64."""
     t = text.replace("_", "")
     neg = t.startswith("-")
     if t.startswith(("+", "-")):
@@ -214,11 +216,40 @@ def _parse_float(text: str) -> float | None:
                 v = float.fromhex(t)
         else:
             v = float(t)
-            if math.isinf(v):  # a decimal beyond the largest f64
-                return None
-    except (ValueError, OverflowError):
+            if math.isinf(v):  # "infinity", or a decimal past the largest f64
+                if t[0].isalpha():
+                    return None
+                raise OverflowError
+    except ValueError:
         return None
     return -v if neg else v
+
+
+def const_bits(t: ValType, literal: str) -> int:
+    """The bits of ``literal`` as a constant of type ``t``, by the grammar
+    of ``t.const``.  Raises ValueError naming what is wrong with it."""
+    if t.is_int:
+        v = _parse_int(literal)
+        if v is None:
+            raise ValueError(f"bad integer literal {literal}")
+        if not -(1 << (t.bits - 1)) <= v < 1 << t.bits:
+            raise ValueError(f"literal out of range for {t.name}")
+        return v & ((1 << t.bits) - 1)
+    m = re.match(r"^[+-]?nan:0x([0-9a-fA-F]+)$", literal)
+    try:
+        v = _parse_float(literal)
+        if v is not None and not m:
+            return _float_bits(v, t.bits)
+    except OverflowError:  # past the largest f64, or finite but past f32's
+        raise ValueError(f"literal out of range for {t.name}") from None
+    if v is None:
+        raise ValueError(f"bad float literal {literal}")
+    payload = int(m.group(1), 16)
+    if not 0 < payload < 1 << (23 if t.bits == 32 else 52):
+        raise ValueError("NaN payload out of range")
+    exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
+    sign = (1 << (t.bits - 1)) if literal.startswith("-") else 0
+    return sign | exp | payload
 
 
 def _float_bits(value: float, width: int) -> int:
@@ -687,30 +718,10 @@ class _Parser:
     def _const_payload(self, t: ValType, tok, span: SourceSpan) -> int:
         if not isinstance(tok, Token) or tok.kind != "atom":
             raise self.err("expected literal", span)
-        if t.is_int:
-            v = _parse_int(tok.text)
-            if v is None:
-                raise self.err(f"bad integer literal {tok.text}", tok.span)
-            lo = -(1 << (t.bits - 1))
-            hi = (1 << t.bits) - 1
-            if not lo <= v <= hi:
-                raise self.err(f"literal out of range for {t.name}", tok.span)
-            return v & hi
-        v = _parse_float(tok.text)
-        if v is None:
-            raise self.err(f"bad float literal {tok.text}", tok.span)
-        m = re.match(r"^[+-]?nan:0x([0-9a-fA-F]+)$", tok.text)
-        if m:
-            payload = int(m.group(1), 16)
-            if not 0 < payload < 1 << (23 if t.bits == 32 else 52):
-                raise self.err("NaN payload out of range", tok.span)
-            exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
-            sign = (1 << (t.bits - 1)) if tok.text.startswith("-") else 0
-            return sign | exp | payload
         try:
-            return _float_bits(v, t.bits)
-        except OverflowError:  # finite, but beyond the largest f32
-            raise self.err(f"literal out of range for {t.name}", tok.span) from None
+            return const_bits(t, tok.text)
+        except ValueError as e:
+            raise self.err(str(e), tok.span) from None
 
     def _instr(self, items: list, i: int, out: list[Instr],
                labels: list[str | None], fd: _FuncDecl) -> int:

@@ -14,6 +14,9 @@ import random
 
 PUB_INTS = ("i32", "i64")
 FLOATS = ("f32", "f64")
+INT_RELOPS = ("eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u", "le_s", "le_u",
+              "ge_s", "ge_u")
+FLOAT_RELOPS = ("eq", "ne", "lt", "gt", "le", "ge")
 
 
 class ModuleGen:
@@ -228,7 +231,9 @@ class ModuleGen:
         if kind == "relop_source":
             src = rng.choice([x for x in self.types
                               if self.sec_name(x) == self.sec_name(t)])
-            op = "eq" if not self.is_int(src) else "eq"
+            if self.is_int(src) and rng.random() < 0.3:  # the testop
+                return f"({src}.eqz {self.expr(src, depth + 1)})"
+            op = rng.choice(INT_RELOPS if self.is_int(src) else FLOAT_RELOPS)
             return (f"({src}.{op} {self.expr(src, depth + 1)} "
                     f"{self.expr(src, depth + 1)})")
         if kind == "classify":
@@ -374,6 +379,7 @@ class LoopGen(ModuleGen):
             f"(i32.eq (i32.and {i} (i32.const {rng.choice((1, 3, 7))})) "
             f"(i32.const {rng.randint(0, 3)}))",
             f"(i32.gt_u {i} (i32.const {rng.randint(0, 12)}))",
+            f"(i32.eqz (i32.and {i} (i32.const {rng.choice((1, 3, 7))})))",
             f"(i32.and {self.expr('i32', 2)} (i32.const 1))"))
 
     def stmt_in(self, labels: list, iterations: int = 0) -> str:

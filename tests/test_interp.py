@@ -258,6 +258,79 @@ def test_data_segment_bounds_checked_at_instantiation():
     assert e.value.kind == "DataSegmentOutOfBounds"
 
 
+EXPORTER_SRC = """(module
+  (func (export "f") (param i32) (result i32) (local.get 0))
+  (global (export "g") i32 (i32.const 7))
+  (memory (export "m") 1 2)
+  (table (export "t") 2 funcref))"""
+
+
+def exporter():
+    """A store holding one instance of EXPORTER_SRC, and the imports that
+    name its exports ``a.*``, plus a host function ``h.f``."""
+    store, a = instantiate(Store(), validate.validate_module(
+        text.parse_module(EXPORTER_SRC)))
+    imports = {("a", n): store.export_of(a, n) for n in ("f", "g", "m", "t")}
+    imports["h", "f"] = HostFunc("h", "f", FuncType(Trust.UNTRUSTED, (), ()),
+                                 lambda call: [])
+    return store, imports
+
+
+@pytest.mark.parametrize("fields, kind, message", [
+    ('(func (import "a" "x"))', "ImportMissing", "a.x (func)"),
+    ('(global (import "a" "x") i32)', "ImportMissing", "a.x (global)"),
+    ('(memory (import "a" "x") 1)', "ImportMissing", "a.x (memory)"),
+    ('(table (import "a" "x") 1 funcref)', "ImportMissing", "a.x (table)"),
+    ('(func (import "a" "g"))', "ImportTypeMismatch",
+     "('a', 'g') is not a function"),
+    ('(global (import "a" "f") i32)', "ImportTypeMismatch",
+     "('a', 'f') is not a global"),
+    ('(global (import "h" "f") i32)', "ImportTypeMismatch",
+     "('h', 'f') is not a global"),
+    ('(memory (import "a" "t") 1)', "ImportTypeMismatch",
+     "('a', 't') is not a memory"),
+    ('(table (import "a" "m") 1 funcref)', "ImportTypeMismatch",
+     "('a', 'm') is not a table"),
+    ('(func (import "a" "f") trusted (param i32) (result i32))',
+     "ImportTypeMismatch", "function ('a', 'f'): declared "
+     "(trusted: [i32] -> [i32]), got (untrusted: [i32] -> [i32])"),
+    ('(global (import "a" "g") i64)', "ImportTypeMismatch",
+     "global ('a', 'g'): declared i64, got i32"),
+    ('(global (import "a" "g") (mut i32))', "ImportTypeMismatch",
+     "global ('a', 'g'): declared mutable, got immutable"),
+    ('(memory (import "a" "m") 1 secret)', "ImportTypeMismatch",
+     "memory ('a', 'm'): secrecy public != secret"),
+    ('(memory (import "a" "m") 2)', "ImportTypeMismatch",
+     "memory ('a', 'm'): 1 pages < min 2"),
+    ('(memory (import "a" "m") 1 1)', "ImportTypeMismatch",
+     "memory ('a', 'm'): max exceeds bound"),
+    ('(table (import "a" "t") 3 funcref)', "ImportTypeMismatch",
+     "table ('a', 't') too small"),
+    ('(table (import "a" "t") 1 funcref) (func $g) (elem (i32.const 2) $g)',
+     "ElemSegmentOutOfBounds", "offset 2 + 1"),
+    ('(memory (import "a" "m") 1) (data (i32.const 65535) "xyz")',
+     "DataSegmentOutOfBounds", "offset 65535 + 3"),
+])
+def test_each_linking_error_has_its_kind_and_message(fields, kind, message):
+    store, imports = exporter()
+    tm = validate.validate_module(text.parse_module(f"(module {fields})"))
+    with pytest.raises(InstantiateError) as e:
+        instantiate(store, tm, imports)
+    assert (e.value.kind, str(e.value)) == (kind, f"{kind}: {message}")
+
+
+def test_a_failed_link_writes_into_no_imported_table_or_memory():
+    store, imports = exporter()
+    before = interp.project_store(store)
+    tm = validate.validate_module(text.parse_module("""(module
+      (memory (import "a" "m") 1) (table (import "a" "t") 2 funcref)
+      (func $g) (elem (i32.const 0) $g)
+      (data (i32.const 0) "hi") (data (i32.const 65535) "xyz"))"""))
+    with pytest.raises(InstantiateError, match="DataSegmentOutOfBounds"):
+        instantiate(store, tm, imports)
+    assert interp.project_store(store)[3:] == before[3:]  # tables, memories
+
+
 def test_data_into_secret_memory_is_bit_preserving():
     src = """(module (memory 1 secret) (data (i32.const 3) "\\01\\02\\03")
       (func (export "f") (result s32) (s32.load8_u (i32.const 4))))"""
@@ -341,6 +414,28 @@ def test_a_float_literal_past_its_width_is_out_of_range():
     assert parse_value("f64:-inf") == Value(F64, 0xFFF0000000000000)
     assert parse_value("f64:1e308") == Value(
         F64, struct.unpack("<Q", struct.pack("<d", 1e308))[0])
+
+
+@pytest.mark.parametrize("literal", [
+    "f32:0x1p-1", "f32:0x10", "f64:-0x1.8p3", "f64:nan:0x1",
+    "f32:-nan:0x7fffff", "f32:nan", "i64:-0x1", "s32:1_000"])
+def test_an_argument_literal_has_the_bits_of_its_const(literal):
+    t, _, raw = literal.partition(":")
+    m = text.parse_module(f"(module (func (result {t}) ({t}.const {raw})))")
+    assert parse_value(literal).bits == m.funcs[0].body[0].bits
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("i32:0o17", "bad integer literal 0o17"),
+    ("i32:0b101", "bad integer literal 0b101"),
+    ("f64:1e400", "literal out of range for f64"),
+])
+def test_arguments_and_consts_reject_a_literal_alike(literal, message):
+    t, _, raw = literal.partition(":")
+    with pytest.raises(ValueError, match=f"{message}$"):
+        parse_value(literal)
+    with pytest.raises(text.ParseError, match=f"{message}$"):
+        text.parse_module(f"(module (func (drop ({t}.const {raw}))))")
 
 
 def test_a_name_exported_twice_means_its_first_export_everywhere():
