@@ -577,14 +577,27 @@ def _prototypes():
 CATALOGUE: dict[str, Instr] = {mnemonic(p): p for p in _prototypes()}
 
 
+# Each instruction class's field names but ``span``, in declaration order.
+INSTR_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls) if f.name != "span")
+    for cls in INSTRUCTION_VARIANTS}
+
+
 def fresh(proto: Instr, span: SourceSpan | None = None, **fields) -> Instr:
     """A new instruction equal to ``proto`` but for ``fields``, at ``span``.
 
     A body never holds a catalogue prototype itself, only a copy, so each
     occurrence of an instruction is an object of its own.  The fields are
-    not checked again: callers change only what keeps them valid."""
+    not checked again: callers change only what keeps them valid.  Each
+    field is set once, in the order ``__init__`` sets it, and never
+    through ``__dict__``, so the copy keeps the compact layout of a
+    constructed instruction."""
     clone = object.__new__(type(proto))
-    clone.__dict__.update(proto.__dict__, span=span, **fields)
+    set_field = object.__setattr__
+    set_field(clone, "span", span)
+    for name in INSTR_FIELDS[type(proto)]:
+        set_field(clone, name,
+                  fields[name] if name in fields else getattr(proto, name))
     return clone
 
 
@@ -700,8 +713,9 @@ class Module:
     """A module's functions, globals, table, memory and data segments.
 
     ``fields()`` is the one walk of its functions, table, memory and
-    globals; the imports-first rule, ``exports()``, ``with_exports`` and
-    instantiation all read it."""
+    globals; the imports-first rule, ``exports()``, ``with_exports``, the
+    binary encoder and instantiation all read it, and the binary decoder
+    reads the fields back in its order."""
 
     funcs: tuple[Func, ...] = ()
     globals: tuple[GlobalVar, ...] = ()

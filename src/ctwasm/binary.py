@@ -17,6 +17,12 @@ MVP bytecode.  Annotated constructs use reserved encodings:
 
 This table is normative for the toolchain; nothing here is inherited
 from any engine's internal numbering.
+
+Both directions walk a module's functions, table, memory and globals by
+one rule, in the order of ``Module.fields()``: an import carries the same
+type as one entry of the section that ``_DEFINED_SECTIONS`` names for its
+kind.  The encoder writes that type with ``_externtype`` and the decoder
+reads it with one ``field`` reader.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ OP_DECLASSIFY_I32 = 0xC2
 OP_DECLASSIFY_I64 = 0xC3
 MEMORY_SECRET_FLAG = 0x04
 EXPORT_KINDS = ("func", "table", "memory", "global")  # by export kind byte
+# The section that defines each kind of field.  An import of that kind
+# carries the same type as one entry of the section.
+_DEFINED_SECTIONS = ((3, "func"), (4, "table"), (5, "memory"), (6, "global"))
 
 # Public single-byte opcodes (standard MVP assignments).
 OPCODES: dict[str, int] = {
@@ -232,6 +241,20 @@ def _limits(mn: int, mx: int | None, secret: bool = False) -> bytes:
     return out
 
 
+def _externtype(types: _TypeTable, kind: str, x: ast.Field) -> bytes:
+    """The type of field ``x`` of ``kind``, as its import and its section
+    in ``_DEFINED_SECTIONS`` both write it: a type index, a table type, a
+    memory type or a global type."""
+    match kind:
+        case "func":
+            return uleb(types.index[x.type])
+        case "table":
+            return bytes([ELEMTYPE_FUNCREF]) + _limits(x.min, x.max)
+        case "memory":
+            return _limits(x.min, x.max, x.sec is Secrecy.SECRET)
+    return bytes([VALTYPE_CODES[x.type], 1 if x.mutable else 0])
+
+
 def _name(s: str) -> bytes:
     raw = s.encode("utf-8")
     return uleb(len(raw)) + raw
@@ -327,44 +350,19 @@ def encode_module(m: Module) -> bytes:
     if entries:
         out += _section(1, _vec(entries))
 
-    imports = []
-    for f in m.funcs:
-        if f.imported is not None:
-            imports.append(_name(f.imported[0]) + _name(f.imported[1]) +
-                           b"\x00" + uleb(types.index[f.type]))
-    if m.table is not None and m.table.imported is not None:
-        imports.append(_name(m.table.imported[0]) + _name(m.table.imported[1]) +
-                       b"\x01" + bytes([ELEMTYPE_FUNCREF]) +
-                       _limits(m.table.min, m.table.max))
-    if m.memory is not None and m.memory.imported is not None:
-        imports.append(_name(m.memory.imported[0]) + _name(m.memory.imported[1]) +
-                       b"\x02" + _limits(m.memory.min, m.memory.max,
-                                         m.memory.sec is Secrecy.SECRET))
-    for g in m.globals:
-        if g.imported is not None:
-            imports.append(_name(g.imported[0]) + _name(g.imported[1]) +
-                           b"\x03" + bytes([VALTYPE_CODES[g.type],
-                                            1 if g.mutable else 0]))
+    fields = m.fields()
+    imports = [_name(x.imported[0]) + _name(x.imported[1])
+               + bytes([EXPORT_KINDS.index(kind)]) + _externtype(types, kind, x)
+               for kind, _, x in fields if x.imported is not None]
     if imports:
         out += _section(2, _vec(imports))
 
-    defined = [f for f in m.funcs if f.imported is None]
-    if defined:
-        out += _section(3, _vec([uleb(types.index[f.type]) for f in defined]))
-
-    if m.table is not None and m.table.imported is None:
-        out += _section(4, _vec([bytes([ELEMTYPE_FUNCREF]) +
-                                 _limits(m.table.min, m.table.max)]))
-
-    if m.memory is not None and m.memory.imported is None:
-        out += _section(5, _vec([_limits(m.memory.min, m.memory.max,
-                                         m.memory.sec is Secrecy.SECRET)]))
-
-    own_globals = [g for g in m.globals if g.imported is None]
-    if own_globals:
-        entries = [bytes([VALTYPE_CODES[g.type], 1 if g.mutable else 0]) +
-                   _expr(types, g.init) for g in own_globals]
-        out += _section(6, _vec(entries))
+    for sid, kind in _DEFINED_SECTIONS:
+        entries = [_externtype(types, kind, x)
+                   + (_expr(types, x.init) if kind == "global" else b"")
+                   for k, _, x in fields if k == kind and x.imported is None]
+        if entries:
+            out += _section(sid, _vec(entries))
 
     if m.exports():
         out += _section(7, _vec([_name(name) + bytes([EXPORT_KINDS.index(kind)])
@@ -376,6 +374,7 @@ def encode_module(m: Module) -> bytes:
                 for seg in m.table.elems]
         out += _section(9, _vec(segs))
 
+    defined = [f for f in m.funcs if f.imported is None]
     if defined:
         bodies = []
         for f in defined:
@@ -617,79 +616,56 @@ def decode_module(data: bytes) -> Module:
                 s.fail("MalformedSection", "multiple results")
             types.append(FuncType(trust, params, results))
 
-    funcs: list[ast.Func] = []
-    globals_: list[ast.GlobalVar] = []
-    table: ast.Table | None = None
-    memory: ast.Memory | None = None
-
     def typeref(s: _Reader) -> FuncType:
         ti = s.u32()
         if ti >= len(types):
             s.fail("IndexOverflow", f"type index {ti}")
         return types[ti]
 
-    if 2 in sections:
-        s = sections[2]
-        for _ in range(s.u32()):
-            mod, field_ = s.name(), s.name()
-            kind = s.byte()
-            if kind == 0:
-                funcs.append(ast.Func(typeref(s), (), (), (mod, field_)))
-            elif kind == 1:
-                if table is not None:
-                    s.fail("MalformedSection", "second table")
-                if s.byte() != ELEMTYPE_FUNCREF:
-                    s.fail("UnknownType", "table element type")
-                mn, mx, _ = s.limits()
-                table = ast.Table(mn, mx, imported=(mod, field_))
-            elif kind == 2:
-                if memory is not None:
-                    s.fail("MalformedSection", "second memory")
-                mn, mx, secret = s.limits(allow_secret=True)
-                memory = ast.Memory(mn, mx, Secrecy.SECRET if secret
-                                    else Secrecy.PUBLIC, (mod, field_))
-            elif kind == 3:
-                t, mut = s.globaltype()
-                globals_.append(ast.GlobalVar(t, mut, imported=(mod, field_)))
-            else:
-                s.fail("MalformedSection", f"import kind {kind}")
-
-    defined: list[FuncType] = []
-    if 3 in sections:
-        s = sections[3]
-        defined = [typeref(s) for _ in range(s.u32())]
-
-    if 4 in sections:
-        s = sections[4]
-        if s.u32() != 1:
-            s.fail("MalformedSection", "table count must be 1")
-        if table is not None:
-            s.fail("MalformedSection", "second table")
-        if s.byte() != ELEMTYPE_FUNCREF:
-            s.fail("UnknownType", "table element type")
-        mn, mx, _ = s.limits()
-        table = ast.Table(mn, mx)
-
-    if 5 in sections:
-        s = sections[5]
-        if s.u32() != 1:
-            s.fail("MalformedSection", "memory count must be 1")
-        if memory is not None:
-            s.fail("MalformedSection", "second memory")
-        mn, mx, secret = s.limits(allow_secret=True)
-        memory = ast.Memory(mn, mx, Secrecy.SECRET if secret
-                            else Secrecy.PUBLIC)
-
     def const_expr(s: _Reader) -> tuple[Instr, ...]:
         dec = _BodyDecoder(s, types)
         body, _ = dec.block(("end",))
         return body
 
-    if 6 in sections:
-        s = sections[6]
+    fields: dict[str, list] = {kind: [] for kind in EXPORT_KINDS}
+
+    def field(s: _Reader, kind: str, imported: tuple[str, str] | None = None):
+        """Read the type of one field of ``kind``, and the initializer of
+        a defined global, into ``fields``."""
+        if fields[kind] and kind in ("table", "memory"):
+            s.fail("MalformedSection", f"second {kind}")
+        match kind:
+            case "func":
+                x = ast.Func(typeref(s), (), (), imported)
+            case "table":
+                if s.byte() != ELEMTYPE_FUNCREF:
+                    s.fail("UnknownType", "table element type")
+                mn, mx, _ = s.limits()
+                x = ast.Table(mn, mx, imported=imported)
+            case "memory":
+                mn, mx, secret = s.limits(allow_secret=True)
+                x = ast.Memory(mn, mx, Secrecy.SECRET if secret
+                               else Secrecy.PUBLIC, imported)
+            case _:
+                t, mut = s.globaltype()
+                x = ast.GlobalVar(t, mut, None if imported else const_expr(s),
+                                  imported)
+        fields[kind].append(x)
+
+    if 2 in sections:
+        s = sections[2]
         for _ in range(s.u32()):
-            t, mut = s.globaltype()
-            globals_.append(ast.GlobalVar(t, mut, const_expr(s)))
+            imported = s.name(), s.name()
+            kind = s.byte()
+            if kind > 3:
+                s.fail("MalformedSection", f"import kind {kind}")
+            field(s, EXPORT_KINDS[kind], imported)
+    for sid, kind in _DEFINED_SECTIONS:
+        if sid in sections:
+            s = sections[sid]
+            for _ in range(s.u32()):
+                field(s, kind)
+    table, memory = (next(iter(fields[k]), None) for k in ("table", "memory"))
 
     exports: list[tuple[str, str, int]] = []
     if 7 in sections:
@@ -734,11 +710,13 @@ def decode_module(data: bytes) -> Module:
             if not sub.eof():
                 sub.fail("MalformedSection", "trailing bytes after body end")
             bodies.append((tuple(locals_), body))
-    if len(bodies) != len(defined):
+    funcs = fields["func"]
+    first = sum(f.imported is not None for f in funcs)
+    if len(bodies) != len(funcs) - first:
         raise DecodeError("MalformedSection", 0,
                           "function and code section lengths disagree")
-    funcs += [ast.Func(t, locals_, body)
-              for t, (locals_, body) in zip(defined, bodies)]
+    funcs[first:] = [ast.Func(f.type, locals_, body)
+                     for f, (locals_, body) in zip(funcs[first:], bodies)]
 
     data: list[ast.DataSeg] = []
     if 11 in sections:
@@ -749,7 +727,8 @@ def decode_module(data: bytes) -> Module:
             offset = const_expr(s)
             data.append(ast.DataSeg(offset, bytes(s.take(s.u32()))))
 
-    m = Module(tuple(funcs), tuple(globals_), table, memory, tuple(data))
+    m = Module(tuple(funcs), tuple(fields["global"]), table, memory,
+               tuple(data))
     try:
         return m.with_exports(exports)
     except IndexError as e:

@@ -24,7 +24,6 @@ interpreter builds their record per step.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from . import ast
@@ -49,10 +48,7 @@ _DYNAMIC = frozenset((ast.If, ast.BrIf, ast.BrTable, ast.CallIndirect,
 _NUMERICS = {ast.Unop: UNOP_FNS, ast.Binop: BINOP_FNS, ast.Testop: TESTOP_FNS,
              ast.Relop: RELOP_FNS, ast.Convert: CONVERT_FNS}
 # each class's tag, field names and numerics table (None if it has none)
-_LAYOUTS = {cls: (TAGS[cls],
-                  tuple(f.name for f in dataclasses.fields(cls)
-                        if f.name != "span"),
-                  _NUMERICS.get(cls))
+_LAYOUTS = {cls: (TAGS[cls], ast.INSTR_FIELDS[cls], _NUMERICS.get(cls))
             for cls in ast.INSTRUCTION_VARIANTS}
 _ELSE = ("op", "else")
 _END = ("op", "end")

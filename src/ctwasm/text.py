@@ -178,51 +178,28 @@ def _unescape_string(tok: Token, filename: str) -> bytes:
     return bytes(out)
 
 
-_INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F][0-9a-fA-F_]*|[0-9][0-9_]*)$")
+# The numbers of the Wasm text format: digits with at most one "_" between
+# two of them; integers with an optional sign and "0x"; and floats, decimal
+# or hex, each with an optional fraction and exponent, or inf and nan.
+_NUM = r"[0-9](?:_?[0-9])*"
+_HEXNUM = r"[0-9a-fA-F](?:_?[0-9a-fA-F])*"
+_INT_RE = re.compile(rf"[+-]?(?:0x{_HEXNUM}|{_NUM})")
+_FLOAT_RE = re.compile(
+    rf"[+-]?(?:{_NUM}(?:\.(?:{_NUM})?)?(?:[eE][+-]?{_NUM})?"
+    rf"|0x{_HEXNUM}(?:\.(?:{_HEXNUM})?)?(?:[pP][+-]?{_NUM})?"
+    rf"|inf|nan(?::0x(?P<payload>{_HEXNUM}))?)")
 
 
 def _parse_int(text: str) -> int | None:
     """The value of an integer literal, or None if text is not one or has
     more decimal digits than Python converts (4,300)."""
-    if not _INT_RE.match(text):
+    if not _INT_RE.fullmatch(text):
         return None
     t = text.replace("_", "")
     try:
         return int(t, 16 if "x" in t else 10)
     except ValueError:
         return None
-
-
-def _parse_float(text: str) -> float | None:
-    """The value of a float literal, or None if text is not one; raises
-    OverflowError for one past the largest f64."""
-    t = text.replace("_", "")
-    neg = t.startswith("-")
-    if t.startswith(("+", "-")):
-        t = t[1:]
-    try:
-        if t == "inf":
-            v = float("inf")
-        elif t == "nan":
-            v = float("nan")
-        elif t.startswith("nan:0x"):
-            v = float("nan")  # payload re-canonicalized below by caller
-        elif t.startswith("0x"):
-            if "p" not in t and "P" not in t and "." not in t:
-                v = float(int(t, 16))
-            else:
-                if "p" not in t and "P" not in t:
-                    t += "p0"
-                v = float.fromhex(t)
-        else:
-            v = float(t)
-            if math.isinf(v):  # "infinity", or a decimal past the largest f64
-                if t[0].isalpha():
-                    return None
-                raise OverflowError
-    except ValueError:
-        return None
-    return -v if neg else v
 
 
 def const_bits(t: ValType, literal: str) -> int:
@@ -235,21 +212,24 @@ def const_bits(t: ValType, literal: str) -> int:
         if not -(1 << (t.bits - 1)) <= v < 1 << t.bits:
             raise ValueError(f"literal out of range for {t.name}")
         return v & ((1 << t.bits) - 1)
-    m = re.match(r"^[+-]?nan:0x([0-9a-fA-F]+)$", literal)
+    m = _FLOAT_RE.fullmatch(literal)
+    if m is None:
+        raise ValueError(f"bad float literal {literal}")
+    neg = literal.startswith("-")
+    if m["payload"] is not None:
+        payload = int(m["payload"].replace("_", ""), 16)
+        if not 0 < payload < 1 << (23 if t.bits == 32 else 52):
+            raise ValueError("NaN payload out of range")
+        exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
+        return (1 << (t.bits - 1) if neg else 0) | exp | payload
+    mag = literal.lstrip("+-").replace("_", "")
     try:
-        v = _parse_float(literal)
-        if v is not None and not m:
-            return _float_bits(v, t.bits)
+        v = float.fromhex(mag) if mag.startswith("0x") else float(mag)
+        if math.isinf(v) and mag != "inf":  # a decimal past the largest f64
+            raise OverflowError
+        return _float_bits(-v if neg else v, t.bits)
     except OverflowError:  # past the largest f64, or finite but past f32's
         raise ValueError(f"literal out of range for {t.name}") from None
-    if v is None:
-        raise ValueError(f"bad float literal {literal}")
-    payload = int(m.group(1), 16)
-    if not 0 < payload < 1 << (23 if t.bits == 32 else 52):
-        raise ValueError("NaN payload out of range")
-    exp = 0x7F800000 if t.bits == 32 else 0x7FF0000000000000
-    sign = (1 << (t.bits - 1)) if literal.startswith("-") else 0
-    return sign | exp | payload
 
 
 def _float_bits(value: float, width: int) -> int:
@@ -786,7 +766,7 @@ class _Parser:
             targets: list[int] = []
             while i < len(items) and isinstance(items[i], Token) and \
                     items[i].kind == "atom" and \
-                    (items[i].text.startswith("$") or _INT_RE.match(items[i].text)):
+                    (items[i].text.startswith("$") or _INT_RE.fullmatch(items[i].text)):
                 targets.append(self._index("label", items[i], labels, fd))
                 i += 1
             if not targets:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -120,3 +121,28 @@ def test_publicize_instr():
     ci = ast.CallIndirect(ast.FuncType(Trust.TRUSTED, (S32,), (S32,)))
     out = ast.publicize_instr(ci)
     assert out.type == ast.FuncType(Trust.UNTRUSTED, (I32,), (I32,))
+
+
+def _bytes_each(make, n: int = 2000) -> float:
+    """The memory that each of ``n`` results of ``make()`` holds."""
+    tracemalloc.start()
+    try:
+        kept = [make() for _ in range(n)]
+        return tracemalloc.get_traced_memory()[0] / len(kept)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mnemonic, changes, built", [
+    ("i32.add", {}, lambda: ast.Binop(ast.I32, "add")),
+    ("i64.load", {"offset": 8},
+     lambda: ast.Load(ast.I64, None, None, 3, 8)),
+], ids=["i32.add", "i64.load-offset"])
+def test_a_fresh_instruction_is_as_compact_as_a_constructed_one(
+        mnemonic, changes, built):
+    """A copy that materialized an instance dict took about 64 bytes
+    more than a constructed instruction (168 against 105 for i32.add)."""
+    proto = ast.CATALOGUE[mnemonic]
+    assert ast.fresh(proto, None, **changes) == built()
+    fresh = _bytes_each(lambda: ast.fresh(proto, None, **changes))
+    assert fresh <= _bytes_each(built) + 8, fresh

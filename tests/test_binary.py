@@ -108,6 +108,80 @@ def test_a_second_imported_table_or_memory_is_malformed(kind, desc):
         "MalformedSection", f"second {kind}")
 
 
+ALL_KINDS = """(module
+  (func $f (import "env" "f") (param i32) (result i32))
+  (func (import "env" "t") trusted (param s32))
+  (table (import "env" "tab") 2 8 funcref)
+  (memory (import "env" "mem") 1 4 secret)
+  (global (import "env" "g") i32)
+  (global (import "env" "h") (mut s64))
+  (func $d (export "d") (param i32) (result i32) (local i64 i64 f32 s32)
+    (call $f (local.get 0)))
+  (global (export "gg") i32 (global.get 0))
+  (global (mut f64) (f64.const 1.5))
+  (elem (i32.const 0) $d $f)
+  (data (i32.const 8) "hi"))"""
+
+
+def test_a_module_with_every_kind_of_import_and_field_has_pinned_bytes():
+    m = text.parse_module(ALL_KINDS)
+    data = encode_module(m)
+    assert data.hex() == (
+        "0061736d01000000"
+        "010a0260017f017f5f016f00"  # types: untrusted i32->i32, trusted s32
+        "023c06"  # six imports
+        "03656e760166" "00" "00"  # func, type 0
+        "03656e760174" "00" "01"  # func, type 1 (trusted)
+        "03656e7603746162" "01" "70010208"  # table: funcref, min 2 max 8
+        "03656e76036d656d" "02" "050104"  # memory: has-max | secret
+        "03656e760167" "03" "7f00"  # global i32
+        "03656e760168" "03" "6e01"  # global (mut s64)
+        "03020100"  # one defined function, type 0
+        "0612027f0023000b" "7c0144000000000000f83f0b"  # two defined globals
+        "070a0201640002026767" "0302"  # export func 2 "d", global 2 "gg"
+        "0908010041000b020200"  # elem (i32.const 0) 2 0
+        "0a0e010c03027e017d016f200010000b0b"  # locals 2 i64, f32, s32; body
+        "08010041080b026869")  # data (i32.const 8) "hi"
+    assert decode_module(data) == m
+
+
+@pytest.mark.parametrize("sections, code, offset, message", [
+    # an imported table, then a table section
+    ("020901016d0178" "01" "70" "0001" "0404" "01" "70" "0001",
+     "MalformedSection", 22, "second table"),
+    # an imported memory, then a memory section
+    ("020801016d0178" "02" "0001" "0503" "01" "0001",
+     "MalformedSection", 21, "second memory"),
+    ("020601016d0178" "04", "MalformedSection", 16, "import kind 4"),
+    ("0705010165" "04" "00", "MalformedSection", 15, "export kind 4"),
+])
+def test_field_and_kind_errors_have_their_code_offset_and_message(
+        sections, code, offset, message):
+    with pytest.raises(DecodeError) as e:
+        decode_module(HEADER + bytes.fromhex(sections))
+    assert (e.value.code, e.value.offset, e.value.message) == (
+        code, offset, message)
+
+
+def test_empty_table_and_memory_sections_decode_to_an_empty_module():
+    """Wasm 1.0 declares both sections as vectors, so zero entries are
+    valid; so is a module that defines no table and no memory."""
+    assert decode_module(HEADER + bytes.fromhex("040100" "050100")) \
+        == ast.Module()
+
+
+@pytest.mark.parametrize("kind, sections, offset", [
+    ("table", "0407" "02" "70" "0001" "70" "0001", 14),
+    ("memory", "0505" "02" "0001" "0001", 13),
+])
+def test_a_section_defining_two_tables_or_memories_is_malformed(
+        kind, sections, offset):
+    with pytest.raises(DecodeError) as e:
+        decode_module(HEADER + bytes.fromhex(sections))
+    assert (e.value.code, e.value.offset, e.value.message) == (
+        "MalformedSection", offset, f"second {kind}")
+
+
 @pytest.mark.parametrize("section", [
     "020801016d0167037f02",  # an imported (global i32) with byte 0x02
     "0606017f0241000b",  # a defined one

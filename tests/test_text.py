@@ -1,9 +1,10 @@
+import re
 from dataclasses import replace
 
 import pytest
 
 import fuzzgen
-from ctwasm import ast, text
+from ctwasm import ast, interp, text
 from ctwasm.ast import Secrecy, Trust
 from ctwasm.text import ParseError, parse_module, print_module
 
@@ -322,3 +323,50 @@ def test_list_in_a_type_position_names_no_type():
         parse_module("(module (func (param (i32))))", "pin.cwat")
     assert str(e.value).startswith("pin.cwat:1:22: expected a value type")
     assert "i32" in e.value.expected
+
+
+@pytest.mark.parametrize("literal, bits", [
+    ("i32:1_000", 1000), ("i64:-0x1_F", (1 << 64) - 0x1F),
+    ("f32:1.", 0x3F800000), ("f64:1e1_0", 0x4202A05F20000000),
+    ("f64:0x1.p3", 0x4020000000000000), ("f32:0x1P+2", 0x40800000),
+    ("f32:nan:0x1_0", 0x7F800010), ("f64:-nan:0x1", 0xFFF0000000000001),
+])
+def test_a_literal_in_the_text_grammar_reads_alike_as_const_and_argument(
+        literal, bits):
+    t, _, raw = literal.partition(":")
+    m = parse_module(f"(module (func (result {t}) ({t}.const {raw})))")
+    assert m.funcs[0].body[0].bits == bits
+    assert interp.parse_value(literal).bits == bits
+
+
+@pytest.mark.parametrize("literal", [
+    "i32:1__0", "i64:2_", "s32:_1", "i32:0x_1", "i32:0X10",
+    "f64:1__0", "f32:2_", "f32:1_.5", "f64:1._5", "f32:0x.8p0", "f64:.5",
+    "f32:NaN", "f64:nan:0x", "f32:nan:0xzz", "f64:1e", "f32:0x1p",
+])
+def test_a_literal_outside_the_text_grammar_fails_as_const_and_argument(
+        literal):
+    t, _, raw = literal.partition(":")
+    kind = "float" if t[0] == "f" else "integer"
+    message = re.escape(f"bad {kind} literal {raw}") + "$"
+    with pytest.raises(ParseError, match=message):
+        parse_module(f"(module (func (drop ({t}.const {raw}))))")
+    with pytest.raises(ValueError, match=message):
+        interp.parse_value(literal)
+
+
+_LOAD = "(module (memory 1) (func (drop (i32.load {} (i32.const 0)))))"
+
+
+@pytest.mark.parametrize("template, good, bad, message", [
+    ("(module (func (local i32) (drop (local.get {}))))", "0_0", "0__0",
+     "expected local index"),
+    ("(module (memory {}))", "1", "1_", "expected limits"),
+    (_LOAD, "offset=1_6", "offset=1__6", "offset must be"),
+    (_LOAD, "align=0x4", "align=0x_4", "alignment must be"),
+])
+def test_indices_limits_and_memargs_take_the_integer_grammar(
+        template, good, bad, message):
+    parse_module(template.format(good))
+    with pytest.raises(ParseError, match=message):
+        parse_module(template.format(bad))
