@@ -689,7 +689,8 @@ def decode_module(data: bytes) -> Module:
             elems.append(ast.ElemSeg(offset, refs))
     if elems:
         if table is None:
-            raise DecodeError("MalformedSection", 0, "elem without table")
+            raise DecodeError("MalformedSection", sections[9].base,
+                              "elem without table")
         table = replace(table, elems=tuple(elems))
 
     bodies: list[tuple[tuple[ValType, ...], tuple[Instr, ...]]] = []
@@ -713,7 +714,8 @@ def decode_module(data: bytes) -> Module:
     funcs = fields["func"]
     first = sum(f.imported is not None for f in funcs)
     if len(bodies) != len(funcs) - first:
-        raise DecodeError("MalformedSection", 0,
+        at = sections.get(10) or sections[3]  # the function section if no code
+        raise DecodeError("MalformedSection", at.base,
                           "function and code section lengths disagree")
     funcs[first:] = [ast.Func(f.type, locals_, body)
                      for f, (locals_, body) in zip(funcs[first:], bodies)]
@@ -733,4 +735,5 @@ def decode_module(data: bytes) -> Module:
         return m.with_exports(exports)
     except IndexError as e:
         _, kind, idx = exports[e.args[0]]
-        raise DecodeError("IndexOverflow", 0, f"export {kind} {idx}") from None
+        raise DecodeError("IndexOverflow", sections[7].base,
+                          f"export {kind} {idx}") from None

@@ -244,7 +244,7 @@ def cmd_ct_check(args) -> int:
     p = Path(args.file)
     m = load_module(args.file)
     try:
-        tm = validate.validate_module(m, annotate=True)
+        tm = validate.validate_module(m)
     except validate.ValidationFailure as e:
         raise CliError(f"{args.file}: {e}") from e
     spec = _sidecar_spec(p, args.invoke)

@@ -224,7 +224,7 @@ def run_corpus(root: Path | None = None, trials: int = 20,
     for entry in entries(root):
         stages: dict = {}
         report["entries"][entry.name] = stages
-        tm, errs = validate.check_module(entry.module, annotate=True)
+        tm, errs = validate.check_module(entry.module)
         if not entry.positive:
             want = entry.expect.get("error")
             codes = [e.code.value for e in errs]

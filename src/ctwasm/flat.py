@@ -92,6 +92,26 @@ class DefUse:
     targets: dict[int, int]
 
 
+class StackTypes:
+    """A read-only sequence: the operand-stack types before each op, as a
+    tuple with None in a slot dead code leaves unconstrained.  It keeps the
+    validator's top cell ``(type or None, producer, cell below)`` per op."""
+
+    def __init__(self, tops: list) -> None:
+        self.tops = tops
+
+    def __len__(self) -> int:
+        return len(self.tops)
+
+    def __getitem__(self, pc: int) -> tuple:
+        types = []
+        cell = self.tops[pc]
+        while cell is not None:
+            types.append(cell[0])
+            cell = cell[2]
+        return tuple(reversed(types))
+
+
 @dataclass
 class FlatFunc:
     index: int
@@ -99,10 +119,10 @@ class FlatFunc:
     local_types: tuple[ast.ValType, ...]  # params followed by declared locals
     code: list[tuple]
     origins: list[ast.Instr]
-    # left by the validator when annotation is requested (None otherwise):
-    # the operand-stack types before each op, None in a slot dead code
-    # leaves unconstrained, and, if the function checks, its def-use record
-    stack_types: list[tuple[ast.ValType | None, ...]] | None = None
+    # left by the validator on every function that checks (None when
+    # flattened unchecked), both linear in the body: the operand-stack
+    # types before each op and the def-use record
+    stack_types: StackTypes | None = None
     def_use: DefUse | None = None
     # the interpreter's compiled code, shared by every FlatFunc with equal
     # code and looked up on first execution

@@ -15,10 +15,10 @@ Hints can only weaken: force a parameter/result or the memory public, or
 mark functions trusted.
 
 Inference keeps no model of the operand stack.  It reads the flat code
-and the def-use record (``FlatFunc.def_use``) that the validator leaves
-when it annotates: which ops produced each op's operands and which values
-reach each block, loop or if result and the function result, by
-fall-through or by branch.  A value is the node ("val", func, pc) of the
+and the def-use record (``FlatFunc.def_use``) that the validator leaves,
+linear in the body, on every function of a module it accepts: which ops
+produced each op's operands and which values reach each block, loop or
+if result and the function result, by fall-through or by branch.  A value is the node ("val", func, pc) of the
 op that pushed it (of the opening op, for a construct's result).
 
 Each op's secrecy rule is stated once, in ``_Rules.func``.  As it adds an
@@ -510,7 +510,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
     if bad is not None:
         raise InputInvalid(bad)
     try:
-        tm = validate_module(m, annotate=True)
+        tm = validate_module(m)
     except Exception as e:
         raise InputInvalid(f"input fails base validation: {e}") from e
 
@@ -581,7 +581,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         for gi, g in enumerate(m.globals))
     memory = m.memory and replace(m.memory, sec=mem_sec)
     out = replace(m, funcs=tuple(funcs), globals=globals_, memory=memory)
-    tm = validate_module(out, annotate=True)
+    tm = validate_module(out)
 
     notes = []
     for fi, f in enumerate(m.funcs):

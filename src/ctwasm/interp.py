@@ -165,6 +165,15 @@ def write_image(store: Store, inst_idx: int,
                 f"bytes) runs past the {len(mem.data)}-byte memory") from None
 
 
+class TableInst(list):
+    """A table: the function address in each element (None if unset),
+    and its maximum size."""
+
+    def __init__(self, elems: list, max: int | None):
+        super().__init__(elems)
+        self.max = max
+
+
 @dataclass
 class GlobalInst:
     mutable: bool
@@ -248,7 +257,7 @@ class Store:
     insts: list[Instance] = field(default_factory=list)
     funcs: list = field(default_factory=list)  # WasmFunc | HostFunc
     globals: list[GlobalInst] = field(default_factory=list)
-    tables: list[list[int | None]] = field(default_factory=list)
+    tables: list[TableInst] = field(default_factory=list)
     mems: list[MemInst] = field(default_factory=list)
 
     def export_of(self, inst_idx: int, name: str) -> ExternVal:
@@ -334,11 +343,11 @@ def _import(store: Store, imports: dict, decl: ast.Field,
             why = f": secrecy {got.sec.value} != {sec.value}"
         case ast.Memory(min=lo) if got.pages < lo:
             why = f": {got.pages} pages < min {lo}"
-        case ast.Memory(max=hi) if hi is not None and (
-                got.max is None or got.max > hi):
-            why = ": max exceeds bound"
         case ast.Table(min=lo) if len(got) < lo:
             why = " too small"
+        case ast.Memory(max=hi) | ast.Table(max=hi) if hi is not None and (
+                got.max is None or got.max > hi):
+            why = ": max exceeds bound"
         case _:
             return
     raise InstantiateError("ImportTypeMismatch", f"{noun} {name}{why}")
@@ -371,7 +380,7 @@ def instantiate(store: Store, tm: TypedModule,
         elif kind == "func":
             ext = WasmFunc(x.type, inst_idx, tm.flat(i))
         elif kind == "table":
-            ext = [None] * x.min
+            ext = TableInst([None] * x.min, x.max)
         elif kind == "memory":
             ext = MemInst(x.sec, bytearray(x.min * PAGE), x.max)
         else:

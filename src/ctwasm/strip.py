@@ -165,13 +165,9 @@ def strip_module(m: ast.Module | TypedModule, paranoid: bool = False
         tm = m
     else:
         try:
-            tm = validate_module(m, annotate=True)
+            tm = validate_module(m)
         except ValidationFailure as e:
             raise RefuseUnvalidated(str(e)) from e
-    if tm.funcs and any(f is not None and f.stack_types is None
-                        for f in tm.funcs):
-        # secret-select widths come from the annotations
-        tm = validate_module(tm.module, annotate=True)
 
     src = tm.module
     stripper = _Stripper(tm)

@@ -261,10 +261,6 @@ for _name, _proto in CATALOGUE.items():
             _LEGACY_ALIASES[_name.split("/")[0]] = _name
             _LEGACY_ALIASES[_name.replace("/", "_")] = _name
 
-# Other names for the catalogue views, which callers of this module import.
-_SIMPLE_OPS = CATALOGUE
-instr_name = mnemonic
-
 # Instructions whose one immediate is an index, and its index space.
 _INDEX_SPACE = {
     "br": "label", "br_if": "label", "call": "func", "local.get": "local",

@@ -11,9 +11,10 @@ Validation never stops at the first problem: a rejected instruction
 resets the stack to the unreachable state so later diagnostics in the
 same function still surface.
 
-This walk is the only static model of how an op moves the stack.  To
-annotate, ``_Recorder`` also keeps each slot's producer next to its
-constraint, and leaves the stack types and def-use record on the flat code.
+This walk is the only static model of how an op moves the stack.  It
+leaves on every function that checks the stack types before each op and
+the def-use record, both linear in the body: each op keeps only its top
+cell ``(type or None, producer, cell below)``, shared with later ops.
 """
 
 from __future__ import annotations
@@ -119,21 +120,24 @@ class _Frame:
     label_types: tuple[ast.ValType, ...]  # what a br to this label carries
     end_types: tuple[ast.ValType, ...]
     height: int
+    base: tuple | None  # the top cell when it opened
     unreachable: bool = False
     start: int = -1  # the pc of the op that opened it; -1 for the body
 
 
 class CheckState:
-    """Constraint stack plus control frames (the label stack)."""
+    """Constraint stack plus control frames (the label stack).  ``top`` is
+    the cell of the top slot: ``(type or None, producer, cell below)``."""
 
     def __init__(self) -> None:
         self.vals: list = []
+        self.top: tuple | None = None
         self.ctrls: list[_Frame] = []
         self.pc = -1  # the offset of the op being checked
 
     def push_ctrl(self, label_types, end_types) -> None:
         self.ctrls.append(_Frame(tuple(label_types), tuple(end_types),
-                                 len(self.vals), start=self.pc))
+                                 len(self.vals), self.top, start=self.pc))
 
 
 class _Reject(Exception):
@@ -143,24 +147,44 @@ class _Reject(Exception):
 
 
 class _FuncChecker:
-    def __init__(self, ctx: Ctx):
+    """Checks a body of ``n`` ops and records which op produced each slot
+    (``flat.DefUse``); a construct's result is produced by its opening op."""
+
+    def __init__(self, ctx: Ctx, n: int):
         self.ctx = ctx
         self.state = CheckState()
         self.checks = 0
+        self.du = flat.DefUse([()] * n, [()] * n, [None] * n, {})
+        self.tops: list = []  # the top cell before each op
+        self.popped: list = []  # the producers the op popped, top first
 
     # -- stack primitives
 
     def push(self, v) -> None:
-        self.state.vals.append(v)
+        """Push the value the op being checked produces."""
+        pc = self.state.pc
+        self.du.types[pc] = self.push_from(v, pc)
+
+    def push_from(self, v, p: int | None):
+        """Push ``v`` as produced by ``p`` (None for no value, in dead
+        code); returns the type recorded for it."""
+        st = self.state
+        st.vals.append(v)
+        t = None if v is TANY or v is TSECRET else v
+        st.top = (t, p, st.top)
+        return t
 
     def pop(self, expect=TANY, secret_code: ErrorCode | None = None):
         st = self.state
         frame = st.ctrls[-1]
         if len(st.vals) == frame.height:
             if frame.unreachable:
+                self.popped.append(None)
                 return expect
             raise _Reject(ErrorCode.StackUnderflow, "operand stack underflow")
         v = st.vals.pop()
+        self.popped.append(st.top[1])
+        st.top = st.top[2]
         u = unify(v, expect)
         if u is None:
             if secret_code is not None and (
@@ -177,11 +201,21 @@ class _FuncChecker:
     def set_unreachable(self) -> None:
         frame = self.state.ctrls[-1]
         del self.state.vals[frame.height:]
+        self.state.top = frame.base
         frame.unreachable = True
 
     def hand(self, types, depths) -> list:
-        """Pop, top first, what an op hands to the labels at these depths."""
-        return [self.pop(t) for t in reversed(types)]
+        """Pop, top first, what an op hands to the labels at these depths,
+        and record it as flows; returns (value, producer) pairs."""
+        st, popped = self.state, self.popped
+        n = len(popped)
+        kept = [self.pop(t) for t in reversed(types)]
+        handed = popped[n:]
+        del popped[n:]  # label pops are flows, not operands
+        if handed and handed[0] is not None:
+            self.du.flows[st.pc] = tuple(
+                (st.ctrls[-1 - d].start, handed[0]) for d in depths)
+        return list(zip(kept, handed))
 
     def _open(self, op: tuple) -> None:
         """Open the frame of a block, loop or if; a branch to a loop
@@ -222,13 +256,18 @@ class _FuncChecker:
         elif tag == flat.T_END:
             frame = self.pop_ctrl()
             for t in frame.end_types:
-                self.push(t)
+                self.push_from(t, frame.start)  # -1 after the body's final end
+                if frame.start >= 0:
+                    self.du.types[frame.start] = t
         elif tag == flat.T_SET_LOCAL:
             self.pop(self._local(op[2]))
         elif tag == flat.T_TEE_LOCAL:
             t = self._local(op[2])
             self.pop(t)
-            self.push(t)
+            if self.popped[-1] is None:  # dead code: a tee of no value
+                self.push_from(t, None)  # yields none
+            else:
+                self.push(t)
         elif tag == flat.T_STORE:
             t = op[2]
             self._mem_access(t, op[4], op[5], op[6], "store")
@@ -283,8 +322,12 @@ class _FuncChecker:
         elif tag == flat.T_BR_IF:
             self.pop_public_i32(ErrorCode.SecretCondition)
             frame = self.label(op[2])
-            for v in reversed(self.hand(frame.label_types, (op[2],))):
-                self.push(v)
+            self.du.targets[self.state.pc] = frame.start
+            for v, p in reversed(self.hand(frame.label_types, (op[2],))):
+                if p is None:
+                    self.push(v)
+                else:
+                    self.push_from(v, p)  # keeps its producer and type
         elif tag == flat.T_BR:
             self.hand(self.label(op[2]).label_types, (op[2],))
             self.set_unreachable()
@@ -355,10 +398,7 @@ class _FuncChecker:
             if self.ctx.table is None:
                 raise _Reject(ErrorCode.SyntaxIndex, "no table in module")
             self.pop_public_i32(ErrorCode.SecretCondition)
-            for t in reversed(ft.params):
-                self.pop(t)
-            for t in ft.results:
-                self.push(t)
+            self._call(ft)
         elif tag == flat.T_MEMORY_SIZE:
             self._memory()
             self.push(ast.I32)
@@ -417,11 +457,14 @@ class _FuncChecker:
     # -- whole body
 
     def run(self, ff: FlatFunc, errors: list[ValidationError]) -> None:
+        """Check the body; if it checks, leave the record on ``ff``."""
         rts = ff.type.results
-        st = self.state
+        st, du, tops, popped = self.state, self.du, self.tops, self.popped
         st.push_ctrl(rts, rts)
+        n = len(errors)
         for pc, op in enumerate(ff.code):
             st.pc = pc
+            tops.append(st.top)
             depth0 = len(st.ctrls)
             try:
                 self.check_op(op)
@@ -432,96 +475,27 @@ class _FuncChecker:
                 # resume in unreachable state, keeping frames balanced with
                 # the block structure so later errors still surface
                 self._recover(op, depth0, rts)
+            if popped:
+                du.args[pc] = tuple(popped[::-1])
+                popped.clear()
         if self.state.ctrls:
             # unterminated frames: only possible with malformed flat code
             errors.append(ValidationError(
                 ErrorCode.TypeMismatch, ff.index, len(ff.code) - 1,
                 "unbalanced block structure", None))
+        if len(errors) == n:
+            ff.stack_types, ff.def_use = flat.StackTypes(tops), du
 
     def _recover(self, op: tuple, depth0: int, rts) -> None:
         st = self.state
         tag = op[0]
         if tag in (flat.T_BLOCK, flat.T_LOOP, flat.T_IF):
             self._open(op)
-        elif tag in (flat.T_ELSE, flat.T_END) and len(st.ctrls) == depth0 \
-                and depth0 > 1:
-            frame = st.ctrls.pop()
-            del st.vals[frame.height:]
-            if tag == flat.T_ELSE:
-                st.push_ctrl(frame.label_types, frame.end_types)
-            else:
-                st.vals.extend(frame.end_types)
+        elif tag == flat.T_END and len(st.ctrls) == depth0 > 1:
+            st.ctrls.pop()  # an else keeps its frame, made unreachable below
         if not st.ctrls:
             st.push_ctrl(rts, rts)
         self.set_unreachable()
-
-
-class _Recorder(_FuncChecker):
-    """The checker that also records the stack types before each op and
-    which op produced each slot (``flat.DefUse``, left only on a function
-    that checks).  A construct's result is produced by its opening op."""
-
-    def __init__(self, ctx: Ctx, n: int) -> None:
-        super().__init__(ctx)
-        self.snapshots: list[tuple] = []
-        self.exact = True  # no slot holds TANY or TSECRET: snapshots are exact
-        self.du = flat.DefUse([()] * n, [()] * n, [None] * n, {})
-        self.prods: list = []  # the producer of each slot of state.vals
-        self.popped: list = []  # what the current op popped, top first
-        self.handed: list = []  # what it handed to a label, top first
-
-    def pop(self, expect=TANY, secret_code: ErrorCode | None = None):
-        st = self.state
-        self.popped.append(self.prods.pop()
-                           if len(st.vals) > st.ctrls[-1].height else None)
-        return _FuncChecker.pop(self, expect, secret_code)
-
-    def hand(self, types, depths) -> list:
-        n = len(self.popped)
-        kept = _FuncChecker.hand(self, types, depths)
-        self.handed = self.popped[n:]
-        del self.popped[n:]  # label pops are flows, not operands
-        if self.handed and self.handed[0] is not None:
-            ctrls = self.state.ctrls
-            self.du.flows[self.state.pc] = tuple(
-                (ctrls[-1 - d].start, self.handed[0]) for d in depths)
-        return kept
-
-    def check_op(self, op: tuple) -> None:
-        st, du, prods, popped = self.state, self.du, self.prods, self.popped
-        pc, tag, closing = st.pc, op[0], st.ctrls[-1]
-        self.snapshots.append(tuple(st.vals) if self.exact else tuple(
-            v if isinstance(v, ast.ValType) else None for v in st.vals))
-        _FuncChecker.check_op(self, op)
-        if popped:
-            popped.reverse()
-            du.args[pc] = tuple(popped)
-            popped.clear()
-        if tag == flat.T_BR_IF:
-            du.targets[pc] = st.ctrls[-1 - op[2]].start
-        n = len(st.vals) - len(prods)
-        del prods[len(st.vals):]  # slots an unconditional branch dropped
-        if n <= 0:
-            return
-        p = pc
-        if tag == flat.T_END:
-            p = closing.start  # -1 after the body's final end
-        elif tag == flat.T_BR_IF and self.handed[0] is not None:
-            p = self.handed[0]  # a kept value keeps its producer and type
-        elif tag == flat.T_TEE_LOCAL and du.args[pc] == (None,):
-            p = None  # dead code: a tee of no value yields none
-        prods.extend([p] * n)
-        if p == pc or tag == flat.T_END and p >= 0:
-            v = st.vals[-1]
-            if not isinstance(v, ast.ValType):  # only select pushes these
-                v, self.exact = None, False
-            du.types[p] = v
-
-    def run(self, ff: FlatFunc, errors: list[ValidationError]) -> None:
-        n = len(errors)
-        super().run(ff, errors)
-        ff.stack_types = self.snapshots
-        ff.def_use = self.du if len(errors) == n else None
 
 
 def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
@@ -533,12 +507,17 @@ def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
     """
     fl = flat._Flattener()
     fl.instr(ins)
-    checker = _FuncChecker(ctx)
+    checker = _FuncChecker(ctx, len(fl.code))
     checker.state = state
+    if state.top is None:  # one cell with no producer per primed slot
+        primed = state.vals[:]
+        state.vals.clear()
+        for v in primed:
+            checker.push_from(v, None)
     if not state.ctrls:
         state.push_ctrl((), ())
     try:
-        for op in fl.code:
+        for state.pc, op in enumerate(fl.code):
             checker.check_op(op)
     except _Reject as r:
         return ValidationError(r.code, None, None, r.message, ins.span)
@@ -607,9 +586,12 @@ def _check_const_expr(m: ast.Module, instrs: tuple[ast.Instr, ...],
             f"{what} initializer has type {t.name}, expected {expect.name}"))
 
 
-def check_module(m: ast.Module, annotate: bool = False
+def check_module(m: ast.Module, annotate: bool = True
                  ) -> tuple[TypedModule | None, list[ValidationError]]:
-    """Validate; returns (typed module or None, all errors found)."""
+    """Validate; returns (typed module or None, all errors found).  Every
+    function of an accepted module carries its stack types and def-use
+    record.  ``annotate`` is not read: it stays for callers that still
+    pass it, such as the benchmark workloads in ``perfbench/``."""
     errors: list[ValidationError] = []
     parts = _module_ctx(m)
 
@@ -648,7 +630,7 @@ def check_module(m: ast.Module, annotate: bool = False
             continue
         ctx = Ctx(trust=f.type.trust, locals=f.type.params + f.locals,
                   return_types=f.type.results, **parts)
-        checker = _Recorder(ctx, len(ff.code)) if annotate else _FuncChecker(ctx)
+        checker = _FuncChecker(ctx, len(ff.code))
         checker.run(ff, errors)
         n_checks += checker.checks
         n_ops += len(ff.code)
@@ -660,9 +642,10 @@ def check_module(m: ast.Module, annotate: bool = False
     return tm, []
 
 
-def validate_module(m: ast.Module, annotate: bool = False) -> TypedModule:
-    """Validate a module; raises ValidationFailure listing every error."""
-    tm, errors = check_module(m, annotate)
+def validate_module(m: ast.Module, annotate: bool = True) -> TypedModule:
+    """Validate a module; raises ValidationFailure listing every error.
+    ``annotate`` is not read, as in ``check_module``."""
+    tm, errors = check_module(m)
     if errors:
         raise ValidationFailure(errors)
     assert tm is not None

@@ -163,6 +163,24 @@ def test_field_and_kind_errors_have_their_code_offset_and_message(
         code, offset, message)
 
 
+@pytest.mark.parametrize("sections, code, offset, message", [
+    # a function section and no code section
+    ("01040160000003020100", "MalformedSection", 16,
+     "function and code section lengths disagree"),
+    # one function and two bodies: at the code section
+    ("01040160000003020100" "0a070202000b02000b", "MalformedSection", 20,
+     "function and code section lengths disagree"),
+    ("0906010041000b00", "MalformedSection", 10, "elem without table"),
+    ("07050101650000", "IndexOverflow", 10, "export func 0"),
+])
+def test_module_level_errors_point_at_the_section_at_fault(
+        sections, code, offset, message):
+    with pytest.raises(DecodeError) as e:
+        decode_module(HEADER + bytes.fromhex(sections))
+    assert (e.value.code, e.value.offset, e.value.message) == (
+        code, offset, message)
+
+
 def test_empty_table_and_memory_sections_decode_to_an_empty_module():
     """Wasm 1.0 declares both sections as vectors, so zero entries are
     valid; so is a module that defines no table and no memory."""

@@ -343,7 +343,9 @@ def test_debug_mode_checks_a_pc_in_the_middle_of_a_block(corrupt):
     ff = tm.flat(0)
     pc = 6  # i64.mul, with (i64, i64) on the stack
     assert ff.stack_types[pc] == (ast.I64, ast.I64)
-    ff.stack_types[pc] = (ast.I64,) if corrupt == "depth" else (I32, ast.I64)
+    types = list(ff.stack_types)  # the record itself is read-only
+    types[pc] = (ast.I64,) if corrupt == "depth" else (I32, ast.I64)
+    ff.stack_types = types
     cfg = _start(tm, "f", [Value(ast.I64, 1 << 40)], None, debug=True)
     with pytest.raises(AssertionError, match=f"pc {pc}"):
         interp.run(cfg)

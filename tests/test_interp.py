@@ -306,6 +306,8 @@ def exporter():
      "memory ('a', 'm'): max exceeds bound"),
     ('(table (import "a" "t") 3 funcref)', "ImportTypeMismatch",
      "table ('a', 't') too small"),
+    ('(table (import "a" "t") 1 1 funcref)', "ImportTypeMismatch",
+     "table ('a', 't'): max exceeds bound"),
     ('(table (import "a" "t") 1 funcref) (func $g) (elem (i32.const 2) $g)',
      "ElemSegmentOutOfBounds", "offset 2 + 1"),
     ('(memory (import "a" "m") 1) (data (i32.const 65535) "xyz")',
@@ -317,6 +319,20 @@ def test_each_linking_error_has_its_kind_and_message(fields, kind, message):
     with pytest.raises(InstantiateError) as e:
         instantiate(store, tm, imports)
     assert (e.value.kind, str(e.value)) == (kind, f"{kind}: {message}")
+
+
+def test_a_table_import_links_only_within_its_declared_max():
+    store, a = instantiate(Store(), validate.validate_module(
+        text.parse_module('(module (table (export "t") 2 3 funcref))')))
+    imports = {("a", "t"): store.export_of(a, "t")}
+    for limits, ok in (("1 3", True), ("2 4", True), ("1 2", False)):
+        tm = validate.validate_module(text.parse_module(
+            f'(module (table (import "a" "t") {limits} funcref))'))
+        if ok:
+            instantiate(store, tm, imports)
+        else:
+            with pytest.raises(InstantiateError, match="max exceeds bound"):
+                instantiate(store, tm, imports)
 
 
 def test_a_failed_link_writes_into_no_imported_table_or_memory():

@@ -26,6 +26,23 @@ def test_refuses_unvalidated_input():
         strip_module(unchecked)
 
 
+def test_a_validated_module_is_stripped_without_checking_it_again(
+        monkeypatch):
+    """The secret-select widths come from the record every validation
+    leaves, so no validator runs a second time."""
+    tm = validate.validate_module(
+        text.parse_module(_select_template_module(64)))
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("strip_module validated its input again")
+
+    monkeypatch.setattr(strip, "validate_module", no_check)
+    monkeypatch.setattr(validate._FuncChecker, "run", no_check)
+    rep = strip_module(tm)
+    assert scan_no_ct_constructs(rep.module)
+    assert I64 in rep.module.funcs[0].locals
+
+
 def test_simple_erasure():
     m = text.parse_module("(module (func (export \"f\") (param s32 s32)"
                           " (result s32) local.get 0 local.get 1 s32.add))")
@@ -58,7 +75,7 @@ def test_secret_select_rewrite_matches_interpreter_select(width):
     tm_in = validate.validate_module(text.parse_module(src))
     rep = strip_module(tm_in)
     assert scan_no_ct_constructs(rep.module)
-    names = [text.instr_name(i) for i in rep.module.funcs[0].body]
+    names = [ast.mnemonic(i) for i in rep.module.funcs[0].body]
     assert "select" not in names and not any(n in ("br_if", "if", "br")
                                              for n in names)
     tm_out = validate.validate_module(rep.module)
@@ -80,11 +97,11 @@ def test_secret_select_rewrite_matches_interpreter_select(width):
 
 def test_rewrite_template_shape():
     seq = rewrite_secret_select(32, 5, 6)
-    names = [text.instr_name(i) for i in seq]
+    names = [ast.mnemonic(i) for i in seq]
     assert names[0] == "local.set" and names[1] == "local.set"
     assert "select" not in names and "if" not in names and "br_if" not in names
     seq64 = rewrite_secret_select(64, 5, 6)
-    assert "i64.extend_i32_s" in [text.instr_name(i) for i in seq64]
+    assert "i64.extend_i32_s" in [ast.mnemonic(i) for i in seq64]
     with pytest.raises(ValueError):
         rewrite_secret_select(16, 0, 1)
 
