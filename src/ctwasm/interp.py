@@ -44,6 +44,16 @@ entry.  One template serves every numeric op, whose meaning is
 ``numerics``': the cheap integer ops paste in the expression it states
 them in, every other op calls its function, and only a function in
 ``numerics.TRAPPING`` is guarded for a trap.
+
+A load or store reads or writes linear memory through a precompiled
+``struct`` accessor of its width (``unpack_from`` or ``pack_into`` of
+``"<B"``, ``"<H"``, ``"<I"`` or ``"<Q"``), which its block holds as a
+closure constant; a signed packed load extends the unsigned bits after.
+A block reads the memory's byte length once on entry, as ``size``, and
+every bounds check compares with it.  That stays valid within a compiled
+function: only ``memory.grow`` changes the length, and it sets ``size``
+again, while a call, ``call_indirect`` or host call is a control op that
+ends its block, so the next block reads the length afresh.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -712,12 +723,13 @@ def step(cfg: Config) -> tuple | None:
 # actions of ops whose observation is static are buffered at compile time
 # and go out with one ``trace.extend`` before the next data-dependent
 # action, before a trap, and at the end of the block.  Per-instance state
-# (globals, memory and its secrecy) is read through ``cfg`` and ``fr`` on
-# each call, and a block embeds nothing of its function but its flat code,
-# so compiled code is shared by every function with equal flat code: twins
-# in two stores, and a module validated again.  The cache keeps the code
-# of at most CODE_CACHE_SIZE distinct functions, the least recently looked
-# up going first; a FlatFunc holds on to its own for as long as it lives.
+# (globals, memory, its size and its secrecy) is read through ``cfg`` and
+# ``fr`` on each call, and a block embeds nothing of its function but its
+# flat code, so compiled code is shared by every function with equal flat
+# code: twins in two stores, and a module validated again.  The cache
+# keeps the code of at most CODE_CACHE_SIZE distinct functions, the least
+# recently looked up going first; a FlatFunc holds on to its own for as
+# long as it lives.
 #
 # A counted loop, whose body holds no block, loop, if, call, br_table,
 # return or unreachable and ends in an unconditional br, compiles to a
@@ -754,8 +766,12 @@ _PROLOGUE = (
     ("labels", "labels = fr.labels"),
     ("G", "G = cfg.store.globals; ga = fr.inst.global_addrs"),
     ("mem", "mem = cfg.store.mems[fr.inst.mem_addr]; data = mem.data; "
-            "pub = mem.sec is _PUBLIC"),
+            "size = len(data); pub = mem.sec is _PUBLIC"),
 )
+# little-endian unsigned accessors of linear memory, by width in bytes
+_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_UNPACK = {w: struct.Struct(f).unpack_from for w, f in _FORMATS.items()}
+_PACK = {w: struct.Struct(f).pack_into for w, f in _FORMATS.items()}
 
 
 class _Code:
@@ -913,7 +929,7 @@ class _Block:
 
     def pages(self) -> str:
         self.uses.add("mem")
-        return f"len(data) // {PAGE}"
+        return f"size // {PAGE}"
 
     def address(self, offset: int) -> str:
         addr = self.pop()
@@ -982,7 +998,7 @@ class _Block:
         """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
         self.flush()
         action = f'("mem", "{kind}", {ea}, {width}, None)'
-        self.emit(f"if {ea} + {width} > len(data):")
+        self.emit(f"if {ea} + {width} > size:")
         self.emit("    " + self.fault('"out of bounds memory access"',
                                       f"({action},)"))
 
@@ -1123,7 +1139,7 @@ def _t_load(b: _Block, op) -> None:
     t, pack, sign, offset, width = op[2], op[3], op[4], op[6], op[7]
     ea = b.address(offset)
     b.bounds("load", ea, width)
-    v = b.assign(f'int.from_bytes(data[{ea}:{ea} + {width}], "little")')
+    v = b.assign(f"{b.const(_UNPACK[width])}(data, {ea})[0]")
     b.record(f'("mem", "load", {ea}, {width}, {v} if pub else None)')
     if pack is not None and sign:
         v = b.assign(f"signed({v}, {pack}) & {(1 << t.bits) - 1}")
@@ -1136,7 +1152,7 @@ def _t_store(b: _Block, op) -> None:
     ea = b.address(offset)
     b.bounds("store", ea, width)
     bits = b.assign(f"{value} & {(1 << (width * 8)) - 1}")
-    b.emit(f'data[{ea}:{ea} + {width}] = {bits}.to_bytes({width}, "little")')
+    b.emit(f"{b.const(_PACK[width])}(data, {ea}, {bits})")
     b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)')
 
 
@@ -1150,6 +1166,7 @@ def _t_memory_grow(b: _Block, op) -> None:
     b.emit(f"if {old} + {delta} <= ({DEFAULT_GROW_LIMIT} if mem.max is None "
            "else mem.max):")
     b.emit(f"    data.extend(bytes({delta} * {PAGE}))")
+    b.emit("    size = len(data)")
     b.emit(f"    {result} = {old}")
     b.emit("else:")
     b.emit(f"    {result} = 0xFFFFFFFF")

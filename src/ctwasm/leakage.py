@@ -213,6 +213,10 @@ INDISTINGUISHABLE = Verdict("indistinguishable")
 # --------------------------------------------------------------------------
 # Lockstep twin execution
 
+# what setting up a twin raises for inputs that cannot run
+_SETUP_ERRORS = (interp.InvokeError, interp.InstantiateError, Incomparable)
+
+
 def _twin_config(tm: TypedModule, export: str, args: list[Value],
                  image: dict[int, bytes] | None, fuel: int,
                  imports_factory=None) -> Config:
@@ -229,21 +233,23 @@ def _twin_config(tm: TypedModule, export: str, args: list[Value],
 def _locate(tm: TypedModule, export: str, args: list[Value],
             image: dict[int, bytes] | None, fuel: int, step: int,
             imports_factory=None) -> str | None:
-    """Replay one twin up to the divergent step and name the instruction."""
+    """Replay one twin up to the divergent step and name the instruction;
+    None if the twin cannot be set up again or has no frame there.  A
+    fault of the replay itself propagates."""
     try:
         cfg = _twin_config(tm, export, args, image, fuel, imports_factory)
-        cfg.trace = deque(maxlen=0)  # the frame is wanted, not the actions
-        interp.run(cfg, max_steps=step)
-        fr = cfg.frames[-1] if cfg.frames else None
-        if isinstance(fr, Frame):
-            origin = fr.ff.origins[fr.pc]
-            loc = f"func {fr.ff.index} instr {fr.pc} ({ast.mnemonic(origin)})"
-            if origin.span is not None:
-                loc += f" at line {origin.span.line}:{origin.span.col}"
-            return loc
-    except Exception:
-        pass
-    return None
+    except _SETUP_ERRORS:
+        return None
+    cfg.trace = deque(maxlen=0)  # the frame is wanted, not the actions
+    interp.run(cfg, max_steps=step)
+    fr = cfg.frames[-1] if cfg.frames else None
+    if not isinstance(fr, Frame):
+        return None
+    origin = fr.ff.origins[fr.pc]
+    loc = f"func {fr.ff.index} instr {fr.pc} ({ast.mnemonic(origin)})"
+    if origin.span is not None:
+        loc += f" at line {origin.span.line}:{origin.span.col}"
+    return loc
 
 
 # twins admitted beside one baseline run hold at most this many bytes of
@@ -286,7 +292,7 @@ def _start_twin(tm: TypedModule, export: str, base: Config | Verdict,
             return Verdict("incomparable",
                            explanation="initial configurations are "
                            "distinguishable (public state differs)")
-    except (interp.InvokeError, interp.InstantiateError, Incomparable) as e:
+    except _SETUP_ERRORS as e:
         return Verdict("incomparable", explanation=str(e))
     return cb
 
@@ -335,7 +341,7 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
     failure as ``(index, verdict, twin to replay for its location)``."""
     try:
         ca = _twin_config(tm, export, args_a, image_a, fuel, imports_factory)
-    except (interp.InvokeError, interp.InstantiateError, Incomparable) as e:
+    except _SETUP_ERRORS as e:
         ca = Verdict("incomparable", explanation=str(e))
         cohort = [first]
     else:

@@ -19,6 +19,13 @@ are equal.  From the repository root:
     PYTHONPATH=../old/src python tests/compiled_sources.py > old.txt
     diff old.txt new.txt
 
+With ``--ops`` each line also ends with the sorted, comma-separated names
+of the ``flat`` tags in the compiled range (``T_GET_LOCAL,T_LOAD`` ...),
+so the lines of the functions that hold some op are one filter away:
+
+    PYTHONPATH=src python tests/compiled_sources.py --ops \
+        | grep -E 'T_(LOAD|STORE|MEMORY_SIZE|MEMORY_GROW)\b'
+
 Pytest does not collect this file: its name does not start with
 ``test_``.
 """
@@ -34,7 +41,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import fuzzgen  # noqa: E402
-from ctwasm import corpus, interp, text, validate  # noqa: E402
+from ctwasm import corpus, flat, interp, text, validate  # noqa: E402
+
+TAG_NAMES = {tag: name for name, tag in vars(flat).items()
+             if name.startswith("T_")}
 
 
 def modules(seeds: range):
@@ -52,8 +62,9 @@ def modules(seeds: range):
                        validate.validate_module(m))
 
 
-def digests(seeds: range):
-    """One (module, function, pc, length, sha256) per compiled function."""
+def digests(seeds: range, ops: bool = False):
+    """One (module, function, pc, length, sha256) per compiled function,
+    and with ``ops`` the names of the tags in its range."""
     sources: list[str] = []
 
     def capture(src, *args, **kwargs):
@@ -71,8 +82,13 @@ def digests(seeds: range):
                     for n in sorted({code.lens[pc], 1}, reverse=True):
                         code.compile(ff, pc, n)
                         src = sources.pop()
-                        yield (name, ff.index, pc, n,
+                        row = (name, ff.index, pc, n,
                                hashlib.sha256(src.encode()).hexdigest())
+                        if ops:
+                            row += (",".join(sorted({
+                                TAG_NAMES[op[0]]
+                                for op in ff.code[pc:pc + n]})),)
+                        yield row
     finally:
         del interp.compile
 
@@ -81,9 +97,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=300,
                     help="fuzz seeds 0 .. SEEDS-1 (default 300)")
+    ap.add_argument("--ops", action="store_true",
+                    help="end each line with the flat tags of its range")
     args = ap.parse_args(argv)
     count = 0
-    for row in digests(range(args.seeds)):
+    for row in digests(range(args.seeds), args.ops):
         print(*row)
         count += 1
     print(f"{count} compiled functions", file=sys.stderr)

@@ -5,7 +5,7 @@ import pytest
 import relgen
 from ctwasm import ast, interp, leakage, text, validate
 from ctwasm.ast import I32, I64, S32, Secrecy
-from ctwasm.interp import Store, Value
+from ctwasm.interp import PAGE, Store, Value
 from ctwasm.leakage import (
     TrialSpec, actions_indist, configs_indist, lockstep_check, project_config,
     randomized_ct_trial, values_indist,
@@ -158,6 +158,37 @@ def test_lockstep_flags_secret_branch_at_first_branch_action():
     assert v.action_a[0] == "branch" and v.action_b[0] == "branch"
     assert v.action_a[2] == 0 and v.action_b[2] == 42
     assert "if" in (v.location or "")
+
+
+def test_a_fault_in_the_replay_that_locates_a_divergence_propagates(
+        monkeypatch):
+    src = """(module (memory 1 secret)
+      (func (export "leaky") (result i32)
+        (if (result i32) (s32.load (i32.const 0))
+          (then (i32.const 1)) (else (i32.const 0)))))"""
+    bad = validate.flatten_unchecked(text.parse_module(src))
+    twins = ([], [], {0: bytes(4)}, {0: (42).to_bytes(4, "little")})
+    v = lockstep_check(bad, "leaky", *twins, batch=100,
+                       require_untrusted=False)
+    assert (v.kind, v.location) == (
+        "diverged", "func 0 instr 2 (if) at line 3:9")
+    # a twin that cannot be set up again has no location
+    assert leakage._locate(bad, "leaky", [], {PAGE: b"x"}, 100, v.step) \
+        is None
+
+    run = interp.run
+
+    def faulty(cfg, max_steps=None):
+        if max_steps == v.step:  # only the replay stops there
+            raise RuntimeError("fault in the replay")
+        run(cfg, max_steps)
+
+    monkeypatch.setattr(interp, "run", faulty)
+    with pytest.raises(RuntimeError, match="fault in the replay"):
+        lockstep_check(bad, "leaky", *twins, batch=100,
+                       require_untrusted=False)
+    with pytest.raises(RuntimeError, match="fault in the replay"):
+        leakage._locate(bad, "leaky", [], twins[2], 100, v.step)
 
 
 def test_lockstep_flags_br_if_on_secret():
