@@ -20,7 +20,7 @@ import re
 
 import pytest
 
-from ctwasm import ast, interp, text, validate
+from ctwasm import ast, flat, interp, text, validate
 from ctwasm.ast import VALTYPES_BY_NAME
 from ctwasm.interp import PAGE, Store, Value
 
@@ -206,7 +206,7 @@ def test_a_grow_moves_the_end_inside_a_counted_loop_function(
 
     # the later iterations ran in the loop function, not block by block
     loop_pc = next(pc for pc, op in enumerate(ff.code)
-                   if op[0] == interp.flat.T_LOOP)
+                   if op[0] == flat.T_LOOP)
     assert ff.compiled.iters[loop_pc] > 0
     assert ff.compiled.blocks[loop_pc] is not None
 
