@@ -77,6 +77,20 @@ def test_secret_div_rejected():
     assert err.code is ErrorCode.UnsafeOpOnSecret
 
 
+def test_secret_div_in_a_block_rejected():
+    st = primed_state(S32, S32)
+    block = ast.Block(None, (ast.Binop(S32, "div_u"),))
+    err = check_instr(plain_ctx(), st, block)
+    assert err.code is ErrorCode.UnsafeOpOnSecret
+
+
+def test_block_rule_pushes_its_result():
+    st = primed_state()
+    out = check_instr(plain_ctx(), st, ast.Block(I32, (ast.Const(I32, 7),)))
+    assert out is st
+    assert st.vals == [I32]
+
+
 # --- validate_module --------------------------------------------------------
 
 def test_corpus_accepted_untrusted(positive_entries):
