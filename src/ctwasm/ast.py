@@ -154,10 +154,11 @@ FLOAT_RELOPS = ("eq", "ne", "lt", "gt", "le", "ge")
 UNSAFE_BINOPS = frozenset(("div_s", "div_u", "rem_s", "rem_u"))
 
 # The deepest that blocks, loops and ifs may nest in a function body, as
-# the Wasm spec lets an implementation bound it.  The parser, flattener,
-# printer, encoder, decoder and ``rebuild`` recurse two to four Python
-# frames per level, so at this depth each stays well under Python's
-# default recursion limit of 1,000 frames.
+# the Wasm spec lets an implementation bound it.  The flattener, printer
+# and encoder read ``unfold`` and do not recurse; the parser, decoder and
+# ``rebuild`` recurse two to four Python frames per level, so at this
+# depth each stays well under Python's default recursion limit of 1,000
+# frames.
 MAX_NESTING = 200
 TOO_DEEP = f"blocks nested deeper than {MAX_NESTING}"
 
@@ -601,24 +602,43 @@ def fresh(proto: Instr, span: SourceSpan | None = None, **fields) -> Instr:
     return clone
 
 
-def iter_instrs(body: tuple[Instr, ...]):
-    """Every instruction of a body, nested ones included, in pre-order.
+# The markers ``unfold`` yields between instructions, each named by its
+# text mnemonic.
+ELSE = "else"
+END = "end"
 
-    The walk keeps its own stack of open bodies, so it does not recurse
-    and takes input nested to any depth."""
+
+def unfold(body: tuple[Instr, ...]):
+    """The one walk of a body in binary-format order, as (depth, item).
+
+    The items are each instruction, ``ELSE`` before a non-empty else arm
+    and ``END`` after the last instruction of each block, loop and if; the
+    body's own closing ``end`` is not yielded.  An instruction's depth is
+    that of the body it stands in, the function's being 0, and a marker's
+    is that of the body it closes, so every body, even an empty one, yields
+    an item at its depth.  The walk keeps its own stack of open bodies, so
+    it does not recurse and takes input nested to any depth."""
     stack = [iter(body)]
     while stack:
-        for ins in stack[-1]:
-            yield ins
-            match ins:
+        depth = len(stack) - 1
+        for item in stack[-1]:
+            yield depth, item
+            match item:
                 case Block(body=b) | Loop(body=b):
-                    stack.append(iter(b))
+                    stack.append(itertools.chain(b, (END,)))
                     break
                 case If(then=t, else_=e):
-                    stack += (iter(e), iter(t))
+                    stack.append(itertools.chain(t, (ELSE,), e, (END,)) if e
+                                 else itertools.chain(t, (END,)))
                     break
         else:
             stack.pop()
+
+
+def iter_instrs(body: tuple[Instr, ...]):
+    """Every instruction of a body, nested ones included, in pre-order:
+    ``unfold`` without its markers."""
+    return (ins for _, ins in unfold(body) if ins is not ELSE and ins is not END)
 
 
 def rebuild(body: tuple[Instr, ...], fn) -> tuple[Instr, ...]:

@@ -264,35 +264,21 @@ def _blocktype(r: ValType | None) -> bytes:
     return bytes([BLOCKTYPE_EMPTY if r is None else VALTYPE_CODES[r]])
 
 
-class _BodyEncoder:
-    def __init__(self, types: _TypeTable):
-        self.types = types
-        self.out = bytearray()
-
-    def instr(self, ins: Instr, depth: int = 0) -> None:
-        """Encode ``ins``, ``depth`` blocks deep in its function's body."""
+def _expr(types: _TypeTable, body: tuple[Instr, ...]) -> bytes:
+    out = bytearray()
+    for depth, ins in ast.unfold(body):
         if depth > ast.MAX_NESTING:  # only a hand-built AST gets here
             raise ast.NestingTooDeep(ast.TOO_DEEP)
-        out = self.out
+        if ins is ast.ELSE or ins is ast.END:
+            out.append(OPCODES[ins])
+            continue
         code = _ENCODING.get(ast.mnemonic(ins))
         if code is None:
             raise EncodeError(f"{ast.mnemonic(ins)} has no encoding")
         out += code
         match ins:
-            case ast.Block(result=r, body=b) | ast.Loop(result=r, body=b):
+            case ast.Block(result=r) | ast.Loop(result=r) | ast.If(result=r):
                 out += _blocktype(r)
-                for i in b:
-                    self.instr(i, depth + 1)
-                out.append(OPCODES["end"])
-            case ast.If(result=r, then=t, else_=e):
-                out += _blocktype(r)
-                for i in t:
-                    self.instr(i, depth + 1)
-                if e:
-                    out.append(OPCODES["else"])
-                    for i in e:
-                        self.instr(i, depth + 1)
-                out.append(OPCODES["end"])
             case (ast.Br(label=k) | ast.BrIf(label=k) | ast.Call(func=k)
                   | ast.GetLocal(local=k) | ast.SetLocal(local=k)
                   | ast.TeeLocal(local=k) | ast.GetGlobal(glob=k)
@@ -305,7 +291,7 @@ class _BodyEncoder:
                 out += uleb(d)
             case ast.CallIndirect(type=ft):
                 key = FuncType(Trust.UNTRUSTED, ft.params, ft.results)
-                out += uleb(self.types.index[key])
+                out += uleb(types.index[key])
                 out.append(0x01 if ft.trust is Trust.TRUSTED else 0x00)
             case ast.Load(align=a, offset=o) | ast.Store(align=a, offset=o):
                 out += uleb(a) + uleb(o)
@@ -316,14 +302,8 @@ class _BodyEncoder:
                     out += sleb(bits, t.bits)
                 else:
                     out += bits.to_bytes(t.bits // 8, "little")
-
-
-def _expr(types: _TypeTable, body: tuple[Instr, ...]) -> bytes:
-    enc = _BodyEncoder(types)
-    for ins in body:
-        enc.instr(ins)
-    enc.out.append(OPCODES["end"])
-    return bytes(enc.out)
+    out.append(OPCODES["end"])
+    return bytes(out)
 
 
 def _section(sid: int, payload: bytes) -> bytes:

@@ -18,8 +18,8 @@ offsets.  The extras are a load's or store's width in bytes and the
 whose observation never depends on operand values: ``("call", k)``,
 ``("secret-select",)`` or ``("op", mnemonic)``.  ``if``, ``br_if``,
 ``br_table``, ``call_indirect``, loads, stores, ``memory.grow``, a public
-``select`` and a public integer div or rem carry ``None``, and the
-interpreter builds their record per step.
+``select`` and every integer div or rem, public or secret, carry ``None``,
+and the interpreter builds their record per step.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ _DYNAMIC = frozenset((ast.If, ast.BrIf, ast.BrTable, ast.CallIndirect,
                       ast.Load, ast.Store, ast.MemoryGrow))
 _NUMERICS = {ast.Unop: UNOP_FNS, ast.Binop: BINOP_FNS, ast.Testop: TESTOP_FNS,
              ast.Relop: RELOP_FNS, ast.Convert: CONVERT_FNS}
-# each class's tag, field names and numerics table (None if it has none)
-_LAYOUTS = {cls: (TAGS[cls], ast.INSTR_FIELDS[cls], _NUMERICS.get(cls))
+# each class's tag, field names but bodies, and numerics table (None if it
+# has none); the end of a construct appends its bodies' offsets
+_LAYOUTS = {cls: (TAGS[cls], tuple(n for n in ast.INSTR_FIELDS[cls]
+                                   if n not in ("body", "then", "else_")),
+                  _NUMERICS.get(cls))
             for cls in ast.INSTRUCTION_VARIANTS}
 _ELSE = ("op", "else")
 _END = ("op", "end")
@@ -62,8 +65,7 @@ def static_action(ins: ast.Instr) -> tuple | None:
         return None
     if cls is ast.Select:
         return ("secret-select",) if ins.sec is ast.Secrecy.SECRET else None
-    if cls is ast.Binop and ins.op in ast.UNSAFE_BINOPS \
-            and ins.type.sec is ast.Secrecy.PUBLIC:
+    if cls is ast.Binop and ins.op in ast.UNSAFE_BINOPS:
         return None
     if cls is ast.Call:
         return ("call", ins.func)
@@ -133,60 +135,6 @@ class FlatFunc:
         return len(self.type.params)
 
 
-class _Flattener:
-    def __init__(self) -> None:
-        self.code: list[tuple] = []
-        self.origins: list[ast.Instr] = []
-        self.depth = -1  # of the body being flattened; the function's is 0
-
-    def emit(self, origin: ast.Instr, *op) -> int:
-        self.code.append(op)
-        self.origins.append(origin)
-        return len(self.code) - 1
-
-    def block_body(self, body: tuple[ast.Instr, ...]) -> None:
-        self.depth += 1
-        if self.depth > ast.MAX_NESTING:
-            raise ast.NestingTooDeep(ast.TOO_DEEP)
-        for ins in body:
-            self.instr(ins)
-        self.depth -= 1
-
-    def instr(self, ins: ast.Instr) -> None:
-        act = static_action(ins)
-        match ins:
-            case ast.Block(result=r, body=b):
-                at = self.emit(ins, T_BLOCK, act, r, -1)
-                self.block_body(b)
-                end = self.emit(ins, T_END, _END)
-                self.code[at] = (T_BLOCK, act, r, end)
-            case ast.Loop(result=r, body=b):
-                self.emit(ins, T_LOOP, act, r)
-                self.block_body(b)
-                self.emit(ins, T_END, _END)
-            case ast.If(result=r, then=t, else_=e):
-                at = self.emit(ins, T_IF, act, r, -1, -1)
-                self.block_body(t)
-                else_pc = -1
-                if e:
-                    else_pc = self.emit(ins, T_ELSE, _ELSE, -1)
-                    self.block_body(e)
-                end = self.emit(ins, T_END, _END)
-                if else_pc >= 0:
-                    self.code[else_pc] = (T_ELSE, _ELSE, end)
-                self.code[at] = (T_IF, act, r, else_pc, end)
-            case _:
-                tag, names, fns = _LAYOUTS[type(ins)]
-                fields = [getattr(ins, n) for n in names]
-                if fns is not None:
-                    fields.append(fns[tuple(
-                        f.rep.value if isinstance(f, ast.ValType) else f
-                        for f in fields)])
-                elif tag == T_LOAD or tag == T_STORE:
-                    fields.append((ins.pack or ins.type.bits) // 8)
-                self.emit(ins, tag, act, *fields)
-
-
 def instr_pcs(code: list[tuple]) -> list[int]:
     """Offsets of the ops that stand for instructions of the body.
 
@@ -197,8 +145,41 @@ def instr_pcs(code: list[tuple]) -> list[int]:
 
 
 def flatten_func(index: int, f: ast.Func) -> FlatFunc:
-    fl = _Flattener()
-    fl.block_body(f.body)
-    end = ast.Nop(span=f.span)
-    fl.emit(f.body[-1] if f.body else end, T_END, _END)
-    return FlatFunc(index, f.type, f.type.params + f.locals, fl.code, fl.origins)
+    code: list[tuple] = []
+    origins: list[ast.Instr] = []
+    opened: list[list[int]] = []  # [pc, else pc or -1] of each open construct
+    for depth, item in ast.unfold(f.body):
+        if depth > ast.MAX_NESTING:
+            raise ast.NestingTooDeep(ast.TOO_DEEP)
+        pc = len(code)
+        if item is ast.ELSE:
+            opened[-1][1] = pc
+            op, ins = (T_ELSE, _ELSE, -1), origins[opened[-1][0]]
+        elif item is ast.END:
+            at, else_pc = opened.pop()
+            head, ins = code[at], origins[at]
+            if head[0] == T_BLOCK:
+                code[at] = (*head, pc)
+            elif head[0] == T_IF:
+                code[at] = (*head, else_pc, pc)
+                if else_pc >= 0:
+                    code[else_pc] = (T_ELSE, _ELSE, pc)
+            op = (T_END, _END)
+        else:
+            ins = item
+            tag, names, fns = _LAYOUTS[type(ins)]
+            fields = [getattr(ins, n) for n in names]
+            if fns is not None:
+                fields.append(fns[tuple(
+                    v.rep.value if isinstance(v, ast.ValType) else v
+                    for v in fields)])
+            elif tag == T_LOAD or tag == T_STORE:
+                fields.append((ins.pack or ins.type.bits) // 8)
+            elif tag == T_BLOCK or tag == T_LOOP or tag == T_IF:
+                opened.append([pc, -1])
+            op = (tag, static_action(ins), *fields)
+        code.append(op)
+        origins.append(ins)
+    code.append((T_END, _END))
+    origins.append(f.body[-1] if f.body else ast.Nop(span=f.span))
+    return FlatFunc(index, f.type, f.type.params + f.locals, code, origins)

@@ -14,7 +14,7 @@ serialize):
     ("secret-select",)                    occurrence only
     ("mem", kind, addr, width, bits|None) address always; bits iff the
                                           memory is public
-    ("unsafe-binop", name, lhs, rhs)      public div/rem operand values
+    ("unsafe-binop", name, lhs, rhs)      integer div/rem operand values
     ("grow", old_pages, delta, result)
     ("call", func_index)
     ("call-indirect", table_slot)
@@ -1180,7 +1180,8 @@ def _t_const(b: _Block, op) -> None:
 
 def _t_numeric(b: _Block, op) -> None:
     """unop, testop, binop, relop and convert: the function is the op's
-    last field, and only a public integer div or rem leaks its operands."""
+    last field, and only an integer div or rem, public or secret, leaks
+    its operands."""
     arity = 2 if op[0] == flat.T_BINOP or op[0] == flat.T_RELOP else 1
     args = [b.pop() for _ in range(arity)][::-1]
     if op[1] is None:

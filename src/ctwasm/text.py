@@ -21,12 +21,12 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .ast import (
-    CATALOGUE, FIXED_CLASSES, MAX_NESTING, TOO_DEEP, VALTYPES_BY_NAME, Block,
-    Br, BrIf, BrTable, Call, CallIndirect, Classify, Const, Convert, DataSeg,
-    Declassify, ElemSeg, Func, FuncType, GetGlobal, GetLocal, GlobalVar, If,
-    Instr, Load, Loop, Memory, Module, NestingTooDeep, Reinterpret, Secrecy,
-    SetGlobal, SetLocal, SourceSpan, Store, Table, TeeLocal, Trust, ValType,
-    duplicates, fresh, mnemonic,
+    CATALOGUE, ELSE, END, FIXED_CLASSES, MAX_NESTING, TOO_DEEP,
+    VALTYPES_BY_NAME, Block, Br, BrIf, BrTable, Call, CallIndirect, Classify,
+    Const, Convert, DataSeg, Declassify, ElemSeg, Func, FuncType, GetGlobal,
+    GetLocal, GlobalVar, If, Instr, Load, Loop, Memory, Module, NestingTooDeep,
+    Reinterpret, Secrecy, SetGlobal, SetLocal, SourceSpan, Store, Table,
+    TeeLocal, Trust, ValType, duplicates, fresh, mnemonic, unfold,
 )
 from .numerics import f32_from_bits, f64_from_bits
 
@@ -945,6 +945,29 @@ def _memarg_text(ins: Load | Store) -> str:
     return (" " + " ".join(parts)) if parts else ""
 
 
+def _instr_text(ins: Instr) -> str:
+    """One instruction's line; a block, loop or if's is its head."""
+    match ins:
+        case Block(result=r) | Loop(result=r) | If(result=r):
+            return f"{mnemonic(ins)} (result {r.name})" if r else mnemonic(ins)
+        case (Br(label=k) | BrIf(label=k) | Call(func=k)
+              | GetLocal(local=k) | SetLocal(local=k) | TeeLocal(local=k)
+              | GetGlobal(glob=k) | SetGlobal(glob=k)):
+            return f"{mnemonic(ins)} {k}"
+        case BrTable(labels=ls, default=d):
+            return "br_table " + " ".join(str(k) for k in (*ls, d))
+        case CallIndirect(type=ft):
+            sig = "".join(f" (param {t.name})" for t in ft.params)
+            sig += "".join(f" (result {t.name})" for t in ft.results)
+            trust = " trusted" if ft.trust is Trust.TRUSTED else ""
+            return f"call_indirect{trust}{sig}"
+        case Load() | Store():
+            return mnemonic(ins) + _memarg_text(ins)
+        case Const(type=t, bits=bits):
+            return f"{t.name}.const {_const_literal(t, bits)}"
+    return mnemonic(ins)
+
+
 class _Printer:
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -952,45 +975,14 @@ class _Printer:
     def emit(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
 
-    def instrs(self, body: tuple[Instr, ...], depth: int) -> None:
-        if depth > MAX_NESTING + 2:  # a function's body is at depth 2
-            raise NestingTooDeep(TOO_DEEP)
-        for ins in body:
-            self.instr(ins, depth)
-
-    def _blockhead(self, name: str, result: ValType | None) -> str:
-        return f"{name} (result {result.name})" if result else name
-
-    def instr(self, ins: Instr, depth: int) -> None:
-        match ins:
-            case Block(result=r, body=b) | Loop(result=r, body=b):
-                self.emit(depth, self._blockhead(mnemonic(ins), r))
-                self.instrs(b, depth + 1)
-                self.emit(depth, "end")
-            case If(result=r, then=t, else_=e):
-                self.emit(depth, self._blockhead("if", r))
-                self.instrs(t, depth + 1)
-                if e:
-                    self.emit(depth, "else")
-                    self.instrs(e, depth + 1)
-                self.emit(depth, "end")
-            case (Br(label=k) | BrIf(label=k) | Call(func=k)
-                  | GetLocal(local=k) | SetLocal(local=k) | TeeLocal(local=k)
-                  | GetGlobal(glob=k) | SetGlobal(glob=k)):
-                self.emit(depth, f"{mnemonic(ins)} {k}")
-            case BrTable(labels=ls, default=d):
-                self.emit(depth, "br_table " + " ".join(str(k) for k in (*ls, d)))
-            case CallIndirect(type=ft):
-                sig = "".join(f" (param {t.name})" for t in ft.params)
-                sig += "".join(f" (result {t.name})" for t in ft.results)
-                trust = " trusted" if ft.trust is Trust.TRUSTED else ""
-                self.emit(depth, f"call_indirect{trust}{sig}")
-            case Load() | Store():
-                self.emit(depth, mnemonic(ins) + _memarg_text(ins))
-            case Const(type=t, bits=bits):
-                self.emit(depth, f"{t.name}.const {_const_literal(t, bits)}")
-            case _:
-                self.emit(depth, mnemonic(ins))
+    def instrs(self, body: tuple[Instr, ...], indent: int) -> None:
+        for depth, item in unfold(body):
+            if depth > MAX_NESTING:
+                raise NestingTooDeep(TOO_DEEP)
+            if item is ELSE or item is END:  # at its construct's indent
+                self.emit(indent + depth - 1, item)
+            else:
+                self.emit(indent + depth, _instr_text(item))
 
     def _inline(self, exports: tuple[str, ...],
                 imported: tuple[str, str] | None) -> str:
@@ -1047,7 +1039,7 @@ class _Printer:
         parts = []
         for ins in instrs:
             sub = _Printer()
-            sub.instr(ins, 0)
+            sub.instrs((ins,), 0)
             parts.append("(" + " ".join(line.strip() for line in sub.lines) + ")")
         return " ".join(parts)
 

@@ -499,15 +499,15 @@ class _FuncChecker:
 
 
 def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
-    """Check one non-structured instruction against a state.
+    """Check one instruction against a state, a block, loop or if with
+    its bodies.
 
-    Returns the updated state or a ValidationError.  Block-structured
-    instructions need the surrounding walk; use validate_module for whole
-    bodies.  Exposed for rule-level tests and tooling.
+    Returns the updated state or a ValidationError.  Use validate_module
+    for whole bodies.  Exposed for rule-level tests and tooling.
     """
-    fl = flat._Flattener()
-    fl.instr(ins)
-    checker = _FuncChecker(ctx, len(fl.code))
+    func = ast.Func(ast.FuncType(ctx.trust, (), ()), (), (ins,))
+    code = flat.flatten_func(0, func).code[:-1]  # without the body's end
+    checker = _FuncChecker(ctx, len(code))
     checker.state = state
     if state.top is None:  # one cell with no producer per primed slot
         primed = state.vals[:]
@@ -517,7 +517,7 @@ def check_instr(ctx: Ctx, state: CheckState, ins: ast.Instr):
     if not state.ctrls:
         state.push_ctrl((), ())
     try:
-        for state.pc, op in enumerate(fl.code):
+        for state.pc, op in enumerate(code):
             checker.check_op(op)
     except _Reject as r:
         return ValidationError(r.code, None, None, r.message, ins.span)

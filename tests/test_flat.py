@@ -9,13 +9,13 @@ from ctwasm.ast import I32, S32, FuncType, Trust
 
 _LEAKY = (ast.BrIf, ast.BrTable, ast.CallIndirect, ast.Load, ast.Store,
           ast.MemoryGrow)
-_PUBLIC_DIVS = {f"{t}.{op}" for t in ("i32", "i64")
-                for op in ("div_s", "div_u", "rem_s", "rem_u")}
+_INT_DIVS = {f"{t}.{op}" for t in ("i32", "i64", "s32", "s64")
+             for op in ("div_s", "div_u", "rem_s", "rem_u")}
 
 
 def _action(ins):
     name = ast.mnemonic(ins)
-    if isinstance(ins, _LEAKY) or name == "select" or name in _PUBLIC_DIVS:
+    if isinstance(ins, _LEAKY) or name == "select" or name in _INT_DIVS:
         return None
     if name == "select secret":
         return ("secret-select",)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 import relgen
-from ctwasm import ast, interp, leakage, text, validate
+from ctwasm import ast, corpus, interp, leakage, text, validate
 from ctwasm.ast import I32, I64, S32, Secrecy
 from ctwasm.interp import PAGE, Store, Value
 from ctwasm.leakage import (
@@ -352,18 +352,19 @@ _SECRET_IF = """(module
     (if (result i32) (local.get 0)
       (then (i32.const 1)) (else (i32.const 0)))))"""
 
-# the loop's exit is a division by the secret counter, so its iteration
-# count depends on the secret while every action stays the same
+# the loop's exit is a trap converting the secret counter's bits once they
+# read as a NaN (at -1), so its iteration count depends on the secret while
+# every action stays the same
 _SECRET_LOOP_COUNT = """(module
   (func (export "f") (param s32)
     (loop
       (local.set 0 (s32.sub (local.get 0) (s32.const 1)))
-      (drop (s32.div_u (s32.const 1) (local.get 0)))
+      (drop (i32.trunc_f32_u (f32.reinterpret_s32 (local.get 0))))
       (br 0))))"""
 
 _SECRET_TRAP = """(module
-  (func (export "f") (param s32) (result s32)
-    (s32.div_u (s32.const 1) (local.get 0))))"""
+  (func (export "f") (param s32) (result i32)
+    (i32.trunc_f32_u (f32.reinterpret_s32 (local.get 0)))))"""
 
 _SPIN = """(module (func (export "f") (param s32) (loop (br 0))))"""
 
@@ -380,17 +381,17 @@ def test_lockstep_verdicts_are_pinned():
           "location": "func 0 instr 1 (if) at line 3:5"},
          "func 0 instr 1 (if) at line 3:5"),
         (_SECRET_LOOP_COUNT, 3, 5, None,
-         {"verdict": "diverged", "step": 28, "action_a": None,
+         {"verdict": "diverged", "step": 38, "action_a": None,
           "action_b": {"step": 0, "action": "op", "op": "drop"},
           "explanation": "one run continues where the other stopped",
           "location": "func 0 instr 8 (drop) at line 5:8"},
          "func 0 instr 8 (drop) at line 5:8"),
         # twin a runs out of fuel on the step where twin b traps
-        (_SECRET_TRAP, 1, 0, 3,
+        (_SECRET_TRAP, 0, 0x7FC00000, 3,
          {"verdict": "diverged", "step": 3, "action_a": None,
           "action_b": None,
           "explanation": "termination differs: fuel/None vs "
-                         "trap/integer divide by zero"},
+                         "trap/invalid conversion to integer"},
          None),
         (_SPIN, 0, 5, 999, {"verdict": "indistinguishable"}, None),
     ]
@@ -400,6 +401,23 @@ def test_lockstep_verdicts_are_pinned():
                            fuel=fuel, require_untrusted=False)
         assert v.to_json() == verdict, src
         assert v.location == location, src
+
+
+
+# --- witnesses: what a secrecy rule rejects leaks when run unchecked --------
+
+@pytest.mark.parametrize("a, b", [(0, 1), (3, 65_536), (5, 2**31 - 1)])
+def test_a_rejected_secret_division_leaks_its_operands(corpus_root, a, b):
+    entry = corpus.load_entry(corpus_root / "neg-secret-div")
+    assert entry.expect["error"] == "UnsafeOpOnSecret"
+    tm = validate.flatten_unchecked(entry.module)
+    v = lockstep_check(tm, "f", [Value(S32, a)] * 2, [Value(S32, b)] * 2,
+                       require_untrusted=False)
+    got = v.to_json()
+    assert (got["verdict"], got["step"]) == ("diverged", 2)
+    assert got["action_a"]["action"] == got["action_b"]["action"] \
+        == "unsafe-binop"
+    assert v.location.endswith("at line 3:6")
 
 
 _COUNT = """(module

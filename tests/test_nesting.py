@@ -1,11 +1,15 @@
 """Blocks nest at most ``ast.MAX_NESTING`` deep.  The bound is checked where
 nesting enters (the text reader and parser, the decoder, and the validator
-for hand-built ASTs), so deeper input fails with one typed error and every
-recursive walk of an admitted module stays under Python's recursion limit."""
+for hand-built ASTs), so deeper input fails with one typed error.  The
+flattener, printer and encoder read ``ast.unfold`` and do not recurse; the
+parser, decoder and ``ast.rebuild`` do, and on an admitted module they stay
+under Python's recursion limit."""
+
+import sys
 
 import pytest
 
-from ctwasm import ast, binary, cli, infer, strip, text, validate
+from ctwasm import ast, binary, cli, flat, infer, strip, text, validate
 
 N = ast.MAX_NESTING
 
@@ -130,3 +134,43 @@ def test_iter_instrs_walks_in_pre_order():
     names = [ast.mnemonic(ins) for ins in ast.iter_instrs(m.funcs[0].body)]
     assert names == ["block", "loop", "nop", "i32.const", "if", "i32.const",
                      "drop", "block", "nop", "br", "i32.const"]
+
+
+def test_unfold_yields_each_depth_and_marker_in_binary_order():
+    m = text.parse_module("""(module (func (result i32)
+      (block (loop (nop) (if (i32.const 1) (then (drop (i32.const 2)))
+                                         (else (block (nop)))))
+             (br 0))
+      (i32.const 3)))""")
+    items = [(d, x if x in (ast.ELSE, ast.END) else ast.mnemonic(x))
+             for d, x in ast.unfold(m.funcs[0].body)]
+    assert items == [
+        (0, "block"), (1, "loop"), (2, "nop"), (2, "i32.const"), (2, "if"),
+        (3, "i32.const"), (3, "drop"), (3, ast.ELSE), (3, "block"),
+        (4, "nop"), (4, ast.END), (3, ast.END), (2, ast.END), (1, "br"),
+        (1, ast.END), (0, "i32.const")]
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("write", [
+    lambda m: flat.flatten_func(0, m.funcs[0]), text.print_module,
+    binary.encode_module], ids=["flatten", "print", "encode"])
+def test_writers_take_the_deepest_nest_in_a_few_frames(write):
+    body: tuple = (ast.Nop(),)
+    for level in range(N):  # blocks and ifs with an else, alternating
+        body = (ast.Block(None, body),) if level % 2 else \
+            (ast.Const(ast.I32, 1), ast.If(None, body, (ast.Nop(),)))
+    ft = ast.FuncType(ast.Trust.UNTRUSTED, (), ())
+    m = ast.Module(funcs=(ast.Func(ft, (), body),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)
+    try:
+        assert write(m)
+    finally:
+        sys.setrecursionlimit(limit)
