@@ -158,19 +158,35 @@ def _frames() -> int:
     return n
 
 
-@pytest.mark.parametrize("write", [
+_WRITERS = pytest.mark.parametrize("write", [
     lambda m: flat.flatten_func(0, m.funcs[0]), text.print_module,
     binary.encode_module], ids=["flatten", "print", "encode"])
+
+
+def _module(body: tuple) -> ast.Module:
+    ft = ast.FuncType(ast.Trust.UNTRUSTED, (), ())
+    return ast.Module(funcs=(ast.Func(ft, (), body),))
+
+
+@_WRITERS
 def test_writers_take_the_deepest_nest_in_a_few_frames(write):
     body: tuple = (ast.Nop(),)
     for level in range(N):  # blocks and ifs with an else, alternating
         body = (ast.Block(None, body),) if level % 2 else \
             (ast.Const(ast.I32, 1), ast.If(None, body, (ast.Nop(),)))
-    ft = ast.FuncType(ast.Trust.UNTRUSTED, (), ())
-    m = ast.Module(funcs=(ast.Func(ft, (), body),))
+    m = _module(body)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frames() + 60)
     try:
         assert write(m)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@_WRITERS
+def test_an_empty_body_past_the_bound_is_too_deep_for_every_writer(write):
+    body: tuple = ()
+    for _ in range(N + 1):
+        body = (ast.Block(None, body),)
+    with pytest.raises(ast.NestingTooDeep, match=ast.TOO_DEEP):
+        write(_module(body))
