@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from collections import deque
 from pathlib import Path
 
 from . import ast, binary, infer, interp, leakage, strip, text, validate
@@ -114,27 +113,24 @@ def cmd_run(args) -> int:
     try:
         values = [parse_value(a) for a in args.args]
         store, idx = interp.instantiate(Store(), tm)
-        cfg = interp.make_config(store, idx, args.invoke, values, args.fuel)
-        cfg.trace = _TracePrinter() if args.trace else deque(maxlen=0)
-        fuel0 = cfg.fuel
-        interp.run(cfg)
+        out = interp.invoke(store, idx, args.invoke, values, args.fuel,
+                            trace=_TracePrinter() if args.trace else None)
     except (ValueError, interp.InvokeError, interp.InstantiateError) as e:
         raise CliError(f"error: {e}") from e
-    steps = fuel0 - cfg.fuel
-    if cfg.status == interp.DONE:
-        results = [repr(v) for v in cfg.typed_results()]
-        _emit({"status": "done", "results": results, "steps": steps},
+    if out.status == interp.DONE:
+        results = [repr(v) for v in out.results]
+        _emit({"status": "done", "results": results, "steps": out.steps},
               args.json, " ".join(results) or "(no results)")
         return OK
-    _emit({"status": cfg.status, "trap": cfg.trap_kind, "steps": steps},
+    _emit({"status": out.status, "trap": out.trap_kind, "steps": out.steps},
           args.json)
-    print(f"{args.invoke}: {cfg.status}"
-          + (f" ({cfg.trap_kind})" if cfg.trap_kind else ""), file=sys.stderr)
+    print(f"{args.invoke}: {out.status}"
+          + (f" ({out.trap_kind})" if out.trap_kind else ""), file=sys.stderr)
     return ERROR
 
 
 class _TracePrinter:
-    """Stands in for ``Config.trace`` under ``run --trace``: prints each
+    """The trace sink of ``run --trace``: prints each
     action as a JSON line when it is made, and keeps none."""
 
     step = 0

@@ -63,6 +63,7 @@ import itertools
 import os
 import struct
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -445,6 +446,13 @@ class Frame:
         self.labels: list[tuple[int, int, int]] = []  # (target, arity, height)
         self.pc = 0
 
+    def copy(self) -> Frame:
+        fr = Frame.__new__(Frame)
+        fr.inst, fr.ff, fr.code, fr.pc = self.inst, self.ff, self.code, self.pc
+        fr.locals, fr.stack = self.locals[:], self.stack[:]
+        fr.labels = self.labels[:]
+        return fr
+
 
 class HostPending:
     __slots__ = ("cl", "args", "inst")
@@ -453,6 +461,9 @@ class HostPending:
         self.cl = cl
         self.args = args
         self.inst = inst
+
+    def copy(self) -> HostPending:
+        return HostPending(self.cl, self.args[:], self.inst)
 
 
 class Config:
@@ -476,6 +487,23 @@ class Config:
 
     def typed_results(self) -> list[Value]:
         return [Value(t, b) for t, b in zip(self.result_types, self.results)]
+
+    def copy(self) -> Config:
+        """A configuration that runs on from this one's state on its own,
+        keeping no trace.  Its store shares the instances and closures,
+        which a run never changes, and copies the globals, tables and
+        memories; compiled code is shared."""
+        s = self.store
+        store = Store(s.insts, s.funcs,
+                      [GlobalInst(g.mutable, g.type, g.bits) for g in s.globals],
+                      [TableInst(t, t.max) for t in s.tables],
+                      [MemInst(m.sec, bytearray(m.data), m.max) for m in s.mems])
+        cfg = Config(store, self.inst_idx, self.fuel, self.debug)
+        cfg.frames = [f.copy() for f in self.frames]
+        cfg.status, cfg.trap_kind = self.status, self.trap_kind
+        cfg.results, cfg.result_types = self.results[:], self.result_types
+        cfg.trace = deque(maxlen=0)
+        return cfg
 
     def frame_pointers(self) -> tuple:
         """Projected residual-instruction shape: one (func, pc) per frame."""
@@ -1219,10 +1247,18 @@ class Outcome:
     steps: int
 
 
+_NEW_LIST = object()  # invoke's default trace
+
+
 def invoke(store: Store, inst_idx: int, export: str, args: list[Value],
-           fuel: int | None = None, debug: bool = False) -> Outcome:
-    """Run an exported function to completion (or trap / fuel exhaustion)."""
+           fuel: int | None = None, debug: bool = False,
+           trace=_NEW_LIST) -> Outcome:
+    """Run an exported function to completion (or trap / fuel exhaustion).
+    Its actions go to ``trace``, the list to append to (by default a new
+    one), or nowhere when it is None; the outcome holds it."""
     cfg = make_config(store, inst_idx, export, args, fuel, debug)
+    if trace is not _NEW_LIST:
+        cfg.trace = deque(maxlen=0) if trace is None else trace
     fuel0 = cfg.fuel
     run(cfg)
     return Outcome(cfg.status, cfg.typed_results(), cfg.trap_kind, cfg.trace,

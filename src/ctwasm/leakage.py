@@ -16,7 +16,6 @@ guarantee; well-typed untrusted code must never produce one.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -230,19 +229,13 @@ def _twin_config(tm: TypedModule, export: str, args: list[Value],
     return interp.make_config(store, idx, export, args, fuel)
 
 
-def _locate(tm: TypedModule, export: str, args: list[Value],
-            image: dict[int, bytes] | None, fuel: int, step: int,
-            imports_factory=None) -> str | None:
-    """Replay one twin up to the divergent step and name the instruction;
-    None if the twin cannot be set up again or has no frame there.  A
-    fault of the replay itself propagates."""
-    try:
-        cfg = _twin_config(tm, export, args, image, fuel, imports_factory)
-    except _SETUP_ERRORS:
-        return None
-    cfg.trace = deque(maxlen=0)  # the frame is wanted, not the actions
-    interp.run(cfg, max_steps=step)
-    fr = cfg.frames[-1] if cfg.frames else None
+def _locate(start: Config, k: int) -> str | None:
+    """Run ``start``, a copy of a twin taken in the batch that diverged,
+    ``k`` steps on to the divergent step and name the instruction there;
+    None if the twin has no frame there.  A fault of the replay
+    propagates."""
+    interp.run(start, max_steps=k)
+    fr = start.frames[-1] if start.frames else None
     if not isinstance(fr, Frame):
         return None
     origin = fr.ff.origins[fr.pc]
@@ -338,7 +331,14 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
             require_untrusted: bool) -> tuple | None:
     """Check twin ``first`` and the next twins of ``rest`` that fit in
     ``COHORT_BYTES`` against one fresh baseline run.  Returns the lowest
-    failure as ``(index, verdict, twin to replay for its location)``."""
+    failure as ``(index, verdict, replay)``, where ``replay`` is None or
+    ``(start, k)``: a copy of the twin that names the divergence and the
+    steps from it to the divergent step.
+
+    That twin is the baseline, copied at the start of each batch, of which
+    only the latest copy is kept; or, when the baseline has stopped and a
+    twin goes on, that twin, copied at the step where the baseline
+    stopped."""
     try:
         ca = _twin_config(tm, export, args_a, image_a, fuel, imports_factory)
     except _SETUP_ERRORS as e:
@@ -356,19 +356,29 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
         if isinstance(cb, Verdict):
             failed = (t, cb, None)
             break
-        live.append((t, cb, (args_b, image_b)))
+        live.append((t, cb))
 
     done = batches = 0  # baseline actions compared so far, and batches
     while live:
         ta = ca.trace
+        start = ca.copy()
         interp.run(ca, max_steps=batch)
         step = done + len(ta)
         batches += 1
         kept = []
         for twin in live:
-            t, cb, replay = twin
+            t, cb = twin
             tb = cb.trace
-            interp.run(cb, max_steps=batch)
+            start_b = None
+            if ca.terminal and not cb.terminal:
+                # b runs to the step where a stopped, and is copied there
+                # when it goes on: that copy names the divergence
+                interp.run(cb, max_steps=len(ta))
+                if not cb.terminal:
+                    start_b = cb.copy()
+                interp.run(cb, max_steps=batch - len(ta))
+            else:
+                interp.run(cb, max_steps=batch)
             if ta != tb:
                 # action equality realizes actions_indist, so the first
                 # unequal pair, or the end of the shorter batch, is the
@@ -382,7 +392,7 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
                     "leakage actions differ" if a and b else
                     "one run continues where the other stopped"),
                     # the run that continues names the next instruction
-                    replay if a is None else (args_a, image_a))
+                    (start_b, 0) if a is None else (start, k))
                 break  # the twins above t are dropped
             tb.clear()
             # final checks once both have stopped; while both run, state
@@ -432,8 +442,7 @@ def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
         if failed is not None:
             t, v, replay = failed
             if replay is not None:
-                v = replace(v, location=_locate(tm, export, *replay, fuel,
-                                                v.step, imports_factory))
+                v = replace(v, location=_locate(*replay))
             return t, v
     return None
 
@@ -458,6 +467,12 @@ def lockstep_check(tm: TypedModule, export: str,
     with the length of the run.  ``imports_factory`` builds the imports of
     each instantiation; ``randomized_ct_trial`` calls it once for the
     baseline of a cohort, not once per trial.
+
+    A divergence is located by running a copy of one twin, taken in the
+    batch it falls in, on to the divergent step (see ``_cohort``).  That
+    replay calls the host functions of its batch again, on the same host
+    objects, so a location is exact when host callbacks depend only on
+    their ``HostCall``.
     """
     failed = _lockstep(tm, export, args_a, image_a, [(args_b, image_b)],
                        fuel, batch, config_check_every, imports_factory,

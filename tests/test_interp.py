@@ -385,6 +385,74 @@ def test_debug_mode_type_preservation_on_corpus(typed_corpus):
             assert out.status == "done", (name, out.trap_kind)
 
 
+def test_invoke_sends_its_trace_to_the_sink_it_is_given(typed_corpus):
+    """None keeps no action and a given list gets every one; status,
+    results and steps are those of the default, which keeps a new list."""
+    entry, tm = typed_corpus["sha256"]
+    vec = entry.vectors[0]
+
+    def run(**kw):
+        store, idx = instantiate(Store(), tm)
+        interp.write_image(store, idx, vec.memory_in)
+        return invoke(store, idx, vec.invoke, vec.args, **kw)
+
+    default, dropped, given = run(), run(trace=None), run(trace=["kept"])
+    assert default.status == "done" and default.steps > 1000
+    for out in (dropped, given):
+        assert (out.status, out.results, out.trap_kind, out.steps) == (
+            default.status, default.results, default.trap_kind, default.steps)
+    assert len(dropped.trace) == 0
+    assert given.trace == ["kept", *default.trace]
+
+
+_BUMPS = """(module (memory 1) (global $g (mut i32) (i32.const 0))
+  (table 1 anyfunc) (elem (i32.const 0) $bump)
+  (type $t (func (param i32) (result i32)))
+  (func $bump (param i32) (result i32)
+    (global.set $g (i32.add (global.get $g) (local.get 0)))
+    (i32.store (i32.mul (local.get 0) (i32.const 4)) (global.get $g))
+    (global.get $g))
+  (func (export "f") (param i32) (result i32) (local i32)
+    (loop
+      (block
+        (local.set 1 (i32.add (local.get 1)
+          (call_indirect (type $t) (local.get 0) (i32.const 0)))))
+      (local.set 0 (i32.sub (local.get 0) (i32.const 1)))
+      (br_if 0 (local.get 0)))
+    (local.get 1)))"""
+
+
+def test_a_copied_config_runs_on_alone_as_its_original_does():
+    """Copies taken every 7 steps keep their state while the original runs
+    on; each, run to the end after the original has finished, takes its
+    remaining actions and steps and ends with its results, global and
+    memory.  A copy keeps no trace of its own."""
+    _, store, idx = build(_BUMPS)
+    cfg = make_config(store, idx, "f", [Value(I32, 20)])
+
+    def state(c):
+        return (interp.project_store(c.store), c.frame_pointers(),
+                [(f.locals[:], f.stack[:]) for f in c.frames])
+
+    copies = []
+    while not cfg.terminal:
+        copy = cfg.copy()
+        assert len(copy.trace) == 0 and copy.trace.maxlen == 0
+        copies.append((len(cfg.trace), state(cfg), copy))
+        interp.run(cfg, max_steps=7)
+    assert cfg.status == "done" and len(copies) > 20
+    for done, at_copy, copy in copies:
+        assert state(copy) == at_copy
+        copy.trace = []
+        interp.run(copy)
+        assert copy.trace == cfg.trace[done:]
+        assert (copy.status, copy.results, copy.fuel) == (
+            cfg.status, cfg.results, cfg.fuel)
+        assert [g.bits for g in copy.store.globals] == \
+            [g.bits for g in store.globals]
+        assert copy.store.mems[0].data == store.mems[0].data
+
+
 def test_float_semantics_spot_checks():
     src = """(module
       (func (export "min") (param f32 f32) (result f32)

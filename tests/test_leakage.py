@@ -1,15 +1,18 @@
 import random
+import re
 import tracemalloc
 
+import fuzzgen
 import pytest
 import relgen
 from ctwasm import ast, corpus, interp, leakage, text, validate
 from ctwasm.ast import I32, I64, S32, Secrecy
-from ctwasm.interp import PAGE, Store, Value
+from ctwasm.interp import Store, Value
 from ctwasm.leakage import (
     TrialSpec, actions_indist, configs_indist, lockstep_check, project_config,
     randomized_ct_trial, values_indist,
 )
+from test_loops import _LEAK
 
 
 # --- value indistinguishability ---------------------------------------------
@@ -172,9 +175,7 @@ def test_a_fault_in_the_replay_that_locates_a_divergence_propagates(
                        require_untrusted=False)
     assert (v.kind, v.location) == (
         "diverged", "func 0 instr 2 (if) at line 3:9")
-    # a twin that cannot be set up again has no location
-    assert leakage._locate(bad, "leaky", [], {PAGE: b"x"}, 100, v.step) \
-        is None
+    start = leakage._twin_config(bad, "leaky", [], twins[2], 100)
 
     run = interp.run
 
@@ -188,7 +189,7 @@ def test_a_fault_in_the_replay_that_locates_a_divergence_propagates(
         lockstep_check(bad, "leaky", *twins, batch=100,
                        require_untrusted=False)
     with pytest.raises(RuntimeError, match="fault in the replay"):
-        leakage._locate(bad, "leaky", [], twins[2], 100, v.step)
+        leakage._locate(start.copy(), v.step)
 
 
 def test_lockstep_flags_br_if_on_secret():
@@ -290,8 +291,6 @@ def test_randomized_trial_reports():
 def test_every_typed_untrusted_fuzz_function_is_constant_time():
     """Desk-scale check of the headline guarantee: no well-typed untrusted
     function ever produces diverging leakage under secret-varied twins."""
-    import fuzzgen
-
     rng = random.Random(99)
     checked = 0
     for seed in range(120):
@@ -628,3 +627,106 @@ def test_randomized_trial_rejects_no_trials_or_an_empty_batch(kw, name):
                      [leakage.SecretInput("x", param=0)], {}, 10_000)
     with pytest.raises(ValueError, match=name):
         randomized_ct_trial(tm, spec, **kw)
+
+
+# --- locating a divergence from the batch it is in ----------------------------
+
+def _located_from_the_start(tm, export, v, twin_a, twin_b, fuel):
+    """The instruction at step ``v.step`` of the twin that continues (b
+    when a has stopped), replayed from its first step: the location found
+    before batches kept a copy of their start."""
+    args, image = twin_b if v.action_a is None else twin_a
+    cfg = leakage._twin_config(tm, export, args, image, fuel)
+    interp.run(cfg, max_steps=v.step)
+    fr = cfg.frames[-1] if cfg.frames else None
+    if not isinstance(fr, interp.Frame):
+        return None
+    origin = fr.ff.origins[fr.pc]
+    loc = f"func {fr.ff.index} instr {fr.pc} ({ast.mnemonic(origin)})"
+    if origin.span is not None:
+        loc += f" at line {origin.span.line}:{origin.span.col}"
+    return loc
+
+
+def _secret_params(src: str) -> str:
+    """A plain module whose integer parameters are all secret: unchecked,
+    its branches and addresses read them."""
+    return re.sub(r"\(param i(32|64)\)", r"(param s\1)", src)
+
+
+def _divergence_cases(corpus_root, typed_corpus):
+    """(name, module, export, twin a, twin b, fuel): twins that diverge, or
+    may, each twin an (args, image) pair."""
+    for name, src, a, b in (("if", _SECRET_IF, 0, 1),
+                            ("loop", _SECRET_LOOP_COUNT, 3, 5),
+                            ("early", _TWO_LEAKS, 0, 1),
+                            ("late", _TWO_LEAKS, 0, 2)):
+        tm = validate.flatten_unchecked(text.parse_module(src))
+        twin_a, twin_b = ([Value(S32, a)], None), ([Value(S32, b)], None)
+        yield name, tm, "f", twin_a, twin_b, None
+    spec = typed_corpus["tea"][0].trial
+    src = (corpus_root / "tea" / "impl.cwat").read_text()
+    leaky = validate.flatten_unchecked(text.parse_module(
+        src.replace(_LEAK.split("\n")[0], _LEAK, 1)))
+    yield ("tea", leaky, spec.export,
+           leakage._assignment(spec, spec.secrets, None),
+           leakage._assignment(spec, spec.secrets, random.Random(5)),
+           spec.fuel)
+    rng = random.Random(23)
+    for seed in range(200):
+        tm = validate.flatten_unchecked(text.parse_module(
+            _secret_params(fuzzgen.generate(seed))))
+        for f in tm.module.funcs:
+            if not f.exports:
+                continue
+            args_a, args_b = [], []
+            for t in f.type.params:
+                bits = rng.getrandbits(t.bits) if t.is_int else 0
+                args_a.append(Value(t, 0 if t.sec is Secrecy.SECRET else bits))
+                args_b.append(Value(t, bits))
+            yield seed, tm, f.exports[0], (args_a, None), (args_b, None), 100
+
+
+def test_the_batch_replay_names_what_a_replay_from_the_start_names(
+        corpus_root, typed_corpus):
+    located = {"a": 0, "b": 0}
+    for name, tm, export, twin_a, twin_b, fuel in _divergence_cases(
+            corpus_root, typed_corpus):
+        for batch in (1, 7, 61, 4096):
+            v = lockstep_check(tm, export, twin_a[0], twin_b[0], twin_a[1],
+                               twin_b[1], fuel, batch,
+                               require_untrusted=False)
+            if name == "loop" and batch == 7:
+                # the divergence lies in batch 6, and twin b, which runs on
+                # where a has stopped, is the one replayed
+                assert (v.step, v.action_a) == (38, None), v
+                assert v.location == "func 0 instr 8 (drop) at line 5:8"
+            if v.kind != "diverged" or v.action_a is v.action_b is None:
+                continue  # a state check, which names no instruction
+            want = _located_from_the_start(
+                tm, export, v, twin_a, twin_b,
+                interp.default_fuel() if fuel is None else fuel)
+            assert v.location == want, (name, export, batch, v)
+            located["b" if v.action_a is None else "a"] += 1
+    assert located["a"] > 150 and located["b"] >= 4, located
+
+
+def test_the_replay_that_locates_a_divergence_runs_at_most_one_batch(
+        monkeypatch):
+    """Secrets 0 and 2 part at the late branch, after 1,000 loop turns.
+    No run asks for more than a batch, and the replay, the last run, only
+    for the steps of the divergent batch before the divergence."""
+    tm = validate.flatten_unchecked(text.parse_module(_TWO_LEAKS))
+    asked = []
+    run = interp.run
+
+    def recording(cfg, max_steps=None):
+        asked.append(max_steps)
+        run(cfg, max_steps)
+
+    monkeypatch.setattr(interp, "run", recording)
+    v = lockstep_check(tm, "f", [Value(S32, 0)], [Value(S32, 2)], batch=61,
+                       require_untrusted=False)
+    assert (v.kind, v.step, v.location) == (
+        "diverged", 9008, "func 0 instr 19 (if) at line 7:5")
+    assert max(asked) == 61 and asked[-1] == 9008 % 61, asked
