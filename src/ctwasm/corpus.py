@@ -160,7 +160,7 @@ def _run(tm: validate.TypedModule, vec: Vector, args: list[Value],
          fuel: int = VECTOR_FUEL) -> VectorRun:
     store, idx = interp.instantiate(Store(), tm)
     interp.write_image(store, idx, vec.memory_in)
-    out = interp.invoke(store, idx, vec.invoke, args, fuel=fuel)
+    out = interp.invoke(store, idx, vec.invoke, args, fuel=fuel, trace=None)
     mem_addr = store.insts[idx].mem_addr
     return VectorRun(out.status, out.trap_kind, [v.bits for v in out.results],
                      None if mem_addr is None else store.mems[mem_addr].data)

@@ -26,12 +26,15 @@ tracing adds no allocation on the hot path.
 Execution compiles each function's flat code, on first run, into blocks,
 shared by every function with equal flat code.  A block is a
 straight-line run of ops up to and including its first control op,
-lowered to one generated Python function with the operand stack in
-locals and the run's static actions in one ``trace.extend``.  A counted
-loop, whose body is straight-line code ending in ``br``, is lowered whole
+lowered to one generated Python function with the operand stack and the
+Wasm locals it uses in Python locals, each pure expression computed once,
+and the run's static actions in one ``trace.extend``.  A counted loop,
+whose body is straight-line code ending in ``br``, is lowered whole
 instead, into one function that runs its iterations in a Python
 ``while``.  Every compiled function takes the steps it may run and
-returns those it did not, so ``run`` calls each alike.  Each op's
+returns those it did not, so ``run`` calls each alike; a run asked to
+stop at a block end gives each at least its length, so that only fuel
+cuts one short.  Each op's
 semantics is written once, as a template (``_t_*``) that emits its
 source; a single step, a debug-mode step and a step that fuel or a step
 budget cuts short run the one-op block of the same template, so every
@@ -61,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import re
 import struct
 import sys
 from collections import deque
@@ -588,22 +592,25 @@ def _run_host(cfg: Config, pend: HostPending) -> tuple:
     return action
 
 
-def run(cfg: Config, max_steps: int | None = None) -> None:
+def run(cfg: Config, max_steps: int | None = None, *,
+        to_block_end: bool = False) -> None:
     """Drive the configuration until it terminates, runs out of fuel, or
-    has executed max_steps further instructions.
+    has executed max_steps further instructions; with ``to_block_end``,
+    until the first block end at or past max_steps.
 
     Each turn of the loop calls one compiled function of the top frame
     with ``n``, the steps it may run, and charges what it did not hand
     back.  That is the full-length function at the frame's pc, given the
-    smaller of the fuel and the budget; when that is shorter than the
-    function's length, or in debug mode, it is the one-op function, given
-    one step, so every stop falls on the same instruction as with single
-    steps."""
+    smaller of the fuel and the budget, or with ``to_block_end`` at least
+    its length, so the budget never cuts it; when ``n`` is shorter than
+    the function's length, or in debug mode, it is the one-op function,
+    given one step, so every stop falls on the same instruction as with
+    single steps."""
     frames = cfg.frames
     budget = sys.maxsize if max_steps is None else max_steps
     debug = cfg.debug
     while cfg.status == RUNNING:
-        if budget == 0:
+        if budget <= 0:
             return
         fuel = cfg.fuel
         if fuel <= 0:
@@ -622,13 +629,16 @@ def run(cfg: Config, max_steps: int | None = None) -> None:
         code = fr.code
         pc = fr.pc
         n = fuel if fuel < budget else budget
-        if code.lens[pc] > n or debug:
+        m = code.lens[pc]
+        if m > n and to_block_end and m <= fuel:
+            n = m
+        if m > n or debug:
             if debug:
                 _debug_check(cfg, fr, pc)
             n = 1
             fn = code.singles[pc] or code.compile(fr.ff, pc, 1)
         else:
-            fn = code.blocks[pc] or code.compile(fr.ff, pc, code.lens[pc])
+            fn = code.blocks[pc] or code.compile(fr.ff, pc, m)
         left = fn(cfg, fr, n)
         cfg.fuel = fuel - n + left
         budget -= n - left
@@ -747,7 +757,18 @@ def step(cfg: Config) -> tuple | None:
 # run, and returns the steps it did not: it charges its length on entry,
 # and a branch out or a trap returns those of the ops after it.
 # Operand-stack slots become Python locals, and the frame's stack sees
-# only the values the block takes from below it and leaves behind.  The
+# only the values the block takes from below it and leaves behind.  So do
+# the Wasm locals it uses: ``lK`` is loaded from ``fr.locals[K]`` on entry
+# (unless the block assigns it first), ``local.get`` pushes the name itself
+# and ``local.set`` and ``local.tee`` assign it, after moving any operand
+# that still names the old value to a temp.  The locals assigned are
+# written back before every exit that leaves the frame live: a control op
+# and a branch out; a trap clears the frames, and needs none.  A pure
+# expression (an inlined or non-trapping numeric op, a select, an address
+# or a stored value) is computed once into a temp, which an identical
+# expression later reuses until a local it reads is assigned; one that
+# reads a global or the memory's size is always computed anew, and loads
+# and bounds checks keep their order, so the trace is unchanged.  The
 # actions of ops whose observation is static are buffered at compile time
 # and go out with one ``trace.extend`` before the next data-dependent
 # action, before a trap, and at the end of the block.  Per-instance state
@@ -765,12 +786,15 @@ def step(cfg: Config) -> tuple | None:
 # runs whole iterations in a Python ``while`` as long as ``n`` leaves room
 # for one.  A branch to the loop is a ``continue``, any other leaves
 # through ``_br``, and the frame is left at the loop op as the back edge
-# leaves it.  MAX_BLOCK does not split an iteration: a piece of one would
-# leave the ``while``.
+# leaves it.  The Wasm locals stay in Python locals from one iteration to
+# the next, and every exit writes back each local the iteration assigns,
+# not only those assigned above it: an earlier turn assigned the others.
+# MAX_BLOCK does not split an iteration: a piece of one would leave the
+# ``while``.
 
 # Longer straight-line runs are split: compiling a block takes transient
-# memory in proportion to its source (about 0.7 MB at 64 ops), and a block
-# longer than a lockstep batch could only ever run one op at a time.
+# memory in proportion to its source (about 0.7 MB at 64 ops), and a
+# lockstep batch runs on to the end of the block its budget runs out in.
 MAX_BLOCK = 64
 # A longer iteration keeps the block path, for the same compile memory
 # (1.1 MB by tracemalloc for Salsa20's double round, the corpus's longest
@@ -864,6 +888,14 @@ class _Block:
         self.uses: set[str] = set()  # _PROLOGUE names, added by helpers
         self.temps = 0
         self.ended = False  # a control op has set the next pc
+        self.exprs: dict[str, str] = {}  # pure expression -> temp holding it
+        # locals assigned and not yet written back; a loop function writes
+        # back every local its iteration assigns, at every exit, since an
+        # earlier turn may have assigned those below the exit
+        self.dirty: set[int] = set() if not loop else {
+            op[2] for op in ff.code[pc0:pc0 + n]
+            if op[0] == flat.T_SET_LOCAL or op[0] == flat.T_TEE_LOCAL}
+        self.loads = set(self.dirty)  # locals loaded on entry
 
     def build(self):
         entry = self.label(self.pc0, None) if self.loop else None
@@ -878,10 +910,11 @@ class _Block:
         kind, body = "block", [f"n -= {self.n}"] + self.lines
         if self.loop:
             kind, body = "loop", [entry, f"while n >= {self.n}:"] + [
-                "    " + line for line in body] + [
+                "    " + line for line in body] + self.stored() + [
                 self.unlabel(), f"fr.pc = {self.pc0}"]
         head = ["trace = cfg.trace"] + [
-            line for name, line in _PROLOGUE if name in self.uses]
+            line for name, line in _PROLOGUE if name in self.uses] + [
+            f"l{i} = L[{i}]" for i in sorted(self.loads)]
         names = [name for name, _ in self.consts.values()]
         src = "\n".join(
             [f"def _make({', '.join(names)}):", f"  def {kind}(cfg, fr, n):"]
@@ -914,6 +947,16 @@ class _Block:
         self.emit(f"{name} = {expr}")
         return name
 
+    def value(self, expr: str) -> str:
+        """A temp holding the value of ``expr``, which neither traps nor
+        reads state other than locals and temps: the one computed for an
+        identical expression earlier, if no local it reads was assigned
+        since."""
+        name = self.exprs.get(expr)
+        if name is None:
+            name = self.exprs[expr] = self.assign(expr)
+        return name
+
     def pop(self) -> str:
         if self.stack:
             return self.stack.pop()
@@ -921,15 +964,16 @@ class _Block:
         return self.assign("S.pop()")
 
     def push(self, expr: str, trapping: bool = False) -> None:
-        """Push ``expr``'s value; a ``trapping`` one may raise Trap."""
+        """Push the value of pure ``expr`` (see ``value``); a ``trapping``
+        one may raise Trap, and is computed anew."""
+        if not trapping:
+            self.stack.append(self.value(expr))
+            return
         name = self.fresh()
-        if trapping:
-            self.emit("try:")
-            self.emit(f"    {name} = {expr}")
-            self.emit("except Trap as e:")
-            self.emit("    " + self.fault("e.kind"))
-        else:
-            self.emit(f"{name} = {expr}")
+        self.emit("try:")
+        self.emit(f"    {name} = {expr}")
+        self.emit("except Trap as e:")
+        self.emit("    " + self.fault("e.kind"))
         self.stack.append(name)
 
     def height(self) -> str:
@@ -937,8 +981,28 @@ class _Block:
         return f"len(S) + {len(self.stack)}" if self.stack else "len(S)"
 
     def local(self, i: int) -> str:
+        """The Python local holding Wasm local ``i``, loaded on entry
+        unless the function assigns it first."""
         self.uses.add("L")
-        return f"L[{i}]"
+        if i not in self.dirty:
+            self.loads.add(i)
+        return f"l{i}"
+
+    def set_local(self, i: int, v: str) -> None:
+        """Assign ``v`` to local ``i``.  An operand that still names its
+        old value is moved to a temp first, and every reused expression
+        that reads it is forgotten."""
+        name = f"l{i}"
+        if v == name:
+            return
+        self.uses.add("L")
+        if name in self.stack:
+            old = self.assign(name)
+            self.stack = [old if e == name else e for e in self.stack]
+        self.exprs = {e: t for e, t in self.exprs.items()
+                      if name not in re.findall(r"\w+", e)}
+        self.emit(f"{name} = {v}")
+        self.dirty.add(i)
 
     def glob(self, i: int) -> str:
         self.uses.add("G")
@@ -962,7 +1026,7 @@ class _Block:
     def address(self, offset: int) -> str:
         addr = self.pop()
         self.uses.add("mem")
-        return self.assign(f"{addr} + {offset}") if offset else addr
+        return self.value(f"{addr} + {offset}") if offset else addr
 
     def left(self) -> str:
         """The steps to hand back from the current op: ``n`` and those of
@@ -994,6 +1058,10 @@ class _Block:
         self.lines += self.spilled()
         self.stack = []
 
+    def stored(self) -> list[str]:
+        """Statements writing the dirty locals back to the frame's."""
+        return [f"L[{i}] = l{i}" for i in sorted(self.dirty)]
+
     def branch(self, depth: int) -> list[str]:
         """Statements that take a branch to ``depth``, the actions before
         it recorded, and return the steps not run.  In a loop function a
@@ -1002,8 +1070,8 @@ class _Block:
         if self.loop and depth == 0:
             left = self.left()
             return ["continue"] if left == "n" else [f"n = {left}", "continue"]
-        return self.spilled() + [f"_br(cfg, fr, {depth})",
-                                 f"return {self.left()}"]
+        return self.spilled() + self.stored() + [
+            f"_br(cfg, fr, {depth})", f"return {self.left()}"]
 
     def fault(self, kind: str, actions: str | None = None) -> str:
         """A statement that traps with ``kind`` (an expression) after
@@ -1036,6 +1104,8 @@ class _Block:
         frame's pc to ``next_pc`` if it is given."""
         self.flush()
         self.spill()
+        self.lines += self.stored()
+        self.dirty = set()
         self.ended = True
         if next_pc is not None:
             self.emit(f"fr.pc = {next_pc}")
@@ -1142,21 +1212,21 @@ def _t_call_indirect(b: _Block, op) -> None:
 
 
 def _t_get_local(b: _Block, op) -> None:
-    b.push(b.local(op[2]))
+    b.stack.append(b.local(op[2]))
 
 
 def _t_set_local(b: _Block, op) -> None:
-    b.emit(f"{b.local(op[2])} = {b.pop()}")
+    b.set_local(op[2], b.pop())
 
 
 def _t_tee_local(b: _Block, op) -> None:
     v = b.pop()
-    b.emit(f"{b.local(op[2])} = {v}")
+    b.set_local(op[2], v)
     b.stack.append(v)
 
 
 def _t_get_global(b: _Block, op) -> None:
-    b.push(b.glob(op[2]))
+    b.stack.append(b.assign(b.glob(op[2])))
 
 
 def _t_set_global(b: _Block, op) -> None:
@@ -1179,13 +1249,13 @@ def _t_store(b: _Block, op) -> None:
     value = b.pop()
     ea = b.address(offset)
     b.bounds("store", ea, width)
-    bits = b.assign(f"{value} & {(1 << (width * 8)) - 1}")
+    bits = b.value(f"{value} & {(1 << (width * 8)) - 1}")
     b.emit(f"{b.const(_PACK[width])}(data, {ea}, {bits})")
     b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)')
 
 
 def _t_memory_size(b: _Block, op) -> None:
-    b.push(b.pages())
+    b.stack.append(b.assign(b.pages()))
 
 
 def _t_memory_grow(b: _Block, op) -> None:

@@ -362,7 +362,7 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
     while live:
         ta = ca.trace
         start = ca.copy()
-        interp.run(ca, max_steps=batch)
+        interp.run(ca, max_steps=batch, to_block_end=True)
         step = done + len(ta)
         batches += 1
         kept = []
@@ -376,9 +376,9 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
                 interp.run(cb, max_steps=len(ta))
                 if not cb.terminal:
                     start_b = cb.copy()
-                interp.run(cb, max_steps=batch - len(ta))
+                interp.run(cb, max_steps=max(batch - len(ta), 0))
             else:
-                interp.run(cb, max_steps=batch)
+                interp.run(cb, max_steps=len(ta))
             if ta != tb:
                 # action equality realizes actions_indist, so the first
                 # unequal pair, or the end of the shorter batch, is the
@@ -422,10 +422,11 @@ def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
 
     Twins are admitted in cohorts whose linear memories total at most
     ``COHORT_BYTES`` (see ``_memory_bound``), and the baseline runs once
-    per cohort.  In each batch the baseline runs ``batch`` steps; then each
-    live twin, in index order, runs ``batch`` steps, and its actions are
-    compared whole with the baseline's and dropped.  A failing twin drops
-    the twins above it, since only the lowest failure is reported.
+    per cohort.  In each batch the baseline runs to the first block end at
+    or past ``batch`` steps; then each live twin, in index order, runs
+    exactly as many steps, and its actions are compared whole with the
+    baseline's and dropped.  A failing twin drops the twins above it,
+    since only the lowest failure is reported.
     Returns ``(index, verdict)`` of the lowest failing twin, or None; each
     twin's verdict is what a check of that twin alone gives.
     """
@@ -462,11 +463,20 @@ def lockstep_check(tm: TypedModule, export: str,
     secret-typed positions, memory images only when the memory is secret.
     The verdict reports the first differing step, or indistinguishability
     when both runs terminate the same way with matching traces and final
-    states.  The twins run in batches of ``batch`` steps; each batch of
-    actions is compared whole and then dropped, so memory does not grow
-    with the length of the run.  ``imports_factory`` builds the imports of
-    each instantiation; ``randomized_ct_trial`` calls it once for the
-    baseline of a cohort, not once per trial.
+    states.  The twins run in batches, each ending at the first block end
+    at or past ``batch`` steps, so at most the longest compiled function
+    less one step past it; each batch of actions is compared whole and
+    then dropped, so memory does not grow with the length of the run.
+    Intermediate states are compared at the end of every
+    ``config_check_every``-th batch.  On well-typed code the verdict does
+    not depend on where batches end; on unchecked code a state verdict
+    can, since a secret copied into a public local is seen only while the
+    frame lives.  ``fuzzgen.generate(1)``'s ``f0``, with its ``i32``
+    parameter made ``s32``, copies it into a public local: with
+    ``config_check_every=1`` it diverges at step 8 at batches 1 and 7, and
+    is indistinguishable at batches 61 and 4,096.  ``imports_factory``
+    builds the imports of each instantiation; ``randomized_ct_trial``
+    calls it once for the baseline of a cohort, not once per trial.
 
     A divergence is located by running a copy of one twin, taken in the
     batch it falls in, on to the divergent step (see ``_cohort``).  That

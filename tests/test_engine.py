@@ -9,6 +9,7 @@ including the trapping instruction.
 """
 
 import random
+import re
 
 import pytest
 
@@ -353,3 +354,131 @@ def test_debug_mode_checks_a_pc_in_the_middle_of_a_block(corrupt):
     plain = _start(tm, "f", [Value(ast.I64, 1 << 40)], None)
     interp.run(plain)
     assert plain.status == "done"
+
+
+def test_a_run_to_a_block_end_stops_at_the_first_one_past_the_budget(cases):
+    """With ``to_block_end`` no compiled function is cut by the budget, so
+    a run stops at most the longest compiled function less one step past
+    it, in the state that as many single steps leave; fuel still cuts
+    exactly."""
+    rng = random.Random(13)
+    for case in cases:
+        name, tm, export, args, image = case
+        _, steps = _invoke(case)
+        longest = max(max(ff.compiled.lens) for ff in tm.funcs
+                      if ff is not None and ff.compiled is not None)
+        for k in sorted(rng.sample(range(1, steps + 1), min(steps, 3))):
+            ran = _start(tm, export, args, image)
+            interp.run(ran, max_steps=k, to_block_end=True)
+            taken = FUEL - ran.fuel
+            assert k <= taken <= k + longest - 1 or ran.terminal, (name, k)
+            exact = _start(tm, export, args, image)
+            interp.run(exact, max_steps=taken)
+            assert _frames(ran) == _frames(exact), (name, k)
+            assert ran.trace == exact.trace, (name, k)
+            assert _final(ran) == _final(exact), (name, k)
+            short = _start(tm, export, args, image, fuel=k)
+            interp.run(short, max_steps=1, to_block_end=True)
+            interp.run(short, max_steps=steps, to_block_end=True)
+            assert short.trace == exact.trace[:k], (name, k)
+            assert short.status == ("fuel" if k < steps else exact.status)
+
+
+# -- Wasm locals held in Python locals, and pure expressions computed once
+
+_LOCALS = """(module (memory 1 4) (global (mut i32) (i32.const 4))
+  (func (export "tee") (param i32) (result i32)
+    (i32.sub (local.get 0) (local.tee 0 (i32.const 5))))
+  (func (export "set") (param i32) (result i32)
+    local.get 0
+    (local.set 0 (i32.const 5))
+    local.get 0
+    i32.sub)
+  (func (export "turns") (param i32) (result i32) (local i32 i32)
+    (block $out
+      (loop $turn
+        (local.set 2 (i32.add (local.get 2) (i32.const 10)))
+        (br_if $out (i32.ge_u (local.get 1) (local.get 0)))
+        (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+        (br $turn)))
+    (i32.add (i32.mul (local.get 1) (i32.const 1000)) (local.get 2)))
+  (func (export "local") (param i32) (result i32)
+    (i32.add (local.get 0) (i32.const 1))
+    (local.set 0 (i32.const 7))
+    (i32.add (local.get 0) (i32.const 1))
+    i32.sub)
+  (func (export "size") (result i32)
+    memory.size
+    (drop (memory.grow (i32.const 1)))
+    memory.size
+    i32.sub)
+  (func (export "global") (result i32)
+    global.get 0
+    (global.set 0 (i32.const 9))
+    global.get 0
+    i32.sub))"""
+_M32 = 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("export, arg, result", [
+    # the old value of the local is still on the operand stack when the
+    # local is assigned
+    ("tee", 12, 7), ("set", 12, 7),
+    # leaves by the br_if after three turns, above the local.set of its
+    # counter: the exit writes back the counter an earlier turn assigned
+    ("turns", 3, 3040), ("turns", 0, 10),
+    # an expression repeated after a local it reads, the memory's size or
+    # a global changed is computed anew
+    ("local", 2, (3 - 8) & _M32), ("size", None, (1 - 2) & _M32),
+    ("global", None, (4 - 9) & _M32),
+])
+def test_locals_and_reused_expressions_keep_each_value(export, arg, result):
+    """Whole runs give the pinned result, and every fuel and step-budget
+    cut leaves the state debug mode leaves, which runs one op at a time."""
+    tm = validate.validate_module(text.parse_module(_LOCALS), annotate=True)
+    args = [] if arg is None else [Value(I32, arg)]
+    whole = _start(tm, export, args, None)
+    interp.run(whole)
+    assert (whole.status, whole.results) == ("done", [result])
+    steps = FUEL - whole.fuel
+    stepped = _start(tm, export, args, None, debug=True)
+    for k in range(steps + 1):
+        ran = _start(tm, export, args, None)
+        interp.run(ran, max_steps=k)
+        cut = _start(tm, export, args, None, fuel=k)
+        interp.run(cut)
+        for other in (ran, cut):
+            assert _frames(other) == _frames(stepped), (export, k)
+            assert other.trace == stepped.trace, (export, k)
+            assert _final(other)[2:] == _final(stepped)[2:], (export, k)
+        interp.run(stepped, max_steps=1)
+    assert _final(stepped) == _final(whole)
+
+
+def test_sha256_loops_keep_locals_in_python_locals(typed_corpus,
+                                                   monkeypatch):
+    """In SHA-256's compiled code a Wasm local is read from the frame only
+    when a function starts and written only when it leaves, and the
+    message schedule computes ``i - 15`` once per turn, not three times."""
+    entry, tm = typed_corpus["sha256"]
+    sources = []
+
+    def capture(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(interp, "compile", capture, raising=False)
+    for ff in tm.funcs:
+        code = interp._Code(tuple(ff.code))
+        for pc in range(len(ff.code)):
+            code.compile(ff, pc, code.lens[pc])
+    frame_locals = re.compile(r"\bL\[(\d+)\]")
+    for src in sources:
+        for line in src.splitlines():
+            for i in frame_locals.findall(line):
+                assert line.strip() in (f"l{i} = L[{i}]", f"L[{i}] = l{i}"), \
+                    line
+    schedule = [src for src in sources
+                if src.split("\n")[1].startswith("  def loop")
+                and "- 15)" in src]
+    assert len(schedule) == 1 and schedule[0].count("- 15)") == 1

@@ -179,10 +179,10 @@ def test_a_fault_in_the_replay_that_locates_a_divergence_propagates(
 
     run = interp.run
 
-    def faulty(cfg, max_steps=None):
+    def faulty(cfg, max_steps=None, *, to_block_end=False):
         if max_steps == v.step:  # only the replay stops there
             raise RuntimeError("fault in the replay")
-        run(cfg, max_steps)
+        run(cfg, max_steps, to_block_end=to_block_end)
 
     monkeypatch.setattr(interp, "run", faulty)
     with pytest.raises(RuntimeError, match="fault in the replay"):
@@ -720,13 +720,54 @@ def test_the_replay_that_locates_a_divergence_runs_at_most_one_batch(
     asked = []
     run = interp.run
 
-    def recording(cfg, max_steps=None):
+    def recording(cfg, max_steps=None, *, to_block_end=False):
         asked.append(max_steps)
-        run(cfg, max_steps)
+        run(cfg, max_steps, to_block_end=to_block_end)
 
     monkeypatch.setattr(interp, "run", recording)
     v = lockstep_check(tm, "f", [Value(S32, 0)], [Value(S32, 2)], batch=61,
                        require_untrusted=False)
     assert (v.kind, v.step, v.location) == (
         "diverged", 9008, "func 0 instr 19 (if) at line 7:5")
-    assert max(asked) == 61 and asked[-1] == 9008 % 61, asked
+    # a batch ends at the first block end at or past 61 steps, so it is
+    # at most 61 plus the longest compiled function (11 ops) minus 1
+    longest = max(tm.flat(0).compiled.lens)
+    assert max(asked) == 67 <= 61 + longest - 1 and asked[-1] == 58, asked
+
+
+def test_lockstep_batches_end_on_block_ends(corpus_root, monkeypatch):
+    """A trial of SHA-256 on a 4 KiB message, with batches of 4,096 steps.
+    A batch ends at a block end, so no block is cut into one-op functions:
+    the only one-op function that runs is at a loop op, where a twin
+    enters the last, partial turn of a loop with fewer steps left than a
+    whole turn, and runs the loop's blocks from there.  From a cold cache
+    the trial compiles at most 4 functions more than a plain run."""
+    src = (corpus_root / "sha256" / "impl.cwat").read_text()
+    msg_off, msg_len, digest_off = 0x8000, 4096, 2048
+    args = [Value(I32, msg_off), Value(I32, msg_len), Value(I32, digest_off)]
+    compiled = []
+    compile_ = interp._Code.compile
+
+    def recording(code, ff, pc, n):
+        compiled.append((n, code.lens[pc], code.iters[pc]))
+        return compile_(code, ff, pc, n)
+
+    monkeypatch.setattr(interp._Code, "compile", recording)
+    counts = []
+    for trial in (False, True):
+        interp._code_of.cache_clear()
+        compiled.clear()
+        tm = validate.validate_module(text.parse_module(src), annotate=True)
+        if trial:
+            spec = TrialSpec("hash", args, [leakage.SecretInput(
+                "message", offset=msg_off, length=msg_len)])
+            assert randomized_ct_trial(tm, spec, trials=1, seed=1).ok
+        else:
+            store, idx = interp.instantiate(Store(), tm)
+            interp.write_image(store, idx, {msg_off: bytes(msg_len)})
+            out = interp.invoke(store, idx, "hash", args, trace=None)
+            assert out.status == "done"
+        counts.append(len(compiled))
+    singles = [(m, it) for n, m, it in compiled if n == 1 and m > 1]
+    assert all(it for m, it in singles), singles
+    assert counts[0] < counts[1] <= counts[0] + 4, counts
