@@ -7,21 +7,28 @@ finite.  Values live on the operand stack as raw bit patterns; their
 types are static, known from validation.
 
 Leakage actions are plain tuples (cheap to build, compare, and
-serialize):
+serialize).  The first three are static, the same whatever the data;
+every other one depends on data:
 
     ("op", name)                          no data-dependent observation
-    ("branch", name, bits)                taken condition / table index
+    ("call", func_index)
     ("secret-select",)                    occurrence only
+    ("branch", name, bits)                taken condition / table index
     ("mem", kind, addr, width, bits|None) address always; bits iff the
                                           memory is public
     ("unsafe-binop", name, lhs, rhs)      integer div/rem operand values
     ("grow", old_pages, delta, result)
-    ("call", func_index)
     ("call-indirect", table_slot)
     ("host", key, pre, args, post, results)   all public projections
+    ("op", "host-trap")                   a host call trapped: the host
+                                          decides it, so it is not static
 
-Ops whose action is data-independent reuse one precomputed tuple, so
-tracing adds no allocation on the hot path.
+``leaks`` tells the two apart.  Ops whose action is static reuse one
+precomputed tuple, so tracing adds no allocation on the hot path.  A
+configuration with ``leaks_only`` set records only the data-dependent
+actions; it runs the same code, which skips the static ones.  Its steps
+are still counted by its fuel, one unit per step, as a full trace counts
+them by its length.
 
 Execution compiles each function's flat code, on first run, into blocks,
 shared by every function with equal flat code.  A block is a
@@ -81,6 +88,16 @@ DEFAULT_FUEL = 10_000_000
 DEFAULT_GROW_LIMIT = 64  # pages, for memories declared without a max
 
 RUNNING, DONE, TRAPPED, OUT_OF_FUEL = "running", "done", "trap", "fuel"
+
+
+HOST_TRAP = ("op", "host-trap")
+_STATIC_KINDS = frozenset(("op", "call", "secret-select"))
+
+
+def leaks(action: tuple) -> bool:
+    """Whether ``action`` depends on data: every kind but the static ones
+    of ``flat.static_action``, and a host trap."""
+    return action[0] not in _STATIC_KINDS or action == HOST_TRAP
 
 
 def default_fuel() -> int:
@@ -471,7 +488,9 @@ class HostPending:
 
 
 class Config:
-    """One execution: frame stack over a store, plus fuel and a trace."""
+    """One execution: frame stack over a store, plus fuel and a trace.
+    With ``leaks_only`` set, the trace gets only the actions that ``leaks``
+    holds data-dependent."""
 
     def __init__(self, store: Store, inst_idx: int, fuel: int, debug: bool = False):
         self.store = store
@@ -484,6 +503,7 @@ class Config:
         self.result_types: tuple[ast.ValType, ...] = ()
         self.trace: list[tuple] = []
         self.debug = debug
+        self.leaks_only = False
 
     @property
     def terminal(self) -> bool:
@@ -494,9 +514,9 @@ class Config:
 
     def copy(self) -> Config:
         """A configuration that runs on from this one's state on its own,
-        keeping no trace.  Its store shares the instances and closures,
-        which a run never changes, and copies the globals, tables and
-        memories; compiled code is shared."""
+        in the same mode, keeping no trace.  Its store shares the
+        instances and closures, which a run never changes, and copies the
+        globals, tables and memories; compiled code is shared."""
         s = self.store
         store = Store(s.insts, s.funcs,
                       [GlobalInst(g.mutable, g.type, g.bits) for g in s.globals],
@@ -506,7 +526,7 @@ class Config:
         cfg.frames = [f.copy() for f in self.frames]
         cfg.status, cfg.trap_kind = self.status, self.trap_kind
         cfg.results, cfg.result_types = self.results[:], self.result_types
-        cfg.trace = deque(maxlen=0)
+        cfg.trace, cfg.leaks_only = deque(maxlen=0), self.leaks_only
         return cfg
 
     def frame_pointers(self) -> tuple:
@@ -623,7 +643,7 @@ def run(cfg: Config, max_steps: int | None = None, *,
             try:
                 cfg.trace.append(_run_host(cfg, fr))
             except Trap as t:
-                cfg.trace.append(("op", "host-trap"))
+                cfg.trace.append(HOST_TRAP)
                 _trap(cfg, t.kind)
             continue
         code = fr.code
@@ -662,9 +682,11 @@ def _trap(cfg: Config, kind: str) -> None:
 
 
 def _fault(cfg: Config, kind: str, actions: tuple, left: int) -> int:
-    """Trap inside a compiled function: record the actions of the ops run
-    since the last flush, and return ``left``, the steps it hands back."""
-    cfg.trace.extend(actions)
+    """Trap inside a compiled function: record the static actions of the
+    ops run since the last flush, unless only leaks are recorded, and
+    return ``left``, the steps it hands back."""
+    if not cfg.leaks_only:
+        cfg.trace.extend(actions)
     _trap(cfg, kind)
     return left
 
@@ -740,7 +762,8 @@ def _debug_check(cfg: Config, fr: Frame, pc: int) -> None:
 
 def step(cfg: Config) -> tuple | None:
     """Execute exactly one instruction; returns its action (None if the
-    configuration was already terminal)."""
+    configuration was already terminal, or if it records only leaks and
+    the action is static)."""
     if cfg.terminal:
         return None
     before = len(cfg.trace)
@@ -768,17 +791,22 @@ def step(cfg: Config) -> tuple | None:
 # or a stored value) is computed once into a temp, which an identical
 # expression later reuses until a local it reads is assigned; one that
 # reads a global or the memory's size is always computed anew, and loads
-# and bounds checks keep their order, so the trace is unchanged.  The
-# actions of ops whose observation is static are buffered at compile time
-# and go out with one ``trace.extend`` before the next data-dependent
-# action, before a trap, and at the end of the block.  Per-instance state
-# (globals, memory, its size and its secrecy) is read through ``cfg`` and
-# ``fr`` on each call, and a block embeds nothing of its function but its
-# flat code, so compiled code is shared by every function with equal flat
-# code: twins in two stores, and a module validated again.  The cache
-# keeps the code of at most CODE_CACHE_SIZE distinct functions, the least
-# recently looked up going first; a FlatFunc holds on to its own for as
-# long as it lives.
+# and bounds checks keep their order, so the trace is unchanged.  A load
+# of the width and address of an earlier one reuses its value, bounds
+# check and action, and records the action again, until a store or
+# ``memory.grow`` forgets every load, or a ``local.set`` the loads whose
+# address reads that local.  The actions of ops whose observation is
+# static are buffered at compile time and go out with one
+# ``trace.extend`` before the next data-dependent action, before a trap,
+# and at the end of the block, each behind the test ``full``, read once
+# on entry, which skips them when the configuration records only leaks.
+# Per-instance state (globals, memory, its size and its secrecy) is read
+# through ``cfg`` and ``fr`` on each call, and a block embeds nothing of
+# its function but its flat code, so compiled code is shared by every
+# function with equal flat code: twins in two stores, and a module
+# validated again.  The cache keeps the code of at most CODE_CACHE_SIZE
+# distinct functions, the least recently looked up going first; a
+# FlatFunc holds on to its own for as long as it lives.
 #
 # A counted loop, whose body holds no block, loop, if, call, br_table,
 # return or unreachable and ends in an unconditional br, compiles to a
@@ -816,6 +844,7 @@ _PROLOGUE = (
     ("S", "S = fr.stack"),
     ("L", "L = fr.locals"),
     ("labels", "labels = fr.labels"),
+    ("full", "full = not cfg.leaks_only"),
     ("G", "G = cfg.store.globals; ga = fr.inst.global_addrs"),
     ("mem", "mem = cfg.store.mems[fr.inst.mem_addr]; data = mem.data; "
             "size = len(data); pub = mem.sec is _PUBLIC"),
@@ -999,10 +1028,14 @@ class _Block:
         if name in self.stack:
             old = self.assign(name)
             self.stack = [old if e == name else e for e in self.stack]
-        self.exprs = {e: t for e, t in self.exprs.items()
-                      if name not in re.findall(r"\w+", e)}
+        self.forget(name)
         self.emit(f"{name} = {v}")
         self.dirty.add(i)
+
+    def forget(self, name: str) -> None:
+        """Reuse no expression that reads ``name``, which has changed."""
+        self.exprs = {e: t for e, t in self.exprs.items()
+                      if name not in re.findall(r"\w+", e)}
 
     def glob(self, i: int) -> str:
         self.uses.add("G")
@@ -1035,10 +1068,14 @@ class _Block:
         return f"n + {refund}" if refund else "n"
 
     def flush(self) -> None:
+        """Record the pending static actions, unless only leaks are."""
         if len(self.pending) == 1:
-            self.emit(f"trace.append({self.const(self.pending[0])})")
+            self.emit(f"if full: trace.append({self.const(self.pending[0])})")
         elif self.pending:
-            self.emit(f"trace.extend({self.const(tuple(self.pending))})")
+            actions = self.const(tuple(self.pending))
+            self.emit(f"if full: trace.extend({actions})")
+        if self.pending:
+            self.uses.add("full")
         self.pending = []
 
     def record(self, action: str) -> None:
@@ -1073,11 +1110,10 @@ class _Block:
         return self.spilled() + self.stored() + [
             f"_br(cfg, fr, {depth})", f"return {self.left()}"]
 
-    def fault(self, kind: str, actions: str | None = None) -> str:
-        """A statement that traps with ``kind`` (an expression) after
-        ``actions`` (a tuple expression), by default the pending ones."""
-        if actions is None:
-            actions = self.const(tuple(self.pending))
+    def fault(self, kind: str) -> str:
+        """A statement that traps with ``kind`` (an expression) after the
+        pending static actions."""
+        actions = self.const(tuple(self.pending))
         return f"return _fault(cfg, {kind}, {actions}, {self.left()})"
 
     def apply(self, fn, *args: str) -> str:
@@ -1093,10 +1129,9 @@ class _Block:
     def bounds(self, kind: str, ea: str, width: int) -> None:
         """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
         self.flush()
-        action = f'("mem", "{kind}", {ea}, {width}, None)'
         self.emit(f"if {ea} + {width} > size:")
-        self.emit("    " + self.fault('"out of bounds memory access"',
-                                      f"({action},)"))
+        self.emit(f'    trace.append(("mem", "{kind}", {ea}, {width}, None))')
+        self.emit("    " + self.fault('"out of bounds memory access"'))
 
     def control(self, next_pc: int | None = None) -> None:
         """The op being lowered is a control op: record the block's
@@ -1234,13 +1269,18 @@ def _t_set_global(b: _Block, op) -> None:
 
 
 def _t_load(b: _Block, op) -> None:
+    """The value, bounds check and action of a load of an address and
+    width loaded before are that load's, until ``forget("data")``."""
     t, pack, sign, offset, width = op[2], op[3], op[4], op[6], op[7]
     ea = b.address(offset)
-    b.bounds("load", ea, width)
-    v = b.assign(f"{b.const(_UNPACK[width])}(data, {ea})[0]")
-    b.record(f'("mem", "load", {ea}, {width}, {v} if pub else None)')
+    fetch = f"{b.const(_UNPACK[width])}(data, {ea})[0]"
+    v = b.exprs.get(fetch)
+    if v is None:
+        b.bounds("load", ea, width)
+        v = b.exprs[fetch] = b.assign(fetch)
+    b.record(b.value(f'("mem", "load", {ea}, {width}, {v} if pub else None)'))
     if pack is not None and sign:
-        v = b.assign(f"signed({v}, {pack}) & {(1 << t.bits) - 1}")
+        v = b.value(f"signed({v}, {pack}) & {(1 << t.bits) - 1}")
     b.stack.append(v)
 
 
@@ -1251,6 +1291,7 @@ def _t_store(b: _Block, op) -> None:
     b.bounds("store", ea, width)
     bits = b.value(f"{value} & {(1 << (width * 8)) - 1}")
     b.emit(f"{b.const(_PACK[width])}(data, {ea}, {bits})")
+    b.forget("data")
     b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)')
 
 
@@ -1268,6 +1309,7 @@ def _t_memory_grow(b: _Block, op) -> None:
     b.emit(f"    {result} = {old}")
     b.emit("else:")
     b.emit(f"    {result} = 0xFFFFFFFF")
+    b.forget("data")
     b.stack.append(result)
     b.record(f'("grow", {old}, {delta}, {result})')
 
@@ -1325,10 +1367,12 @@ def invoke(store: Store, inst_idx: int, export: str, args: list[Value],
            trace=_NEW_LIST) -> Outcome:
     """Run an exported function to completion (or trap / fuel exhaustion).
     Its actions go to ``trace``, the list to append to (by default a new
-    one), or nowhere when it is None; the outcome holds it."""
+    one), or nowhere when it is None, which runs it recording only leaks;
+    the outcome holds it."""
     cfg = make_config(store, inst_idx, export, args, fuel, debug)
     if trace is not _NEW_LIST:
         cfg.trace = deque(maxlen=0) if trace is None else trace
+        cfg.leaks_only = trace is None
     fuel0 = cfg.fuel
     run(cfg)
     return Outcome(cfg.status, cfg.typed_results(), cfg.trap_kind, cfg.trace,

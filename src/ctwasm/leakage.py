@@ -226,7 +226,44 @@ def _twin_config(tm: TypedModule, export: str, args: list[Value],
         interp.write_image(store, idx, image)
     except ValueError as e:
         raise Incomparable(str(e)) from None
-    return interp.make_config(store, idx, export, args, fuel)
+    cfg = interp.make_config(store, idx, export, args, fuel)
+    cfg.leaks_only = True
+    return cfg
+
+
+def _full_steps(start: Config, n: int) -> list[tuple]:
+    """The whole trace of ``n`` steps of a copy of ``start``."""
+    cfg = start.copy()
+    cfg.leaks_only, cfg.trace = False, []
+    interp.run(cfg, max_steps=n)
+    return cfg.trace
+
+
+def _first_difference(start: Config, na: int, ta: list, nb: int, tb: list,
+                      start_b: Config | None) -> tuple:
+    """``(k, a, b)``: the first step ``k`` of a batch at which the whole
+    traces of two twins differ, or the end of the shorter, and their
+    actions there (None past a run's end).  The twins ran ``na`` and
+    ``nb`` steps of the batch, leaving the leaked actions ``ta`` and
+    ``tb``; ``start`` is the first twin at the start of the batch and
+    ``start_b`` the second where the first stopped, if it went on.
+
+    Up to that step the twins ran the same instructions, so it is the
+    position in the first twin's whole trace of the first leaked action
+    that differs, or the end of either run if that comes first."""
+    full = _full_steps(start, na)
+    pos = [i for i, x in enumerate(full) if interp.leaks(x)]
+    d = next((d for d, (x, y) in enumerate(zip(ta, tb)) if x != y),
+             min(len(ta), len(tb)))
+    k = min(na, nb, pos[d] if d < len(pos) else na)
+    a = full[k] if k < na else None
+    if k >= nb:
+        b = None
+    elif k < na:
+        b = tb[d]  # the same instruction's leaked action
+    else:  # the first twin stopped at k, and the second goes on
+        b = _full_steps(start_b, 1)[0]
+    return k, a, b
 
 
 def _locate(start: Config, k: int) -> str | None:
@@ -358,35 +395,36 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
             break
         live.append((t, cb))
 
-    done = batches = 0  # baseline actions compared so far, and batches
+    done = batches = 0  # baseline steps compared so far, and batches
     while live:
         ta = ca.trace
         start = ca.copy()
+        fuel = ca.fuel
         interp.run(ca, max_steps=batch, to_block_end=True)
-        step = done + len(ta)
+        na = fuel - ca.fuel  # one unit of fuel per step
+        step = done + na
         batches += 1
         kept = []
         for twin in live:
             t, cb = twin
             tb = cb.trace
+            fuel = cb.fuel
             start_b = None
             if ca.terminal and not cb.terminal:
                 # b runs to the step where a stopped, and is copied there
                 # when it goes on: that copy names the divergence
-                interp.run(cb, max_steps=len(ta))
+                interp.run(cb, max_steps=na)
                 if not cb.terminal:
                     start_b = cb.copy()
-                interp.run(cb, max_steps=max(batch - len(ta), 0))
+                interp.run(cb, max_steps=max(batch - na, 0))
             else:
-                interp.run(cb, max_steps=len(ta))
-            if ta != tb:
+                interp.run(cb, max_steps=na)
+            nb = fuel - cb.fuel
+            if ta != tb or na != nb:
                 # action equality realizes actions_indist, so the first
-                # unequal pair, or the end of the shorter batch, is the
-                # witness
-                k = next((k for k, (x, y) in enumerate(zip(ta, tb))
-                          if x != y), min(len(ta), len(tb)))
-                a = ta[k] if k < len(ta) else None
-                b = tb[k] if k < len(tb) else None
+                # unequal pair of whole traces, or the end of the shorter
+                # batch, is the witness
+                k, a, b = _first_difference(start, na, ta, nb, tb, start_b)
                 failed = (t, Verdict(
                     "diverged", done + k, a, b,
                     "leakage actions differ" if a and b else
@@ -422,10 +460,11 @@ def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
 
     Twins are admitted in cohorts whose linear memories total at most
     ``COHORT_BYTES`` (see ``_memory_bound``), and the baseline runs once
-    per cohort.  In each batch the baseline runs to the first block end at
-    or past ``batch`` steps; then each live twin, in index order, runs
-    exactly as many steps, and its actions are compared whole with the
-    baseline's and dropped.  A failing twin drops the twins above it,
+    per cohort.  Every run records only its leaked actions.  In each batch
+    the baseline runs to the first block end at or past ``batch`` steps;
+    then each live twin, in index order, runs exactly as many steps, and
+    its leaked actions and step count are compared with the baseline's and
+    the actions dropped.  A failing twin drops the twins above it,
     since only the lowest failure is reported.
     Returns ``(index, verdict)`` of the lowest failing twin, or None; each
     twin's verdict is what a check of that twin alone gives.
@@ -478,11 +517,24 @@ def lockstep_check(tm: TypedModule, export: str,
     builds the imports of each instantiation; ``randomized_ct_trial``
     calls it once for the baseline of a cohort, not once per trial.
 
+    The twins record only the actions that depend on data (see
+    ``interp.leaks``), and each batch compares those and the steps each
+    twin ran.  That decides the same as comparing whole traces.  Both
+    twins start at the same instruction, and the next instruction depends
+    only on earlier ``branch``, ``call-indirect`` and ``host`` actions,
+    all of which depend on data.  So twins whose leaked actions agree ran
+    the same instructions, and left the same static actions.  A static op
+    that traps only on some data (``i32.trunc_f32_s`` of a NaN) leaks no
+    action, but the run that traps stops, so the step counts differ.
+
     A divergence is located by running a copy of one twin, taken in the
-    batch it falls in, on to the divergent step (see ``_cohort``).  That
-    replay calls the host functions of its batch again, on the same host
-    objects, so a location is exact when host callbacks depend only on
-    their ``HostCall``.
+    batch it falls in, on to the divergent step (see ``_cohort``); the
+    step and actions reported are those of the first difference of the
+    two whole traces, which a copy replays, recording everything, for at
+    most one batch (see ``_first_difference``).  These replays call the
+    host functions of their batch again, on the same host objects, so a
+    verdict is exact when host callbacks depend only on their
+    ``HostCall``.
     """
     failed = _lockstep(tm, export, args_a, image_a, [(args_b, image_b)],
                        fuel, batch, config_check_every, imports_factory,

@@ -154,6 +154,30 @@ def test_fuel_cut_gives_a_prefix_of_the_full_trace(cases):
                 (case[0], k)
 
 
+def test_a_leaks_only_run_records_the_full_trace_filtered_to_leaks(cases):
+    """Recording only leaks, a run takes as many steps to the same state
+    as a full run, at every fuel and step-budget cut, and records the
+    full trace with its static actions taken out."""
+    for case in cases:
+        name, tm, export, args, image = case
+        _, steps = _invoke(case)
+        for k in _cuts(steps):
+            for fuel, max_steps in ((k, None), (FUEL, k)):
+                leaky = _start(tm, export, args, image, fuel)
+                leaky.leaks_only = True
+                interp.run(leaky, max_steps)
+                whole = _start(tm, export, args, image, fuel)
+                interp.run(whole, max_steps)
+                assert fuel - leaky.fuel == fuel - whole.fuel == k, (name, k)
+                assert leaky.trace == [a for a in whole.trace
+                                       if interp.leaks(a)], (name, k)
+                assert _frames(leaky) == _frames(whole), (name, k)
+                assert _final(leaky) == _final(whole), (name, k)
+        out = interp.invoke(*_instance(tm, image), export, args, FUEL,
+                            trace=None)
+        assert out.steps == steps, name
+
+
 def test_single_steps_and_batches_match_one_run(cases):
     for case in cases:
         _, tm, export, args, image = case

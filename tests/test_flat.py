@@ -4,7 +4,7 @@
 import dataclasses
 import re
 
-from ctwasm import ast, flat, numerics
+from ctwasm import ast, flat, interp, numerics
 from ctwasm.ast import I32, S32, FuncType, Trust
 
 _LEAKY = (ast.BrIf, ast.BrTable, ast.CallIndirect, ast.Load, ast.Store,
@@ -54,14 +54,18 @@ def test_tags_follow_the_instruction_class_list():
     assert (flat.T_ELSE, flat.T_END) == (n, n + 1)
 
 
-def test_every_op_is_its_tag_action_fields_and_extras():
+def _prototypes():
+    """One instruction of every mnemonic, and of every op with an index."""
     ft = FuncType(Trust.UNTRUSTED, (I32, S32), (S32,))
-    protos = [*ast.CATALOGUE.values(), ast.Br(3), ast.BrIf(2),
-              ast.BrTable((1, 2), 0), ast.Call(4), ast.CallIndirect(ft),
-              ast.GetLocal(5), ast.SetLocal(6), ast.TeeLocal(7),
-              ast.GetGlobal(8), ast.SetGlobal(9)]
+    return [*ast.CATALOGUE.values(), ast.Br(3), ast.BrIf(2),
+            ast.BrTable((1, 2), 0), ast.Call(4), ast.CallIndirect(ft),
+            ast.GetLocal(5), ast.SetLocal(6), ast.TeeLocal(7),
+            ast.GetGlobal(8), ast.SetGlobal(9)]
+
+
+def test_every_op_is_its_tag_action_fields_and_extras():
     wrong = []
-    for ins in protos:
+    for ins in _prototypes():
         fields = tuple(getattr(ins, f.name) for f in dataclasses.fields(ins)
                        if f.name != "span")
         want = (flat.TAGS[type(ins)], _action(ins), *fields, *_extras(ins))
@@ -87,3 +91,17 @@ def test_structured_ops_hold_their_partners_offsets_for_bodies():
         (flat.T_END, end),
         (flat.T_IF, None, I32, -1, 13), (flat.T_NOP, op), (flat.T_END, end),
         (flat.T_END, end)]
+
+
+def test_interp_classes_every_static_action_as_static_and_no_other():
+    """A run that records only leaks skips exactly the static actions; a
+    host trap is not static, since the host decides it."""
+    static = {flat.static_action(ins) for ins in _prototypes()} - {None}
+    static |= {("op", "else"), ("op", "end")}
+    assert {a[0] for a in static} == {"op", "call", "secret-select"}
+    assert not any(interp.leaks(a) for a in static)
+    assert interp.leaks(interp.HOST_TRAP)
+    for leaked in (("branch", "if", 0), ("mem", "load", 0, 4, None),
+                   ("unsafe-binop", "i32.div_u", 1, 0), ("grow", 1, 1, 1),
+                   ("call-indirect", 0), ("host", ("m", "f"), (), (), (), ())):
+        assert interp.leaks(leaked), leaked

@@ -366,6 +366,19 @@ def test_step_executes_exactly_one_instruction():
     assert step(cfg) is None
 
 
+def test_step_on_a_config_that_records_only_leaks():
+    """A static action is not recorded, so ``step`` returns None for it,
+    though the step ran."""
+    tm, store, idx = build('(module (memory 1) (func (export "f")'
+                           ' (result i32) (i32.load (i32.const 4))))')
+    cfg = make_config(store, idx, "f", [], fuel=10)
+    cfg.leaks_only = True
+    assert step(cfg) is None and cfg.fuel == 9
+    assert step(cfg) == ("mem", "load", 4, 4, 0)
+    assert step(cfg) is None and cfg.status == "done"
+    assert cfg.trace == [("mem", "load", 4, 4, 0)]
+
+
 def test_call_stack_exhaustion_traps():
     src = '(module (func (export "f") (call 0)))'
     out = run1(src, "f", [])

@@ -402,6 +402,106 @@ def test_lockstep_verdicts_are_pinned():
         assert v.location == location, src
 
 
+# the trunc converts the secret's bits after 50 public loop turns: a NaN
+# traps there, and only the other twin goes on, to the drop
+_NAN_AFTER_A_LOOP = """(module
+  (func (export "f") (param s32) (local i32)
+    (nop)
+    (block
+      (loop
+        (br_if 1 (i32.eq (local.get 1) (i32.const 50)))
+        (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+        (br 0)))
+    (drop (i32.trunc_f32_s (f32.reinterpret_s32 (local.get 0))))))"""
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7, 61, 4096])
+def test_a_static_op_that_traps_on_one_twin_only_is_pinned(batch):
+    """Both twins leak the same actions; only their step counts part."""
+    tm = validate.flatten_unchecked(text.parse_module(_NAN_AFTER_A_LOOP))
+    drop = {"step": 0, "action": "op", "op": "drop"}
+    for a, b, want_a, want_b in ((0, 0x7FC00000, drop, None),
+                                 (0x7FC00000, 0, None, drop)):
+        v = lockstep_check(tm, "f", [Value(S32, a)], [Value(S32, b)],
+                           batch=batch, require_untrusted=False)
+        assert v.to_json() == {
+            "verdict": "diverged", "step": 510, "action_a": want_a,
+            "action_b": want_b,
+            "explanation": "one run continues where the other stopped",
+            "location": "func 0 instr 17 (drop) at line 9:6"}, (a, batch)
+
+
+_NOTE_AFTER_A_LOOP = """(module
+  (func (import "env" "note") (param s32 i32))
+  (func (export "go") (param s32) (local i32)
+    (block
+      (loop
+        (br_if 1 (i32.eq (local.get 1) (i32.const 20)))
+        (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+        (br 0)))
+    (call 0 (local.get 0) (i32.const 3))))"""
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+@pytest.mark.parametrize("trapping", [0, 1])
+def test_a_host_that_traps_in_one_twin_only_is_pinned(batch, trapping):
+    """The host decides the trap, so it is a leaked action: the twins part
+    at the host call, the first twin (0) or the second (1) trapping."""
+    tm = validate.validate_module(text.parse_module(_NOTE_AFTER_A_LOOP),
+                                  annotate=True)
+    built = iter(range(2))
+
+    def imports():
+        traps = next(built) == trapping
+
+        def note(call):
+            if traps:
+                raise interp.Trap("host refused")
+            return []
+        return {("env", "note"): interp.HostFunc(
+            "env", "note", ast.FuncType(ast.Trust.UNTRUSTED, (S32, I32), ()),
+            note)}
+
+    v = lockstep_check(tm, "go", [Value(S32, 1)], [Value(S32, 2)],
+                       batch=batch, imports_factory=imports)
+    assert (v.kind, v.step, v.explanation, v.location) == (
+        "diverged", 209, "leakage actions differ", None)
+    actions = [v.action_a, v.action_b]
+    assert actions.pop(trapping) == interp.HOST_TRAP
+    assert actions[0][:2] == ("host", ("env", "note"))
+
+
+def _whole_trace(tm, export, twin, fuel):
+    cfg = leakage._twin_config(tm, export, *twin, fuel)
+    cfg.leaks_only = False
+    interp.run(cfg)
+    return cfg.trace
+
+
+def test_a_divergence_is_the_first_difference_of_the_whole_traces(
+        corpus_root, typed_corpus):
+    """The twins record only leaked actions; the step and actions a verdict
+    names are still those where the two whole traces first part."""
+    seen = 0
+    for name, tm, export, twin_a, twin_b, fuel in _divergence_cases(
+            corpus_root, typed_corpus):
+        fuel = interp.default_fuel() if fuel is None else fuel
+        for batch in (1, 61, 4096):
+            v = lockstep_check(tm, export, twin_a[0], twin_b[0], twin_a[1],
+                               twin_b[1], fuel, batch,
+                               require_untrusted=False)
+            if v.kind != "diverged" or v.action_a is v.action_b is None:
+                continue
+            ta = _whole_trace(tm, export, twin_a, fuel)
+            tb = _whole_trace(tm, export, twin_b, fuel)
+            k = next((k for k, (x, y) in enumerate(zip(ta, tb)) if x != y),
+                     min(len(ta), len(tb)))
+            want = (k, ta[k] if k < len(ta) else None,
+                    tb[k] if k < len(tb) else None)
+            assert (v.step, v.action_a, v.action_b) == want, (name, batch)
+            seen += 1
+    assert seen > 120, seen
+
 
 # --- witnesses: what a secrecy rule rejects leaks when run unchecked --------
 

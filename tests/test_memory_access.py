@@ -211,6 +211,138 @@ def test_a_grow_moves_the_end_inside_a_counted_loop_function(
     assert ff.compiled.blocks[loop_pc] is not None
 
 
+# -- a repeated load reuses the earlier one's value, check and action
+
+_RELOADS = """(module (memory 1 4)
+  (data (i32.const 0) "\\81\\02\\03\\04\\05\\06\\07\\08")
+  (func (export "twice") (param i32) (result i32)
+    (i32.add (i32.load offset=1 (local.get 0))
+             (i32.load offset=1 (local.get 0))))
+  (func (export "widths") (param i32) (result i32)
+    (i32.sub (i32.load8_u (local.get 0)) (i32.load8_s (local.get 0)))
+    (f32.load (local.get 0))
+    i32.reinterpret_f32
+    (i32.load (local.get 0))
+    i32.sub
+    i32.add)
+  (func (export "store") (param i32) (result i32)
+    (i32.load (local.get 0))
+    (i32.store (local.get 0) (i32.const 5))
+    (i32.load (local.get 0))
+    i32.sub)
+  (func (export "grow") (param i32) (result i32)
+    (i32.load (local.get 0))
+    (drop (memory.grow (i32.const 1)))
+    (i32.load (local.get 0))
+    i32.sub)
+  (func (export "set") (param i32) (result i32)
+    (i32.load (local.get 0))
+    (local.set 0 (i32.add (local.get 0) (i32.const 4)))
+    (i32.load (local.get 0))
+    i32.sub)
+  (func (export "turns") (param i32) (result i32) (local i32)
+    (block (loop
+      (br_if 1 (i32.ge_u (local.get 1) (i32.const 3)))
+      (i32.store (local.get 0)
+        (i32.add (i32.load (local.get 0)) (i32.load (local.get 0))))
+      (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+      (br 0)))
+    (i32.load (local.get 0))))"""
+_FIRST = 0x04030281  # the i32 at 0
+
+
+_READ = re.compile(r"\(data, (\w+)\)\[0\]")  # a read's address
+
+
+def _sources(monkeypatch):
+    """The list that the source of every function compiled from here on
+    goes to."""
+    sources = []
+
+    def capture(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(interp, "compile", capture, raising=False)
+    return sources
+
+
+@pytest.mark.parametrize("export, arg, result, reads", [
+    # the same address and width: one read, however the value is typed
+    ("twice", 0, (2 * 0x05040302) & 0xFFFFFFFF, 1),
+    ("widths", 0, (0x81 - 0xFFFFFF81) & 0xFFFFFFFF, 2),
+    # a store, a grow and a local.set of the address: read again
+    ("store", 0, (_FIRST - 5) & 0xFFFFFFFF, 2),
+    ("grow", 0, 0, 2),
+    ("set", 0, (_FIRST - 0x08070605) & 0xFFFFFFFF, 2),
+    # one read per turn, before its store: in the block the first turn
+    # runs and in the loop function, and one after the loop
+    ("turns", 4, (0x08070605 * 8) & 0xFFFFFFFF, 3),
+    # the first read traps, and its action goes out with the trap
+    ("twice", PAGE - 4, None, 1),
+])
+def test_a_repeated_load_reuses_the_earlier_one_until_memory_changes(
+        monkeypatch, export, arg, result, reads):
+    """Whole runs give the pinned result, each load leaves its action, and
+    every fuel and step-budget cut leaves the state and trace that debug
+    mode leaves, which runs one op at a time."""
+    tm = validate.validate_module(text.parse_module(_RELOADS), annotate=True)
+    args = [Value(ast.I32, arg)]
+    status, kind, results, steps, trace, data = _both(tm, export, args)
+    if result is None:
+        assert (status, kind) == ("trap", "out of bounds memory access")
+        assert trace[-1] == ("mem", "load", PAGE - 3, 4, None)
+    else:
+        assert (status, results) == ("done", [Value(ast.I32, result)])
+    # the reads in the functions a run from a cold cache compiles
+    interp._code_of.cache_clear()
+    sources = _sources(monkeypatch)
+    _run(validate.validate_module(text.parse_module(_RELOADS)), export, args,
+         False)
+    monkeypatch.undo()
+    assert sum(len(_READ.findall(src)) for src in sources) == reads
+
+    for k in range(steps + 1):
+        cuts = []
+        for fuel, max_steps in ((FUEL, k), (k, None)):
+            store, idx = interp.instantiate(Store(), tm)
+            cfg = interp.make_config(store, idx, export, args, fuel)
+            interp.run(cfg, max_steps)
+            cuts.append(cfg)
+        store, idx = interp.instantiate(Store(), tm)
+        stepped = interp.make_config(store, idx, export, args, FUEL,
+                                     debug=True)
+        interp.run(stepped, k)
+        for cfg in cuts:
+            assert cfg.trace == stepped.trace, (export, k)
+            assert [(f.pc, f.stack, f.locals, f.labels)
+                    for f in cfg.frames] == \
+                [(f.pc, f.stack, f.locals, f.labels)
+                 for f in stepped.frames], (export, k)
+            assert (cfg.status, cfg.results) == \
+                (stepped.status, stepped.results) or cfg.status == "fuel", \
+                (export, k)
+            assert cfg.store.mems[0].data == stepped.store.mems[0].data
+
+
+def test_the_sha256_schedule_reads_each_word_once_per_turn(typed_corpus,
+                                                           monkeypatch):
+    """The message schedule reads ``w[i-16]``, ``w[i-15]``, ``w[i-7]`` and
+    ``w[i-2]`` once each per turn, though it loads ``w[i-15]`` and
+    ``w[i-2]`` three times each."""
+    entry, tm = typed_corpus["sha256"]
+    ff = tm.funcs[0]
+    sources = _sources(monkeypatch)
+    code = interp._Code(tuple(ff.code))
+    code.compile(ff, 63, code.lens[63])
+    (src,) = sources
+    assert "- 15)" in src and "- 2)" in src  # the schedule loop
+    reads = _READ.findall(src)
+    loads = [op for op in ff.code[63:63 + code.lens[63]]
+             if op[0] == flat.T_LOAD]
+    assert (len(reads), len(set(reads)), len(loads)) == (4, 4, 8)
+
+
 # -- every load and store against a reference reading of memory
 
 MEMORY_OPS = [m for m in ast.CATALOGUE
