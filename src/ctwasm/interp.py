@@ -8,52 +8,38 @@ types are static, known from validation.
 
 Leakage actions are plain tuples (cheap to build, compare, and
 serialize).  The first three are static, the same whatever the data;
-every other one depends on data:
+every other one depends on data, and its record is what varies in it:
 
-    ("op", name)                          no data-dependent observation
-    ("call", func_index)
-    ("secret-select",)                    occurrence only
-    ("branch", name, bits)                taken condition / table index
-    ("mem", kind, addr, width, bits|None) address always; bits iff the
-                                          memory is public
-    ("unsafe-binop", name, lhs, rhs)      integer div/rem operand values
-    ("grow", old_pages, delta, result)
-    ("call-indirect", table_slot)
-    ("host", key, pre, args, post, results)   all public projections
-    ("op", "host-trap")                   a host call trapped: the host
-                                          decides it, so it is not static
+    action                                  record
+    ("op", name)                            static
+    ("call", func_index)                    static
+    ("secret-select",)                      static: occurrence only
+    ("branch", name, bits)                  bits: condition or table index
+    ("mem", kind, addr, width, bits|None)   addr; (addr, bits) if the
+                                            memory is public
+    ("unsafe-binop", name, lhs, rhs)        (lhs, rhs) of an integer div/rem
+    ("grow", old_pages, delta, result)      (old_pages, delta, result)
+    ("call-indirect", table_slot)           table_slot
+    ("host", key, pre, args, post, results) itself: public projections
+    ("op", "host-trap")                     itself: the host decided it
 
-``leaks`` tells the two apart.  Ops whose action is static reuse one
-precomputed tuple, so tracing adds no allocation on the hot path.  A
-configuration with ``leaks_only`` set records only the data-dependent
-actions; it runs the same code, which skips the static ones.  Its steps
-are still counted by its fuel, one unit per step, as a full trace counts
-them by its length.
+``leaks`` tells the two kinds apart and ``leak_record`` maps an action to
+its record.  Static actions are precomputed tuples, so tracing them adds
+no allocation.  A configuration with ``leaks_only`` set runs the same
+code but keeps only the records; as every op records a fixed number of
+entries, runs of the same instructions have their records at the same
+positions.  Its steps are counted by its fuel, one unit per step.
 
-Execution compiles each function's flat code, on first run, into blocks,
-shared by every function with equal flat code.  A block is a
-straight-line run of ops up to and including its first control op,
-lowered to one generated Python function with the operand stack and the
-Wasm locals it uses in Python locals, each pure expression computed once,
-and the run's static actions in one ``trace.extend``.  A counted loop,
-whose body is straight-line code ending in ``br``, is lowered whole
-instead, into one function that runs its iterations in a Python
-``while``.  Every compiled function takes the steps it may run and
-returns those it did not, so ``run`` calls each alike; a run asked to
-stop at a block end gives each at least its length, so that only fuel
-cuts one short.  Each op's
-semantics is written once, as a template (``_t_*``) that emits its
-source; a single step, a debug-mode step and a step that fuel or a step
-budget cuts short run the one-op block of the same template, so every
-stop falls on the same instruction as it would op by op.  A template
-states only what its op does with operands: the compiler queues the
-op's static action (its flat op's second field) before calling it, and
-an expression that reads the frame's stack, locals, globals, labels or
-memory is built by a helper that has the block load that state on
-entry.  One template serves every numeric op, whose meaning is
-``numerics``': the cheap integer ops paste in the expression it states
-them in, every other op calls its function, and only a function in
-``numerics.TRAPPING`` is guarded for a trap.
+Execution compiles each function's flat code, on first run, into one
+generated Python function per straight-line block and per counted loop
+(see "Compilation of flat code to blocks" below).  Each op's semantics
+is written once, as a template (``_t_*``) that emits its source; a single
+step, a debug-mode step and a step that fuel or a step budget cuts short
+run the one-op block of the same template, so every stop falls on the
+same instruction as it would op by op.  One template serves every
+numeric op, whose meaning is ``numerics``': the cheap integer ops paste
+in the expression it states them in, every other op calls its function,
+and only a function in ``numerics.TRAPPING`` is guarded for a trap.
 
 A load or store reads or writes linear memory through a precompiled
 ``struct`` accessor of its width (``unpack_from`` or ``pack_into`` of
@@ -98,6 +84,19 @@ def leaks(action: tuple) -> bool:
     """Whether ``action`` depends on data: every kind but the static ones
     of ``flat.static_action``, and a host trap."""
     return action[0] not in _STATIC_KINDS or action == HOST_TRAP
+
+
+def leak_record(action: tuple):
+    """What a run that records only leaks records for the data-dependent
+    ``action``: its varying field, or a tuple of them."""
+    match action:
+        case ("branch", _, x) | ("call-indirect", x) | ("mem", _, x, _, None):
+            return x
+        case ("mem", _, addr, _, bits):
+            return (addr, bits)
+        case ("unsafe-binop", _, *xs) | ("grow", *xs):
+            return tuple(xs)
+    return action
 
 
 def default_fuel() -> int:
@@ -489,8 +488,8 @@ class HostPending:
 
 class Config:
     """One execution: frame stack over a store, plus fuel and a trace.
-    With ``leaks_only`` set, the trace gets only the actions that ``leaks``
-    holds data-dependent."""
+    With ``leaks_only`` set, the trace gets only the ``leak_record`` of
+    each action that ``leaks`` holds data-dependent."""
 
     def __init__(self, store: Store, inst_idx: int, fuel: int, debug: bool = False):
         self.store = store
@@ -761,9 +760,9 @@ def _debug_check(cfg: Config, fr: Frame, pc: int) -> None:
 
 
 def step(cfg: Config) -> tuple | None:
-    """Execute exactly one instruction; returns its action (None if the
-    configuration was already terminal, or if it records only leaks and
-    the action is static)."""
+    """Execute exactly one instruction; returns its action, or its record
+    if the configuration records only leaks (None if it was already
+    terminal, or if it records only leaks and the action is static)."""
     if cfg.terminal:
         return None
     before = len(cfg.trace)
@@ -786,20 +785,28 @@ def step(cfg: Config) -> tuple | None:
 # and ``local.set`` and ``local.tee`` assign it, after moving any operand
 # that still names the old value to a temp.  The locals assigned are
 # written back before every exit that leaves the frame live: a control op
-# and a branch out; a trap clears the frames, and needs none.  A pure
+# and a branch out; a trap clears the frames, and needs none.  A template
+# states only what its op does with operands: the compiler queues the
+# op's static action (its flat op's second field) before calling it, and
+# a helper that builds an expression reading the frame's stack, locals,
+# globals, labels or memory has the block load that state on entry.  A pure
 # expression (an inlined or non-trapping numeric op, a select, an address
 # or a stored value) is computed once into a temp, which an identical
 # expression later reuses until a local it reads is assigned; one that
 # reads a global or the memory's size is always computed anew, and loads
-# and bounds checks keep their order, so the trace is unchanged.  A load
-# of the width and address of an earlier one reuses its value, bounds
-# check and action, and records the action again, until a store or
-# ``memory.grow`` forgets every load, or a ``local.set`` the loads whose
-# address reads that local.  The actions of ops whose observation is
-# static are buffered at compile time and go out with one
-# ``trace.extend`` before the next data-dependent action, before a trap,
-# and at the end of the block, each behind the test ``full``, read once
-# on entry, which skips them when the configuration records only leaks.
+# and bounds checks keep their order, so the trace is unchanged.  A
+# ``local.set`` of a value just computed assigns its expression to the
+# local directly.  A load of the width and address of an earlier one
+# reuses its value, bounds check and action, and records the action
+# again, until a store or ``memory.grow`` forgets every load, or a
+# ``local.set`` the loads whose address reads that local; the first load
+# binds its action to a temp only once a second one reuses it.  The
+# actions of ops whose observation is static are buffered at compile time
+# and go out with one ``trace.extend`` before the next data-dependent
+# action, before a trap, and at the end of the block, each behind the
+# test ``full``, read once on entry, which skips them when the
+# configuration records only leaks; a data-dependent op appends
+# ``action if full else record``.
 # Per-instance state (globals, memory, its size and its secrecy) is read
 # through ``cfg`` and ``fr`` on each call, and a block embeds nothing of
 # its function but its flat code, so compiled code is shared by every
@@ -863,9 +870,11 @@ class _Code:
     where ``iters[pc]`` is also set (0 elsewhere), the loop function and
     the length of one iteration.  ``singles[pc]`` runs the op at ``pc``
     alone.  All are compiled when first needed and kept here, shared by
-    every FlatFunc with equal flat code (see ``_code_of``)."""
+    every FlatFunc with equal flat code (see ``_code_of``).
+    ``dynamic[pc]`` counts the ops before ``pc`` with no static action,
+    each of which records one data-dependent action."""
 
-    __slots__ = ("lens", "blocks", "singles", "iters")
+    __slots__ = ("lens", "blocks", "singles", "iters", "dynamic")
 
     def __init__(self, code: tuple):
         lens = [1] * len(code)
@@ -876,6 +885,8 @@ class _Code:
         self.blocks: list = [None] * len(code)
         self.singles: list = [None] * len(code)
         self.iters = [0] * len(code)
+        self.dynamic = list(itertools.accumulate(
+            (op[1] is None for op in code), initial=0))
         for pc, op in enumerate(code):
             if op[0] == flat.T_LOOP:
                 end = pc + 1
@@ -918,6 +929,7 @@ class _Block:
         self.temps = 0
         self.ended = False  # a control op has set the next pc
         self.exprs: dict[str, str] = {}  # pure expression -> temp holding it
+        self.shared: dict[str, int | str] = {}  # see ``record``
         # locals assigned and not yet written back; a loop function writes
         # back every local its iteration assigns, at every exit, since an
         # earlier turn may have assigned those below the exit
@@ -1017,20 +1029,27 @@ class _Block:
             self.loads.add(i)
         return f"l{i}"
 
-    def set_local(self, i: int, v: str) -> None:
-        """Assign ``v`` to local ``i``.  An operand that still names its
-        old value is moved to a temp first, and every reused expression
-        that reads it is forgotten."""
+    def set_local(self, i: int, v: str) -> str:
+        """Assign ``v`` to local ``i``, and return the local's name.  A
+        temp that only the last line computed is not kept: its expression
+        is assigned directly.  An operand that still names the old value
+        is moved to a temp first, and every reused expression that reads
+        it is forgotten."""
         name = f"l{i}"
         if v == name:
-            return
+            return name
         self.uses.add("L")
+        if v[0] == "v" and v not in self.stack and \
+                self.lines[-1].startswith(f"{v} = "):
+            self.exprs = {e: t for e, t in self.exprs.items() if t != v}
+            v = self.lines.pop()[len(v) + 3:]
         if name in self.stack:
             old = self.assign(name)
             self.stack = [old if e == name else e for e in self.stack]
         self.forget(name)
         self.emit(f"{name} = {v}")
         self.dirty.add(i)
+        return name
 
     def forget(self, name: str) -> None:
         """Reuse no expression that reads ``name``, which has changed."""
@@ -1078,10 +1097,23 @@ class _Block:
             self.uses.add("full")
         self.pending = []
 
-    def record(self, action: str) -> None:
-        """A data-dependent action, after the static ones before it."""
+    def record(self, action: str, record: str, shared: bool = False) -> None:
+        """A data-dependent action, after the static ones before it, or
+        its ``record`` when only leaks are recorded.  A ``shared`` one
+        (``shared`` maps it to the line that appends it) is appended again
+        by an identical later call, which binds its value to a temp."""
         self.flush()
-        self.emit(f"trace.append({action})")
+        self.uses.add("full")
+        expr = f"{action} if full else {record}"
+        at = self.shared.get(expr)
+        if isinstance(at, int):  # bind the first one's value to a temp
+            line, at = at, self.fresh()
+            self.shared[expr] = at
+            self.lines[line] = self.lines[line].replace(
+                "append(", f"append({at} := ", 1)
+        elif shared and at is None:
+            self.shared[expr] = len(self.lines)
+        self.emit(f"trace.append({at or expr})")
 
     def spilled(self) -> list[str]:
         """Statements moving the operand expressions to the frame's stack."""
@@ -1129,8 +1161,10 @@ class _Block:
     def bounds(self, kind: str, ea: str, width: int) -> None:
         """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
         self.flush()
+        self.uses.add("full")
         self.emit(f"if {ea} + {width} > size:")
-        self.emit(f'    trace.append(("mem", "{kind}", {ea}, {width}, None))')
+        self.emit(f'    trace.append(("mem", "{kind}", {ea}, {width}, None) '
+                  f'if full else {ea})')
         self.emit("    " + self.fault('"out of bounds memory access"'))
 
     def control(self, next_pc: int | None = None) -> None:
@@ -1164,7 +1198,7 @@ def _t_drop(b: _Block, op) -> None:
 def _t_select(b: _Block, op) -> None:
     c, v2, v1 = b.pop(), b.pop(), b.pop()
     if op[1] is None:
-        b.record(f'("branch", "select", {c})')
+        b.record(f'("branch", "select", {c})', c)
     b.push(f"{v2} if {c} == 0 else {v1}")
 
 
@@ -1179,7 +1213,7 @@ def _t_loop(b: _Block, op) -> None:
 
 def _t_if(b: _Block, op) -> None:
     c = b.pop()
-    b.record(f'("branch", "if", {c})')
+    b.record(f'("branch", "if", {c})', c)
     b.control()
     else_pc, end_pc = op[3], op[4]
     label = b.label(end_pc + 1, op[2])
@@ -1214,7 +1248,7 @@ def _t_br(b: _Block, op) -> None:
 
 def _t_br_if(b: _Block, op) -> None:
     c = b.pop()
-    b.record(f'("branch", "br_if", {c})')
+    b.record(f'("branch", "br_if", {c})', c)
     if not b.loop:  # the block ends here either way
         b.control(b.pc + 1)
     b.emit(f"if {c}:")
@@ -1223,7 +1257,7 @@ def _t_br_if(b: _Block, op) -> None:
 
 def _t_br_table(b: _Block, op) -> None:
     i = b.pop()
-    b.record(f'("branch", "br_table", {i})')
+    b.record(f'("branch", "br_table", {i})', i)
     b.control()
     targets = b.const(op[2])
     b.emit(f"_br(cfg, fr, {targets}[{i}] if {i} < {len(op[2])} else {op[3]})")
@@ -1241,7 +1275,7 @@ def _t_call(b: _Block, op) -> None:
 
 def _t_call_indirect(b: _Block, op) -> None:
     i = b.pop()
-    b.record(f'("call-indirect", {i})')
+    b.record(f'("call-indirect", {i})', i)
     b.control(b.pc + 1)
     b.emit(f"_call_indirect(cfg, fr, {i}, {b.const(op[2])})")
 
@@ -1255,8 +1289,7 @@ def _t_set_local(b: _Block, op) -> None:
 
 
 def _t_tee_local(b: _Block, op) -> None:
-    v = b.pop()
-    b.set_local(op[2], v)
+    v = b.set_local(op[2], b.pop())  # which may rebind b.stack
     b.stack.append(v)
 
 
@@ -1278,7 +1311,8 @@ def _t_load(b: _Block, op) -> None:
     if v is None:
         b.bounds("load", ea, width)
         v = b.exprs[fetch] = b.assign(fetch)
-    b.record(b.value(f'("mem", "load", {ea}, {width}, {v} if pub else None)'))
+    b.record(f'("mem", "load", {ea}, {width}, {v} if pub else None)',
+             f"({ea}, {v}) if pub else {ea}", shared=True)
     if pack is not None and sign:
         v = b.value(f"signed({v}, {pack}) & {(1 << t.bits) - 1}")
     b.stack.append(v)
@@ -1292,7 +1326,8 @@ def _t_store(b: _Block, op) -> None:
     bits = b.value(f"{value} & {(1 << (width * 8)) - 1}")
     b.emit(f"{b.const(_PACK[width])}(data, {ea}, {bits})")
     b.forget("data")
-    b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)')
+    b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)',
+             f"({ea}, {bits}) if pub else {ea}")
 
 
 def _t_memory_size(b: _Block, op) -> None:
@@ -1311,7 +1346,8 @@ def _t_memory_grow(b: _Block, op) -> None:
     b.emit(f"    {result} = 0xFFFFFFFF")
     b.forget("data")
     b.stack.append(result)
-    b.record(f'("grow", {old}, {delta}, {result})')
+    b.record(f'("grow", {old}, {delta}, {result})',
+             f"({old}, {delta}, {result})")
 
 
 def _t_const(b: _Block, op) -> None:
@@ -1325,7 +1361,8 @@ def _t_numeric(b: _Block, op) -> None:
     arity = 2 if op[0] == flat.T_BINOP or op[0] == flat.T_RELOP else 1
     args = [b.pop() for _ in range(arity)][::-1]
     if op[1] is None:
-        b.record(f'("unsafe-binop", {op[3]!r}, {", ".join(args)})')
+        b.record(f'("unsafe-binop", {op[3]!r}, {", ".join(args)})',
+                 f'({", ".join(args)})')
     b.push(b.apply(op[-1], *args), op[-1] in TRAPPING)
 
 

@@ -16,8 +16,9 @@ guarantee; well-typed untrusted code must never produce one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from itertools import islice
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 from . import ast, interp
 from .interp import Config, Frame, HostPending, Store, Value
@@ -201,9 +202,7 @@ class Verdict:
 
 
 def _action_json(a):
-    if a is None:
-        return None
-    return interp.action_to_json(0, a)
+    return None if a is None else interp.action_to_json(0, a)
 
 
 INDISTINGUISHABLE = Verdict("indistinguishable")
@@ -231,61 +230,82 @@ def _twin_config(tm: TypedModule, export: str, args: list[Value],
     return cfg
 
 
-def _full_steps(start: Config, n: int) -> list[tuple]:
-    """The whole trace of ``n`` steps of a copy of ``start``."""
-    cfg = start.copy()
-    cfg.leaks_only, cfg.trace = False, []
-    interp.run(cfg, max_steps=n)
-    return cfg.trace
+def _with_record(action: tuple, record) -> tuple:
+    """The action of ``action``'s instruction that has the leak record
+    ``record`` (see ``interp.leak_record``)."""
+    match action:
+        case ("branch" | "call-indirect", *_):
+            return action[:-1] + (record,)
+        case ("mem", kind, _, width, _):
+            addr, bits = record if isinstance(record, tuple) else (record, None)
+            return ("mem", kind, addr, width, bits)
+        case ("unsafe-binop" | "grow", *_):  # the operands, or all fields
+            return action[:len(action) - len(record)] + record
+    return record  # a host call or trap records itself
 
 
-def _first_difference(start: Config, na: int, ta: list, nb: int, tb: list,
-                      start_b: Config | None) -> tuple:
-    """``(k, a, b)``: the first step ``k`` of a batch at which the whole
-    traces of two twins differ, or the end of the shorter, and their
-    actions there (None past a run's end).  The twins ran ``na`` and
-    ``nb`` steps of the batch, leaving the leaked actions ``ta`` and
-    ``tb``; ``start`` is the first twin at the start of the batch and
-    ``start_b`` the second where the first stopped, if it went on.
+def _replay(start: Config, stop: int, d: int) -> tuple:
+    """Run ``start``, a copy of a twin, recording every action, on to its
+    step ``stop`` or its ``d``-th leaked action (from 0), whichever comes
+    first: that step, its action and its instruction with its source
+    position (None at a host call); or the step the run stopped at, None
+    and None.  It runs one compiled function at a time, each of which runs
+    consecutive ops of one frame: those with no static action leak."""
+    start.leaks_only, start.trace = False, []
+    trace, steps = start.trace, 0
+    while not start.terminal:
+        fr = start.frames[-1]
+        pc = fr.pc if isinstance(fr, Frame) else None
+        interp.run(start, max_steps=1, to_block_end=True)
+        if pc is None:  # a host call, whose one action leaks
+            leaked, first = 1, 0
+        else:  # the leaked actions, and the index of the d-th
+            dynamic = fr.code.dynamic
+            leaked = dynamic[pc + len(trace)] - dynamic[pc]
+            first = bisect_left(dynamic, dynamic[pc] + d + 1) - 1 - pc
+        i = min(stop - steps, first if leaked > d else len(trace))
+        d -= leaked
+        if i < len(trace):
+            if pc is None:
+                return steps + i, trace[i], None
+            origin = fr.ff.origins[pc + i]
+            loc = f"func {fr.ff.index} instr {pc + i} ({ast.mnemonic(origin)})"
+            if origin.span is not None:
+                loc += f" at line {origin.span.line}:{origin.span.col}"
+            return steps + i, trace[i], loc
+        steps += len(trace)
+        trace.clear()
+    return steps, None, None
 
-    Up to that step the twins ran the same instructions, so it is the
-    position in the first twin's whole trace of the first leaked action
-    that differs, or the end of either run if that comes first."""
-    full = _full_steps(start, na)
-    pos = [i for i, x in enumerate(full) if interp.leaks(x)]
+
+def _divergence(start: Config, na: int, ta: list, nb: int, tb: list,
+                cb: Config, done: int) -> Verdict:
+    """The verdict at the first step at which the whole traces of two
+    twins differ, or the end of the shorter, in a batch that began at step
+    ``done``.  The twins ran ``na`` and ``nb`` steps of the batch,
+    recording ``ta`` and ``tb``; ``start`` is the first twin at the start
+    of the batch and ``cb`` the second after its steps.  Up to that step
+    the twins ran the same instructions, so it is the step of the first
+    twin's first record that differs, or the end of either run if that
+    comes first; the second twin's action there is the first's with its
+    own record."""
     d = next((d for d, (x, y) in enumerate(zip(ta, tb)) if x != y),
              min(len(ta), len(tb)))
-    k = min(na, nb, pos[d] if d < len(pos) else na)
-    a = full[k] if k < na else None
-    if k >= nb:
-        b = None
-    elif k < na:
-        b = tb[d]  # the same instruction's leaked action
+    k, a, location = _replay(start, min(na, nb), d)
+    if k < na:
+        b = _with_record(a, tb[d]) if k < nb else None
     else:  # the first twin stopped at k, and the second goes on
-        b = _full_steps(start_b, 1)[0]
-    return k, a, b
-
-
-def _locate(start: Config, k: int) -> str | None:
-    """Run ``start``, a copy of a twin taken in the batch that diverged,
-    ``k`` steps on to the divergent step and name the instruction there;
-    None if the twin has no frame there.  A fault of the replay
-    propagates."""
-    interp.run(start, max_steps=k)
-    fr = start.frames[-1] if start.frames else None
-    if not isinstance(fr, Frame):
-        return None
-    origin = fr.ff.origins[fr.pc]
-    loc = f"func {fr.ff.index} instr {fr.pc} ({ast.mnemonic(origin)})"
-    if origin.span is not None:
-        loc += f" at line {origin.span.line}:{origin.span.col}"
-    return loc
+        _, b, location = _replay(cb, 0, 0)
+    return Verdict("diverged", done + k, a, b,
+                   "leakage actions differ" if a and b else
+                   "one run continues where the other stopped", location)
 
 
 # twins admitted beside one baseline run hold at most this many bytes of
 # linear memory; a larger trial count runs more cohorts
 COHORT_BYTES = 16 << 20
-_CHECK_EVERY = 8  # batches between intermediate state checks
+# steps a lockstep batch runs at least, unless asked otherwise
+BATCH = 32768
 
 
 def _start_twin(tm: TypedModule, export: str, base: Config | Verdict,
@@ -327,17 +347,8 @@ def _start_twin(tm: TypedModule, export: str, base: Config | Verdict,
     return cb
 
 
-def _states_verdict(ca: Config, cb: Config, step: int) -> Verdict | None:
-    """Compare the twins' states after a batch: their final states when
-    both have stopped, else their residual instructions and states."""
-    if not (ca.terminal and cb.terminal):
-        if ca.frame_pointers() != cb.frame_pointers():
-            return Verdict("diverged", step, None, None,
-                           "residual instruction shapes differ")
-        if not configs_indist(ca, cb):
-            return Verdict("diverged", step, None, None,
-                           "intermediate states are distinguishable")
-        return None
+def _final_verdict(ca: Config, cb: Config, step: int) -> Verdict | None:
+    """Compare the final states of twins that both stopped at ``step``."""
     if ca.status != cb.status or ca.trap_kind != cb.trap_kind:
         return Verdict("diverged", step, None, None,
                        f"termination differs: {ca.status}/{ca.trap_kind} vs "
@@ -364,18 +375,15 @@ def _memory_bound(tm: TypedModule, store: Store) -> int:
 
 def _cohort(tm: TypedModule, export: str, args_a: list[Value],
             image_a: dict[int, bytes] | None, first: tuple, rest, fuel: int,
-            batch: int, config_check_every: int, imports_factory,
-            require_untrusted: bool) -> tuple | None:
+            batch: int, imports_factory,
+            require_untrusted: bool) -> tuple[int, Verdict] | None:
     """Check twin ``first`` and the next twins of ``rest`` that fit in
     ``COHORT_BYTES`` against one fresh baseline run.  Returns the lowest
-    failure as ``(index, verdict, replay)``, where ``replay`` is None or
-    ``(start, k)``: a copy of the twin that names the divergence and the
-    steps from it to the divergent step.
-
-    That twin is the baseline, copied at the start of each batch, of which
-    only the latest copy is kept; or, when the baseline has stopped and a
-    twin goes on, that twin, copied at the step where the baseline
-    stopped."""
+    failure as ``(index, verdict)``: a failing twin drops the twins above
+    it, and those below it run on.  A divergence is located from a copy
+    of the baseline taken at the start of each batch, of which only the
+    latest is kept; or, when the baseline has stopped and a twin goes on,
+    from that twin, at the step where the baseline stopped."""
     try:
         ca = _twin_config(tm, export, args_a, image_a, fuel, imports_factory)
     except _SETUP_ERRORS as e:
@@ -391,99 +399,67 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
         cb = _start_twin(tm, export, ca, args_a, args_b, image_b, fuel,
                          imports_factory, require_untrusted)
         if isinstance(cb, Verdict):
-            failed = (t, cb, None)
+            failed = (t, cb)
             break
         live.append((t, cb))
 
-    done = batches = 0  # baseline steps compared so far, and batches
+    done = 0  # baseline steps compared so far
     while live:
         ta = ca.trace
         start = ca.copy()
         fuel = ca.fuel
         interp.run(ca, max_steps=batch, to_block_end=True)
         na = fuel - ca.fuel  # one unit of fuel per step
-        step = done + na
-        batches += 1
         kept = []
         for twin in live:
             t, cb = twin
             tb = cb.trace
             fuel = cb.fuel
-            start_b = None
-            if ca.terminal and not cb.terminal:
-                # b runs to the step where a stopped, and is copied there
-                # when it goes on: that copy names the divergence
-                interp.run(cb, max_steps=na)
-                if not cb.terminal:
-                    start_b = cb.copy()
-                interp.run(cb, max_steps=max(batch - na, 0))
-            else:
-                interp.run(cb, max_steps=na)
+            interp.run(cb, max_steps=na)
+            if ca.terminal and not cb.fuel:
+                interp.run(cb)  # out of fuel where a stopped
             nb = fuel - cb.fuel
-            if ta != tb or na != nb:
-                # action equality realizes actions_indist, so the first
-                # unequal pair of whole traces, or the end of the shorter
-                # batch, is the witness
-                k, a, b = _first_difference(start, na, ta, nb, tb, start_b)
-                failed = (t, Verdict(
-                    "diverged", done + k, a, b,
-                    "leakage actions differ" if a and b else
-                    "one run continues where the other stopped"),
-                    # the run that continues names the next instruction
-                    (start_b, 0) if a is None else (start, k))
-                break  # the twins above t are dropped
+            if ta != tb or na != nb or ca.terminal and not cb.terminal:
+                failed = t, _divergence(start, na, ta, nb, tb, cb, done)
+                break
             tb.clear()
-            # final checks once both have stopped; while both run, state
-            # checks every config_check_every batches
-            if ca.terminal and cb.terminal or not (
-                    ca.terminal or cb.terminal
-                    or batches % config_check_every):
-                v = _states_verdict(ca, cb, step)
-                if v is not None:
-                    failed = (t, v, None)
-                    break
-                if ca.terminal:
-                    continue  # both stopped: this twin passes
-            kept.append(twin)
+            if not ca.terminal:
+                kept.append(twin)
+            elif v := _final_verdict(ca, cb, done + na):
+                failed = (t, v)
+                break
         live = kept
-        done = step
+        done += na
         ta.clear()
     return failed
 
 
 def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
               image_a: dict[int, bytes] | None, twins, fuel: int | None,
-              batch: int, config_check_every: int, imports_factory,
+              batch: int, imports_factory,
               require_untrusted: bool) -> tuple[int, Verdict] | None:
     """Check every twin ``(args, image)`` drawn from ``twins`` against one
     baseline run of ``(args_a, image_a)``, in one lockstep pass.
 
     Twins are admitted in cohorts whose linear memories total at most
     ``COHORT_BYTES`` (see ``_memory_bound``), and the baseline runs once
-    per cohort.  Every run records only its leaked actions.  In each batch
-    the baseline runs to the first block end at or past ``batch`` steps;
-    then each live twin, in index order, runs exactly as many steps, and
-    its leaked actions and step count are compared with the baseline's and
-    the actions dropped.  A failing twin drops the twins above it,
-    since only the lowest failure is reported.
-    Returns ``(index, verdict)`` of the lowest failing twin, or None; each
-    twin's verdict is what a check of that twin alone gives.
+    per cohort.  Every run keeps only the records of its leaked actions.
+    In each batch the baseline runs to the first block end at or past
+    ``batch`` steps; then each live twin, in index order, runs exactly as
+    many steps, and its records and step count are compared with the
+    baseline's and the records dropped.  Returns ``(index, verdict)`` of
+    the lowest failing twin, or None; each twin's verdict is what a check
+    of that twin alone gives.
     """
-    for name, value in (("batch", batch),
-                        ("config_check_every", config_check_every)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     fuel = interp.default_fuel() if fuel is None else fuel
     twins = enumerate(twins)
     for first in twins:
         failed = _cohort(tm, export, args_a, image_a, first, twins, fuel,
-                         batch, config_check_every, imports_factory,
-                         require_untrusted)
+                         batch, imports_factory, require_untrusted)
         if failed is not None:
-            t, v, replay = failed
-            if replay is not None:
-                v = replace(v, location=_locate(*replay))
-            return t, v
+            return failed
     return None
 
 
@@ -492,53 +468,41 @@ def lockstep_check(tm: TypedModule, export: str,
                    image_a: dict[int, bytes] | None = None,
                    image_b: dict[int, bytes] | None = None,
                    fuel: int | None = None,
-                   batch: int = 4096,
-                   config_check_every: int = _CHECK_EVERY,
+                   batch: int = BATCH,
                    imports_factory=None,
                    require_untrusted: bool = True) -> Verdict:
     """Run two instantiations in lockstep and compare their leakage.
 
     The twins must start indistinguishable: arguments may differ only in
     secret-typed positions, memory images only when the memory is secret.
-    The verdict reports the first differing step, or indistinguishability
-    when both runs terminate the same way with matching traces and final
-    states.  The twins run in batches, each ending at the first block end
-    at or past ``batch`` steps, so at most the longest compiled function
-    less one step past it; each batch of actions is compared whole and
-    then dropped, so memory does not grow with the length of the run.
-    Intermediate states are compared at the end of every
-    ``config_check_every``-th batch.  On well-typed code the verdict does
-    not depend on where batches end; on unchecked code a state verdict
-    can, since a secret copied into a public local is seen only while the
-    frame lives.  ``fuzzgen.generate(1)``'s ``f0``, with its ``i32``
-    parameter made ``s32``, copies it into a public local: with
-    ``config_check_every=1`` it diverges at step 8 at batches 1 and 7, and
-    is indistinguishable at batches 61 and 4,096.  ``imports_factory``
-    builds the imports of each instantiation; ``randomized_ct_trial``
-    calls it once for the baseline of a cohort, not once per trial.
+    The verdict is the first difference of the two whole traces (the
+    first step whose actions differ, or where one run goes on and the
+    other has stopped); failing that, of the final states (termination,
+    public results, then the whole state).  ``imports_factory`` builds the
+    imports of each instantiation; ``randomized_ct_trial`` calls it once
+    for the baseline of a cohort, not once per trial.
 
-    The twins record only the actions that depend on data (see
-    ``interp.leaks``), and each batch compares those and the steps each
-    twin ran.  That decides the same as comparing whole traces.  Both
-    twins start at the same instruction, and the next instruction depends
-    only on earlier ``branch``, ``call-indirect`` and ``host`` actions,
-    all of which depend on data.  So twins whose leaked actions agree ran
-    the same instructions, and left the same static actions.  A static op
-    that traps only on some data (``i32.trunc_f32_s`` of a NaN) leaks no
-    action, but the run that traps stops, so the step counts differ.
+    The twins run in batches, each ending at the first block end at or
+    past ``batch`` steps.  A twin records only the ``interp.leak_record``
+    of each action that depends on data; each batch compares those and
+    the steps each twin ran, and drops them, so memory does not grow with
+    the run, and the verdict does not depend on ``batch``.  That decides
+    as whole traces would: the next instruction depends only on earlier
+    ``branch``, ``call-indirect`` and ``host`` records, so twins whose
+    records agree ran the same instructions and left the same static
+    actions, and every op records a fixed number of entries, so records
+    at one position come from one instruction.  A static op that traps
+    only on some data (``i32.trunc_f32_s`` of a NaN) records nothing, but
+    the run that traps stops, so the step counts differ.
 
     A divergence is located by running a copy of one twin, taken in the
-    batch it falls in, on to the divergent step (see ``_cohort``); the
-    step and actions reported are those of the first difference of the
-    two whole traces, which a copy replays, recording everything, for at
-    most one batch (see ``_first_difference``).  These replays call the
-    host functions of their batch again, on the same host objects, so a
-    verdict is exact when host callbacks depend only on their
-    ``HostCall``.
+    batch it falls in, with every action recorded, on to the divergent
+    step (see ``_cohort`` and ``_replay``).  The copy calls the host
+    functions of its batch again, on the same host objects, so a verdict
+    is exact when host callbacks depend only on their ``HostCall``.
     """
     failed = _lockstep(tm, export, args_a, image_a, [(args_b, image_b)],
-                       fuel, batch, config_check_every, imports_factory,
-                       require_untrusted)
+                       fuel, batch, imports_factory, require_untrusted)
     return INDISTINGUISHABLE if failed is None else failed[1]
 
 
@@ -599,14 +563,14 @@ def _assignment(spec: TrialSpec, vary: list[SecretInput], rng) -> tuple:
             bits = rng.getrandbits(t.bits) if rng else 0
             args[s.param] = Value(t, bits)
         else:
-            image[s.offset] = (bytes(rng.getrandbits(8) for _ in range(s.length))
+            image[s.offset] = (bytes(map(rng.getrandbits, repeat(8, s.length)))
                                if rng else bytes(s.length))
     return args, image
 
 
 def randomized_ct_trial(tm: TypedModule, spec: TrialSpec, trials: int = 100,
                         seed: int = 0, vary: list[str] | None = None,
-                        batch: int = 4096,
+                        batch: int = BATCH,
                         imports_factory=None,
                         require_untrusted: bool = True) -> TrialReport:
     """Pair the all-zero secret assignment against fresh random ones.
@@ -633,8 +597,7 @@ def randomized_ct_trial(tm: TypedModule, spec: TrialSpec, trials: int = 100,
     args_zero, image_zero = _assignment(spec, chosen, None)
     twins = (_assignment(spec, chosen, rng) for _ in range(trials))
     failed = _lockstep(tm, spec.export, args_zero, image_zero, twins,
-                       spec.fuel, batch, _CHECK_EVERY, imports_factory,
-                       require_untrusted)
+                       spec.fuel, batch, imports_factory, require_untrusted)
     report = TrialReport(spec.export, trials, trials, [s.name for s in chosen])
     if failed is not None:
         report.failed_trial, report.failure = failed

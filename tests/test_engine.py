@@ -154,28 +154,99 @@ def test_fuel_cut_gives_a_prefix_of_the_full_trace(cases):
                 (case[0], k)
 
 
+def _assert_leaks_only_records_the_leaks(name, start, steps, most=FUEL,
+                                         cuts=_cuts):
+    """A run that records only leaks, from ``start(fuel)``, takes as many
+    steps to the same state as a full run, at every fuel and step-budget
+    cut of ``cuts(steps)`` of a run of ``steps`` with fuel ``most``, and
+    records the ``leak_record`` of each data-dependent action of the full
+    trace, from which the action is rebuilt."""
+    for k in cuts(steps):
+        for fuel, max_steps in ((k, None), (most, k)):
+            leaky = start(fuel)
+            leaky.leaks_only = True
+            interp.run(leaky, max_steps)
+            whole = start(fuel)
+            interp.run(whole, max_steps)
+            assert fuel - leaky.fuel == fuel - whole.fuel == k, (name, k)
+            leaked = [a for a in whole.trace if interp.leaks(a)]
+            assert leaky.trace == [interp.leak_record(a) for a in leaked], \
+                (name, k)
+            assert all(leakage._with_record(a, interp.leak_record(a)) == a
+                       for a in leaked), (name, k)
+            assert _frames(leaky) == _frames(whole), (name, k)
+            assert _final(leaky) == _final(whole), (name, k)
+
+
 def test_a_leaks_only_run_records_the_full_trace_filtered_to_leaks(cases):
-    """Recording only leaks, a run takes as many steps to the same state
-    as a full run, at every fuel and step-budget cut, and records the
-    full trace with its static actions taken out."""
     for case in cases:
         name, tm, export, args, image = case
         _, steps = _invoke(case)
-        for k in _cuts(steps):
-            for fuel, max_steps in ((k, None), (FUEL, k)):
-                leaky = _start(tm, export, args, image, fuel)
-                leaky.leaks_only = True
-                interp.run(leaky, max_steps)
-                whole = _start(tm, export, args, image, fuel)
-                interp.run(whole, max_steps)
-                assert fuel - leaky.fuel == fuel - whole.fuel == k, (name, k)
-                assert leaky.trace == [a for a in whole.trace
-                                       if interp.leaks(a)], (name, k)
-                assert _frames(leaky) == _frames(whole), (name, k)
-                assert _final(leaky) == _final(whole), (name, k)
+        _assert_leaks_only_records_the_leaks(
+            name, lambda fuel: _start(tm, export, args, image, fuel), steps)
         out = interp.invoke(*_instance(tm, image), export, args, FUEL,
                             trace=None)
         assert out.steps == steps, name
+
+
+def test_leak_records_of_every_fuzz_seed_are_its_leaks():
+    """The same on every export of ``fuzzgen.generate`` and
+    ``fuzzgen.counted_loops``, seeds 0-299, plain and with secrets:
+    public and secret memory, ``memory.grow``, div and rem.  Fuel 1,000
+    cuts the deep recursions short, and each run is cut once, halfway."""
+    rng, fuel = random.Random(11), 1000
+    kinds = set()
+    for gen in (fuzzgen.generate, fuzzgen.counted_loops):
+        for seed in range(300):
+            for ct in (False, True):
+                m = text.parse_module(gen(seed, ct=ct))
+                tm = validate.validate_module(m, annotate=True)
+                for f in m.funcs:
+                    for export in f.exports:
+                        args = _fuzz_args(rng, f.type.params)
+                        whole = _start(tm, export, args, None, fuel)
+                        interp.run(whole)
+                        kinds.update(a[0] for a in whole.trace
+                                     if interp.leaks(a))
+                        _assert_leaks_only_records_the_leaks(
+                            (gen.__name__, seed, ct, export),
+                            lambda f: _start(tm, export, args, None, f),
+                            fuel - whole.fuel, fuel, lambda n: (n // 2, n))
+    assert {"branch", "mem", "grow", "unsafe-binop"} <= kinds, kinds
+
+
+# a host call in each turn of a loop, which traps when its argument is 7
+_HOST_LOOP = """(module (memory 1)
+  (func (import "env" "next") (param i32) (result i32))
+  (func (export "f") (param i32) (result i32) (local i32)
+    (loop
+      (local.set 1 (i32.add (local.get 1) (call 0 (local.get 1))))
+      (i32.store (local.get 1) (local.get 1))
+      (br_if 0 (i32.lt_u (local.get 1) (local.get 0))))
+    (local.get 1)))"""
+
+
+@pytest.mark.parametrize("limit, status", [(3, "done"), (10, "trap")])
+def test_host_calls_and_traps_record_themselves(limit, status):
+    tm = validate.validate_module(text.parse_module(_HOST_LOOP),
+                                  annotate=True)
+
+    def step(call):
+        if call.args[0].bits == 7:
+            raise interp.Trap("host refused")
+        return call.args[0].bits + 1
+
+    def start(fuel):
+        host = interp.HostFunc("env", "next", ast.FuncType(
+            ast.Trust.UNTRUSTED, (I32,), (I32,)), step)
+        store, idx = interp.instantiate(Store(), tm, {("env", "next"): host})
+        return interp.make_config(store, idx, "f", [Value(I32, limit)], fuel)
+
+    whole = start(FUEL)
+    interp.run(whole)
+    assert whole.status == status
+    assert interp.HOST_TRAP in whole.trace or status == "done"
+    _assert_leaks_only_records_the_leaks(limit, start, FUEL - whole.fuel)
 
 
 def test_single_steps_and_batches_match_one_run(cases):
@@ -426,6 +497,11 @@ _LOCALS = """(module (memory 1 4) (global (mut i32) (i32.const 4))
         (local.set 1 (i32.add (local.get 1) (i32.const 1)))
         (br $turn)))
     (i32.add (i32.mul (local.get 1) (i32.const 1000)) (local.get 2)))
+  (func (export "again") (param i32) (result i32)
+    (i32.add (local.get 0) (i32.const 1))
+    (local.set 0 (i32.add (local.get 0) (i32.const 1)))
+    local.get 0
+    i32.add)
   (func (export "local") (param i32) (result i32)
     (i32.add (local.get 0) (i32.const 1))
     (local.set 0 (i32.const 7))
@@ -451,6 +527,9 @@ _M32 = 0xFFFFFFFF
     # leaves by the br_if after three turns, above the local.set of its
     # counter: the exit writes back the counter an earlier turn assigned
     ("turns", 3, 3040), ("turns", 0, 10),
+    # the local is assigned a value whose temp, reused, is still on the
+    # operand stack: the temp is kept
+    ("again", 5, 12),
     # an expression repeated after a local it reads, the memory's size or
     # a global changed is computed anew
     ("local", 2, (3 - 8) & _M32), ("size", None, (1 - 2) & _M32),

@@ -1,8 +1,10 @@
+import json
 import random
 import re
 import tracemalloc
 
 import fuzzgen
+import lockstep_sweep
 import pytest
 import relgen
 from ctwasm import ast, corpus, interp, leakage, text, validate
@@ -175,12 +177,10 @@ def test_a_fault_in_the_replay_that_locates_a_divergence_propagates(
                        require_untrusted=False)
     assert (v.kind, v.location) == (
         "diverged", "func 0 instr 2 (if) at line 3:9")
-    start = leakage._twin_config(bad, "leaky", [], twins[2], 100)
-
     run = interp.run
 
     def faulty(cfg, max_steps=None, *, to_block_end=False):
-        if max_steps == v.step:  # only the replay stops there
+        if not cfg.leaks_only:  # only the replay records every action
             raise RuntimeError("fault in the replay")
         run(cfg, max_steps, to_block_end=to_block_end)
 
@@ -188,8 +188,6 @@ def test_a_fault_in_the_replay_that_locates_a_divergence_propagates(
     with pytest.raises(RuntimeError, match="fault in the replay"):
         lockstep_check(bad, "leaky", *twins, batch=100,
                        require_untrusted=False)
-    with pytest.raises(RuntimeError, match="fault in the replay"):
-        leakage._locate(start.copy(), v.step)
 
 
 def test_lockstep_flags_br_if_on_secret():
@@ -257,14 +255,12 @@ def test_lockstep_initial_distinguishability_is_incomparable():
 
 
 def test_lockstep_completeness_stepwise_on_tea(typed_corpus):
-    # one action per barrier, residual instruction pointers and full state
-    # compared at every single step
+    # records and step counts compared after every single step
     entry, tm = typed_corpus["tea"]
     rng = random.Random(8)
     image_b = {0: bytes(rng.getrandbits(8) for _ in range(24))}
     v = lockstep_check(tm, "tea_encrypt", entry.trial.args, entry.trial.args,
-                       {0: bytes(24)}, image_b, batch=1,
-                       config_check_every=1)
+                       {0: bytes(24)}, image_b, batch=1)
     assert v.ok
 
 
@@ -534,8 +530,9 @@ _COUNT = """(module
 
 
 def test_lockstep_memory_does_not_grow_with_run_length():
-    """About 90,000 steps in 4096-step batches: each batch is dropped once
-    compared, so the peak stays far below what two whole traces take."""
+    """About 90,000 steps in batches of the default size: each batch is
+    dropped once compared, so the peak stays far below what two whole
+    traces take."""
     tm = validate.flatten_unchecked(text.parse_module(_COUNT))
     for export, verdict, location in [
             ("count", {"verdict": "indistinguishable"}, None),
@@ -704,16 +701,13 @@ def test_image_region_past_the_end_of_memory_is_incomparable():
     assert v.kind == "incomparable" and "offset 65530" in v.explanation
 
 
-@pytest.mark.parametrize("kw,name", [
-    ({"batch": 0}, "batch"), ({"batch": -1}, "batch"),
-    ({"config_check_every": 0}, "config_check_every")])
-def test_lockstep_rejects_a_batch_or_check_interval_below_one(kw, name):
-    """A batch of 0 steps never ends; a check interval of 0 divides by
-    zero once a batch ends with both twins running."""
+@pytest.mark.parametrize("batch", [0, -1])
+def test_lockstep_rejects_a_batch_below_one(batch):
+    """A batch of 0 steps never ends."""
     tm = validate.validate_module(text.parse_module(_SPIN), annotate=True)
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match="batch"):
         lockstep_check(tm, "f", [Value(S32, 0)], [Value(S32, 5)],
-                       fuel=10_000, **kw)
+                       fuel=10_000, batch=batch)
 
 
 @pytest.mark.parametrize("kw,name", [
@@ -814,15 +808,20 @@ def test_the_batch_replay_names_what_a_replay_from_the_start_names(
 def test_the_replay_that_locates_a_divergence_runs_at_most_one_batch(
         monkeypatch):
     """Secrets 0 and 2 part at the late branch, after 1,000 loop turns.
-    No run asks for more than a batch, and the replay, the last run, only
-    for the steps of the divergent batch before the divergence."""
+    No run asks for more than a batch.  The replay, which records every
+    action, runs one compiled function at a time from the start of the
+    divergent batch, and stops in the one that holds the divergence."""
     tm = validate.flatten_unchecked(text.parse_module(_TWO_LEAKS))
-    asked = []
+    asked, replayed = [], []
     run = interp.run
 
     def recording(cfg, max_steps=None, *, to_block_end=False):
-        asked.append(max_steps)
+        fuel = cfg.fuel
         run(cfg, max_steps, to_block_end=to_block_end)
+        if cfg.leaks_only:
+            asked.append(max_steps)
+        else:
+            replayed.append((max_steps, to_block_end, fuel, fuel - cfg.fuel))
 
     monkeypatch.setattr(interp, "run", recording)
     v = lockstep_check(tm, "f", [Value(S32, 0)], [Value(S32, 2)], batch=61,
@@ -832,7 +831,11 @@ def test_the_replay_that_locates_a_divergence_runs_at_most_one_batch(
     # a batch ends at the first block end at or past 61 steps, so it is
     # at most 61 plus the longest compiled function (11 ops) minus 1
     longest = max(tm.flat(0).compiled.lens)
-    assert max(asked) == 67 <= 61 + longest - 1 and asked[-1] == 58, asked
+    assert max(asked) == 67 <= 61 + longest - 1, asked
+    assert {r[:2] for r in replayed} == {(1, True)}, replayed
+    first = interp.default_fuel() - replayed[0][2]  # the batch's first step
+    last = first + sum(r[3] for r in replayed)
+    assert last - replayed[-1][3] <= v.step < last <= first + 67, replayed
 
 
 def test_lockstep_batches_end_on_block_ends(corpus_root, monkeypatch):
@@ -861,7 +864,8 @@ def test_lockstep_batches_end_on_block_ends(corpus_root, monkeypatch):
         if trial:
             spec = TrialSpec("hash", args, [leakage.SecretInput(
                 "message", offset=msg_off, length=msg_len)])
-            assert randomized_ct_trial(tm, spec, trials=1, seed=1).ok
+            assert randomized_ct_trial(tm, spec, trials=1, seed=1,
+                                       batch=4096).ok
         else:
             store, idx = interp.instantiate(Store(), tm)
             interp.write_image(store, idx, {msg_off: bytes(msg_len)})
@@ -871,3 +875,42 @@ def test_lockstep_batches_end_on_block_ends(corpus_root, monkeypatch):
     singles = [(m, it) for n, m, it in compiled if n == 1 and m > 1]
     assert all(it for m, it in singles), singles
     assert counts[0] < counts[1] <= counts[0] + 4, counts
+
+
+# --- verdicts are a function of the run, not of the batch ---------------------
+
+def test_verdicts_do_not_depend_on_the_batch():
+    """A part of ``lockstep_sweep``'s seeded sweep of unchecked fuzz
+    modules: every case gives one verdict (kind, step, actions,
+    explanation and location) at every batch.  Seeds 39 and 60 copy a
+    secret into a public local, and gave "intermediate states are
+    distinguishable" at some batches only, when states were compared
+    between batches."""
+    seen = set()
+    for case in lockstep_sweep.cases((*range(20), 39, 60)):
+        for fuel in lockstep_sweep.FUELS:
+            verdicts = {json.dumps(lockstep_sweep.verdict(case, fuel, batch),
+                                   sort_keys=True)
+                        for batch in (1, 7, 61, 4096, leakage.BATCH)}
+            assert len(verdicts) == 1, (case[0], fuel, verdicts)
+            seen.add(json.loads(verdicts.pop()).get("explanation"))
+    assert {"leakage actions differ", "final states are distinguishable",
+            None} <= seen, seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 26001])
+def test_secret_bytes_are_drawn_as_one_byte_per_getrandbits(seed):
+    """``_assignment`` draws a secret region's bytes one ``getrandbits(8)``
+    at a time, as the ct-sha256-long benchmark's ``_trial_message`` does,
+    whatever the expression that draws them."""
+    for length in (0, 1, 7, 64, 4096):
+        spec = TrialSpec("f", [Value(S32, 0)], [
+            leakage.SecretInput("x", param=0),
+            leakage.SecretInput("m", offset=16, length=length)])
+        rng = random.Random(seed)
+        args, image = leakage._assignment(spec, spec.secrets, rng)
+        want = random.Random(seed)
+        assert args == [Value(S32, want.getrandbits(32))]
+        assert image == {16: bytes(want.getrandbits(8)
+                                   for _ in range(length))}, length
+        assert rng.getstate() == want.getstate()
