@@ -40,6 +40,10 @@ same instruction as it would op by op.  One template serves every
 numeric op, whose meaning is ``numerics``': the cheap integer ops paste
 in the expression it states them in, every other op calls its function,
 and only a function in ``numerics.TRAPPING`` is guarded for a trap.
+An integer is masked to its width only where its high bits are read:
+a value that wrapped may flow unmasked, congruent to its value mod
+2 ** width, into ops that read only low bits, and is made exact before
+any other reader (see "Compilation of flat code to blocks").
 
 A load or store reads or writes linear memory through a precompiled
 ``struct`` accessor of its width (``unpack_from`` or ``pack_into`` of
@@ -65,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import ast, flat, text
-from .numerics import EXPRS, TRAPPING, Trap, signed
+from .numerics import EXPRS, TRAPPING, Inline, Trap, signed, span
 from .validate import TypedModule
 
 PAGE = 65536
@@ -624,16 +628,17 @@ def run(cfg: Config, max_steps: int | None = None, *,
     its length, so the budget never cuts it; when ``n`` is shorter than
     the function's length, or in debug mode, it is the one-op function,
     given one step, so every stop falls on the same instruction as with
-    single steps."""
+    single steps.  A run whose fuel is spent is out of fuel, also when its
+    budget ran out on the same step."""
     frames = cfg.frames
     budget = sys.maxsize if max_steps is None else max_steps
     debug = cfg.debug
     while cfg.status == RUNNING:
-        if budget <= 0:
-            return
         fuel = cfg.fuel
-        if fuel <= 0:
+        if fuel <= 0:  # before the budget: no step can run
             cfg.status = OUT_OF_FUEL
+            return
+        if budget <= 0:
             return
         fr = frames[-1]
         if fr.__class__ is HostPending:
@@ -807,6 +812,26 @@ def step(cfg: Config) -> tuple | None:
 # test ``full``, read once on entry, which skips them when the
 # configuration records only leaks; a data-dependent op appends
 # ``action if full else record``.
+#
+# An inlined integer op that wraps (``numerics.Inline``) leaves its value
+# unmasked, only congruent to it mod 2 ** width, unless it is sure to lie
+# in its width.  Such a value may flow into the operands that an op reads
+# only the low bits of (add, sub, mul, shl, and, or and xor, i32.wrap_i64,
+# and a shift's or rotate's count), and ``_Block.loose`` keeps the least
+# and greatest value it may have.  It is made exact (``exact``) before
+# every other reader: every action and record; an address and its bounds
+# check; the condition of an ``if``, ``br_if`` or ``select``, the index of
+# a ``br_table`` or ``call_indirect``; a relop, eqz, clz, ctz, popcnt,
+# the shifted operand of a shr_s, shr_u, rotl or rotr, a div or rem, a
+# conversion but wrap, a reinterpret and a float op; ``local.set``,
+# ``local.tee`` and ``global.set``; ``memory.grow``'s delta; and a spill
+# to the frame's stack at a block end, branch, call or return.  A store
+# masks its value to its own width, when it may exceed it.  A value is
+# made exact once: the line that computes it masks it if no line since
+# reads it, or else one temp holds ``v & mask``; and a value whose bound
+# passes twice its width is masked where it is computed, so ints stay
+# small.  A block thus never masks more often than one that masks every
+# op's value.
 # Per-instance state (globals, memory, its size and its secrecy) is read
 # through ``cfg`` and ``fr`` on each call, and a block embeds nothing of
 # its function but its flat code, so compiled code is shared by every
@@ -930,6 +955,9 @@ class _Block:
         self.ended = False  # a control op has set the next pc
         self.exprs: dict[str, str] = {}  # pure expression -> temp holding it
         self.shared: dict[str, int | str] = {}  # see ``record``
+        # temps only congruent to their values: (the line that computes
+        # it, the mask of its width, its least and greatest value)
+        self.loose: dict[str, tuple[int, int, int, int]] = {}
         # locals assigned and not yet written back; a loop function writes
         # back every local its iteration assigns, at every exit, since an
         # earlier turn may have assigned those below the exit
@@ -992,17 +1020,44 @@ class _Block:
         """A temp holding the value of ``expr``, which neither traps nor
         reads state other than locals and temps: the one computed for an
         identical expression earlier, if no local it reads was assigned
-        since."""
+        since, or the local ``set_local`` gave that temp's value to."""
         name = self.exprs.get(expr)
         if name is None:
             name = self.exprs[expr] = self.assign(expr)
         return name
 
-    def pop(self) -> str:
+    def pop(self, low: bool = False) -> str:
+        """The top operand, exact unless ``low``: the reader then reads
+        only its low bits, and it may be only congruent to its value."""
         if self.stack:
-            return self.stack.pop()
+            v = self.stack.pop()
+            return v if low else self.exact(v)
         self.uses.add("S")
         return self.assign("S.pop()")
+
+    def exact(self, v: str) -> str:
+        """``v``, exact.  A value only congruent to its own is masked
+        once: by the line that computes it, if no line since reads it, or
+        else in a temp holding ``v & mask`` (see ``value``)."""
+        facts = self.loose.get(v)
+        if facts is None:
+            return v
+        line, mask = facts[:2]
+        read = re.compile(rf"\b{v}\b")
+        if any(read.search(later) for later in self.lines[line + 1:]):
+            return self.value(f"{v} & {mask}")
+        self.lines[line] += f" & {mask}"
+        del self.loose[v]
+        return v
+
+    def span_of(self, v: str, bits: int) -> tuple[int, int]:
+        """The least and greatest value of operand ``v``, ``bits`` wide
+        when it is exact."""
+        if v in self.loose:
+            return self.loose[v][2:]
+        if v.isdigit():
+            return int(v), int(v)
+        return 0, (1 << bits) - 1
 
     def push(self, expr: str, trapping: bool = False) -> None:
         """Push the value of pure ``expr`` (see ``value``); a ``trapping``
@@ -1032,29 +1087,33 @@ class _Block:
     def set_local(self, i: int, v: str) -> str:
         """Assign ``v`` to local ``i``, and return the local's name.  A
         temp that only the last line computed is not kept: its expression
-        is assigned directly.  An operand that still names the old value
-        is moved to a temp first, and every reused expression that reads
-        it is forgotten."""
+        is assigned directly, and the local holds it for reuse instead.
+        An operand that still names the old value is moved to a temp
+        first, and every reused expression that reads it is forgotten."""
         name = f"l{i}"
         if v == name:
             return name
         self.uses.add("L")
+        held = []
         if v[0] == "v" and v not in self.stack and \
                 self.lines[-1].startswith(f"{v} = "):
-            self.exprs = {e: t for e, t in self.exprs.items() if t != v}
+            held = [e for e, t in self.exprs.items() if t == v]
             v = self.lines.pop()[len(v) + 3:]
         if name in self.stack:
             old = self.assign(name)
             self.stack = [old if e == name else e for e in self.stack]
         self.forget(name)
         self.emit(f"{name} = {v}")
+        self.exprs.update((e, name) for e in held
+                          if name not in re.findall(r"\w+", e))
         self.dirty.add(i)
         return name
 
     def forget(self, name: str) -> None:
-        """Reuse no expression that reads ``name``, which has changed."""
+        """Reuse no expression that reads ``name``, which has changed, nor
+        ``name`` for one."""
         self.exprs = {e: t for e, t in self.exprs.items()
-                      if name not in re.findall(r"\w+", e)}
+                      if t != name and name not in re.findall(r"\w+", e)}
 
     def glob(self, i: int) -> str:
         self.uses.add("G")
@@ -1116,9 +1175,11 @@ class _Block:
         self.emit(f"trace.append({at or expr})")
 
     def spilled(self) -> list[str]:
-        """Statements moving the operand expressions to the frame's stack."""
+        """Statements moving the operand expressions to the frame's stack,
+        after the lines that make them exact."""
         if not self.stack:
             return []
+        self.stack = [self.exact(v) for v in self.stack]
         self.uses.add("S")
         return [f"S.extend(({', '.join(self.stack)},))"
                 if len(self.stack) > 1 else f"S.append({self.stack[0]})"]
@@ -1148,15 +1209,28 @@ class _Block:
         actions = self.const(tuple(self.pending))
         return f"return _fault(cfg, {kind}, {actions}, {self.left()})"
 
-    def apply(self, fn, *args: str) -> str:
-        """``fn`` of numerics applied to operands: its expression inlined
-        if it has one, else a call.  Operands are temps or non-negative
-        int literals, so an expression may name one twice."""
-        text = EXPRS.get(fn)
-        if text is None:
-            return f"{self.const(fn)}({', '.join(args)})"
+    def inline(self, op: Inline, *args: str) -> None:
+        """Push ``op`` applied to operands, which are temps or non-negative
+        int literals, so that its text may name one twice.  The result is
+        exact when it cannot leave its width, or is masked when its bound
+        passes twice the width, so ints stay small; else it is left only
+        congruent to its value, and unmasked."""
         assert all(a.isidentifier() or a.isdigit() for a in args), args
-        return "(" + text.format(**dict(zip("ab", args))) + ")"
+        expr = "(" + op.text.format(**dict(zip("ab", args))) + ")"
+        lo = hi = 0
+        if op.wraps or any(a in self.loose for a in args):
+            lo, hi = span(op, {x: self.span_of(a, op.bits)
+                               for x, a in zip("ab", args)})
+        if 0 <= lo and hi <= op.mask:
+            self.push(expr)
+        elif max(-lo, hi).bit_length() > 2 * op.mask.bit_length():
+            self.push(f"{expr} & {op.mask}")
+        else:
+            computed = expr in self.exprs  # its temp's record stands
+            self.push(expr)
+            if not computed:
+                self.loose[self.stack[-1]] = (len(self.lines) - 1, op.mask,
+                                              lo, hi)
 
     def bounds(self, kind: str, ea: str, width: int) -> None:
         """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
@@ -1188,11 +1262,17 @@ def _t_unreachable(b: _Block, op) -> None:
 
 
 def _t_static(b: _Block, op) -> None:
-    """nop, reinterpret, classify, declassify: the value is unchanged."""
+    """nop, classify, declassify: the value is unchanged."""
 
 
 def _t_drop(b: _Block, op) -> None:
-    b.pop()
+    b.pop(low=True)
+
+
+def _t_reinterpret(b: _Block, op) -> None:
+    """The bits are unchanged, and must be exact (the frame's are)."""
+    if b.stack:
+        b.stack[-1] = b.exact(b.stack[-1])
 
 
 def _t_select(b: _Block, op) -> None:
@@ -1251,8 +1331,9 @@ def _t_br_if(b: _Block, op) -> None:
     b.record(f'("branch", "br_if", {c})', c)
     if not b.loop:  # the block ends here either way
         b.control(b.pc + 1)
+    lines = b.branch(op[2])  # which may make operands exact first
     b.emit(f"if {c}:")
-    b.lines += ["    " + line for line in b.branch(op[2])]
+    b.lines += ["    " + line for line in lines]
 
 
 def _t_br_table(b: _Block, op) -> None:
@@ -1319,11 +1400,15 @@ def _t_load(b: _Block, op) -> None:
 
 
 def _t_store(b: _Block, op) -> None:
-    offset, width = op[5], op[6]
-    value = b.pop()
+    """A packed store reads only the low bits of its value, which is
+    masked to the store's width only if it may exceed it."""
+    pack, offset, width = op[3], op[5], op[6]
+    value = b.pop(low=pack is not None)
     ea = b.address(offset)
     b.bounds("store", ea, width)
-    bits = b.value(f"{value} & {(1 << (width * 8)) - 1}")
+    lo, hi = b.span_of(value, op[2].bits)
+    mask = (1 << (width * 8)) - 1
+    bits = value if 0 <= lo and hi <= mask else b.value(f"{value} & {mask}")
     b.emit(f"{b.const(_PACK[width])}(data, {ea}, {bits})")
     b.forget("data")
     b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)',
@@ -1358,12 +1443,18 @@ def _t_numeric(b: _Block, op) -> None:
     """unop, testop, binop, relop and convert: the function is the op's
     last field, and only an integer div or rem, public or secret, leaks
     its operands."""
-    arity = 2 if op[0] == flat.T_BINOP or op[0] == flat.T_RELOP else 1
-    args = [b.pop() for _ in range(arity)][::-1]
+    fn = op[-1]
+    inline = EXPRS.get(fn)
+    low = inline.low if inline else ""
+    names = "ab" if op[0] == flat.T_BINOP or op[0] == flat.T_RELOP else "a"
+    args = [b.pop(x in low) for x in reversed(names)][::-1]
     if op[1] is None:
         b.record(f'("unsafe-binop", {op[3]!r}, {", ".join(args)})',
                  f'({", ".join(args)})')
-    b.push(b.apply(op[-1], *args), op[-1] in TRAPPING)
+    if inline is None:
+        b.push(f"{b.const(fn)}({', '.join(args)})", fn in TRAPPING)
+    else:
+        b.inline(inline, *args)
 
 
 _TEMPLATES = {
@@ -1380,8 +1471,9 @@ _TEMPLATES = {
     flat.T_LOAD: _t_load, flat.T_STORE: _t_store,
     flat.T_MEMORY_SIZE: _t_memory_size, flat.T_MEMORY_GROW: _t_memory_grow,
     flat.T_CONST: _t_const,
-} | dict.fromkeys((flat.T_NOP, flat.T_REINTERPRET, flat.T_CLASSIFY,
-                   flat.T_DECLASSIFY), _t_static) \
+    flat.T_REINTERPRET: _t_reinterpret,
+} | dict.fromkeys((flat.T_NOP, flat.T_CLASSIFY, flat.T_DECLASSIFY),
+                  _t_static) \
   | dict.fromkeys((flat.T_UNOP, flat.T_TESTOP, flat.T_BINOP, flat.T_RELOP,
                    flat.T_CONVERT), _t_numeric)
 

@@ -416,8 +416,6 @@ def _cohort(tm: TypedModule, export: str, args_a: list[Value],
             tb = cb.trace
             fuel = cb.fuel
             interp.run(cb, max_steps=na)
-            if ca.terminal and not cb.fuel:
-                interp.run(cb)  # out of fuel where a stopped
             nb = fuel - cb.fuel
             if ta != tb or na != nb or ca.terminal and not cb.terminal:
                 failed = t, _divergence(start, na, ta, nb, tb, cb, done)

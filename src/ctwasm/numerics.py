@@ -12,8 +12,12 @@ security relevance).
 
 from __future__ import annotations
 
+import ast as pyast
+import functools
 import math
+import operator
 import struct
+from typing import NamedTuple
 
 
 class Trap(Exception):
@@ -62,25 +66,35 @@ def f64_to_bits(v: float) -> int:
     return b
 
 
-# The integer ops cheap enough to inline, each stated once as an
-# expression over its operands {a} and {b}, its width {bits}, its {mask}
-# and its sign bit {top}.  A signed operand is read as ({a} ^ {top}) -
-# {top}, which orders and shifts as signed(a, bits) does.  The function a
-# table hands out is built from the expression at import, and EXPRS maps
-# it back to the expression's text, width filled in, which compiled
-# blocks inline in place of the call.
+# The integer ops cheap enough to inline, each stated once by three
+# facts.  The first is its expression over its operands {a} and {b}, its
+# width {bits} and its sign bit {top}, without a final mask; a signed
+# operand is read as ({a} ^ {top}) - {top}, which orders and shifts as
+# signed(a, bits) does.  The second is whether it wraps: whether, on
+# operands in their width, its value may leave the result's, which a final
+# & cuts it back to.  The third names the operands of which it reads only
+# the low {bits} bits, so that an operand congruent mod 2 ** bits gives a
+# result congruent to the right one: every operand of add, sub, mul, shl,
+# and, or and xor (in two's complement, on negative ints too), and a
+# shift's or rotate's count, which is read mod {bits}, a divisor of
+# 2 ** bits.  A bare expression neither wraps nor reads only low bits.
+# The function a table hands out is built from the facts at import, and
+# EXPRS maps it back to them as an Inline, which compiled blocks inline
+# in place of the call.
 _INT_BINOP_EXPRS = {
-    "add": "({a} + {b}) & {mask}",
-    "sub": "({a} - {b}) & {mask}",
-    "mul": "({a} * {b}) & {mask}",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "shl": "({a} << ({b} % {bits})) & {mask}",
-    "shr_u": "{a} >> ({b} % {bits})",
-    "shr_s": "((({a} ^ {top}) - {top}) >> ({b} % {bits})) & {mask}",
-    "rotl": "(({a} << ({b} % {bits})) | ({a} >> ({bits} - {b} % {bits}))) & {mask}",
-    "rotr": "(({a} >> ({b} % {bits})) | ({a} << ({bits} - {b} % {bits}))) & {mask}",
+    "add": ("{a} + {b}", True, "ab"),
+    "sub": ("{a} - {b}", True, "ab"),
+    "mul": ("{a} * {b}", True, "ab"),
+    "and": ("{a} & {b}", False, "ab"),
+    "or": ("{a} | {b}", False, "ab"),
+    "xor": ("{a} ^ {b}", False, "ab"),
+    "shl": ("{a} << ({b} % {bits})", True, "ab"),
+    "shr_u": ("{a} >> ({b} % {bits})", False, "b"),
+    "shr_s": ("(({a} ^ {top}) - {top}) >> ({b} % {bits})", True, "b"),
+    "rotl": ("({a} << ({b} % {bits})) | ({a} >> ({bits} - {b} % {bits}))",
+             True, "b"),
+    "rotr": ("({a} >> ({b} % {bits})) | ({a} << ({bits} - {b} % {bits}))",
+             True, "b"),
 }
 
 _INT_RELOP_EXPRS = {
@@ -102,20 +116,81 @@ _INT_UNOP_EXPRS = {
     "popcnt": "({a}).bit_count()",
 }
 
-EXPRS: dict = {}  # function -> its expression over {a} (and {b})
+
+class Inline(NamedTuple):
+    """An inlined op's facts, its widths filled in: ``text``, over {a}
+    and {b}; ``bits``, the operands' width; ``mask``, the result's, which
+    cuts ``text`` when it ``wraps``; and ``low``, the operands ("a", "b")
+    of which it reads only the low ``bits`` bits."""
+
+    text: str
+    bits: int
+    mask: int
+    wraps: bool
+    low: str
+
+
+EXPRS: dict = {}  # function -> its Inline
 TRAPPING: set = set()  # the functions that may raise Trap: div, rem, trunc
 
 
-def _from_exprs(exprs: dict, bits: int) -> dict:
-    """The function of each op in ``exprs``, recorded in EXPRS."""
+def _from_exprs(exprs: dict, bits: int, result: int | None = None) -> dict:
+    """The function of each op in ``exprs``, on ``bits``-wide operands
+    with a ``result``-wide result (by default ``bits``), recorded in
+    EXPRS."""
+    mask = (1 << (result or bits)) - 1
     fns = {}
-    for key, text in exprs.items():
-        text = text.format(a="{a}", b="{b}", bits=bits, mask=(1 << bits) - 1,
-                           top=1 << (bits - 1))
+    for key, facts in exprs.items():
+        text, wraps, low = (facts, False, "") if isinstance(facts, str) \
+            else facts
+        text = text.format(a="{a}", b="{b}", bits=bits, top=1 << (bits - 1))
         params = "a, b" if "{b}" in text else "a"
-        fn = fns[key] = eval(f"lambda {params}: {text.format(a='a', b='b')}")
-        EXPRS[fn] = text
+        body = text.format(a="a", b="b")
+        fn = fns[key] = eval(f"lambda {params}: "
+                             + (f"({body}) & {mask}" if wraps else body))
+        EXPRS[fn] = Inline(text, bits, mask, wraps, low)
     return fns
+
+
+def span(inline: Inline, spans: dict) -> tuple[int, int]:
+    """The least and greatest value of ``inline``'s text, unmasked, when
+    each operand lies in its (least, greatest) pair of ``spans``."""
+    return _span(_tree(inline.text), spans)
+
+
+@functools.lru_cache(maxsize=None)  # one per inlined op's text
+def _tree(text: str):
+    return pyast.parse(text.format(a="a", b="b"), mode="eval").body
+
+
+# the operators monotonic in each operand, so extreme at two ends
+_ENDS = {pyast.Mult: operator.mul, pyast.LShift: operator.lshift,
+         pyast.RShift: operator.rshift}
+
+
+def _span(node, spans: dict) -> tuple[int, int]:
+    if isinstance(node, pyast.Constant):
+        return node.value, node.value
+    if isinstance(node, pyast.Name):
+        return spans[node.id]
+    (lo1, hi1), (lo2, hi2) = _span(node.left, spans), _span(node.right, spans)
+    op = type(node.op)
+    if op is pyast.Add:
+        return lo1 + lo2, hi1 + hi2
+    if op is pyast.Sub:
+        return lo1 - hi2, hi1 - lo2
+    if op is pyast.Mod:  # by a width, a constant
+        if lo1 == hi1:
+            return lo1 % lo2, lo1 % lo2
+        return 0, lo2 - 1
+    if op in _ENDS:  # a shift count is never negative
+        ends = [_ENDS[op](x, y) for x in (lo1, hi1) for y in (lo2, hi2)]
+        return min(ends), max(ends)
+    if op is pyast.BitAnd and (lo1 >= 0 or lo2 >= 0):
+        return 0, min(hi for lo, hi in ((lo1, hi1), (lo2, hi2)) if lo >= 0)
+    # &, | or ^ in two's complement: no longer than the longer operand
+    n = max(v.bit_length() for v in (lo1, hi1, lo2, hi2))
+    return (0 if lo1 >= 0 and lo2 >= 0 else -1 << n), (1 << n) - 1
 
 
 def _int_binops(bits: int):
@@ -245,11 +320,10 @@ def _float_relops(width: int):
     def cmp(f):
         return lambda a, b: 1 if f(unpack(a), unpack(b)) else 0
 
-    import operator as op
     return {
-        "eq": cmp(op.eq), "ne": cmp(op.ne),
-        "lt": cmp(op.lt), "gt": cmp(op.gt),
-        "le": cmp(op.le), "ge": cmp(op.ge),
+        "eq": cmp(operator.eq), "ne": cmp(operator.ne),
+        "lt": cmp(operator.lt), "gt": cmp(operator.gt),
+        "le": cmp(operator.le), "ge": cmp(operator.ge),
     }
 
 
@@ -274,9 +348,9 @@ UNOP_FNS = {
 }
 
 RELOP_FNS = {
-    ("i32", op): fn for op, fn in _from_exprs(_INT_RELOP_EXPRS, 32).items()
+    ("i32", op): fn for op, fn in _from_exprs(_INT_RELOP_EXPRS, 32, 32).items()
 } | {
-    ("i64", op): fn for op, fn in _from_exprs(_INT_RELOP_EXPRS, 64).items()
+    ("i64", op): fn for op, fn in _from_exprs(_INT_RELOP_EXPRS, 64, 32).items()
 } | {
     ("f32", op): fn for op, fn in _float_relops(32).items()
 } | {
@@ -284,7 +358,8 @@ RELOP_FNS = {
 }
 
 TESTOP_FNS = {
-    (f"i{bits}", "eqz"): _from_exprs({"eqz": "1 if {a} == 0 else 0"}, bits)["eqz"]
+    (f"i{bits}", "eqz"):
+    _from_exprs({"eqz": "1 if {a} == 0 else 0"}, bits, 32)["eqz"]
     for bits in (32, 64)
 }
 
@@ -302,10 +377,11 @@ def _trunc_to_int(v: float, lo: int, hi: int) -> int:
 
 def _convert_table() -> dict:
     fns: dict[tuple, object] = _from_exprs({
-        ("i32", "i64", None): "{a} & 0xFFFFFFFF",  # wrap
-        ("i64", "i32", "s"): "(({a} ^ 0x80000000) - 0x80000000) & {mask}",
+        ("i32", "i64", None): ("{a}", True, "a"),  # wrap
+    }, 64, 32) | _from_exprs({
+        ("i64", "i32", "s"): ("({a} ^ {top}) - {top}", True, ""),
         ("i64", "i32", "u"): "{a}",
-    }, 64)
+    }, 32, 64)
     for iw, lo, hi in ((32, -(1 << 31), (1 << 31) - 1), (64, -(1 << 63), (1 << 63) - 1)):
         ulo, uhi = 0, (1 << iw) - 1
         for fw in (32, 64):

@@ -26,6 +26,12 @@ so the lines of the functions that hold some op are one filter away:
     PYTHONPATH=src python tests/compiled_sources.py --ops \
         | grep -E 'T_(LOAD|STORE|MEMORY_SIZE|MEMORY_GROW)\b'
 
+With ``--source MODULE FUNC PC`` it prints instead the generated source
+of one compiled function: the full-length one at that pc of function
+FUNC of MODULE, named as in the digest lines:
+
+    PYTHONPATH=src python tests/compiled_sources.py --source sha256 0 63
+
 Pytest does not collect this file: its name does not start with
 ``test_``.
 """
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import contextlib
 import hashlib
 import sys
 from pathlib import Path
@@ -62,9 +69,21 @@ def modules(seeds: range):
                        validate.validate_module(m))
 
 
-def digests(seeds: range, ops: bool = False):
-    """One (module, function, pc, length, sha256) per compiled function,
-    and with ``ops`` the names of the tags in its range."""
+def module(name: str):
+    """The TypedModule that ``modules`` names ``name``."""
+    gen, _, rest = name.partition(":")
+    if not rest:
+        return dict(modules(range(0)))[name]
+    seed, ct = rest.split(":")
+    gens = {g.__name__: g for g in (fuzzgen.generate, fuzzgen.counted_loops)}
+    return validate.validate_module(text.parse_module(
+        gens[gen](int(seed), ct == "ct")))
+
+
+@contextlib.contextmanager
+def captured():
+    """A list that gets the source of each function ``ctwasm.interp``
+    compiles inside the ``with`` block."""
     sources: list[str] = []
 
     def capture(src, *args, **kwargs):
@@ -73,6 +92,23 @@ def digests(seeds: range, ops: bool = False):
 
     interp.compile = capture
     try:
+        yield sources
+    finally:
+        del interp.compile
+
+
+def source(ff, pc: int) -> str:
+    """The generated source of ``ff``'s full-length function at ``pc``."""
+    code = interp._Code(tuple(ff.code))
+    with captured() as sources:
+        code.compile(ff, pc, code.lens[pc])
+    return sources[0]
+
+
+def digests(seeds: range, ops: bool = False):
+    """One (module, function, pc, length, sha256) per compiled function,
+    and with ``ops`` the names of the tags in its range."""
+    with captured() as sources:
         for name, tm in modules(seeds):
             for ff in tm.funcs:
                 if ff is None:
@@ -89,8 +125,6 @@ def digests(seeds: range, ops: bool = False):
                                 TAG_NAMES[op[0]]
                                 for op in ff.code[pc:pc + n]})),)
                         yield row
-    finally:
-        del interp.compile
 
 
 def main(argv=None) -> int:
@@ -99,7 +133,17 @@ def main(argv=None) -> int:
                     help="fuzz seeds 0 .. SEEDS-1 (default 300)")
     ap.add_argument("--ops", action="store_true",
                     help="end each line with the flat tags of its range")
+    ap.add_argument("--source", nargs=3, metavar=("MODULE", "FUNC", "PC"),
+                    help="print the source of one compiled function")
     args = ap.parse_args(argv)
+    if args.source:
+        name, func, pc = args.source
+        try:
+            ff = module(name).funcs[int(func)]
+            print(source(ff, int(pc)))
+        except (KeyError, ValueError, IndexError, AttributeError) as e:
+            ap.error(f"no compiled function {name} {func} {pc}: {e!r}")
+        return 0
     count = 0
     for row in digests(range(args.seeds), args.ops):
         print(*row)

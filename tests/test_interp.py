@@ -160,6 +160,17 @@ def test_fuel_exhaustion_is_distinct_from_trap():
     assert out.steps == 1000
 
 
+@pytest.mark.parametrize("to_block_end", (False, True))
+@pytest.mark.parametrize("fuel", (1, 2, 3, 1000))
+def test_a_run_whose_budget_is_its_fuel_ends_out_of_fuel(fuel, to_block_end):
+    """The budget and the fuel run out on the same step: no step can run,
+    so the run is out of fuel without another call."""
+    _, store, idx = build('(module (func (export "spin") (loop (br 0))))')
+    cfg = make_config(store, idx, "spin", [], fuel=fuel)
+    interp.run(cfg, max_steps=cfg.fuel, to_block_end=to_block_end)
+    assert cfg.terminal and (cfg.status, cfg.fuel) == ("fuel", 0)
+
+
 def test_memory_grow_determinized():
     src = """(module (memory 1) (func (export "g") (param i32) (result i32)
       (memory.grow (local.get 0))))"""
