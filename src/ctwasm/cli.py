@@ -80,8 +80,10 @@ def _read_json(path) -> object:
 
 
 def _emit(doc, as_json: bool, human: str | None = None) -> None:
+    """Print ``doc`` as one JSON line, as ``run --trace`` prints each
+    action before it, or else ``human`` if it is given."""
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     elif human is not None:
         print(human)
 

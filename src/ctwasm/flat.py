@@ -14,12 +14,10 @@ after).  The fields are its dataclass fields in declaration order, without
 nothing, and an if's two bodies as its ``else`` (-1 if none) and ``end``
 offsets.  The extras are a load's or store's width in bytes and the
 ``numerics`` function of a unop, binop, testop, relop or convert.
-``static_action`` is the leakage record, reused every execution, of an op
-whose observation never depends on operand values: ``("call", k)``,
-``("secret-select",)`` or ``("op", mnemonic)``.  ``if``, ``br_if``,
-``br_table``, ``call_indirect``, loads, stores, ``memory.grow``, a public
-``select`` and every integer div or rem, public or secret, carry ``None``,
-and the interpreter builds their record per step.
+``static_action`` is the leakage action, reused every execution, of an op
+whose observation never depends on operand values, or None for an op
+whose action the interpreter builds per step; the function
+``static_action`` says which ops those are.
 """
 
 from __future__ import annotations

@@ -7,28 +7,19 @@ finite.  Values live on the operand stack as raw bit patterns; their
 types are static, known from validation.
 
 Leakage actions are plain tuples (cheap to build, compare, and
-serialize).  The first three are static, the same whatever the data;
-every other one depends on data, and its record is what varies in it:
-
-    action                                  record
-    ("op", name)                            static
-    ("call", func_index)                    static
-    ("secret-select",)                      static: occurrence only
-    ("branch", name, bits)                  bits: condition or table index
-    ("mem", kind, addr, width, bits|None)   addr; (addr, bits) if the
-                                            memory is public
-    ("unsafe-binop", name, lhs, rhs)        (lhs, rhs) of an integer div/rem
-    ("grow", old_pages, delta, result)      (old_pages, delta, result)
-    ("call-indirect", table_slot)           table_slot
-    ("host", key, pre, args, post, results) itself: public projections
-    ("op", "host-trap")                     itself: the host decided it
-
-``leaks`` tells the two kinds apart and ``leak_record`` maps an action to
-its record.  Static actions are precomputed tuples, so tracing them adds
-no allocation.  A configuration with ``leaks_only`` set runs the same
-code but keeps only the records; as every op records a fixed number of
-entries, runs of the same instructions have their records at the same
-positions.  Its steps are counted by its fuel, one unit per step.
+serialize), ``(kind, *fields)``.  ``ACTIONS`` is the one table of their
+kinds: the JSON name of each field, and which fields the action's record
+keeps, which is what varies in it, or None for the static kinds
+(``op``, ``call`` and ``secret-select``), the same whatever the data.
+``HOST_TRAP`` is an ``op`` that the host decides, and records itself.
+``leaks`` tells the two apart and ``leak_record`` maps an action to its
+record; the JSON of the CLI's trace, the compiled records and the
+lockstep checker's inverse all read the same table.  Static actions are
+precomputed tuples, so tracing them adds no allocation.  A configuration
+with ``leaks_only`` set runs the same code but keeps only the records;
+as every op records a fixed number of entries, runs of the same
+instructions have their records at the same positions.  Its steps are
+counted by its fuel, one unit per step.
 
 Execution compiles each function's flat code, on first run, into one
 generated Python function per straight-line block and per counted loop
@@ -81,26 +72,47 @@ RUNNING, DONE, TRAPPED, OUT_OF_FUEL = "running", "done", "trap", "fuel"
 
 
 HOST_TRAP = ("op", "host-trap")
-_STATIC_KINDS = frozenset(("op", "call", "secret-select"))
+# Every kind of leakage action: the JSON names of its fields after the
+# kind (a host call's JSON names only the host, not its projections), and
+# the positions of those its leak record keeps, or None for a static kind,
+# which a run that records only leaks does not record.  A host call keeps
+# every position, kind included, so it records itself; so does HOST_TRAP,
+# an "op" that the host decides (see ``recorded``).
+ACTIONS = {
+    "op": (("op",), None),
+    "call": (("func",), None),
+    "secret-select": ((), None),
+    "branch": (("op", "condition"), (2,)),
+    "mem": (("op", "addr", "width", "value"), (2, 4)),
+    "unsafe-binop": (("op", "lhs", "rhs"), (2, 3)),
+    "grow": (("old", "delta", "result"), (1, 2, 3)),
+    "call-indirect": (("slot",), (1,)),
+    "host": (("host",), (0, 1, 2, 3, 4, 5)),
+}
+# A memory access's value is seen only on public memory.  On secret
+# memory the field is None, which the JSON leaves out and the record
+# drops; it is the one field whose presence depends on the instance.
+SEEN_IF_PUBLIC = ("mem", 4)
+
+
+def recorded(action: tuple) -> tuple | None:
+    """The positions of ``action``'s fields that its leak record keeps,
+    or None if it is static."""
+    return (0, 1) if action == HOST_TRAP else ACTIONS[action[0]][1]
 
 
 def leaks(action: tuple) -> bool:
     """Whether ``action`` depends on data: every kind but the static ones
     of ``flat.static_action``, and a host trap."""
-    return action[0] not in _STATIC_KINDS or action == HOST_TRAP
+    return recorded(action) is not None
 
 
 def leak_record(action: tuple):
     """What a run that records only leaks records for the data-dependent
-    ``action``: its varying field, or a tuple of them."""
-    match action:
-        case ("branch", _, x) | ("call-indirect", x) | ("mem", _, x, _, None):
-            return x
-        case ("mem", _, addr, _, bits):
-            return (addr, bits)
-        case ("unsafe-binop", _, *xs) | ("grow", *xs):
-            return tuple(xs)
-    return action
+    ``action``: the fields it keeps but a None one, alone if there is one
+    and else as a tuple."""
+    xs = [action[i] for i in recorded(action) if action[i] is not None]
+    return xs[0] if len(xs) == 1 else tuple(xs)
 
 
 def default_fuel() -> int:
@@ -811,7 +823,8 @@ def step(cfg: Config) -> tuple | None:
 # action, before a trap, and at the end of the block, each behind the
 # test ``full``, read once on entry, which skips them when the
 # configuration records only leaks; a data-dependent op appends
-# ``action if full else record``.
+# ``action if full else record``, both built from ``ACTIONS`` by
+# ``_Block.action``.
 #
 # An inlined integer op that wraps (``numerics.Inline``) leaves its value
 # unmasked, only congruent to it mod 2 ** width, unless it is sure to lie
@@ -1156,14 +1169,33 @@ class _Block:
             self.uses.add("full")
         self.pending = []
 
-    def record(self, action: str, record: str, shared: bool = False) -> None:
-        """A data-dependent action, after the static ones before it, or
-        its ``record`` when only leaks are recorded.  A ``shared`` one
-        (``shared`` maps it to the line that appends it) is appended again
-        by an identical later call, which binds its value to a temp."""
-        self.flush()
+    def action(self, kind: str, *fields: str) -> str:
+        """An expression of the action of ``kind`` whose fields after the
+        kind are the expressions ``fields``, or of its leak record when
+        only leaks are recorded: the fields that ``ACTIONS`` keeps, but a
+        literal None.  The field of ``SEEN_IF_PUBLIC`` is None on secret
+        memory, which ``pub`` tells."""
         self.uses.add("full")
-        expr = f"{action} if full else {record}"
+        xs = (f'"{kind}"',) + fields
+
+        def record_of(xs: tuple) -> str:
+            kept = [xs[i] for i in ACTIONS[kind][1] if xs[i] != "None"]
+            return kept[0] if len(kept) == 1 else f"({', '.join(kept)})"
+        rec = record_of(xs)
+        public_only, i = SEEN_IF_PUBLIC
+        if kind == public_only and xs[i] != "None":
+            unseen = record_of(xs[:i] + ("None",) + xs[i + 1:])
+            rec = f"{rec} if pub else {unseen}"
+            xs = xs[:i] + (f"{xs[i]} if pub else None",) + xs[i + 1:]
+        return f"({', '.join(xs)}) if full else {rec}"
+
+    def record(self, kind: str, *fields: str, shared: bool = False) -> None:
+        """Record the ``action`` of ``kind`` with ``fields``, after the
+        static actions before it.  A ``shared`` one (``shared`` maps it to
+        the line that appends it) is appended again by an identical later
+        call, which binds its value to a temp."""
+        self.flush()
+        expr = self.action(kind, *fields)
         at = self.shared.get(expr)
         if isinstance(at, int):  # bind the first one's value to a temp
             line, at = at, self.fresh()
@@ -1235,10 +1267,9 @@ class _Block:
     def bounds(self, kind: str, ea: str, width: int) -> None:
         """Trap unless ``width`` bytes at ``ea`` lie inside the memory."""
         self.flush()
-        self.uses.add("full")
+        action = self.action("mem", f'"{kind}"', ea, str(width), "None")
         self.emit(f"if {ea} + {width} > size:")
-        self.emit(f'    trace.append(("mem", "{kind}", {ea}, {width}, None) '
-                  f'if full else {ea})')
+        self.emit(f"    trace.append({action})")
         self.emit("    " + self.fault('"out of bounds memory access"'))
 
     def control(self, next_pc: int | None = None) -> None:
@@ -1278,7 +1309,7 @@ def _t_reinterpret(b: _Block, op) -> None:
 def _t_select(b: _Block, op) -> None:
     c, v2, v1 = b.pop(), b.pop(), b.pop()
     if op[1] is None:
-        b.record(f'("branch", "select", {c})', c)
+        b.record("branch", '"select"', c)
     b.push(f"{v2} if {c} == 0 else {v1}")
 
 
@@ -1293,7 +1324,7 @@ def _t_loop(b: _Block, op) -> None:
 
 def _t_if(b: _Block, op) -> None:
     c = b.pop()
-    b.record(f'("branch", "if", {c})', c)
+    b.record("branch", '"if"', c)
     b.control()
     else_pc, end_pc = op[3], op[4]
     label = b.label(end_pc + 1, op[2])
@@ -1328,7 +1359,7 @@ def _t_br(b: _Block, op) -> None:
 
 def _t_br_if(b: _Block, op) -> None:
     c = b.pop()
-    b.record(f'("branch", "br_if", {c})', c)
+    b.record("branch", '"br_if"', c)
     if not b.loop:  # the block ends here either way
         b.control(b.pc + 1)
     lines = b.branch(op[2])  # which may make operands exact first
@@ -1338,7 +1369,7 @@ def _t_br_if(b: _Block, op) -> None:
 
 def _t_br_table(b: _Block, op) -> None:
     i = b.pop()
-    b.record(f'("branch", "br_table", {i})', i)
+    b.record("branch", '"br_table"', i)
     b.control()
     targets = b.const(op[2])
     b.emit(f"_br(cfg, fr, {targets}[{i}] if {i} < {len(op[2])} else {op[3]})")
@@ -1356,7 +1387,7 @@ def _t_call(b: _Block, op) -> None:
 
 def _t_call_indirect(b: _Block, op) -> None:
     i = b.pop()
-    b.record(f'("call-indirect", {i})', i)
+    b.record("call-indirect", i)
     b.control(b.pc + 1)
     b.emit(f"_call_indirect(cfg, fr, {i}, {b.const(op[2])})")
 
@@ -1392,8 +1423,7 @@ def _t_load(b: _Block, op) -> None:
     if v is None:
         b.bounds("load", ea, width)
         v = b.exprs[fetch] = b.assign(fetch)
-    b.record(f'("mem", "load", {ea}, {width}, {v} if pub else None)',
-             f"({ea}, {v}) if pub else {ea}", shared=True)
+    b.record("mem", '"load"', ea, str(width), v, shared=True)
     if pack is not None and sign:
         v = b.value(f"signed({v}, {pack}) & {(1 << t.bits) - 1}")
     b.stack.append(v)
@@ -1411,8 +1441,7 @@ def _t_store(b: _Block, op) -> None:
     bits = value if 0 <= lo and hi <= mask else b.value(f"{value} & {mask}")
     b.emit(f"{b.const(_PACK[width])}(data, {ea}, {bits})")
     b.forget("data")
-    b.record(f'("mem", "store", {ea}, {width}, {bits} if pub else None)',
-             f"({ea}, {bits}) if pub else {ea}")
+    b.record("mem", '"store"', ea, str(width), bits)
 
 
 def _t_memory_size(b: _Block, op) -> None:
@@ -1431,8 +1460,7 @@ def _t_memory_grow(b: _Block, op) -> None:
     b.emit(f"    {result} = 0xFFFFFFFF")
     b.forget("data")
     b.stack.append(result)
-    b.record(f'("grow", {old}, {delta}, {result})',
-             f"({old}, {delta}, {result})")
+    b.record("grow", old, delta, result)
 
 
 def _t_const(b: _Block, op) -> None:
@@ -1449,8 +1477,7 @@ def _t_numeric(b: _Block, op) -> None:
     names = "ab" if op[0] == flat.T_BINOP or op[0] == flat.T_RELOP else "a"
     args = [b.pop(x in low) for x in reversed(names)][::-1]
     if op[1] is None:
-        b.record(f'("unsafe-binop", {op[3]!r}, {", ".join(args)})',
-                 f'({", ".join(args)})')
+        b.record("unsafe-binop", repr(op[3]), *args)
     if inline is None:
         b.push(f"{b.const(fn)}({', '.join(args)})", fn in TRAPPING)
     else:
@@ -1509,26 +1536,10 @@ def invoke(store: Store, inst_idx: int, export: str, args: list[Value],
 
 
 def action_to_json(index: int, action: tuple) -> dict:
-    """Line-oriented trace serialization for the CLI."""
-    kind = action[0]
-    body: dict = {"step": index, "action": kind}
-    if kind == "op":
-        body["op"] = action[1]
-    elif kind == "branch":
-        body["op"] = action[1]
-        body["condition"] = action[2]
-    elif kind == "mem":
-        body.update(op=action[1], addr=action[2], width=action[3])
-        if action[4] is not None:
-            body["value"] = action[4]
-    elif kind == "unsafe-binop":
-        body.update(op=action[1], lhs=action[2], rhs=action[3])
-    elif kind == "grow":
-        body.update(old=action[1], delta=action[2], result=action[3])
-    elif kind == "call":
-        body["func"] = action[1]
-    elif kind == "call-indirect":
-        body["slot"] = action[1]
-    elif kind == "host":
-        body["host"] = ".".join(action[1])
+    """Line-oriented trace serialization for the CLI: the fields that
+    ``ACTIONS`` names, but a None one, and a host by its dotted name."""
+    body: dict = {"step": index, "action": action[0]}
+    for name, x in zip(ACTIONS[action[0]][0], action[1:]):
+        if x is not None:
+            body[name] = ".".join(x) if name == "host" else x
     return body

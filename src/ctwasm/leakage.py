@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice, repeat, zip_longest
 
 from . import ast, interp
 from .interp import Config, Frame, HostPending, Store, Value
@@ -39,23 +39,10 @@ def values_indist(v1: Value, v2: Value) -> bool:
 
 
 def actions_indist(a1: tuple, a2: tuple) -> bool:
-    """Per-variant comparison of leakage records.
-
-    Every action already carries only what its step leaks (safe ops just
-    their opcode, host calls public projections), so each clause below
-    reduces to structural equality of the recorded payload.
-    """
-    if a1[0] != a2[0]:
-        return False
-    kind = a1[0]
-    if kind == "op":  # safe ops: opcodes must match, operands are not leaked
-        return a1[1] == a2[1]
-    if kind == "secret-select":  # occurrence only
-        return True
-    if kind == "host":
-        # untrusted hosts: public projections equal and closures identical
-        return a1[1] == a2[1] and a1[2:] == a2[2:]
-    # branches, memory accesses, unsafe binops, grow, calls: full payload
+    """Whether two leakage actions are indistinguishable: equal.  Every
+    action carries only what its step lets an observer see (a safe op its
+    opcode, a memory access on secret memory no value, a host call public
+    projections; see ``interp.ACTIONS``), so no field needs erasing."""
     return a1 == a2
 
 
@@ -232,16 +219,17 @@ def _twin_config(tm: TypedModule, export: str, args: list[Value],
 
 def _with_record(action: tuple, record) -> tuple:
     """The action of ``action``'s instruction that has the leak record
-    ``record`` (see ``interp.leak_record``)."""
-    match action:
-        case ("branch" | "call-indirect", *_):
-            return action[:-1] + (record,)
-        case ("mem", kind, _, width, _):
-            addr, bits = record if isinstance(record, tuple) else (record, None)
-            return ("mem", kind, addr, width, bits)
-        case ("unsafe-binop" | "grow", *_):  # the operands, or all fields
-            return action[:len(action) - len(record)] + record
-    return record  # a host call or trap records itself
+    ``record``, the inverse of ``interp.leak_record``: its kept fields
+    from ``record``, a field the record lacks being None.  A record that
+    keeps the kind is the action itself."""
+    kept = interp.recorded(action)
+    if kept[0] == 0:
+        return record
+    fields = list(action)
+    for i, x in zip_longest(kept, record if isinstance(record, tuple)
+                            else (record,)):
+        fields[i] = x
+    return tuple(fields)
 
 
 def _replay(start: Config, stop: int, d: int) -> tuple:

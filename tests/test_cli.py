@@ -84,6 +84,21 @@ def test_run_trace_streams_actions(capsys, corpus_root):
     assert lines == [interp.action_to_json(i, a) for i, a in enumerate(trace)]
 
 
+def test_json_run_trace_is_json_lines(capsys, tmp_path):
+    """The trace goes out one JSON object per line, so the summary after
+    it is one line too: a line-by-line reader parses all of stdout."""
+    p = tmp_path / "oob.cwat"
+    p.write_text('(module (memory 1) (func (export "f") (result i32)'
+                 " (i32.load (i32.const 65534))))")
+    rc, out, err = run_cli(["--json", "run", str(p), "--invoke", "f",
+                            "--trace"], capsys)
+    assert rc == 1
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"step": 0, "action": "op", "op": "i32.const"},
+        {"step": 1, "action": "mem", "op": "load", "addr": 65534, "width": 4},
+        {"status": "trap", "trap": "out of bounds memory access", "steps": 2}]
+
+
 def test_run_trap_exit_code(capsys, tmp_path):
     p = tmp_path / "boom.cwat"
     p.write_text('(module (func (export "boom") unreachable))')

@@ -633,3 +633,99 @@ def test_host_memory_access_out_of_range_traps_the_run(access):
     assert (out.status, out.trap_kind) == ("trap", "out of bounds memory access")
     data = store.mems[store.insts[idx].mem_addr].data
     assert data == bytes(65536)  # neither grown nor partly written
+
+
+_HOST_NOTE = """(module
+  (func (import "env" "note") (param s32 i32) (result i32))
+  (func (export "f") (param s32) (result i32)
+    (call 0 (local.get 0) (i32.const 41))))"""
+
+# (module, its export's arguments, whether its host traps, the trace JSON
+# of some steps of a run of "f", and the records a run that records only
+# leaks keeps); None for the records of a host call: the action itself
+_ACTION_KINDS = {
+    "op-call-secret-select": ("""(module
+      (func $id (param s32) (result s32) (local.get 0))
+      (func (export "f") (param s32 s32 s32) (result s32)
+        (select secret (call $id (local.get 0)) (local.get 1)
+                (local.get 2))))""",
+        [Value(S32, 5), Value(S32, 6), Value(S32, 0)], None,
+        {0: {"action": "op", "op": "local.get"},
+         1: {"action": "call", "func": 0},
+         6: {"action": "secret-select"}}, []),
+    "branch": ("""(module (func (export "f") (param i32) (result i32)
+      (if (local.get 0) (then nop))
+      (block (br_if 0 (local.get 0)))
+      (block (block (br_table 0 1 (local.get 0))))
+      (select (i32.const 1) (i32.const 2) (local.get 0))))""",
+        [Value(I32, 1)], None,
+        {1: {"action": "branch", "op": "if", "condition": 1},
+         6: {"action": "branch", "op": "br_if", "condition": 1},
+         10: {"action": "branch", "op": "br_table", "condition": 1},
+         14: {"action": "branch", "op": "select", "condition": 1}},
+        [1, 1, 1, 1]),
+    "mem-public": ("""(module (memory 1) (func (export "f") (result i32)
+      (i32.store (i32.const 16) (i32.const 258))
+      (i32.load (i32.const 16))))""", [], None,
+        {2: {"action": "mem", "op": "store", "addr": 16, "width": 4,
+             "value": 258},
+         4: {"action": "mem", "op": "load", "addr": 16, "width": 4,
+             "value": 258}},
+        [(16, 258), (16, 258)]),
+    "mem-secret": ("""(module (memory 1 secret) (func (export "f")
+      (result s32)
+      (s32.store (i32.const 16) (s32.const 258))
+      (s32.load (i32.const 16))))""", [], None,
+        {2: {"action": "mem", "op": "store", "addr": 16, "width": 4},
+         4: {"action": "mem", "op": "load", "addr": 16, "width": 4}},
+        [16, 16]),
+    "mem-bounds-trap": ("""(module (memory 1) (func (export "f") (result i32)
+      (i32.load16_u offset=4 (i32.const 65532))))""", [], None,
+        {1: {"action": "mem", "op": "load", "addr": 65536, "width": 2}},
+        [65536]),
+    "unsafe-binop-grow-call-indirect": ("""(module (memory 1)
+      (table 1 funcref) (elem (i32.const 0) $seven)
+      (func $seven (result i32) (i32.const 7))
+      (func (export "f") (param i32 i32) (result i32)
+        (drop (memory.grow (i32.const 1)))
+        (i32.div_u (local.get 0) (local.get 1))
+        (call_indirect (result i32) (i32.const 0))
+        i32.add))""", [Value(I32, 7), Value(I32, 2)], None,
+        {1: {"action": "grow", "old": 1, "delta": 1, "result": 1},
+         5: {"action": "unsafe-binop", "op": "div_u", "lhs": 7, "rhs": 2},
+         7: {"action": "call-indirect", "slot": 0}},
+        [(1, 1, 1), (7, 2), 0]),
+    "host": (_HOST_NOTE, [Value(S32, 9)], False,
+             {3: {"action": "host", "host": "env.note"}}, None),
+    "host-trap": (_HOST_NOTE, [Value(S32, 9)], True,
+                  {3: {"action": "op", "op": "host-trap"}}, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_ACTION_KINDS))
+def test_the_trace_json_and_record_of_every_action_kind(name):
+    src, args, traps, pinned, records = _ACTION_KINDS[name]
+    tm = validate.validate_module(text.parse_module(src))
+
+    def note(call: HostCall):
+        if traps:
+            raise interp.Trap("host refused")
+        return [3]
+
+    def start(leaks_only):
+        imports = None if traps is None else {("env", "note"): HostFunc(
+            "env", "note", FuncType(Trust.UNTRUSTED, (S32, I32), (I32,)),
+            note)}
+        store, idx = instantiate(Store(), tm, imports)
+        cfg = make_config(store, idx, "f", args)
+        cfg.leaks_only = leaks_only
+        interp.run(cfg)
+        return cfg.trace
+
+    trace = start(False)
+    assert {i: interp.action_to_json(i, trace[i]) for i in pinned} == {
+        i: {"step": i} | body for i, body in pinned.items()}
+    leaked = [a for a in trace if interp.leaks(a)]
+    assert start(True) == (leaked if records is None else records)
+    if traps is not None:
+        assert leaked == [interp.HOST_TRAP if traps else trace[3]]
