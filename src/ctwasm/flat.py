@@ -128,10 +128,6 @@ class FlatFunc:
     # code and looked up on first execution
     compiled: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def n_params(self) -> int:
-        return len(self.type.params)
-
 
 def instr_pcs(code: list[tuple]) -> list[int]:
     """Offsets of the ops that stand for instructions of the body.

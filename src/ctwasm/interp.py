@@ -25,12 +25,12 @@ Execution compiles each function's flat code, on first run, into one
 generated Python function per straight-line block and per counted loop
 (see "Compilation of flat code to blocks" below).  Each op's semantics
 is written once, as a template (``_t_*``) that emits its source; a single
-step, a debug-mode step and a step that fuel or a step budget cuts short
-run the one-op block of the same template, so every stop falls on the
-same instruction as it would op by op.  One template serves every
-numeric op, whose meaning is ``numerics``': the cheap integer ops paste
-in the expression it states them in, every other op calls its function,
-and only a function in ``numerics.TRAPPING`` is guarded for a trap.
+step and a step that fuel or a step budget cuts short run the one-op
+block of the same template, so every stop falls on the same instruction
+as it would op by op.  One template serves every numeric op, whose
+meaning is ``numerics``': the cheap integer ops paste in the expression
+it states them in, every other op calls its function, and only a
+function in ``numerics.TRAPPING`` is guarded for a trap.
 An integer is masked to its width only where its high bits are read:
 a value that wrapped may flow unmasked, congruent to its value mod
 2 ** width, into ops that read only low bits, and is made exact before
@@ -507,7 +507,7 @@ class Config:
     With ``leaks_only`` set, the trace gets only the ``leak_record`` of
     each action that ``leaks`` holds data-dependent."""
 
-    def __init__(self, store: Store, inst_idx: int, fuel: int, debug: bool = False):
+    def __init__(self, store: Store, inst_idx: int, fuel: int):
         self.store = store
         self.inst_idx = inst_idx
         self.frames: list = []
@@ -517,7 +517,6 @@ class Config:
         self.results: list[int] = []
         self.result_types: tuple[ast.ValType, ...] = ()
         self.trace: list[tuple] = []
-        self.debug = debug
         self.leaks_only = False
 
     @property
@@ -537,7 +536,7 @@ class Config:
                       [GlobalInst(g.mutable, g.type, g.bits) for g in s.globals],
                       [TableInst(t, t.max) for t in s.tables],
                       [MemInst(m.sec, bytearray(m.data), m.max) for m in s.mems])
-        cfg = Config(store, self.inst_idx, self.fuel, self.debug)
+        cfg = Config(store, self.inst_idx, self.fuel)
         cfg.frames = [f.copy() for f in self.frames]
         cfg.status, cfg.trap_kind = self.status, self.trap_kind
         cfg.results, cfg.result_types = self.results[:], self.result_types
@@ -553,7 +552,7 @@ class Config:
 
 
 def make_config(store: Store, inst_idx: int, export: str, args: list[Value],
-                fuel: int | None = None, debug: bool = False) -> Config:
+                fuel: int | None = None) -> Config:
     inst = store.insts[inst_idx]
     if export not in inst.exports:
         raise InvokeError(f"no export named {export!r}")
@@ -568,7 +567,7 @@ def make_config(store: Store, inst_idx: int, export: str, args: list[Value],
         if a.type != t:
             raise InvokeError(
                 f"argument {i} must be {t.name} exactly, got {a.type.name}")
-    cfg = Config(store, inst_idx, default_fuel() if fuel is None else fuel, debug)
+    cfg = Config(store, inst_idx, default_fuel() if fuel is None else fuel)
     cfg.result_types = ft.results
     if isinstance(cl, HostFunc):
         cfg.frames.append(HostPending(cl, [a.bits for a in args],
@@ -638,13 +637,12 @@ def run(cfg: Config, max_steps: int | None = None, *,
     back.  That is the full-length function at the frame's pc, given the
     smaller of the fuel and the budget, or with ``to_block_end`` at least
     its length, so the budget never cuts it; when ``n`` is shorter than
-    the function's length, or in debug mode, it is the one-op function,
-    given one step, so every stop falls on the same instruction as with
-    single steps.  A run whose fuel is spent is out of fuel, also when its
-    budget ran out on the same step."""
+    the function's length, it is the one-op function, given one step, so
+    every stop falls on the same instruction as with single steps.  A run
+    whose fuel is spent is out of fuel, also when its budget ran out on
+    the same step."""
     frames = cfg.frames
     budget = sys.maxsize if max_steps is None else max_steps
-    debug = cfg.debug
     while cfg.status == RUNNING:
         fuel = cfg.fuel
         if fuel <= 0:  # before the budget: no step can run
@@ -668,9 +666,7 @@ def run(cfg: Config, max_steps: int | None = None, *,
         m = code.lens[pc]
         if m > n and to_block_end and m <= fuel:
             n = m
-        if m > n or debug:
-            if debug:
-                _debug_check(cfg, fr, pc)
+        if m > n:
             n = 1
             fn = code.singles[pc] or code.compile(fr.ff, pc, 1)
         else:
@@ -757,23 +753,6 @@ def _call_indirect(cfg: Config, fr: Frame, idx: int, ft: ast.FuncType) -> None:
         _trap(cfg, "indirect call type mismatch")
         return
     _enter(cfg, fr, cl)
-
-
-def _debug_check(cfg: Config, fr: Frame, pc: int) -> None:
-    """Compare the live stack against the validator's annotation."""
-    ann = fr.ff.stack_types
-    if ann is None:
-        return
-    expected = ann[pc]
-    if len(expected) != len(fr.stack):
-        raise AssertionError(
-            f"stack depth {len(fr.stack)} != annotated {len(expected)} "
-            f"at func {fr.ff.index} pc {pc}")
-    for t, bits in zip(expected, fr.stack):
-        if t is not None and not 0 <= bits < (1 << t.bits):
-            raise AssertionError(
-                f"value 0x{bits:x} out of range for annotated {t.name} "
-                f"at func {fr.ff.index} pc {pc}")
 
 
 def step(cfg: Config) -> tuple | None:
@@ -1519,13 +1498,12 @@ _NEW_LIST = object()  # invoke's default trace
 
 
 def invoke(store: Store, inst_idx: int, export: str, args: list[Value],
-           fuel: int | None = None, debug: bool = False,
-           trace=_NEW_LIST) -> Outcome:
+           fuel: int | None = None, trace=_NEW_LIST) -> Outcome:
     """Run an exported function to completion (or trap / fuel exhaustion).
     Its actions go to ``trace``, the list to append to (by default a new
     one), or nowhere when it is None, which runs it recording only leaks;
     the outcome holds it."""
-    cfg = make_config(store, inst_idx, export, args, fuel, debug)
+    cfg = make_config(store, inst_idx, export, args, fuel)
     if trace is not _NEW_LIST:
         cfg.trace = deque(maxlen=0) if trace is None else trace
         cfg.leaks_only = trace is None

@@ -440,6 +440,8 @@ def _lockstep(tm: TypedModule, export: str, args_a: list[Value],
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
     fuel = interp.default_fuel() if fuel is None else fuel
+    if fuel < 1:  # a check that runs no step would pass without looking
+        raise ValueError(f"fuel must be at least 1, got {fuel}")
     twins = enumerate(twins)
     for first in twins:
         failed = _cohort(tm, export, args_a, image_a, first, twins, fuel,

@@ -147,6 +147,39 @@ def test_a_bad_fuel_env_variable_is_named(command, capsys, tmp_path,
     assert err == "error: CTWASM_FUEL must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("how, fuel", [("--fuel", "0"), ("--fuel", "-1"),
+                                       ("CTWASM_FUEL", "0"), ("sidecar", 0)])
+def test_ct_check_refuses_fuel_that_runs_no_step(how, fuel, capsys, tmp_path,
+                                                 monkeypatch):
+    """A check whose twins can run no step fails with one line, however
+    the fuel is given, instead of passing every trial."""
+    p = tmp_path / "m.cwat"
+    p.write_text('(module (func (export "g") (param s32) (result s32) '
+                 '(local.get 0)))')
+    argv = ["ct-check", str(p), "--invoke", "g", "--trials", "5"]
+    if how == "--fuel":
+        argv += ["--fuel", fuel]
+    elif how == "CTWASM_FUEL":
+        monkeypatch.setenv(how, fuel)
+    else:
+        (tmp_path / "m.secrets.json").write_text(json.dumps(
+            {"invoke": "g", "args": ["s32:0"], "secrets": {"x": {"param": 0}},
+             "fuel": fuel}))
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err == f"error: fuel must be at least 1, got {fuel}\n"
+
+
+def test_run_with_no_fuel_stops_out_of_fuel(capsys, tmp_path):
+    p = tmp_path / "m.cwat"
+    p.write_text('(module (func (export "g") (param s32) (result s32) '
+                 '(local.get 0)))')
+    rc, out, err = run_cli(["--json", "run", str(p), "--invoke", "g",
+                            "--fuel", "0", "s32:1"], capsys)
+    assert rc == 1
+    assert json.loads(out) == {"status": "fuel", "trap": None, "steps": 0}
+
+
 def test_fmt_idempotent(capsys, corpus_root, tmp_path):
     rc, out, _ = run_cli(["fmt", corp("sha256", corpus_root)], capsys)
     assert rc == 0

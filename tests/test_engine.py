@@ -14,6 +14,7 @@ import re
 import pytest
 
 import fuzzgen
+import stepping
 from ctwasm import ast, flat, interp, leakage, text, validate
 from ctwasm.ast import F32, I32
 from ctwasm.interp import Frame, Store, Value
@@ -31,9 +32,9 @@ def _instance(tm, image):
     return store, idx
 
 
-def _start(tm, export, args, image, fuel=FUEL, debug=False):
+def _start(tm, export, args, image, fuel=FUEL):
     store, idx = _instance(tm, image)
-    return interp.make_config(store, idx, export, args, fuel, debug=debug)
+    return interp.make_config(store, idx, export, args, fuel)
 
 
 def _invoke(case):
@@ -410,9 +411,9 @@ def test_trap_in_the_middle_of_a_block_charges_exact_steps(name):
            f" {_PRELUDE} {body} i32.const 3 local.set 1 i32.const 4"
            " local.set 1 nop))")
     tm = validate.validate_module(text.parse_module(src), annotate=True)
-    for debug in (False, True):
-        cfg = _start(tm, "f", [arg], None, fuel=100, debug=debug)
-        interp.run(cfg)
+    for run in (interp.run, stepping.run):
+        cfg = _start(tm, "f", [arg], None, fuel=100)
+        run(cfg)
         assert (cfg.status, cfg.trap_kind) == ("trap", kind)
         assert 100 - cfg.fuel == _TRAP_STEPS[name]
         assert len(cfg.trace) == _TRAP_STEPS[name]
@@ -432,8 +433,8 @@ def _debug_module():
 @pytest.mark.parametrize("corrupt", ["depth", "width"])
 def test_debug_mode_checks_a_pc_in_the_middle_of_a_block(corrupt):
     tm = _debug_module()
-    cfg = _start(tm, "f", [Value(ast.I64, 1 << 40)], None, debug=True)
-    interp.run(cfg)
+    cfg = _start(tm, "f", [Value(ast.I64, 1 << 40)], None)
+    stepping.run(cfg)
     assert cfg.status == "done"
     tm = _debug_module()
     ff = tm.flat(0)
@@ -442,9 +443,9 @@ def test_debug_mode_checks_a_pc_in_the_middle_of_a_block(corrupt):
     types = list(ff.stack_types)  # the record itself is read-only
     types[pc] = (ast.I64,) if corrupt == "depth" else (I32, ast.I64)
     ff.stack_types = types
-    cfg = _start(tm, "f", [Value(ast.I64, 1 << 40)], None, debug=True)
+    cfg = _start(tm, "f", [Value(ast.I64, 1 << 40)], None)
     with pytest.raises(AssertionError, match=f"pc {pc}"):
-        interp.run(cfg)
+        stepping.run(cfg)
     assert len(cfg.trace) == pc
     plain = _start(tm, "f", [Value(ast.I64, 1 << 40)], None)
     interp.run(plain)
@@ -537,14 +538,15 @@ _M32 = 0xFFFFFFFF
 ])
 def test_locals_and_reused_expressions_keep_each_value(export, arg, result):
     """Whole runs give the pinned result, and every fuel and step-budget
-    cut leaves the state debug mode leaves, which runs one op at a time."""
+    cut leaves the state the stepping oracle leaves, which runs one op at
+    a time."""
     tm = validate.validate_module(text.parse_module(_LOCALS), annotate=True)
     args = [] if arg is None else [Value(I32, arg)]
     whole = _start(tm, export, args, None)
     interp.run(whole)
     assert (whole.status, whole.results) == ("done", [result])
     steps = FUEL - whole.fuel
-    stepped = _start(tm, export, args, None, debug=True)
+    stepped = _start(tm, export, args, None)
     for k in range(steps + 1):
         ran = _start(tm, export, args, None)
         interp.run(ran, max_steps=k)
@@ -554,7 +556,7 @@ def test_locals_and_reused_expressions_keep_each_value(export, arg, result):
             assert _frames(other) == _frames(stepped), (export, k)
             assert other.trace == stepped.trace, (export, k)
             assert _final(other)[2:] == _final(stepped)[2:], (export, k)
-        interp.run(stepped, max_steps=1)
+        stepping.run(stepped, max_steps=1)
     assert _final(stepped) == _final(whole)
 
 

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+import stepping
 from ctwasm import ast, interp, numerics, text, validate
 from ctwasm.ast import I32, I64, S32, S64, F32, F64, FuncType, Secrecy, Trust
 from ctwasm.interp import (
@@ -406,7 +407,7 @@ def test_debug_mode_type_preservation_on_corpus(typed_corpus):
             mem = store.mems[store.insts[idx].mem_addr]
             for off, chunk in vec.memory_in.items():
                 mem.data[off:off + len(chunk)] = chunk
-            out = invoke(store, idx, vec.invoke, vec.args, debug=True)
+            out = stepping.invoke(store, idx, vec.invoke, vec.args)
             assert out.status == "done", (name, out.trap_kind)
 
 

@@ -247,6 +247,28 @@ def test_lockstep_fuel_exhaustion_on_both_sides_agrees():
     assert v.ok  # both exhausted at the same step: prefix equivalence
 
 
+@pytest.mark.parametrize("fuel, env", [(0, None), (-1, None), (None, "0")])
+def test_a_check_with_no_fuel_to_run_a_step_is_refused(fuel, env,
+                                                       monkeypatch):
+    """Twins that run no step compare nothing, so neither a check nor a
+    trial reports them indistinguishable, whether the fuel is given or
+    comes from CTWASM_FUEL."""
+    if env is not None:
+        monkeypatch.setenv("CTWASM_FUEL", env)
+    tm = validate.validate_module(text.parse_module(
+        '(module (func (export "g") (param s32) (result s32) (local.get 0)))'))
+    given = interp.default_fuel() if fuel is None else fuel
+    refused = f"fuel must be at least 1, got {given}"
+    with pytest.raises(ValueError, match=refused):
+        lockstep_check(tm, "g", [Value(S32, 1)], [Value(S32, 2)], fuel=fuel)
+    spec = TrialSpec("g", [Value(S32, 0)], [leakage.SecretInput("0", param=0)],
+                     {}, fuel)
+    with pytest.raises(ValueError, match=refused):
+        randomized_ct_trial(tm, spec, trials=5)
+    assert lockstep_check(tm, "g", [Value(S32, 1)], [Value(S32, 2)],
+                          fuel=1).ok
+
+
 def test_lockstep_initial_distinguishability_is_incomparable():
     src = "(module (memory 1) (func (export \"f\") nop))"
     tm = validate.validate_module(text.parse_module(src), annotate=True)

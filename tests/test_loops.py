@@ -1,15 +1,17 @@
-"""Loop functions against debug mode, which runs one op at a time.
+"""Loop functions against the stepping oracle, which runs one op at a time.
 
 A counted loop, one whose body is straight-line code ending in ``br``,
-runs whole iterations inside one generated ``while``.  Debug mode never
-enters it, so it is the oracle here: whole runs, runs cut short by fuel
-or by a step budget, and runs in batches must leave exactly the state
-that debug mode leaves after the same number of steps.
+runs whole iterations inside one generated ``while``.  The stepping
+oracle (``stepping.run``) never enters it, so it is the oracle here:
+whole runs, runs cut short by fuel or by a step budget, and runs in
+batches must leave exactly the state that it leaves after the same
+number of steps.
 """
 
 import random
 
 import fuzzgen
+import stepping
 from ctwasm import corpus, flat, interp, leakage, text, validate
 from ctwasm.interp import Frame, Store, Value
 
@@ -32,9 +34,9 @@ def _cases():
                        [Value(t, rng.getrandbits(t.bits)) for t in f.type.params])
 
 
-def _start(tm, export, args, fuel=FUEL, debug=False):
+def _start(tm, export, args, fuel=FUEL):
     store, idx = interp.instantiate(Store(), tm)
-    return interp.make_config(store, idx, export, args, fuel, debug)
+    return interp.make_config(store, idx, export, args, fuel)
 
 
 def _state(cfg, fuel):
@@ -51,18 +53,18 @@ def _state(cfg, fuel):
 
 
 def _oracle(tm, export, args):
-    """The whole run in debug mode: its state, and the steps at which the
-    first counted loop it enters starts its first iteration and ends its
-    ITERATIONS-th (or the run ends)."""
-    cfg = _start(tm, export, args, debug=True)
+    """The whole run stepped by the oracle: its state, and the steps at
+    which the first counted loop it enters starts its first iteration and
+    ends its ITERATIONS-th (or the run ends)."""
+    cfg = _start(tm, export, args)
     loop, starts = None, []
     while not cfg.terminal and len(starts) <= ITERATIONS:
         fr = cfg.frames[-1]
         if fr.code.iters[fr.pc] and loop in (None, (fr.ff.index, fr.pc)):
             loop = (fr.ff.index, fr.pc)
             starts.append(FUEL - cfg.fuel)
-        interp.run(cfg, max_steps=1)
-    interp.run(cfg)
+        stepping.run(cfg, max_steps=1)
+    stepping.run(cfg)
     want = _state(cfg, FUEL)
     ends = starts + [want["steps"]] * (ITERATIONS + 1)
     return want, ends[0], ends[ITERATIONS]
@@ -70,10 +72,10 @@ def _oracle(tm, export, args):
 
 def _check_cuts(label, tm, export, args, cuts):
     """Fuel and step-budget cuts at each of the sorted ``cuts`` against
-    debug mode stepped to the same count."""
-    oracle, taken = _start(tm, export, args, debug=True), 0
+    the stepping oracle stepped to the same count."""
+    oracle, taken = _start(tm, export, args), 0
     for k in cuts:
-        interp.run(oracle, max_steps=k - taken)
+        stepping.run(oracle, max_steps=k - taken)
         taken = k
         want = _state(oracle, FUEL)
         ran = _start(tm, export, args)

@@ -5,8 +5,9 @@ load in one straight-line run, and the same grow and access in a counted
 loop, at widths 1, 2, 4 and 8.  An access that ends at the memory's end
 runs, one that ends a byte past it traps on that op, and a grow in the
 middle of a straight-line run moves the end for the ops after it.  Each
-runs compiled and in debug mode, which runs one op at a time, and both
-must agree with each other and with the pinned steps and actions.
+runs compiled and under the stepping oracle, which runs one op at a time
+and checks the validator's stack types, and both must agree with each
+other and with the pinned steps and actions.
 
 The reference check runs every load and store mnemonic of
 ``ast.CATALOGUE`` on a seeded random page at random in-bounds addresses
@@ -20,6 +21,7 @@ import re
 
 import pytest
 
+import stepping
 from ctwasm import ast, flat, interp, text, validate
 from ctwasm.ast import VALTYPES_BY_NAME
 from ctwasm.interp import PAGE, Store, Value
@@ -78,15 +80,16 @@ def _pins_module(load, store, t):
 def _run(tm, export, args, debug):
     """Status, trap kind, results, steps, trace and final memory."""
     store, idx = interp.instantiate(Store(), tm)
-    cfg = interp.make_config(store, idx, export, args, FUEL, debug=debug)
-    interp.run(cfg)
+    cfg = interp.make_config(store, idx, export, args, FUEL)
+    (stepping.run if debug else interp.run)(cfg)
     data = bytes(store.mems[store.insts[idx].mem_addr].data)
     return (cfg.status, cfg.trap_kind, cfg.typed_results(), FUEL - cfg.fuel,
             list(cfg.trace), data)
 
 
 def _both(tm, export, args):
-    """The compiled run, after checking that debug mode agrees with it."""
+    """The compiled run, after checking that the stepping oracle agrees
+    with it."""
     compiled = _run(tm, export, args, False)
     assert _run(tm, export, args, True) == compiled
     return compiled
@@ -284,8 +287,8 @@ def _sources(monkeypatch):
 def test_a_repeated_load_reuses_the_earlier_one_until_memory_changes(
         monkeypatch, export, arg, result, reads):
     """Whole runs give the pinned result, each load leaves its action, and
-    every fuel and step-budget cut leaves the state and trace that debug
-    mode leaves, which runs one op at a time."""
+    every fuel and step-budget cut leaves the state and trace that the
+    stepping oracle leaves, which runs one op at a time."""
     tm = validate.validate_module(text.parse_module(_RELOADS), annotate=True)
     args = [Value(ast.I32, arg)]
     status, kind, results, steps, trace, data = _both(tm, export, args)
@@ -310,9 +313,8 @@ def test_a_repeated_load_reuses_the_earlier_one_until_memory_changes(
             interp.run(cfg, max_steps)
             cuts.append(cfg)
         store, idx = interp.instantiate(Store(), tm)
-        stepped = interp.make_config(store, idx, export, args, FUEL,
-                                     debug=True)
-        interp.run(stepped, k)
+        stepped = interp.make_config(store, idx, export, args, FUEL)
+        stepping.run(stepped, k)
         for cfg in cuts:
             assert cfg.trace == stepped.trace, (export, k)
             assert [(f.pc, f.stack, f.locals, f.labels)
@@ -408,7 +410,8 @@ def test_every_load_and_store_reads_and_writes_little_endian_memory(
                     want = []
                     args = [Value(ast.I32, addr), Value(ty, bits)]
                 action = ("mem", kind, ea, width, None if secret else raw)
-                out = interp.invoke(store, idx, f"f{o}", args, debug=debug)
+                out = (stepping.invoke if debug else interp.invoke)(
+                    store, idx, f"f{o}", args)
                 assert (out.status, out.results) == ("done", want), \
                     (mnemonic, debug, ea, bits)
                 assert out.trace == [op[1] or action for op in code]

@@ -9,8 +9,8 @@ of SHA-256 must be inlined, not called.
 
 Compiled blocks leave a wrapped value unmasked until something reads its
 high bits.  Chains of a low-bit op and each such reader, in one block,
-must give the independent reading's results and a debug-mode run's
-outcomes, and a long chain must still be masked once per bound.
+must give the independent reading's results and the outcomes of the
+stepping oracle (``stepping.invoke``), and a long chain must still be masked once per bound.
 """
 
 import re
@@ -19,6 +19,7 @@ import struct
 import pytest
 
 import compiled_sources
+import stepping
 from ctwasm import flat, interp, numerics, text, validate
 from ctwasm.interp import Store, Value
 from ctwasm.ast import VALTYPES_BY_NAME
@@ -304,7 +305,8 @@ def _chain_module(t, op, observers):
 
 def _outcome(tm, export, args, debug):
     store, idx = interp.instantiate(Store(), tm)
-    out = interp.invoke(store, idx, export, args, debug=debug)
+    out = (stepping.invoke if debug else interp.invoke)(store, idx, export,
+                                                        args)
     return (out.status, [r.bits for r in out.results], out.trap_kind,
             out.trace, out.steps, [bytes(m.data) for m in store.mems],
             [g.bits for g in store.globals])
@@ -318,7 +320,8 @@ def test_every_reader_of_high_bits_sees_the_exact_value(t, op):
     a shifted operand, a div or rem, a conversion, a local, a global, a
     store, ``memory.grow`` or a spill), which must see it as if it were
     exact, on the edge operands: the result is the independent reading's
-    and every outcome a debug-mode run's, which spills each op's value."""
+    and every outcome the stepping oracle's, which spills each op's
+    value."""
     ty = VALTYPES_BY_NAME[t]
     bits, mask = ty.bits, (1 << ty.bits) - 1
     observers = _observers(t, bits)
