@@ -24,6 +24,8 @@ class Secrecy(enum.Enum):
     PUBLIC = "public"
     SECRET = "secret"
 
+    __hash__ = object.__hash__  # members are singletons, as ``==`` assumes
+
     def __repr__(self) -> str:
         return self.value
 
@@ -31,6 +33,8 @@ class Secrecy(enum.Enum):
 class Trust(enum.Enum):
     TRUSTED = "trusted"
     UNTRUSTED = "untrusted"
+
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return self.value
@@ -44,6 +48,8 @@ class Rep(enum.Enum):
     F32 = "f32"
     F64 = "f64"
 
+    __hash__ = object.__hash__
+
     @property
     def bits(self) -> int:
         return 64 if self in (Rep.I64, Rep.F64) else 32
@@ -56,39 +62,57 @@ class Rep(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class ValType:
-    rep: Rep
-    sec: Secrecy
+    """A value type: a representation and, for an integer, a secrecy.
 
-    def __post_init__(self) -> None:
-        if not self.rep.is_int and self.sec is Secrecy.SECRET:
-            raise ValueError(f"float type {self.rep.value} cannot be secret")
+    There are six, ``I32`` to ``S64`` below, and ``ValType(rep, sec)``
+    returns one of them, so value types are equal only when identical and
+    ``==`` and ``hash`` are those of ``object``.  ``name``, ``bits`` and
+    ``is_int`` are stored; copies and pickles give back the same instance.
+    """
 
-    @property
-    def name(self) -> str:
-        if self.sec is Secrecy.SECRET:
-            return "s32" if self.rep is Rep.I32 else "s64"
-        return self.rep.value
+    __slots__ = ("rep", "sec", "name", "bits", "is_int")
+    __match_args__ = ("rep", "sec")
 
-    @property
-    def bits(self) -> int:
-        return self.rep.bits
+    def __new__(cls, rep: Rep, sec: Secrecy) -> ValType:
+        t = _VALTYPES.get((rep, sec))
+        if t is None:
+            if isinstance(rep, Rep) and sec is Secrecy.SECRET:
+                raise ValueError(f"float type {rep.value} cannot be secret")
+            raise TypeError(f"no value type {rep!r} {sec!r}")
+        return t
 
-    @property
-    def is_int(self) -> bool:
-        return self.rep.is_int
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ValType, (self.rep, self.sec)
 
     def __repr__(self) -> str:
         return self.name
 
 
-I32 = ValType(Rep.I32, Secrecy.PUBLIC)
-I64 = ValType(Rep.I64, Secrecy.PUBLIC)
-F32 = ValType(Rep.F32, Secrecy.PUBLIC)
-F64 = ValType(Rep.F64, Secrecy.PUBLIC)
-S32 = ValType(Rep.I32, Secrecy.SECRET)
-S64 = ValType(Rep.I64, Secrecy.SECRET)
+_VALTYPES: dict[tuple[Rep, Secrecy], ValType] = {}
+
+
+def _intern(rep: Rep, sec: Secrecy, name: str) -> ValType:
+    t = object.__new__(ValType)
+    for slot, value in zip(ValType.__slots__,
+                           (rep, sec, name, rep.bits, rep.is_int)):
+        object.__setattr__(t, slot, value)
+    _VALTYPES[rep, sec] = t
+    return t
+
+
+I32 = _intern(Rep.I32, Secrecy.PUBLIC, "i32")
+I64 = _intern(Rep.I64, Secrecy.PUBLIC, "i64")
+F32 = _intern(Rep.F32, Secrecy.PUBLIC, "f32")
+F64 = _intern(Rep.F64, Secrecy.PUBLIC, "f64")
+S32 = _intern(Rep.I32, Secrecy.SECRET, "s32")
+S64 = _intern(Rep.I64, Secrecy.SECRET, "s64")
 
 VALTYPES_BY_NAME = {t.name: t for t in (I32, I64, F32, F64, S32, S64)}
 

@@ -481,7 +481,7 @@ class _BodyDecoder:
                 align = r.u32()
                 if align >= 32:  # align=2^32 and beyond has no text form
                     r.fail("MalformedSection", f"alignment exponent {align}")
-                return replace(proto, align=align, offset=r.u32())
+                return ast.fresh(proto, align=align, offset=r.u32())
             case ast.MemorySize() | ast.MemoryGrow():
                 if r.byte() != 0:
                     r.fail("MalformedSection", "nonzero reserved memory index")

@@ -24,6 +24,8 @@ from . import ast, interp
 from .interp import Config, Frame, HostPending, Store, Value
 from .validate import TypedModule
 
+_SECRET = ast.Secrecy.SECRET
+
 
 class Incomparable(Exception):
     """The two objects do not share a shape (different modules/stores)."""
@@ -36,6 +38,15 @@ def values_indist(v1: Value, v2: Value) -> bool:
     """Types equal, payloads equal or both secret."""
     return v1.type == v2.type and (
         v1.bits == v2.bits or v1.type.sec is ast.Secrecy.SECRET)
+
+
+def _slots_indist(types, bits1, bits2) -> bool:
+    """``values_indist`` on each pair of slots of one type, without boxing
+    them; a slot of unknown type (None) is not compared."""
+    for t, b1, b2 in zip(types, bits1, bits2):
+        if b1 != b2 and t is not None and t.sec is not _SECRET:
+            return False
+    return True
 
 
 def actions_indist(a1: tuple, a2: tuple) -> bool:
@@ -93,9 +104,9 @@ def _stores_indist(s1: Store, s2: Store) -> bool:
         if interp.project_closure(c1) != interp.project_closure(c2):
             return False
     for g1, g2 in zip(s1.globals, s2.globals):
-        if g1.mutable != g2.mutable or g1.type != g2.type:
+        if g1.mutable != g2.mutable or g1.type is not g2.type:
             return False
-        if not values_indist(Value(g1.type, g1.bits), Value(g2.type, g2.bits)):
+        if g1.bits != g2.bits and g1.type.sec is not _SECRET:
             return False
     for t1, t2 in zip(s1.tables, s2.tables):
         if t1 != t2:
@@ -137,24 +148,19 @@ def configs_indist(c1: Config, c2: Config) -> bool:
         types = f1.ff.local_types
         if types != f2.ff.local_types:
             raise Incomparable("frames disagree on local declarations")
-        for t, b1, b2 in zip(types, f1.locals, f2.locals):
-            if not values_indist(Value(t, b1), Value(t, b2)):
-                return False
+        if not _slots_indist(types, f1.locals, f2.locals):
+            return False
         if len(f1.stack) != len(f2.stack):
             return False
         ann = f1.ff.stack_types
         if ann is not None:
-            for t, b1, b2 in zip(ann[f1.pc], f1.stack, f2.stack):
-                if t is None:
-                    continue
-                if not values_indist(Value(t, b1), Value(t, b2)):
-                    return False
+            if not _slots_indist(ann[f1.pc], f1.stack, f2.stack):
+                return False
     if c1.status == interp.DONE:
         if c1.result_types != c2.result_types:
             raise Incomparable("different result types")
-        for t, b1, b2 in zip(c1.result_types, c1.results, c2.results):
-            if not values_indist(Value(t, b1), Value(t, b2)):
-                return False
+        if not _slots_indist(c1.result_types, c1.results, c2.results):
+            return False
     return True
 
 
@@ -341,8 +347,7 @@ def _final_verdict(ca: Config, cb: Config, step: int) -> Verdict | None:
         return Verdict("diverged", step, None, None,
                        f"termination differs: {ca.status}/{ca.trap_kind} vs "
                        f"{cb.status}/{cb.trap_kind}")
-    if not all(values_indist(Value(t, b1), Value(t, b2)) for t, b1, b2
-               in zip(ca.result_types, ca.results, cb.results)):
+    if not _slots_indist(ca.result_types, ca.results, cb.results):
         return Verdict("diverged", step, None, None, "public results differ")
     if not configs_indist(ca, cb):
         return Verdict("diverged", step, None, None,

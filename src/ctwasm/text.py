@@ -717,7 +717,7 @@ class _Parser:
         proto = CATALOGUE.get(name)
         if isinstance(proto, (Load, Store)):
             offset, align, i = self._memarg(items, i, proto.align)
-            out.append(replace(proto, align=align, offset=offset, span=span))
+            out.append(fresh(proto, span, align=align, offset=offset))
             return i
         if proto is not None:
             out.append(fresh(proto, span))

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
 
-from ctwasm import ast
+from ctwasm import ast, binary, flat, infer, strip, text, validate
 from ctwasm.ast import (
     F32, F64, I32, I64, S32, S64, Secrecy, Trust, ValType,
     classify_result, declassify_result, sec_of, trust_geq,
@@ -61,6 +64,111 @@ def test_valtype_equality_is_structural():
     assert ValType(ast.Rep.I32, Secrecy.SECRET) == S32
     assert S32 != I32
     assert I32 != I64
+
+
+SIX = (I32, I64, F32, F64, S32, S64)
+
+
+@pytest.mark.parametrize("t", SIX, ids=repr)
+def test_a_value_type_is_its_interned_constant(t):
+    assert ValType(t.rep, t.sec) is t
+    assert ValType(rep=t.rep, sec=t.sec) is t
+    assert hash(ValType(t.rep, t.sec)) == hash(t)
+    assert t.bits == (64 if t.rep in (ast.Rep.I64, ast.Rep.F64) else 32)
+    assert t.is_int == (t.rep in (ast.Rep.I32, ast.Rep.I64))
+    assert ast.VALTYPES_BY_NAME[t.name] is t and repr(t) == t.name
+
+
+@pytest.mark.parametrize("t", SIX, ids=repr)
+def test_copies_and_pickles_of_a_value_type_are_itself(t):
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy(ast.FuncType(Trust.UNTRUSTED, (t,), ())).params[0] is t
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(t, protocol)) is t
+
+
+def test_a_value_type_is_immutable():
+    for name in ("rep", "sec", "name", "bits", "is_int", "other"):
+        with pytest.raises(AttributeError):
+            setattr(S32, name, None)
+        with pytest.raises(AttributeError):
+            delattr(S32, name)
+    assert S32.rep is ast.Rep.I32 and S32.sec is Secrecy.SECRET
+    assert not hasattr(S32, "__dict__")
+
+
+def test_a_match_on_a_value_type_binds_both_fields():
+    for t in SIX:
+        match t:
+            case ValType(rep, sec):
+                assert (rep, sec) == (t.rep, t.sec)
+            case _:
+                pytest.fail(f"{t!r} did not match")
+    match S64:
+        case ValType(ast.Rep.I64, Secrecy.PUBLIC):
+            pytest.fail("matched the wrong secrecy")
+        case ValType(ast.Rep.I64, Secrecy.SECRET):
+            pass
+
+
+def _interned(t) -> bool:
+    return any(t is u for u in SIX)
+
+
+def test_type_functions_return_interned_types():
+    for t in SIX:
+        assert _interned(ast.public_type(t))
+        assert all(_interned(ast.at_secrecy(t, sec)) for sec in Secrecy)
+    assert classify_result(I32) is S32 and classify_result(I64) is S64
+    assert declassify_result(S32) is I32 and declassify_result(S64) is I64
+    for sec in Secrecy:
+        for ins in (ast.Binop(S32, "add"), ast.Const(I64, 5),
+                    ast.Convert(S64, S32, "u"), ast.Load(F32, None, None, 2, 0),
+                    ast.CallIndirect(ast.FuncType(Trust.TRUSTED, (S32,), (I64,)))):
+            types = list(_value_types(ast.retype_instr(ins, sec)))
+            assert types and all(map(_interned, types)), (ins, sec)
+
+
+def _value_types(obj, seen=None):
+    """Every value type reachable from ``obj`` through dataclass fields,
+    containers and stack types."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, ValType):
+        yield obj
+        return
+    if isinstance(obj, (str, bytes, bytearray, int, float, type(None))) or \
+            id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _value_types(x, seen)
+    elif isinstance(obj, dict):
+        for x in itertools.chain(obj.keys(), obj.values()):
+            yield from _value_types(x, seen)
+    elif isinstance(obj, flat.StackTypes):
+        for pc in range(len(obj)):
+            yield from _value_types(obj[pc], seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _value_types(getattr(obj, f.name), seen)
+
+
+def test_every_type_of_a_processed_corpus_module_is_interned(positive_entries):
+    count = 0
+    for e in positive_entries:
+        m = text.parse_module(text.print_module(e.module), e.name)
+        decoded = binary.decode_module(binary.encode_module(m))
+        tm = validate.validate_module(decoded)
+        report = strip.strip_module(tm)
+        inferred = infer.infer_labels(report.module)
+        assert inferred.ok, e.name
+        for obj in (m, decoded, tm, report.module, inferred.module):
+            for t in _value_types(obj):
+                assert _interned(t), (e.name, t)
+                count += 1
+    assert count > 1000
 
 
 # Checked-in list: one variant per production of the instruction grammar.
