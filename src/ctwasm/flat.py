@@ -43,6 +43,8 @@ TAGS: dict[type, int] = {cls: tag
 # the classes of which every op's observation depends on its operands
 _DYNAMIC = frozenset((ast.If, ast.BrIf, ast.BrTable, ast.CallIndirect,
                       ast.Load, ast.Store, ast.MemoryGrow))
+# each value type's representation name, the name its numerics key holds
+_REP_NAMES = {t: t.rep.value for t in ast.VALTYPES_BY_NAME.values()}
 _NUMERICS = {ast.Unop: UNOP_FNS, ast.Binop: BINOP_FNS, ast.Testop: TESTOP_FNS,
              ast.Relop: RELOP_FNS, ast.Convert: CONVERT_FNS}
 # each class's tag, field names but bodies, and numerics table (None if it
@@ -164,9 +166,8 @@ def flatten_func(index: int, f: ast.Func) -> FlatFunc:
             tag, names, fns = _LAYOUTS[type(ins)]
             fields = [getattr(ins, n) for n in names]
             if fns is not None:
-                fields.append(fns[tuple(
-                    v.rep.value if isinstance(v, ast.ValType) else v
-                    for v in fields)])
+                fields.append(fns[tuple(_REP_NAMES.get(v, v)
+                                        for v in fields)])
             elif tag == T_LOAD or tag == T_STORE:
                 fields.append((ins.pack or ins.type.bits) // 8)
             elif tag == T_BLOCK or tag == T_LOOP or tag == T_IF:

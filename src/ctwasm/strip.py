@@ -16,6 +16,7 @@ paranoid mode also any export that hands secret state to the host).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import ast, binary, flat
 from .ast import (
@@ -42,10 +43,20 @@ class Warning:
 
 @dataclass
 class StripReport:
+    """The stripped module and its warnings.  The byte counts encode the
+    source and the stripped module on first read, and keep the result."""
+
     module: ast.Module  # plain Wasm, no security constructs left
     warnings: list[Warning]
-    input_bytes: int
-    output_bytes: int
+    source: ast.Module  # the annotated module that was stripped
+
+    @cached_property
+    def input_bytes(self) -> int:
+        return len(binary.encode_module(self.source))
+
+    @cached_property
+    def output_bytes(self) -> int:
+        return len(binary.encode_module(self.module))
 
     @property
     def size_ratio(self) -> float:
@@ -195,6 +206,4 @@ def strip_module(m: ast.Module | TypedModule, paranoid: bool = False
                     f"export {f.exports[0]!r} passes secret values across "
                     "the host boundary"))
 
-    return StripReport(out, stripper.warnings,
-                       len(binary.encode_module(src)),
-                       len(binary.encode_module(out)))
+    return StripReport(out, stripper.warnings, src)

@@ -10,6 +10,14 @@ pairs the change won, by the metric's direction in ``BENCHMARK.json``:
     python3 tests/bench_pairs.py ../parent . --workloads toolchain \\
         --pairs 10 --first-seed 30001 --seconds 20
 
+Where a checkout sits moves its numbers by itself: an identical copy of
+one commit in a second directory has read about 2% apart on the lockstep
+workloads.  To cancel that, run the comparison a second time with the
+two commits' directories swapped (check the parent's commit out where
+the change was, and the change's where the parent was), and report both
+comparisons.  A difference that keeps its sign across the swap is the
+code's; one that flips is the directories'.
+
 Each checkout's program is the one under its own ``src/``.  A run that
 fails or reports ``"correct": false`` stops the comparison.  Nothing
 under ``perfbench/`` changes.  Pytest does not collect this file: its

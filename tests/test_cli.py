@@ -210,6 +210,20 @@ def test_strip_clean_corpus_exit_zero(capsys, corpus_root, tmp_path):
     assert "secret" not in out_file.read_text()
 
 
+@pytest.mark.parametrize("emit", ["text", "binary"])
+@pytest.mark.parametrize("name, sizes", [("salsa20", (1206, 1012, 1.1917)),
+                                         ("sha256", (1767, 1563, 1.1305)),
+                                         ("tea", (447, 381, 1.1732))])
+def test_strip_json_reports_byte_counts(capsys, corpus_root, tmp_path,
+                                        emit, name, sizes):
+    rc, out, err = run_cli(["--json", "strip", corp(name, corpus_root),
+                            "--emit", emit, "-o", str(tmp_path / "out")],
+                           capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["input_bytes"], doc["output_bytes"], doc["size_ratio"]) == sizes
+
+
 def test_strip_warning_exit_two(capsys, tmp_path):
     p = tmp_path / "imp.cwat"
     p.write_text('(module (func (import "env" "f") (param s32))'

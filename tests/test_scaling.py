@@ -1,5 +1,5 @@
-"""Parsing, encoding and decoding time, and the validator's memory, grow
-linearly with the input.
+"""Parsing, encoding, decoding and stripping time, and the validator's
+memory, grow linearly with the input.
 
 Times are the best of three with the garbage collector off, and each
 test compares two shapes of equal size, so that a shape which costs
@@ -11,7 +11,7 @@ import gc
 import time
 import tracemalloc
 
-from ctwasm import ast, binary, text, validate
+from ctwasm import ast, binary, strip, text, validate
 
 N = 16_000
 
@@ -95,3 +95,20 @@ def test_validation_records_stack_types_in_linear_memory():
         peaks.append(_peak_bytes(validate.validate_module, m))
     deep, shallow = peaks
     assert deep / shallow < 3, peaks
+
+
+def _selects(n: int) -> validate.TypedModule:
+    """A validated function of n secret selects, 5n instructions."""
+    ft = ast.FuncType(ast.Trust.UNTRUSTED, (ast.S32,) * 3, ())
+    unit = (ast.GetLocal(0), ast.GetLocal(1), ast.GetLocal(2),
+            ast.Select(ast.Secrecy.SECRET), ast.Drop())
+    return validate.validate_module(
+        ast.Module(funcs=(ast.Func(ft, (), unit * n),)))
+
+
+def test_stripping_takes_linear_time_in_a_function_s_ops():
+    """4x the ops of one function cost at most 8x the time; walking the
+    function's ops once per op made it about 14x."""
+    small, large = (_best(strip.strip_module, _selects(n))[0]
+                    for n in (800, 3_200))
+    assert large / small < 8, (small, large)

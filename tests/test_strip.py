@@ -1,6 +1,7 @@
 import random
 import shutil
 
+import fuzzgen
 import pytest
 import wabt_bridge
 from ctwasm import ast, binary, interp, strip, text, validate
@@ -125,6 +126,62 @@ def test_corpus_strips_clean(typed_corpus):
         validate.validate_module(rep.module)
         assert rep.input_bytes >= rep.output_bytes, name
         assert 1.0 <= rep.size_ratio <= 1.5, (name, rep.size_ratio)
+
+
+def _count_encodes(monkeypatch) -> list:
+    """The modules ``binary.encode_module`` is called on from now on."""
+    encoded = []
+    encode = binary.encode_module
+
+    def counting(m):
+        encoded.append(m)
+        return encode(m)
+
+    monkeypatch.setattr(binary, "encode_module", counting)
+    return encoded
+
+
+def test_strip_module_encodes_nothing(typed_corpus, monkeypatch):
+    encoded = _count_encodes(monkeypatch)
+    for _, tm in typed_corpus.values():
+        strip_module(tm)
+        strip_module(tm.module, paranoid=True)
+    assert encoded == []
+
+
+def test_byte_counts_encode_each_module_once_on_first_read(
+        typed_corpus, monkeypatch):
+    encoded = _count_encodes(monkeypatch)
+    for name, (_, tm) in typed_corpus.items():
+        rep = strip_module(tm)
+        ratio = rep.size_ratio
+        assert sorted(map(id, encoded)) == \
+            sorted((id(tm.module), id(rep.module))), name
+        for _ in range(2):
+            assert (rep.input_bytes / rep.output_bytes, rep.size_ratio) == \
+                (ratio, ratio), name
+        assert len(encoded) == 2, name
+        encoded.clear()
+
+
+def _typed_sources(typed_corpus):
+    """The positive corpus modules and ``fuzzgen.generate(seed, ct=True)``
+    for seeds 0-99, validated."""
+    for name, (_, tm) in typed_corpus.items():
+        yield name, tm
+    for seed in range(100):
+        yield seed, validate.validate_module(
+            text.parse_module(fuzzgen.generate(seed, ct=True)))
+
+
+def test_byte_counts_are_the_encoded_sizes(typed_corpus):
+    for name, tm in _typed_sources(typed_corpus):
+        for paranoid in (False, True):
+            rep = strip_module(tm, paranoid=paranoid)
+            sizes = (len(binary.encode_module(tm.module)),
+                     len(binary.encode_module(rep.module)))
+            assert (rep.input_bytes, rep.output_bytes) == sizes, name
+            assert rep.size_ratio == sizes[0] / sizes[1], name
 
 
 def test_untrusted_import_warns():
