@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .numerics import BINOP_FNS, RELOP_FNS, TESTOP_FNS, UNOP_FNS
+
 
 class Secrecy(enum.Enum):
     PUBLIC = "public"
@@ -161,26 +163,16 @@ class FuncType:
         return f"({self.trust.value}: [{p}] -> [{r}])"
 
 
-# Operator name sets.  Integer div/rem are representable for all integer
-# types; the validator rejects them on secret operands.
-INT_UNOPS = ("clz", "ctz", "popcnt")
-FLOAT_UNOPS = ("neg", "abs", "ceil", "floor", "trunc", "nearest", "sqrt")
-INT_BINOPS = (
-    "add", "sub", "mul", "div_s", "div_u", "rem_s", "rem_u",
-    "and", "or", "xor", "shl", "shr_s", "shr_u", "rotl", "rotr",
-)
-FLOAT_BINOPS = ("add", "sub", "mul", "div", "min", "max", "copysign")
-TESTOPS = ("eqz",)
-INT_RELOPS = ("eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u", "le_s", "le_u", "ge_s", "ge_u")
-FLOAT_RELOPS = ("eq", "ne", "lt", "gt", "le", "ge")
-
-# Binops whose hardware timing depends on operand values.
+# The operators on each representation are the keys, (rep name, op), of
+# the numerics tables.  Integer div/rem are representable for all integer
+# types; the validator rejects them on secret operands, as these binops'
+# hardware timing depends on operand values.
 UNSAFE_BINOPS = frozenset(("div_s", "div_u", "rem_s", "rem_u"))
 
 # The deepest that blocks, loops and ifs may nest in a function body, as
-# the Wasm spec lets an implementation bound it.  The flattener, printer
-# and encoder read ``unfold`` and do not recurse; the parser, decoder and
-# ``rebuild`` recurse two to four Python frames per level, so at this
+# the Wasm spec lets an implementation bound it.  The flattener, printer,
+# encoder and ``rebuild`` read ``unfold`` and do not recurse; the parser
+# and decoder recurse two to four Python frames per level, so at this
 # depth each stays well under Python's default recursion limit of 1,000
 # frames.
 MAX_NESTING = 200
@@ -362,8 +354,7 @@ class Unop(Instr):
     op: str
 
     def __post_init__(self) -> None:
-        ops = INT_UNOPS if self.type.is_int else FLOAT_UNOPS
-        if self.op not in ops:
+        if (self.type.rep.value, self.op) not in UNOP_FNS:
             raise ValueError(f"no unop {self.op} on {self.type.name}")
 
 
@@ -373,8 +364,7 @@ class Binop(Instr):
     op: str
 
     def __post_init__(self) -> None:
-        ops = INT_BINOPS if self.type.is_int else FLOAT_BINOPS
-        if self.op not in ops:
+        if (self.type.rep.value, self.op) not in BINOP_FNS:
             raise ValueError(f"no binop {self.op} on {self.type.name}")
 
 
@@ -384,7 +374,7 @@ class Testop(Instr):
     op: str = "eqz"
 
     def __post_init__(self) -> None:
-        if not self.type.is_int or self.op not in TESTOPS:
+        if (self.type.rep.value, self.op) not in TESTOP_FNS:
             raise ValueError(f"no testop {self.op} on {self.type.name}")
 
 
@@ -394,8 +384,7 @@ class Relop(Instr):
     op: str
 
     def __post_init__(self) -> None:
-        ops = INT_RELOPS if self.type.is_int else FLOAT_RELOPS
-        if self.op not in ops:
+        if (self.type.rep.value, self.op) not in RELOP_FNS:
             raise ValueError(f"no relop {self.op} on {self.type.name}")
 
 
@@ -573,12 +562,10 @@ def _prototypes():
     yield from (Unreachable(), Nop(), Drop(), Return(), MemorySize(),
                 MemoryGrow(), Select(), Select(Secrecy.SECRET))
     types = tuple(VALTYPES_BY_NAME.values())
-    for t in types:
-        int_t = t.is_int
-        yield from (Unop(t, op) for op in (INT_UNOPS if int_t else FLOAT_UNOPS))
-        yield from (Binop(t, op) for op in (INT_BINOPS if int_t else FLOAT_BINOPS))
-        yield from (Testop(t, op) for op in (TESTOPS if int_t else ()))
-        yield from (Relop(t, op) for op in (INT_RELOPS if int_t else FLOAT_RELOPS))
+    for t, (cls, fns) in itertools.product(types, (
+            (Unop, UNOP_FNS), (Binop, BINOP_FNS), (Testop, TESTOP_FNS),
+            (Relop, RELOP_FNS))):
+        yield from (cls(t, op) for rep, op in fns if rep == t.rep.value)
     for t, pack in itertools.product(types, (None, 8, 16, 32)):
         align = ((pack or t.bits) // 8).bit_length() - 1  # natural
         for signed in (None, True, False):
@@ -666,26 +653,33 @@ def iter_instrs(body: tuple[Instr, ...]):
 
 
 def rebuild(body: tuple[Instr, ...], fn) -> tuple[Instr, ...]:
-    """A new body in which ``fn(ins)`` replaces each instruction.
+    """A new body in which ``fn(pc, ins)`` replaces each instruction.
 
-    ``fn`` returns a sequence of instructions and is called in pre-order,
-    as ``iter_instrs`` yields them.  For a block, loop or if, the first
-    instruction it returns stands for the construct and receives the
-    construct's rebuilt bodies.
-    """
+    ``pc`` is the instruction's place in ``unfold(body)``, which is the
+    offset ``flat.flatten_func`` gives its op.  ``fn`` returns a sequence
+    of instructions.  For a block, loop or if, the first instruction it
+    returns stands for the construct and receives the construct's rebuilt
+    bodies.  Each construct is closed at its ``END``, so the walk does not
+    recurse."""
     out: list[Instr] = []
-    for ins in body:
-        new = fn(ins)
-        match ins:
-            case Block(body=b) | Loop(body=b):
-                head = new[0]
-                new = (type(head)(head.result, rebuild(b, fn), span=head.span),
-                       *new[1:])
-            case If(then=t, else_=e):
-                head = new[0]
-                new = (If(head.result, rebuild(t, fn), rebuild(e, fn),
-                          span=head.span), *new[1:])
-        out.extend(new)
+    opened: list[list] = []  # [fn's instructions, enclosing body, then arm]
+    for pc, (_, ins) in enumerate(unfold(body)):
+        if ins is ELSE:
+            opened[-1][2], out = tuple(out), []
+        elif ins is END:
+            (head, *rest), outer, then = opened.pop()
+            arm, out = tuple(out), outer
+            if isinstance(head, If):
+                arms = (arm, ()) if then is None else (then, arm)
+                out.append(If(head.result, *arms, span=head.span))
+            else:
+                out.append(type(head)(head.result, arm, span=head.span))
+            out.extend(rest)
+        elif isinstance(ins, (Block, Loop, If)):
+            opened.append([fn(pc, ins), out, None])
+            out = []
+        else:
+            out.extend(fn(pc, ins))
     return tuple(out)
 
 

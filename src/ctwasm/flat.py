@@ -131,15 +131,6 @@ class FlatFunc:
     compiled: object = field(default=None, repr=False, compare=False)
 
 
-def instr_pcs(code: list[tuple]) -> list[int]:
-    """Offsets of the ops that stand for instructions of the body.
-
-    Every op but an ``else`` or ``end`` marker does, so the k-th offset is
-    that of the k-th instruction in pre-order (``ast.iter_instrs``)."""
-    return [pc for pc, op in enumerate(code)
-            if op[0] != T_ELSE and op[0] != T_END]
-
-
 def flatten_func(index: int, f: ast.Func) -> FlatFunc:
     code: list[tuple] = []
     origins: list[ast.Instr] = []

@@ -25,8 +25,8 @@ Each op's secrecy rule is stated once, in ``_Rules.func``.  As it adds an
 op's demotion rules it records what the op's variant takes its secrecy
 from and which node or public slot each operand's value must match; the
 coercion flags (``_flags``) read that record, so they demand only what a
-rule enforces.  ``ast.rebuild`` then meets the instructions in the order
-of their flat ops as it rebuilds each body.
+rule enforces.  ``ast.rebuild`` then hands each instruction its op's pc
+as it rebuilds each body.
 """
 
 from __future__ import annotations
@@ -467,13 +467,10 @@ def _flags(src: list, needs: list[tuple], types: list, sec_of
     return sec, classify
 
 
-def _emit_body(m: ast.Module, f: ast.Func, ff: FlatFunc, sec: list,
-               classify: dict, signature) -> tuple[Instr, ...]:
+def _emit_body(m: ast.Module, f: ast.Func, sec: list, classify: dict,
+               signature) -> tuple[Instr, ...]:
     """The body with each op's variant and the classify coercions."""
-    pcs = iter(flat.instr_pcs(ff.code))
-
-    def emit(ins: Instr) -> tuple[Instr, ...]:
-        pc = next(pcs)
+    def emit(pc: int, ins: Instr) -> tuple[Instr, ...]:
         if isinstance(ins, ast.CallIndirect) and \
                 (cands := _table_candidates(m, ins.type)):
             # the annotation must match the (unified) labeling of the
@@ -574,7 +571,7 @@ def infer_labels(m: ast.Module, hints: Hints | None = None) -> InferResult:
         locals_ = tuple(ast.at_secrecy(t, sec_of(("local", fi, np + i)))
                         for i, t in enumerate(f.locals))
         funcs.append(replace(f, type=ft, locals=locals_, body=_emit_body(
-            m, f, ff, sec, classify, signature)))
+            m, f, sec, classify, signature)))
 
     globals_ = tuple(
         replace(g, type=ast.at_secrecy(g.type, sec_of(("global", gi))))

@@ -134,10 +134,7 @@ class _Stripper:
                 save64 = base + len(extra)
                 extra.append(ast.I64)
 
-        pcs = iter(flat.instr_pcs(ff.code))
-
-        def erase(ins: Instr) -> tuple[Instr, ...]:
-            pc = next(pcs)
+        def erase(pc: int, ins: Instr) -> tuple[Instr, ...]:
             match ins:
                 case Classify() | Declassify():
                     return ()  # the value flows through unchanged

@@ -276,8 +276,7 @@ _INDEX_SPACE = {
 class _FuncDecl:
     name: str | None
     type: FuncType
-    param_names: list[str | None]
-    local_names: list[str | None]
+    local_names: _Names  # params' and declared locals' names, one space
     locals: list[ValType]
     body_items: list  # raw sexpr items, resolved in a second pass
     imported: tuple[str, str] | None
@@ -515,9 +514,12 @@ class _Parser:
         items = items[k:]
         if imported is not None and (local_types or items):
             raise self.err("imported function cannot have a body", s.span)
+        names = _Names(self.filename)
+        for i, n in enumerate(pnames + local_names):
+            names.bind("local", n, i, s.span)
         self.names.bind("func", name, len(self.funcs), s.span)
-        self.funcs.append(_FuncDecl(name, ft, pnames, local_names, local_types,
-                                    items, imported, s.span))
+        self.funcs.append(_FuncDecl(name, ft, names, local_types, items,
+                                    imported, s.span))
 
     def _limits(self, items: list, span: SourceSpan) -> tuple[int, int | None, list]:
         if not items:
@@ -641,14 +643,14 @@ class _Parser:
     def _index(self, space: str, tok, labels: list[str | None],
                fd: _FuncDecl) -> int:
         """Resolve an index operand; labels and locals have per-function names."""
-        if space in ("label", "local") and isinstance(tok, Token) and \
+        if space == "label" and isinstance(tok, Token) and \
                 tok.text.startswith("$"):
-            names = list(reversed(labels)) if space == "label" \
-                else fd.param_names + fd.local_names
+            names = list(reversed(labels))
             if tok.text not in names:
-                raise self.err(f"unknown {space} {tok.text}", tok.span)
+                raise self.err(f"unknown label {tok.text}", tok.span)
             return names.index(tok.text)
-        return self.names.resolve(space, tok)
+        return (fd.local_names if space == "local" else self.names).resolve(
+            space, tok)
 
     def _block_intro(self, items: list, i: int, labels: list[str | None]):
         """label? (result t)? -> (label name, result, next index)."""
@@ -746,6 +748,9 @@ class _Parser:
                     i += 1
                     if i < len(items) and isinstance(items[i], Token) and \
                             items[i].text.startswith("$"):
+                        if items[i].text != lbl:
+                            raise self.err(f"end {items[i].text} does not close"
+                                           " its block's label", items[i].span)
                         i += 1  # trailing label name on end
                     break
                 else:
@@ -858,8 +863,8 @@ class _Parser:
     # -- assembly
 
     def _const_expr(self, items: list, what: str, span: SourceSpan) -> tuple[Instr, ...]:
-        dummy = _FuncDecl(None, FuncType(Trust.UNTRUSTED, (), ()), [], [], [],
-                          [], None, span)
+        dummy = _FuncDecl(None, FuncType(Trust.UNTRUSTED, (), ()),
+                          _Names(self.filename), [], [], None, span)
         instrs = self._instrs(items, [], dummy)
         if not instrs:
             raise self.err(f"{what} needs a constant expression", span)

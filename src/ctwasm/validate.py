@@ -40,6 +40,7 @@ class ErrorCode(enum.Enum):
     MutabilityViolation = "MutabilityViolation"
     AlignmentViolation = "AlignmentViolation"
     NestingTooDeep = "NestingTooDeep"
+    LimitsInvalid = "LimitsInvalid"
 
 
 @dataclass(frozen=True)
@@ -599,6 +600,14 @@ def check_module(m: ast.Module, annotate: bool = True
         errors.append(ValidationError(ErrorCode.SyntaxIndex, None, None,
                                       f"duplicate export name {n!r}"))
 
+    for noun, lim in (("memory", m.memory), ("table", m.table)):
+        if lim is not None and lim.max is not None and lim.min > lim.max:
+            errors.append(ValidationError(ErrorCode.LimitsInvalid, None, None, (
+                f"{noun} minimum {lim.min} exceeds its maximum {lim.max}")))
+    # 65,536 pages of 64 KiB span the 32-bit address space
+    if m.memory is not None and max(m.memory.min, m.memory.max or 0) > 1 << 16:
+        errors.append(ValidationError(ErrorCode.LimitsInvalid, None, None,
+                                      "memory limits exceed 65536 pages"))
     for g in m.globals:
         if g.imported is None:
             _check_const_expr(m, g.init or (), g.type, "global", errors)

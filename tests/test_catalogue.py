@@ -50,7 +50,7 @@ def test_catalogue_entries_round_trip():
 
 
 def test_decoded_instructions_are_distinct_objects():
-    # strip finds each secret select's pc by its position (flat.instr_pcs);
+    # strip reads each secret select's pc from ast.rebuild's walk;
     # decoded instructions must still be fresh objects, and the stripped
     # s32 and s64 selects must each keep their own width
     src = """(module (func (param s32 s32 s64 s64 s32) (result s64)

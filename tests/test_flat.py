@@ -4,7 +4,8 @@
 import dataclasses
 import re
 
-from ctwasm import ast, flat, interp, numerics
+import fuzzgen
+from ctwasm import ast, flat, interp, numerics, text
 from ctwasm.ast import I32, S32, FuncType, Trust
 
 _LEAKY = (ast.BrIf, ast.BrTable, ast.CallIndirect, ast.Load, ast.Store,
@@ -105,3 +106,23 @@ def test_interp_classes_every_static_action_as_static_and_no_other():
                    ("unsafe-binop", "i32.div_u", 1, 0), ("grow", 1, 1, 1),
                    ("call-indirect", 0), ("host", ("m", "f"), (), (), (), ())):
         assert interp.leaks(leaked), leaked
+
+
+def test_rebuild_hands_each_instruction_the_pc_of_its_op(positive_entries):
+    modules = [e.module for e in positive_entries] + [
+        text.parse_module(fuzzgen.generate(seed, ct))
+        for seed in range(100) for ct in (False, True)]
+    funcs = [(i, f) for m in modules for i, f in enumerate(m.funcs)
+             if f.imported is None]
+    for i, f in funcs:
+        ff = flat.flatten_func(i, f)
+        seen = []
+
+        def same(pc, ins):
+            assert ff.origins[pc] is ins, (pc, ins)
+            seen.append(pc)
+            return (ins,)
+
+        assert ast.rebuild(f.body, same) == f.body
+        assert seen == [pc for pc, op in enumerate(ff.code)
+                        if op[0] not in (flat.T_ELSE, flat.T_END)]

@@ -1,8 +1,8 @@
 """Blocks nest at most ``ast.MAX_NESTING`` deep.  The bound is checked where
 nesting enters (the text reader and parser, the decoder, and the validator
 for hand-built ASTs), so deeper input fails with one typed error.  The
-flattener, printer and encoder read ``ast.unfold`` and do not recurse; the
-parser, decoder and ``ast.rebuild`` do, and on an admitted module they stay
+flattener, printer, encoder and ``ast.rebuild`` read ``ast.unfold`` and do
+not recurse; the parser and decoder do, and on an admitted module they stay
 under Python's recursion limit."""
 
 import sys
@@ -190,3 +190,17 @@ def test_an_empty_body_past_the_bound_is_too_deep_for_every_writer(write):
         body = (ast.Block(None, body),)
     with pytest.raises(ast.NestingTooDeep, match=ast.TOO_DEEP):
         write(_module(body))
+
+
+def test_rebuild_takes_the_deepest_nest_in_a_few_frames():
+    body: tuple = (ast.Nop(),)
+    for level in range(N):  # blocks and ifs with an else, alternating
+        body = (ast.Block(None, body),) if level % 2 else \
+            (ast.Const(ast.I32, 1), ast.If(None, body, (ast.Nop(),)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)
+    try:
+        rebuilt = ast.rebuild(body, lambda *args: (args[-1],))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rebuilt == body

@@ -370,3 +370,33 @@ def test_indices_limits_and_memargs_take_the_integer_grammar(
     parse_module(template.format(good))
     with pytest.raises(ParseError, match=message):
         parse_module(template.format(bad))
+
+
+@pytest.mark.parametrize("fields", [
+    "(param $p i32) (param $p i32)",
+    "(param $p i32) (local $p i32)",
+    "(local $x i32) (local $x i64)",
+])
+def test_duplicate_local_names_rejected(fields):
+    with pytest.raises(ParseError, match=r"duplicate local name \$[px]"):
+        parse_module(f"(module (func {fields}))")
+
+
+def test_locals_resolve_by_name_and_index_across_params_and_locals():
+    m = parse_module("""(module (func (param $a i32) (param i64) (local $c i32)
+      (local.get $c) (local.set $a) (local.get 1) (drop) (local.get 2) (drop)))""")
+    assert [ins.local for ins in ast.iter_instrs(m.funcs[0].body)
+            if hasattr(ins, "local")] == [2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("src", ["block $a end $b", "block end $b",
+                                 "loop $a end $b", "i32.const 0 if $a end $b",
+                                 "i32.const 0 if $a else end $b"])
+def test_end_label_must_name_its_block(src):
+    with pytest.raises(ParseError, match=r"end \$b does not close"):
+        parse_module(f"(module (func {src}))")
+
+
+def test_end_label_naming_its_block_is_accepted():
+    m = parse_module("(module (func block $a loop $b end $b end $a))")
+    assert m == parse_module("(module (func block loop end end))")

@@ -1,7 +1,10 @@
+import shutil
+
 import fuzzgen
 import pytest
+import wabt_bridge
 
-from ctwasm import ast, text
+from ctwasm import ast, binary, text
 from ctwasm.ast import I32, I64, S32, S64, F32, Secrecy, Trust
 from ctwasm.validate import (
     TANY, TSECRET, CheckState, Ctx, ErrorCode, ValidationFailure, check_instr,
@@ -472,3 +475,32 @@ def test_hand_built_bodies_nested_too_deep_are_rejected():
         assert [(e.code, e.func, e.message) for e in errors] == [
             (ErrorCode.NestingTooDeep, 0,
              f"blocks nested deeper than {ast.MAX_NESTING}")]
+
+
+# --- memory and table limits ------------------------------------------------
+
+# (limits clause, valid): a memory may span at most 65,536 pages, and no
+# minimum may exceed its maximum; imports are held to the same limits
+_LIMITS = [
+    ("(memory 2 1)", False), ("(memory 65537)", False),
+    ("(memory 1 70000)", False), ("(table 5 2 funcref)", False),
+    ("(memory 65536)", True), ("(memory 1 65536)", True),
+    ('(import "m" "mem" (memory 2 1))', False),
+    ('(import "m" "tab" (table 5 2 funcref))', False),
+    ('(import "m" "mem" (memory 0 65536))', True),
+]
+
+
+@pytest.mark.parametrize("clause, valid", _LIMITS)
+def test_limits_are_validated(clause, valid):
+    assert codes(f"(module {clause})") == ([] if valid else ["LimitsInvalid"])
+
+
+@pytest.mark.skipif(shutil.which("node") is None,
+                    reason="node is not installed")
+def test_limits_verdicts_agree_with_v8():
+    mods = [text.parse_module(f"(module {clause})") for clause, _ in _LIMITS]
+    replies = wabt_bridge.v8([binary.encode_module(m) for m in mods])
+    for (clause, valid), m, reply in zip(_LIMITS, mods, replies):
+        ours = check_module(m)[0] is not None
+        assert (reply["valid"], ours) == (valid, valid), (clause, reply)
